@@ -24,10 +24,15 @@ from .filling import build_filling, classify_filling, harnack_check
 from .lattice import Polygon, validate_polygon
 from .surface import AmbientSurface, build_ambient_surface
 from .svg import render_svg
+from .sweep import sweep
 from .tcurve import (TCurve, extract_curve, harnack_distribution,
                      predicted_harnack_census, verify_harnack_census)
+# incidence_graphs stays importable from here: bench/tracing.py wraps it
 from .triangulation import (generate_grid_triangulation, incidence_graphs,
                             validate_primitive_triangulation)
+
+# libyaml's loader when PyYAML was built with it: the same data, faster
+YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
 class Problem:
@@ -58,12 +63,12 @@ class Problem:
         pts = sorted(self.polygon.lattice_points)
         tris = []
         for k, triple in enumerate(self.triangulation):
-            try:
-                tris.append(tuple(pts[i] for i in triple))
-            except IndexError:
+            bad = next((i for i in triple if not 0 <= i < len(pts)), None)
+            if bad is not None:
                 raise ValidationError(
-                    f"triangulation[{k}]: index out of range "
+                    f"triangulation[{k}]: index {bad} out of range "
                     f"(have {len(pts)} lattice points)")
+            tris.append(tuple(pts[i] for i in triple))
         return validate_primitive_triangulation(self.polygon, tris)
 
     def distribution(self, override_type=None):
@@ -81,14 +86,23 @@ class Problem:
 def parse_problem(path: str) -> Problem:
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=YAML_LOADER)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}")
+        raise ParseError(f"{path}: {' '.join(str(exc).split())}")
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a mapping at the top level")
     return problem_from_data(raw)
+
+
+def _check_ints(field: str, rows: list):
+    """Only plain ints: YAML also yields bools, floats and strings."""
+    for k, row in enumerate(rows):
+        bad = next((v for v in row if type(v) is not int), None)
+        if bad is not None:
+            raise ValidationError(
+                f"{field}[{k}]: expected integers, got {bad!r}")
 
 
 def problem_from_data(raw: dict) -> Problem:
@@ -98,6 +112,7 @@ def problem_from_data(raw: dict) -> Problem:
     if (not isinstance(poly_field, list)
             or any(not isinstance(v, list) or len(v) != 2 for v in poly_field)):
         raise ValidationError("polygon: expected a list of [x, y] pairs")
+    _check_ints("polygon", poly_field)
     polygon = validate_polygon([tuple(v) for v in poly_field])
 
     tri_field = raw.get("triangulation", "grid")
@@ -106,14 +121,16 @@ def problem_from_data(raw: dict) -> Problem:
                 not isinstance(t, list) or len(t) != 3 for t in tri_field):
             raise ValidationError(
                 "triangulation: expected 'grid' or a list of index triples")
-        tri_field = [tuple(int(i) for i in t) for t in tri_field]
+        _check_ints("triangulation", tri_field)
+        tri_field = [tuple(t) for t in tri_field]
 
     signs_field = raw.get("signs", "enumerate")
     if signs_field == "enumerate":
         signs = ("enumerate",)
     elif isinstance(signs_field, dict) and "harnack" in signs_field:
         t = signs_field["harnack"]
-        if not isinstance(t, list) or len(t) != 3 or any(v not in (0, 1) for v in t):
+        if not isinstance(t, list) or len(t) != 3 or any(
+                type(v) is not int or v not in (0, 1) for v in t):
             raise ValidationError("signs.harnack: expected [c, a, b] with bits")
         signs = ("harnack", tuple(t))
     elif isinstance(signs_field, dict) and "explicit" in signs_field:
@@ -126,7 +143,7 @@ def problem_from_data(raw: dict) -> Problem:
                 x, y = (int(s) for s in str(key).split(","))
             except ValueError:
                 raise ValidationError(f"signs.explicit: bad point key {key!r}")
-            if v not in (1, -1):
+            if type(v) is not int or v not in (1, -1):
                 raise ValidationError(f"signs.explicit[{key!r}]: sign must be 1 or -1")
             parsed[(x, y)] = v
         missing = set(polygon.lattice_points) - set(parsed)
@@ -268,28 +285,19 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
             if not report["harnack_census"]["match"]:
                 raise InvariantError("extracted census differs from prediction")
     elif name == "enumerate":
-        tri = problem.build_triangulation()
-        pts = polygon.lattice_points
-        if len(pts) > cap:
+        # refuse before any lattice point or triangle is built
+        v_count = polygon.point_count
+        if v_count > cap:
             raise CapExceeded(
-                f"{len(pts)} lattice points exceed the cap {cap}; "
+                f"{v_count} lattice points exceed the cap {cap}; "
                 "raise it with --cap")
-        pair = incidence_graphs(surface, tri)
+        tri = problem.build_triangulation()
         i_count = polygon.census().interior_points
         dist: dict = {}
-        for mask in range(1 << len(pts)):
-            delta = {p: 1 if mask >> k & 1 else -1 for k, p in enumerate(pts)}
-            curve = TCurve(surface, tri, delta, pair)
-            filling = build_filling(curve)
-            d = filling.boundary_count
-            if d > i_count + 1:
-                raise InvariantError(
-                    f"component bound violated at mask {mask}: {d} > {i_count + 1}")
-            cls = classify_filling(filling)
-            assert cls.capped.chi == d + 1 - tri.V + tri.L
+        for d, _ in sweep(surface, tri):
             dist[d] = dist.get(d, 0) + 1
         report["enumerate"] = {
-            "runs": 1 << len(pts),
+            "runs": 1 << tri.V,
             "interior_points": i_count,
             "max_components": max(dist),
             "distribution": {str(k): v for k, v in sorted(dist.items())},

@@ -243,26 +243,19 @@ class FillingClass:
     curve_type: str  # 'I' | 'II'
 
 
-def _orientation_constraints(filling: TFilling) -> ParityUnionFind:
+def _orientation_constraints(filling: TFilling) -> tuple[ParityUnionFind, bool]:
+    """Parity constraints between the planar orientations of the thick-Ys,
+    and whether they can all be met (the filling is orientable).  The
+    constraints stop at the first one that cannot be met."""
     uf = ParityUnionFind()
     for t in filling.tri.triangles:
         uf.add(t)
     for e, twisted in sorted(filling.twists.items()):
         t_a, t_b = filling.tri.edge_triangles[e]
         # no twist: the planar orientations agree; twist: they oppose
-        uf.union(t_a, t_b, 1 if twisted else 0)
-    return uf
-
-
-def _is_orientable(filling: TFilling) -> bool:
-    uf = ParityUnionFind()
-    for t in filling.tri.triangles:
-        uf.add(t)
-    for e, twisted in sorted(filling.twists.items()):
-        t_a, t_b = filling.tri.edge_triangles[e]
         if not uf.union(t_a, t_b, 1 if twisted else 0):
-            return False
-    return True
+            return uf, False
+    return uf, True
 
 
 def classify_filling(filling: TFilling) -> FillingClass:
@@ -284,7 +277,7 @@ def classify_filling(filling: TFilling) -> FillingClass:
     assert connected, "G(Pi) is connected, so the filling is"
     assert chi_sigma <= 2
 
-    orientable = _is_orientable(filling)
+    _, orientable = _orientation_constraints(filling)
     genus = (2 - chi_sigma) // 2 if orientable else None
     crosscaps = 2 - chi_sigma if not orientable else None
     capped = CappedSurface(chi_f, d, chi_sigma, connected, orientable,
@@ -351,9 +344,9 @@ def orient_curve(curve: TCurve, filling: TFilling,
     downstairs segment directed p -> q in quadrant (a,b) is directed
     sigma_{a,b} p -> sigma_{a,b} q.
     """
-    if not _is_orientable(filling):
+    uf, orientable = _orientation_constraints(filling)
+    if not orientable:
         raise NotTypeI("the filling is not orientable")
-    uf = _orientation_constraints(filling)
     color = uf.coloring()
     if flip:
         color = {t: -c for t, c in color.items()}

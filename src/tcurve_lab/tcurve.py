@@ -133,9 +133,6 @@ class ComponentClass:
     crossing_vector: tuple | None = None
 
 
-NODE_SCALE = 6  # barycenters live at thirds, midpoints at halves
-
-
 def node_coords6(node) -> Point:
     """Planar coordinates of a G(S) node scaled by 6, in the frame of the
     node's own quadrant label."""

@@ -16,6 +16,7 @@ from tcurve_lab.oracles import (classify_filling_by_cells,
                                 classify_surface_by_cells)
 from tcurve_lab.surface import (IDENTITY, QUADRANTS, build_ambient_surface,
                                 mat_mul)
+from tcurve_lab.sweep import sweep
 from tcurve_lab.tcurve import (TCurve, degree_parity_check, extract_curve,
                                harnack_distribution, ovals_inside,
                                predicted_harnack_census, transform_curve,
@@ -119,6 +120,7 @@ def exhaustive_sweeps():
         i_count = poly.census().interior_points
         dist: dict = {}
         oracle_checked = 0
+        per_vector = []
         for mask in range(1 << len(pts)):
             delta = {p: 1 if mask >> k & 1 else -1
                      for k, p in enumerate(pts)}
@@ -134,8 +136,10 @@ def exhaustive_sweeps():
                 (filling.chi, d_count, cls.capped.orientable)
             oracle_checked += 1
             dist[d_count] = dist.get(d_count, 0) + 1
+            per_vector.append((d_count, cls.capped.orientable))
         stats[d] = {"runs": 1 << len(pts), "i": i_count,
-                    "distribution": dist, "oracle_checked": oracle_checked}
+                    "distribution": dist, "oracle_checked": oracle_checked,
+                    "per_vector": per_vector}
     stats["elapsed"] = time.perf_counter() - t0
     return stats
 
@@ -147,6 +151,14 @@ def test_criterion_5_exhaustive_bound(exhaustive_sweeps):
     assert exhaustive_sweeps["elapsed"] < 60
     report(5, f"bound and chi identities over 1088 sign vectors "
               f"in {exhaustive_sweeps['elapsed']:.1f}s")
+
+
+def test_compiled_sweep_matches_exhaustive_sweeps(exhaustive_sweeps):
+    for d in (2, 3):
+        poly = standard_triangle(d)
+        got = list(sweep(build_ambient_surface(poly),
+                         generate_grid_triangulation(poly)))
+        assert got == exhaustive_sweeps[d]["per_vector"]
 
 
 def test_criterion_6_filling_arithmetic():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tcurve_lab.cli import main, parse_problem, problem_from_data
+from tcurve_lab.cli import YAML_LOADER, main, parse_problem, problem_from_data
 from tcurve_lab.errors import ParseError, ValidationError
 
 
@@ -161,3 +161,94 @@ def test_reports_deterministic_up_to_timing(tmp_path, capsys):
     r1, r2 = json.loads(out1), json.loads(out2)
     r1.pop("timing_ms"), r2.pop("timing_ms")
     assert r1 == r2
+
+
+# ---------------------------------------------------------------------------
+# YAML loading
+
+PROBLEMS = [
+    T3_HARNACK,
+    "polygon: [[0,0],[2,0],[2,2],[0,2]]\nsigns: enumerate\n",
+    "polygon: [[0, 0], [1, 0], [0, 1]]\ntriangulation: [[0, 1, 2]]\n"
+    'signs: {explicit: {"0,0": 1, "1,0": -1, "0,1": -1}}\n',
+    "polygon:\n  - [0, 0]\n  - [4, 0]\n  - [0, 4]\nsigns:\n  harnack: [0, 1, 1]\n",
+]
+
+
+def test_libyaml_and_python_loaders_agree():
+    import yaml
+    for text in PROBLEMS:
+        data = yaml.load(text, Loader=yaml.SafeLoader)
+        if yaml.__with_libyaml__:
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == data
+        assert problem_from_data(data).data() == \
+            problem_from_data(yaml.load(text, Loader=YAML_LOADER)).data()
+
+
+def test_syntax_error_with_either_loader(tmp_path, monkeypatch):
+    import yaml
+    import tcurve_lab.cli as cli
+    path = write(tmp_path, "bad.yaml", "polygon: [[0,0")
+    for loader in (yaml.SafeLoader, YAML_LOADER):
+        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+        with pytest.raises(ParseError) as err:
+            parse_problem(path)
+        assert "\n" not in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# strict input: each defect exits 2 with one line on stderr
+
+def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
+    path = write(tmp_path, "p.yaml", text)
+    code = main([subcommand, "--input", path])
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, words", [
+    # a negative index used to wrap around to the last lattice point
+    ("polygon: [[0,0],[1,0],[0,1]]\ntriangulation: [[1,2,-3]]\n"
+     "signs: {harnack: [1,0,0]}\n", "index -3 out of range"),
+    # a string coordinate used to escape as a ValueError traceback
+    ('polygon: [[0,0],[3,0],["a",3]]\nsigns: {harnack: [1,0,0]}\n', "'a'"),
+    # a float coordinate used to be truncated
+    ("polygon: [[0,0],[2.7,0],[0,3]]\nsigns: {harnack: [1,0,0]}\n", "2.7"),
+    # a boolean coordinate used to be read as 1
+    ("polygon: [[0,0],[true,0],[0,1]]\nsigns: {harnack: [1,0,0]}\n", "True"),
+    # boolean and float sign fields used to pass, or to end in a TypeError
+    ('polygon: [[0,0],[1,0],[0,1]]\nsigns: {explicit: {"0,0": true, '
+     '"1,0": -1, "0,1": 1}}\n', "sign must be 1 or -1"),
+    ("polygon: [[0,0],[3,0],[0,3]]\nsigns: {harnack: [true, 0.0, 0]}\n",
+     "expected [c, a, b] with bits"),
+], ids=["negative-index", "string", "float", "bool", "bool-sign",
+        "bool-harnack-bit"])
+def test_strict_input(tmp_path, capsys, text, words):
+    code, err = exit_and_stderr(tmp_path, capsys, text)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert words in err
+
+
+def test_strict_triangulation_indices():
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValidationError):
+            problem_from_data({"polygon": [[0, 0], [1, 0], [0, 1]],
+                               "triangulation": [[0, bad, 2]]})
+
+
+# ---------------------------------------------------------------------------
+# the enumerate cap is checked first
+
+def test_enumerate_cap_before_any_work(monkeypatch):
+    import tcurve_lab.cli as cli
+    from tcurve_lab.errors import CapExceeded
+    called = []
+    monkeypatch.setattr(cli.Problem, "build_triangulation",
+                        lambda self: called.append(self))
+    prob = problem_from_data({"polygon": [[0, 0], [300, 0], [0, 300]],
+                              "signs": "enumerate"})
+    with pytest.raises(CapExceeded) as err:
+        cli.run_subcommand("enumerate", prob)
+    assert str(err.value).startswith("45451 lattice points exceed the cap 16")
+    assert called == []
+    assert "lattice_points" not in vars(prob.polygon)

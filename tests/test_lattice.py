@@ -163,3 +163,11 @@ def test_random_polygon_lemmas():
         assert c.boundary_length == len(poly.boundary_points)
         assert c.interior_points == len(poly.interior_points)
         assert sum(c.by_parity.values()) == c.interior_points
+
+
+def test_pick_point_count_matches_scan():
+    rng = random.Random(61)
+    polys = [standard_triangle(d) for d in range(1, 7)]
+    polys += [random_polygon(rng) for _ in range(40)]
+    for poly in polys:
+        assert poly.point_count == len(poly.lattice_points)
