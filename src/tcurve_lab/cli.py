@@ -96,11 +96,14 @@ def parse_problem(path: str) -> Problem:
     return problem_from_data(raw)
 
 
+_NO_VALUE = object()  # cannot come out of YAML, unlike None
+
+
 def _check_ints(field: str, rows: list):
-    """Only plain ints: YAML also yields bools, floats and strings."""
+    """Only plain ints: YAML also yields bools, floats, strings and null."""
     for k, row in enumerate(rows):
-        bad = next((v for v in row if type(v) is not int), None)
-        if bad is not None:
+        bad = next((v for v in row if type(v) is not int), _NO_VALUE)
+        if bad is not _NO_VALUE:
             raise ValidationError(
                 f"{field}[{k}]: expected integers, got {bad!r}")
 

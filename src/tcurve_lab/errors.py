@@ -18,6 +18,13 @@ class InvariantError(TCurveLabError):
     pass
 
 
+def check(cond: bool, msg: str):
+    """Raise ``InvariantError`` unless ``cond``; unlike ``assert`` it stays
+    under ``python -O``."""
+    if not cond:
+        raise InvariantError(msg)
+
+
 # --- lattice ---------------------------------------------------------------
 
 class DegenerateSegment(InputError):

@@ -1,19 +1,22 @@
-"""Independent cell-complex classifiers.
+"""Independent classifiers that the fast paths are tested against.
 
-These deliberately share no code with the main computations: the surface
-is rebuilt as four polygon faces with explicit edge pairings, the filling
-as one hexagonal disk per thick-Y with explicit end-segment
-identifications.  Euler characteristics come from counting identified
-cells, orientability from propagating face orientations, boundary circles
-from walking free edges.  Tests demand exact agreement with the fast
-paths on every instance.
+The cell-complex classifiers deliberately share no code with the main
+computations: the surface is rebuilt as four polygon faces with explicit
+edge pairings, the filling as one hexagonal disk per thick-Y with
+explicit end-segment identifications.  Euler characteristics come from
+counting identified cells, orientability from propagating face
+orientations, boundary circles from walking free edges.  The component
+classifier nests ovals by planar point-in-ring tests instead of the
+combinatorial faces of ``TCurve.classification``.  Tests demand exact
+agreement with the fast paths on every instance.
 """
 
 from .lattice import Polygon
 from .surface import (QUADRANTS, TopologyClass, _surface_name, glue_offset,
-                      quad_add)
+                      quad_add, reflect)
 from .filling import TFilling
-from .geometry import segment_lattice_points
+from .geometry import point_in_ring, segment_lattice_points
+from .tcurve import ComponentClass, TCurve, node_coords6
 from .uf import ParityUnionFind, UnionFind
 
 
@@ -200,3 +203,35 @@ def classify_filling_by_cells(filling: TFilling):
         if not spin.union(t1, t2, rel):
             orientable = False
     return chi, boundary_circles, orientable
+
+
+# ---------------------------------------------------------------------------
+
+def classify_components_by_nesting(curve: TCurve) -> dict:
+    """Component -> ComponentClass with oval depths and signs from planar
+    geometry: each in-quadrant oval is drawn as the polyline of its nodes,
+    an oval lies inside another when its first node does (exact
+    point-in-ring test), and its sign is the one sign of the lattice
+    points inside it but outside the ovals it contains."""
+    by_quadrant = curve.in_quadrant_ovals()
+    rings = {comp: tuple(node_coords6(n) for n in comp.nodes)
+             for ovals in by_quadrant.values() for comp in ovals}
+    result = {}
+    for q, ovals in by_quadrant.items():
+        contains = {a: {b for b in ovals
+                        if b is not a and point_in_ring(rings[b][0], rings[a])}
+                    for a in ovals}
+        for comp in ovals:
+            depth = sum(1 for other in ovals if comp in contains[other])
+            inner = []
+            for p in curve.surface.polygon.lattice_points:
+                sp = reflect(q, (6 * p[0], 6 * p[1]))
+                if point_in_ring(sp, rings[comp]) and \
+                        not any(point_in_ring(sp, rings[c]) for c in contains[comp]):
+                    inner.append(p)
+            assert inner, "an oval surrounds at least one lattice point"
+            signs = {curve.ext.value(q, p) for p in inner}
+            assert len(signs) == 1, "the sign of an oval is well defined"
+            result[comp] = ComponentClass("oval", quadrant=q,
+                                          sign=signs.pop(), depth=depth)
+    return curve.with_non_ovals(result)

@@ -28,15 +28,11 @@ out (db = 0); flipping bit 0 reverses it.
 from dataclasses import dataclass
 from itertools import compress
 
-from .errors import InconsistentArcPairing, InvariantError
+from .errors import InconsistentArcPairing, InvariantError, check
 from .lattice import pairing, segment_parity
 from .surface import QUADRANTS, AmbientSurface
 from .triangulation import PrimitiveTriangulation, midpoint_node
 from .uf import ParityUnionFind, UnionFind
-
-def _check(cond: bool, msg: str):
-    if not cond:
-        raise InvariantError(msg)
 
 
 @dataclass
@@ -96,7 +92,7 @@ def compile_sweep(surface: AmbientSurface,
                 q * 3 * T + s)
     across = [0] * (12 * T)
     for c, us in ends.items():
-        _check(len(us) == 2, f"upstairs midpoint of lift {c} has degree {len(us)}")
+        check(len(us) == 2, f"upstairs midpoint of lift {c} has degree {len(us)}")
         u, w = us
         across[u], across[w] = w, u
 
@@ -106,7 +102,7 @@ def compile_sweep(surface: AmbientSurface,
         conn.add(t)
     for _, s_a, s_b in interior:
         conn.union(s_a // 3, s_b // 3)
-    _check(len(conn.groups()) == 1, "G(Pi) is connected, so the filling is")
+    check(len(conn.groups()) == 1, "G(Pi) is connected, so the filling is")
 
     # strand transitions: 'in' turns to the neighboring prong of the same
     # thick-Y; 'out' crosses the prong's end, folding back at a boundary
@@ -145,11 +141,11 @@ def _trace(tab: SweepTables, tw: bytearray) -> tuple[int, bool]:
         while orbit[y] < 0:
             orbit[y] = count
             y = perm[y]
-        _check(y == x, "boundary transitions must permute the states")
+        check(y == x, "boundary transitions must permute the states")
         count += 1
-    _check(all(orbit[x] != orbit[x + 1] for x in range(0, n, 2)),
-           "a boundary circle cannot reverse onto itself")
-    _check(count % 2 == 0, "boundary circles come in orbit pairs")
+    check(all(orbit[x] != orbit[x + 1] for x in range(0, n, 2)),
+          "a boundary circle cannot reverse onto itself")
+    check(count % 2 == 0, "boundary circles come in orbit pairs")
     # no twist: the planar orientations agree; twist: they oppose
     uf = ParityUnionFind()
     for t in range(tab.T):
@@ -200,7 +196,7 @@ def run_sweep(tab: SweepTables):
         by_sign = []
         for sign_bit in (0, 1):
             qs = neg_quadrants(e, sign_bit)
-            _check(len(qs) == 2, f"edge {e}: {len(qs)} negative lifts")
+            check(len(qs) == 2, f"edge {e}: {len(qs)} negative lifts")
             by_sign.append(tuple(nxt[q * 3 * T + s]
                                  for q in qs for s in (s_a, s_b)))
         readings.append((e, by_sign))
@@ -211,7 +207,7 @@ def run_sweep(tab: SweepTables):
         by_sign = []
         for sign_bit in (0, 1):
             qs = neg_quadrants(e, sign_bit)
-            _check(len(qs) == 2, f"edge {e}: {len(qs)} negative lifts")
+            check(len(qs) == 2, f"edge {e}: {len(qs)} negative lifts")
             by_sign.append(tuple(q * E + e for q in qs)
                            + tuple(q * 3 * T + s for q in qs))
         u_turns.append(by_sign)

@@ -12,9 +12,8 @@ cycles covering every downstairs incidence-graph edge twice: the curve.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (IncompleteDistribution, LeavesNonnegativeQuadrant,
-                     WrongPolygon)
-from .geometry import point_in_ring
+from .errors import (IncompleteDistribution, InvariantError,
+                     LeavesNonnegativeQuadrant, WrongPolygon, check)
 from .lattice import (Point, Polygon, is_standard_triangle, pairing,
                       point_parity, validate_polygon)
 from .surface import (QUADRANTS, AmbientSurface, Quadrant,
@@ -78,7 +77,8 @@ def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
             key = midpoint_node(surface, tri, q, e)[1:]
             if key in out:
                 # identified boundary copies carry equal signs
-                assert out[key] == s, "edge sign must descend to the surface"
+                if out[key] != s:
+                    raise InvariantError("edge sign must descend to the surface")
             else:
                 out[key] = s
     # each lifted triangle has 0 or 2 negative edges
@@ -86,7 +86,8 @@ def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
         for t in tri.triangles:
             neg = sum(1 for e in tri.slots[t]
                       if out[midpoint_node(surface, tri, q, e)[1:]] < 0)
-            assert neg in (0, 2), f"triangle {q}:{t} has {neg} negative edges"
+            if neg not in (0, 2):
+                raise InvariantError(f"triangle {q}:{t} has {neg} negative edges")
     return out
 
 
@@ -181,17 +182,22 @@ class TCurve:
                     if self.gs_edge_sign(q, e) < 0:
                         neg.append(self.pair.gs_midpoint[(q, e)])
                         neg_per_downstairs[(t, e)] = neg_per_downstairs.get((t, e), 0) + 1
-                assert len(neg) in (0, 2)
+                if len(neg) not in (0, 2):
+                    raise InvariantError(
+                        f"triangle {q}:{t} has {len(neg)} negative edges")
                 for m in neg:
                     link(b, m)
                     link(m, b)
         # exactly two of the four lifts of every downstairs edge are negative
         for t in tri.triangles:
             for e in tri.slots[t]:
-                assert neg_per_downstairs.get((t, e), 0) == 2, \
-                    f"downstairs edge {t}/{e} has {neg_per_downstairs.get((t, e), 0)} negative lifts"
+                n = neg_per_downstairs.get((t, e), 0)
+                if n != 2:
+                    raise InvariantError(
+                        f"downstairs edge {t}/{e} has {n} negative lifts")
         for node, nbrs in adj.items():
-            assert len(nbrs) == 2
+            if len(nbrs) != 2:
+                raise InvariantError(f"curve node {node} has degree {len(nbrs)}")
 
         seen = set()
         cycles = []
@@ -210,7 +216,7 @@ class TCurve:
                     break
             cycles.append(_normalize_cycle(cyc))
         cycles.sort(key=lambda c: c.nodes)
-        assert cycles, "a T-curve always has at least one component"
+        check(bool(cycles), "a T-curve always has at least one component")
         return tuple(cycles)
 
     # ------------------------------------------------------------------
@@ -227,52 +233,108 @@ class TCurve:
                 self.surface.broken_edges[broken_index].primitive_segments}
         return sum(1 for m in comp.midpoints if m[2] in segs)
 
-    @cached_property
-    def _polylines(self) -> dict:
-        return {comp: tuple(node_coords6(n) for n in comp.nodes)
-                for comp in self.components}
-
-    def _in_quadrant_ovals(self) -> dict:
-        """Interior components grouped by quadrant."""
+    def in_quadrant_ovals(self) -> dict:
+        """Quadrant -> the components that cross no boundary edge, in
+        component order."""
+        boundary = self.tri.boundary_edges
         out: dict = {}
         for comp in self.components:
-            if any(m[2] in self.tri.boundary_edges for m in comp.midpoints):
+            if any(m[2] in boundary for m in comp.midpoints):
                 continue
             qs = comp.quadrants
-            assert len(qs) == 1, "an interior component stays in one quadrant"
+            check(len(qs) == 1, "an interior component stays in one quadrant")
             out.setdefault(next(iter(qs)), []).append(comp)
         return out
 
     @cached_property
     def classification(self) -> dict:
         """Map component -> ComponentClass."""
-        surface, tri = self.surface, self.tri
+        return self.with_non_ovals(self._oval_classes())
+
+    def _oval_classes(self) -> dict:
+        """Sign and nesting depth of every in-quadrant oval, from the
+        lattice graph of its quadrant.
+
+        The ovals of quadrant q cut that copy of the polygon into faces.
+        A union-find over the lattice points joins the ends of every
+        triangulation edge that no oval of q crosses, so each set is one
+        face.  The boundary lies in the root face; every oval joins two
+        faces, and faces and ovals form a tree.  An oval's depth is the
+        BFS depth of its outer face, its sign the one sign of the points
+        of its inner face.
+        """
+        tri = self.tri
+        pts = self.surface.polygon.lattice_points
+        index = {p: i for i, p in enumerate(pts)}
+        edge_id = {e: k for k, e in enumerate(tri.edges)}
+        ends = [(index[p], index[r]) for p, r in tri.edges]
+        boundary = [index[p] for p in self.surface.polygon.boundary_points]
+        values = self.ext.values
+        result: dict = {}
+        for q, ovals in self.in_quadrant_ovals().items():
+            crossed = {edge_id[m[2]]: k
+                       for k, comp in enumerate(ovals) for m in comp.midpoints}
+            uf = UnionFind()
+            for k, (a, b) in enumerate(ends):
+                if k not in crossed:
+                    uf.union(a, b)
+            face = [uf.find(i) for i in range(len(pts))]
+            root = face[boundary[0]]
+            check(all(face[i] == root for i in boundary),
+                  f"quadrant {q}: the boundary lies in one face")
+
+            sides: list = [None] * len(ovals)
+            for k, o in crossed.items():
+                a, b = ends[k]
+                pair = (min(face[a], face[b]), max(face[a], face[b]))
+                if pair[0] == pair[1] or sides[o] not in (None, pair):
+                    raise InvariantError(
+                        f"quadrant {q}: the oval crossing {tri.edges[k]} must "
+                        "join two faces, the same two on every edge")
+                sides[o] = pair
+            at_face: dict = {}
+            for o, pair in enumerate(sides):
+                for f in pair:
+                    at_face.setdefault(f, []).append(o)
+
+            face_depth = {root: 0}
+            depth: list = [None] * len(ovals)
+            inner: list = [None] * len(ovals)
+            frontier = [root]
+            while frontier:
+                later = []
+                for f in frontier:
+                    for o in at_face.get(f, ()):
+                        if depth[o] is not None:
+                            continue
+                        g = sides[o][1] if sides[o][0] == f else sides[o][0]
+                        if g in face_depth:
+                            raise InvariantError(
+                                f"quadrant {q}: faces and ovals form no tree")
+                        face_depth[g] = face_depth[f] + 1
+                        depth[o], inner[o] = face_depth[f], g
+                        later.append(g)
+                frontier = later
+            check(len(face_depth) == len(set(face)) and None not in depth,
+                  f"quadrant {q}: every face and oval is reached from the boundary")
+
+            signs: dict = {}
+            for f, p in zip(face, pts):
+                signs.setdefault(f, set()).add(values[(q, p)])
+            for o, comp in enumerate(ovals):
+                s = signs[inner[o]]
+                check(len(s) == 1, "the sign of an oval is well defined")
+                result[comp] = ComponentClass("oval", quadrant=q,
+                                              sign=next(iter(s)), depth=depth[o])
+        return result
+
+    def with_non_ovals(self, ovals: dict) -> dict:
+        """``ovals`` (oval -> ComponentClass) completed by the class of
+        every other component."""
+        surface = self.surface
         topo = surface.classify_topology()
         on_rp2 = topo.components == 1 and not topo.orientable and topo.crosscaps == 1
-        result: dict = {}
-        by_quadrant = self._in_quadrant_ovals()
-
-        contains: dict = {}
-        for q, ovals in by_quadrant.items():
-            for a in ovals:
-                ring = self._polylines[a]
-                inside = set()
-                for b in ovals:
-                    if b is not a and point_in_ring(self._polylines[b][0], ring):
-                        inside.add(b)
-                contains[a] = inside
-
-        for q, ovals in by_quadrant.items():
-            for comp in ovals:
-                depth = sum(1 for other in ovals if comp in contains[other])
-                inner = set(comp.nodes)
-                region_pts = self._innermost_points(q, comp, contains[comp])
-                assert region_pts, "an oval surrounds at least one lattice point"
-                signs = {self.ext.value(q, p) for p in region_pts}
-                assert len(signs) == 1, "the sign of an oval is well defined"
-                result[comp] = ComponentClass("oval", quadrant=q,
-                                              sign=signs.pop(), depth=depth)
-
+        result = dict(ovals)
         for comp in self.components:
             if comp in result:
                 continue
@@ -287,18 +349,6 @@ class TCurve:
             else:
                 result[comp] = ComponentClass("boundary", crossing_vector=vector)
         return result
-
-    def _innermost_points(self, q: Quadrant, comp: Component, children) -> list:
-        """Lattice points inside the oval but outside any nested oval."""
-        ring = self._polylines[comp]
-        child_rings = [self._polylines[c] for c in children]
-        pts = []
-        for p in self.surface.polygon.lattice_points:
-            sp = reflect(q, (6 * p[0], 6 * p[1]))
-            if point_in_ring(sp, ring) and \
-               not any(point_in_ring(sp, cr) for cr in child_rings):
-                pts.append(p)
-        return pts
 
     # ------------------------------------------------------------------
     # census
@@ -371,8 +421,8 @@ def degree_parity_check(curve: TCurve):
         raise WrongPolygon("degree parity applies to the standard triangle only")
     nontrivial = [comp for comp, c in curve.classification.items()
                   if c.kind == "nontrivial_rp2"]
-    assert len(nontrivial) == (d % 2), \
-        f"degree {d} must have {d % 2} nontrivial components, found {len(nontrivial)}"
+    check(len(nontrivial) == d % 2,
+          f"degree {d} must have {d % 2} nontrivial components, found {len(nontrivial)}")
     return nontrivial[0] if nontrivial else None
 
 
@@ -478,7 +528,9 @@ def side_euler_characteristic(curve: TCurve, comp: Component,
                 if side_of[cls(q, t[0])] == side:
                     f += 1
             else:
-                assert len(t_crossed) == 2
+                if len(t_crossed) != 2:
+                    raise InvariantError(
+                        f"triangle {q}:{t} is crossed {len(t_crossed)} times")
                 arcs += 1
                 f += 1  # exactly one of the two pieces per side
     e += arcs          # curve arcs bound both closures

@@ -12,7 +12,8 @@ import pytest
 
 from tcurve_lab.filling import build_filling, classify_filling, harnack_check
 from tcurve_lab.lattice import validate_polygon
-from tcurve_lab.oracles import (classify_filling_by_cells,
+from tcurve_lab.oracles import (classify_components_by_nesting,
+                                classify_filling_by_cells,
                                 classify_surface_by_cells)
 from tcurve_lab.surface import (IDENTITY, QUADRANTS, build_ambient_surface,
                                 mat_mul)
@@ -281,3 +282,49 @@ def test_criterion_10_theta_action():
                                 census_of[base].quadrant_ovals[shifted]))
             assert census_of[summed].quadrant_ovals[q] == want
     report(10, "all 8 Harnack types on T_4 match predictions and the sigma law")
+
+
+def test_classification_matches_nesting_oracle():
+    """Component classes equal the planar nesting oracle's on the
+    instances of criteria 3-10: every sign vector of T_2 and T_3, the
+    random curves of criteria 8 and 9 with their transforms, and all 8
+    Harnack types on T_3..T_6."""
+    checked = 0
+
+    def agree(curve):
+        nonlocal checked
+        assert curve.classification == classify_components_by_nesting(curve)
+        checked += 1
+
+    for d in (2, 3):
+        poly = standard_triangle(d)
+        surface = build_ambient_surface(poly)
+        tri = generate_grid_triangulation(poly)
+        pair = incidence_graphs(surface, tri)
+        pts = poly.lattice_points
+        for mask in range(1 << len(pts)):
+            agree(TCurve(surface, tri, {p: 1 if mask >> k & 1 else -1
+                                        for k, p in enumerate(pts)}, pair))
+    for d in (3, 4, 5, 6):
+        poly = standard_triangle(d)
+        for htype in itertools.product((0, 1), repeat=3):
+            agree(pipeline(poly, harnack_distribution(poly, htype))[2])
+    rng = random.Random(888)
+    for d in (2, 3, 4, 5):
+        poly = standard_triangle(d)
+        for _ in range(50):
+            agree(pipeline(poly, random_distribution(rng, poly))[2])
+    rng = random.Random(999)
+    shapes = [standard_triangle(2), standard_triangle(3),
+              validate_polygon([(0, 0), (2, 0), (2, 2), (0, 2)]),
+              validate_polygon([(0, 0), (3, 0), (3, 1), (0, 1)])]
+    for k in range(20):
+        poly = shapes[k % len(shapes)]
+        tri = random_flips(rng, generate_grid_triangulation(poly), 3)
+        curve = extract_curve(build_ambient_surface(poly), tri,
+                              random_distribution(rng, poly))
+        agree(curve)
+        agree(transform_curve(curve, translate=(3, 1))[0])
+        agree(transform_curve(curve, unimodular=((1, 0), (1, 1)))[0])
+    report("3-10", f"component classes equal the nesting oracle's on "
+                   f"{checked} curves")

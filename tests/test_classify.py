@@ -1,0 +1,119 @@
+"""Component classification by faces of the lattice graph, against the
+planar nesting oracle, and its invariant checks."""
+
+import ast
+import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import tcurve_lab.tcurve as tcurve_module
+from tcurve_lab.errors import InvariantError
+from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.oracles import classify_components_by_nesting
+from tcurve_lab.surface import build_ambient_surface
+from tcurve_lab.tcurve import extract_curve, harnack_distribution
+from tcurve_lab.triangulation import generate_grid_triangulation
+
+from conftest import pipeline, standard_triangle
+from helpers import (primitive_triangulation, random_distribution,
+                     random_flips, random_polygon)
+
+SRC = Path(tcurve_module.__file__).resolve().parents[1]
+
+HARNACK_TYPES = list(itertools.product((0, 1), repeat=3))
+
+
+def nested_squares():
+    """The 8x8 square with delta(x,y) = (-1)^max(|x-4|,|y-4|): concentric
+    square rings of alternating sign, four nested ovals in quadrant (0,0)."""
+    sq = validate_polygon([(0, 0), (8, 0), (8, 8), (0, 8)])
+    delta = {p: (-1) ** max(abs(p[0] - 4), abs(p[1] - 4))
+             for p in sq.lattice_points}
+    return pipeline(sq, delta)[2]
+
+
+def assert_matches_oracle(curve):
+    assert curve.classification == classify_components_by_nesting(curve)
+
+
+@pytest.mark.parametrize("d", range(1, 16))
+def test_harnack_types_match_oracle(d):
+    poly = standard_triangle(d)
+    surface = build_ambient_surface(poly)
+    tri = generate_grid_triangulation(poly)
+    for htype in HARNACK_TYPES:
+        assert_matches_oracle(
+            extract_curve(surface, tri, harnack_distribution(poly, htype)))
+
+
+@pytest.mark.parametrize("d", (20, 25, 30))
+def test_large_harnack_curves_match_oracle(d):
+    poly = standard_triangle(d)
+    _, _, curve = pipeline(poly, harnack_distribution(poly, (1, 0, 1)))
+    assert_matches_oracle(curve)
+
+
+def test_random_instances_match_oracle():
+    rng = random.Random(4242)
+    for _ in range(200):
+        poly = random_polygon(rng, box=6)
+        tri = random_flips(rng, primitive_triangulation(poly), poly.point_count)
+        curve = extract_curve(build_ambient_surface(poly), tri,
+                              random_distribution(rng, poly))
+        assert_matches_oracle(curve)
+
+
+def test_nested_ovals():
+    curve = nested_squares()
+    for classes in (curve.classification, classify_components_by_nesting(curve)):
+        ovals = sorted((c.sign, c.depth) for c in classes.values()
+                       if c.kind == "oval" and c.quadrant == (0, 0))
+        assert tuple(ovals) == ((-1, 0), (-1, 2), (1, 1), (1, 3))
+        kinds = [c.kind for c in classes.values()]
+        assert kinds.count("boundary") == 8 and len(kinds) == 12
+    assert curve.census.quadrant_ovals[(0, 0)] == \
+        ((-1, 0), (-1, 2), (1, 1), (1, 3))
+
+
+def test_sign_flip_inside_an_oval_raises():
+    # (3, 3) lies in the ring of 8 points between the ovals of depth 2
+    # and 3; the edge signs were taken before the flip, so the curve is
+    # unchanged and only the sign check can see it
+    curve = nested_squares()
+    curve.ext.values[((0, 0), (3, 3))] *= -1
+    with pytest.raises(InvariantError, match="sign of an oval"):
+        curve.classification
+
+
+def test_sign_check_survives_python_O():
+    code = ("from tcurve_lab.errors import InvariantError\n"
+            "from tcurve_lab.lattice import validate_polygon\n"
+            "from tcurve_lab.surface import build_ambient_surface\n"
+            "from tcurve_lab.tcurve import extract_curve\n"
+            "from tcurve_lab.triangulation import generate_grid_triangulation\n"
+            "sq = validate_polygon([(0, 0), (8, 0), (8, 8), (0, 8)])\n"
+            "delta = {p: (-1) ** max(abs(p[0] - 4), abs(p[1] - 4))\n"
+            "         for p in sq.lattice_points}\n"
+            "curve = extract_curve(build_ambient_surface(sq),\n"
+            "                      generate_grid_triangulation(sq), delta)\n"
+            "curve.ext.values[((0, 0), (3, 3))] *= -1\n"
+            "try:\n"
+            "    curve.classification\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert out.strip() == "raised"
+
+
+def test_no_assert_in_tcurve():
+    tree = ast.parse(Path(tcurve_module.__file__).read_text())
+    asserts = [node.lineno for node in ast.walk(tree)
+               if isinstance(node, ast.Assert)]
+    assert asserts == []

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
-from tcurve_lab.cli import YAML_LOADER, main, parse_problem, problem_from_data
-from tcurve_lab.errors import ParseError, ValidationError
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tcurve_lab.cli import (YAML_LOADER, Problem, main, parse_problem,
+                            problem_from_data)
+from tcurve_lab.errors import InputError, ParseError, ValidationError
 
 
 def write(tmp_path, name, text):
@@ -220,13 +224,62 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
      '"1,0": -1, "0,1": 1}}\n', "sign must be 1 or -1"),
     ("polygon: [[0,0],[3,0],[0,3]]\nsigns: {harnack: [true, 0.0, 0]}\n",
      "expected [c, a, b] with bits"),
+    # a YAML null used to pass the integer check and end in a TypeError
+    ("polygon: [[0,0],[2,0],[0,~]]\nsigns: {harnack: [1,0,0]}\n",
+     "polygon[2]: expected integers, got None"),
+    ("polygon: [[0,0],[1,0],[0,1]]\ntriangulation: [[0,1,null]]\n"
+     "signs: {harnack: [1,0,0]}\n",
+     "triangulation[0]: expected integers, got None"),
 ], ids=["negative-index", "string", "float", "bool", "bool-sign",
-        "bool-harnack-bit"])
+        "bool-harnack-bit", "null-coordinate", "null-index"])
 def test_strict_input(tmp_path, capsys, text, words):
     code, err = exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert words in err
+
+
+# any data in the three fields yields a Problem or an InputError
+
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 12)
+           | st.floats(-3, 12) | st.text(max_size=4))
+ANY = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4) | st.integers(-3, 12),
+                                     inner, max_size=3), max_leaves=12)
+
+
+def rows(width, good):
+    return st.lists(st.lists(good | SCALARS, min_size=width, max_size=width),
+                     min_size=1, max_size=5)
+
+
+POLYGON = ANY | rows(2, st.integers(0, 6))
+TRIANGULATION = st.just("grid") | ANY | rows(3, st.integers(0, 9))
+POINT_KEY = st.builds(lambda x, y: f"{x},{y}", st.integers(-1, 6),
+                      st.integers(-1, 6))
+SIGNS = (st.just("enumerate") | ANY
+         | st.fixed_dictionaries({"harnack": ANY | st.lists(
+             st.integers(0, 1) | SCALARS, min_size=3, max_size=3)})
+         | st.fixed_dictionaries({"explicit": ANY | st.dictionaries(
+             POINT_KEY | st.text(max_size=4),
+             st.sampled_from([1, -1]) | SCALARS, max_size=30)}))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.fixed_dictionaries({}, optional={"polygon": POLYGON,
+                                           "triangulation": TRIANGULATION,
+                                           "signs": SIGNS}))
+def test_problem_from_data_fuzz(raw):
+    try:
+        problem = problem_from_data(raw)
+    except InputError:
+        return
+    assert isinstance(problem, Problem)
+    for step in (problem.build_triangulation, problem.distribution):
+        try:
+            step()
+        except InputError:
+            pass
 
 
 def test_strict_triangulation_indices():
