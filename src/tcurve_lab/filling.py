@@ -14,7 +14,7 @@ interior-point bound on the number of components.
 
 from dataclasses import dataclass
 
-from .errors import EmptyCurve, InconsistentArcPairing, NotTypeI
+from .errors import EmptyCurve, InconsistentArcPairing, NotTypeI, check
 from .surface import QUADRANTS
 from .tcurve import Component, TCurve
 from .triangulation import Edge, Tri, midpoint_node
@@ -32,7 +32,7 @@ def _rel_slot(slots: tuple, shared: Edge, other: Edge) -> int:
     k = slots.index(shared)
     if slots[(k + 1) % 3] == other:
         return 2
-    assert slots[(k + 2) % 3] == other
+    check(slots[(k + 2) % 3] == other, "two edges of one triangle are adjacent prongs")
     return 3
 
 
@@ -67,7 +67,8 @@ class TFilling:
                     q, t = b[1], b[2]
                     neg = [e for e in tri.slots[t]
                            if curve.gs_edge_sign(q, e) < 0]
-                    assert len(neg) == 2 and mid[2] in neg
+                    check(len(neg) == 2 and mid[2] in neg,
+                          "the curve meets a triangle in two negative edges")
                     return neg[0] if neg[1] == mid[2] else neg[1]
                 pairings[node] = ((b_prev, other_edge(b_prev, node)),
                                   (b_next, other_edge(b_next, node)), comp)
@@ -82,7 +83,7 @@ class TFilling:
                     continue
                 (b1, o1), (b2, o2), _ = pairings[mid]
                 sides = {b1[2]: o1, b2[2]: o2}
-                assert set(sides) == {t_a, t_b}, "interior edge joins its two triangles"
+                check(set(sides) == {t_a, t_b}, "interior edge joins its two triangles")
                 i = _rel_slot(tri.slots[t_a], e, sides[t_a])
                 j = _rel_slot(tri.slots[t_b], e, sides[t_b])
                 readings.append((i, j))
@@ -99,9 +100,9 @@ class TFilling:
         for e in tri.boundary_edges:
             hits = [midpoint_node(surface, tri, q, e) for q in QUADRANTS]
             passed = [m for m in set(hits) if m in pairings]
-            assert len(passed) == 1, "one negative lift per boundary edge"
+            check(len(passed) == 1, "one negative lift per boundary edge")
             (b1, o1), (b2, o2), _ = pairings[passed[0]]
-            assert b1[2] == b2[2], "the projected curve U-turns at the boundary"
+            check(b1[2] == b2[2], "the projected curve U-turns at the boundary")
             folds.add(e)
         self.twists = twists
         self.folds = frozenset(folds)
@@ -145,7 +146,7 @@ class TFilling:
                 orbit_of[cur] = len(orbits)
                 orbit.append(cur)
                 cur = self._next_state(cur)
-            assert cur == st, "boundary transitions must permute the states"
+            check(cur == st, "boundary transitions must permute the states")
             orbits.append(tuple(orbit))
 
         def reverse(state):
@@ -155,7 +156,7 @@ class TFilling:
         paired = {}
         for idx, orbit in enumerate(orbits):
             rid = orbit_of[reverse(orbit[0])]
-            assert rid != idx, "a boundary circle cannot reverse onto itself"
+            check(rid != idx, "a boundary circle cannot reverse onto itself")
             paired[idx] = rid
         self._orbits = orbits
         self._orbit_of = orbit_of
@@ -168,10 +169,10 @@ class TFilling:
         used = {}
         for comp, (orbit_id, _) in shadows.items():
             pair_key = frozenset((orbit_id, self._orbit_pair[orbit_id]))
-            assert pair_key not in used, "one boundary circle per component"
+            check(pair_key not in used, "one boundary circle per component")
             used[pair_key] = comp
-        assert len(used) * 2 == len(orbits), \
-            "boundary circles correspond to curve components"
+        check(len(used) * 2 == len(orbits),
+              "boundary circles correspond to curve components")
         self._shadows = shadows
         self._circle_of = used
 
@@ -186,17 +187,15 @@ class TFilling:
         for q, t, e_in, e_out in visits:
             slots = self.tri.slots[t]
             k_in, k_out = slots.index(e_in), slots.index(e_out)
-            if k_out == (k_in + 1) % 3:
-                s_in, s_out = -1, 1
-            else:
-                assert k_out == (k_in - 1) % 3
-                s_in, s_out = 1, -1
+            s_in = -1 if k_out == (k_in + 1) % 3 else 1
+            check(k_out == (k_in - s_in) % 3,
+                  "a component leaves a triangle by another edge")
             seq.append((t, k_in, s_in, "in"))
-            seq.append((t, k_out, s_out, "out"))
+            seq.append((t, k_out, -s_in, "out"))
         n = len(seq)
         for i, st in enumerate(seq):
-            assert self._next_state(st) == seq[(i + 1) % n], \
-                "shadow must follow the boundary transitions"
+            check(self._next_state(st) == seq[(i + 1) % n],
+                  "shadow must follow the boundary transitions")
         return self._orbit_of[seq[0]], tuple(seq)
 
     # ------------------------------------------------------------------
@@ -263,8 +262,8 @@ def classify_filling(filling: TFilling) -> FillingClass:
     d = filling.boundary_count
     chi_f = filling.chi
     chi_sigma = chi_f + d
-    assert chi_sigma == d + 1 - tri.V + tri.L, \
-        "the two Euler characteristic computations must agree"
+    check(chi_sigma == d + 1 - tri.V + tri.L,
+          "the two Euler characteristic computations must agree")
 
     # connectivity of the filling = connectivity of the thick-Y graph
     conn = UnionFind()
@@ -274,8 +273,8 @@ def classify_filling(filling: TFilling) -> FillingClass:
         t_a, t_b = tri.edge_triangles[e]
         conn.union(t_a, t_b)
     connected = len(conn.groups()) == 1
-    assert connected, "G(Pi) is connected, so the filling is"
-    assert chi_sigma <= 2
+    check(connected, "G(Pi) is connected, so the filling is")
+    check(chi_sigma <= 2, "chi of the capped surface is at most 2: D <= i + 1")
 
     _, orientable = _orientation_constraints(filling)
     genus = (2 - chi_sigma) // 2 if orientable else None
@@ -359,8 +358,8 @@ def orient_curve(curve: TCurve, filling: TFilling,
         # orientation agrees with the local planar reference there
         h = _surface_left(seq[0]) * color[seq[0][0]]
         for st in seq:
-            assert _surface_left(st) * color[st[0]] == h, \
-                "induced orientation must be constant along a circle"
+            check(_surface_left(st) * color[st[0]] == h,
+                  "induced orientation must be constant along a circle")
         nodes = comp.nodes
         if h < 0:
             nodes = nodes[:1] + nodes[:0:-1]
@@ -370,8 +369,7 @@ def orient_curve(curve: TCurve, filling: TFilling,
         else:
             walk = seq
         for t, k, s, _ in walk:
-            assert (t, k, s) not in strand_walks, \
-                "each ribbon strand is traversed once"
+            check((t, k, s) not in strand_walks, "each ribbon strand is traversed once")
             strand_walks.add((t, k, s))
         directed = _directed_projection(nodes)
         out.append(OrientedComponent(nodes, directed))

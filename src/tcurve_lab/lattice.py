@@ -55,10 +55,6 @@ def segment_parity(p: Point, q: Point) -> Parity:
     return (((q[0] - p[0]) // n) & 1, ((q[1] - p[1]) // n) & 1)
 
 
-def is_primitive(p: Point, q: Point) -> bool:
-    return segment_integral_length(p, q) == 1
-
-
 @dataclass(frozen=True)
 class BrokenEdge:
     """A maximal boundary arc between consecutive odd-parity vertices.

@@ -7,8 +7,10 @@ explicit end-segment identifications.  Euler characteristics come from
 counting identified cells, orientability from propagating face
 orientations, boundary circles from walking free edges.  The component
 classifier nests ovals by planar point-in-ring tests instead of the
-combinatorial faces of ``TCurve.classification``.  Tests demand exact
-agreement with the fast paths on every instance.
+regions of ``TCurve.regions``, and the per-component split cuts the
+surface along one component at a time and counts the cells of each side,
+where ``TCurve.regions`` cuts along all of them at once.  Tests demand
+exact agreement with the fast paths on every instance.
 """
 
 from .lattice import Polygon
@@ -16,7 +18,9 @@ from .surface import (QUADRANTS, TopologyClass, _surface_name, glue_offset,
                       quad_add, reflect)
 from .filling import TFilling
 from .geometry import point_in_ring, segment_lattice_points
-from .tcurve import ComponentClass, TCurve, node_coords6
+from .errors import check
+from .tcurve import Component, ComponentClass, TCurve, node_coords6
+from .triangulation import midpoint_node
 from .uf import ParityUnionFind, UnionFind
 
 
@@ -235,3 +239,44 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
             result[comp] = ComponentClass("oval", quadrant=q,
                                           sign=signs.pop(), depth=depth)
     return curve.with_non_ovals(result)
+
+
+def sides_by_split(curve: TCurve, comp: Component) -> dict:
+    """Split the surface along one component: side (frozenset of surface
+    point classes) -> Euler characteristic of its closure, counted cell by
+    cell.  A union-find over point classes joins the ends of every lifted
+    edge that ``comp`` does not cross; the sets touching ``comp`` are its
+    sides, one when it does not separate and two when it does."""
+    surface, tri = curve.surface, curve.tri
+    crossed = {(m[1], m[2]) for m in comp.midpoints}
+
+    def mid(q, e):
+        return midpoint_node(surface, tri, q, e)[1:]
+
+    uf = UnionFind()
+    for q in QUADRANTS:
+        for p in surface.polygon.lattice_points:
+            uf.add(surface.point_class(q, p))
+        for e in tri.edges:
+            if mid(q, e) not in crossed:
+                uf.union(surface.point_class(q, e[0]), surface.point_class(q, e[1]))
+    groups = uf.groups()
+    out = {}
+    for side in {uf.find(surface.point_class(q, p)) for q, e in crossed for p in e}:
+        v = len(groups[side]) + len(crossed)  # plus a copy of each crossing midpoint
+        e_count = len(crossed)                # half of each crossed edge
+        f = 0
+        for q in QUADRANTS:
+            for t in tri.triangles:
+                cut = sum(1 for e in tri.slots[t] if mid(q, e) in crossed)
+                check(cut in (0, 2), "a component crosses 0 or 2 edges of a triangle")
+                if cut:  # its arc and one of its two pieces
+                    e_count, f = e_count + 1, f + 1
+                elif uf.find(surface.point_class(q, t[0])) == side:
+                    f += 1
+            for e in tri.edges:  # identified boundary edges count once
+                if mid(q, e)[0] == q and mid(q, e) not in crossed and \
+                        uf.find(surface.point_class(q, e[0])) == side:
+                    e_count += 1
+        out[frozenset(groups[side])] = v - e_count + f
+    return out

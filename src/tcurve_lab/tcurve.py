@@ -17,11 +17,11 @@ from .errors import (IncompleteDistribution, InvariantError,
 from .lattice import (Point, Polygon, is_standard_triangle, pairing,
                       point_parity, validate_polygon)
 from .surface import (QUADRANTS, AmbientSurface, Quadrant,
-                      build_ambient_surface, reflect, vec_mat)
+                      IDENTITY, build_ambient_surface, quad_add, reflect,
+                      vec_mat)
 from .triangulation import (Edge, IncidencePair, PrimitiveTriangulation,
                             edge_key, incidence_graphs, midpoint_node,
                             validate_primitive_triangulation)
-from .uf import UnionFind
 
 Sign = int  # +1 or -1
 HarnackType = tuple[int, int, int]  # (c, a, b)
@@ -81,13 +81,6 @@ def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
                     raise InvariantError("edge sign must descend to the surface")
             else:
                 out[key] = s
-    # each lifted triangle has 0 or 2 negative edges
-    for q in QUADRANTS:
-        for t in tri.triangles:
-            neg = sum(1 for e in tri.slots[t]
-                      if out[midpoint_node(surface, tri, q, e)[1:]] < 0)
-            if neg not in (0, 2):
-                raise InvariantError(f"triangle {q}:{t} has {neg} negative edges")
     return out
 
 
@@ -247,86 +240,13 @@ class TCurve:
         return out
 
     @cached_property
+    def regions(self) -> "Regions":
+        return Regions(self)
+
+    @cached_property
     def classification(self) -> dict:
         """Map component -> ComponentClass."""
-        return self.with_non_ovals(self._oval_classes())
-
-    def _oval_classes(self) -> dict:
-        """Sign and nesting depth of every in-quadrant oval, from the
-        lattice graph of its quadrant.
-
-        The ovals of quadrant q cut that copy of the polygon into faces.
-        A union-find over the lattice points joins the ends of every
-        triangulation edge that no oval of q crosses, so each set is one
-        face.  The boundary lies in the root face; every oval joins two
-        faces, and faces and ovals form a tree.  An oval's depth is the
-        BFS depth of its outer face, its sign the one sign of the points
-        of its inner face.
-        """
-        tri = self.tri
-        pts = self.surface.polygon.lattice_points
-        index = {p: i for i, p in enumerate(pts)}
-        edge_id = {e: k for k, e in enumerate(tri.edges)}
-        ends = [(index[p], index[r]) for p, r in tri.edges]
-        boundary = [index[p] for p in self.surface.polygon.boundary_points]
-        values = self.ext.values
-        result: dict = {}
-        for q, ovals in self.in_quadrant_ovals().items():
-            crossed = {edge_id[m[2]]: k
-                       for k, comp in enumerate(ovals) for m in comp.midpoints}
-            uf = UnionFind()
-            for k, (a, b) in enumerate(ends):
-                if k not in crossed:
-                    uf.union(a, b)
-            face = [uf.find(i) for i in range(len(pts))]
-            root = face[boundary[0]]
-            check(all(face[i] == root for i in boundary),
-                  f"quadrant {q}: the boundary lies in one face")
-
-            sides: list = [None] * len(ovals)
-            for k, o in crossed.items():
-                a, b = ends[k]
-                pair = (min(face[a], face[b]), max(face[a], face[b]))
-                if pair[0] == pair[1] or sides[o] not in (None, pair):
-                    raise InvariantError(
-                        f"quadrant {q}: the oval crossing {tri.edges[k]} must "
-                        "join two faces, the same two on every edge")
-                sides[o] = pair
-            at_face: dict = {}
-            for o, pair in enumerate(sides):
-                for f in pair:
-                    at_face.setdefault(f, []).append(o)
-
-            face_depth = {root: 0}
-            depth: list = [None] * len(ovals)
-            inner: list = [None] * len(ovals)
-            frontier = [root]
-            while frontier:
-                later = []
-                for f in frontier:
-                    for o in at_face.get(f, ()):
-                        if depth[o] is not None:
-                            continue
-                        g = sides[o][1] if sides[o][0] == f else sides[o][0]
-                        if g in face_depth:
-                            raise InvariantError(
-                                f"quadrant {q}: faces and ovals form no tree")
-                        face_depth[g] = face_depth[f] + 1
-                        depth[o], inner[o] = face_depth[f], g
-                        later.append(g)
-                frontier = later
-            check(len(face_depth) == len(set(face)) and None not in depth,
-                  f"quadrant {q}: every face and oval is reached from the boundary")
-
-            signs: dict = {}
-            for f, p in zip(face, pts):
-                signs.setdefault(f, set()).add(values[(q, p)])
-            for o, comp in enumerate(ovals):
-                s = signs[inner[o]]
-                check(len(s) == 1, "the sign of an oval is well defined")
-                result[comp] = ComponentClass("oval", quadrant=q,
-                                              sign=next(iter(s)), depth=depth[o])
-        return result
+        return self.with_non_ovals(self.regions.oval_classes)
 
     def with_non_ovals(self, ovals: dict) -> dict:
         """``ovals`` (oval -> ComponentClass) completed by the class of
@@ -474,100 +394,158 @@ def predicted_harnack_census(polygon: Polygon, htype: HarnackType) -> PredictedC
 
 
 # ---------------------------------------------------------------------------
-# region calculus: sides of a component, ovals it surrounds
+# regions of S minus the curve: oval classes, sides, what O surrounds
 
-def component_sides(curve: TCurve, comp: Component):
-    """Split the surface along one component.
+def _find(parent: list, x: int) -> int:
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    Returns (side_of, sides) where side_of maps each surface point class
-    to a side id and sides is the list of side ids adjacent to the
-    component (1 = nonseparating, 2 = separating).  Components of the
-    graph of uncrossed lifted edges correspond exactly to the regions of
-    the complement.
+
+class Regions:
+    """The regions of S minus the curve, from one union-find pass.
+
+    The four copies of the lattice points are numbered ``quadrant_index *
+    V + point_index``.  The copies that are one surface point are joined,
+    then the two ends of every lifted edge that no component crosses:
+    each set is one region.  A component borders one region or two
+    (``sides``), the same on every edge it crosses.
     """
-    surface, tri = curve.surface, curve.tri
-    crossed = {(m[1], m[2]) for m in comp.midpoints}
-    uf = UnionFind()
-    for q in QUADRANTS:
-        for p in surface.polygon.lattice_points:
-            uf.add(surface.point_class(q, p))
-    for q in QUADRANTS:
-        for e in tri.edges:
-            mid = midpoint_node(surface, tri, q, e)
-            if (mid[1], mid[2]) in crossed:
-                continue
-            uf.union(surface.point_class(q, e[0]), surface.point_class(q, e[1]))
-    side_of = {cls: uf.find(cls) for cls in uf.parent}
-    adjacent = set()
-    for cq, ce in crossed:
-        for p in ce:
-            adjacent.add(side_of[surface.point_class(cq, p)])
-    return side_of, sorted(adjacent)
 
+    def __init__(self, curve: TCurve):
+        self.curve = curve
+        surface, pts = curve.surface, curve.surface.polygon.lattice_points
+        self._index = index = {p: i for i, p in enumerate(pts)}
+        self._base = base = {q: k * len(pts) for k, q in enumerate(QUADRANTS)}
+        parent = list(range(4 * len(pts)))
+        for q, p, x in self._copies():  # join x to the first copy of its point
+            first, _ = surface.point_class(q, p)[0]
+            parent[_find(parent, x)] = _find(parent, base[first] + index[p])
+        crossing = {m: k for k, comp in enumerate(curve.components)
+                    for m in comp.midpoints}
+        ends = [(e, index[e[0]], index[e[1]]) for e in curve.tri.edges]
+        crossed = []
+        for q in QUADRANTS:
+            for e, i, j in ends:
+                x, y = base[q] + i, base[q] + j
+                k = crossing.get(curve.pair.gs_midpoint[(q, e)])
+                if k is None:
+                    parent[_find(parent, x)] = _find(parent, y)
+                else:
+                    crossed.append((k, x, y))
+        label: dict = {}
+        self.region_of = region = [label.setdefault(_find(parent, x), len(label))
+                                   for x in range(len(parent))]
+        self.count = len(label)
+        pairs: list = [None] * len(curve.components)
+        for k, x, y in crossed:
+            pair = tuple(sorted({region[x], region[y]}))
+            check(pairs[k] in (None, pair),
+                  "a component borders the same regions on every edge it crosses")
+            pairs[k] = pair
+        self.sides = dict(zip(curve.components, pairs))
 
-def side_euler_characteristic(curve: TCurve, comp: Component,
-                              side_of: dict, side) -> int:
-    """Euler characteristic of the closure of one side of the split."""
-    surface, tri = curve.surface, curve.tri
-    crossed = {(m[1], m[2]) for m in comp.midpoints}
+    def _copies(self):
+        """(quadrant, lattice point, id) of every copy of a lattice point."""
+        return ((q, p, self._base[q] + i) for q in QUADRANTS
+                for p, i in self._index.items())
 
-    def cls(q, p):
-        return surface.point_class(q, p)
+    @cached_property
+    def oval_classes(self) -> dict:
+        """Sign and nesting depth of every in-quadrant oval, by a BFS that
+        starts at every region holding a polygon-boundary point and
+        crosses ovals only.  An oval bounds a disk, so regions and ovals
+        form a tree below the start; an oval's depth is the BFS depth of
+        its outer region, its sign the one point sign of its inner one."""
+        curve, region, sides = self.curve, self.region_of, self.sides
+        ovals = [(q, comp) for q, group in curve.in_quadrant_ovals().items()
+                 for comp in group]
+        at_region: dict = {}
+        for o, (_, comp) in enumerate(ovals):
+            check(len(sides[comp]) == 2, "an oval joins two regions")
+            for r in sides[comp]:
+                at_region.setdefault(r, []).append(o)
+        frontier = list(dict.fromkeys(region[x] for _, p, x in self._copies()
+                                      if p in curve.surface.boundary_offset))
+        region_depth = dict.fromkeys(frontier, 0)
+        depth: list = [None] * len(ovals)
+        inner: dict = {}
+        while frontier:
+            later = []
+            for r in frontier:
+                for o in at_region.get(r, ()):
+                    if depth[o] is None:
+                        a, b = sides[ovals[o][1]]
+                        g = b if a == r else a
+                        if g in region_depth:
+                            raise InvariantError("regions and ovals form no tree")
+                        region_depth[g] = region_depth[r] + 1
+                        depth[o], inner[g] = region_depth[r], o
+                        later.append(g)
+            frontier = later
+        check(len(region_depth) == self.count and None not in depth,
+              "every region and oval is reached from the boundary")
+        signs: dict = {}
+        for q, p, x in self._copies():
+            if region[x] in inner:
+                signs.setdefault(inner[region[x]], set()).add(curve.ext.values[(q, p)])
+        check(all(len(s) == 1 for s in signs.values()),
+              "the sign of an oval is well defined")
+        return {comp: ComponentClass("oval", q, min(signs[o]), depth[o])
+                for o, (q, comp) in enumerate(ovals)}
 
-    v = sum(1 for c, s in side_of.items() if s == side)
-    v += len(crossed)  # crossing midpoints lie on the boundary circle
-    e = len(crossed)   # one half of each crossed edge per side
-    f = 0
-    arcs = 0
-    for q in QUADRANTS:
-        for t in tri.triangles:
-            t_crossed = [ee for ee in tri.slots[t]
-                         if (midpoint_node(surface, tri, q, ee)[1],
-                             midpoint_node(surface, tri, q, ee)[2]) in crossed]
-            if not t_crossed:
-                if side_of[cls(q, t[0])] == side:
-                    f += 1
-            else:
-                if len(t_crossed) != 2:
-                    raise InvariantError(
-                        f"triangle {q}:{t} is crossed {len(t_crossed)} times")
-                arcs += 1
-                f += 1  # exactly one of the two pieces per side
-    e += arcs          # curve arcs bound both closures
-    for q in QUADRANTS:
-        for ee in tri.edges:
-            mid = midpoint_node(surface, tri, q, ee)
-            if (mid[1], mid[2]) in crossed:
-                continue
-            if mid[1] != q:
-                continue  # count identified boundary edges once
-            if side_of[cls(mid[1], ee[0])] == side:
-                e += 1
-    return v - e + f
+    @cached_property
+    def euler(self) -> list:
+        """Euler characteristic of the closure of each region: point
+        classes - uncrossed surface edges + uncrossed lifted triangles, as
+        the half-edge and midpoint copy, piece and arc copy that a side
+        gets of each crossed edge and triangle cancel.  Edges and triangles
+        count at the region of their first vertex; the curve's midpoints
+        and barycenters take the crossed ones back out."""
+        curve, region, index, base = self.curve, self.region_of, self._index, self._base
+        chi = [0] * self.count
+        for q, p, x in self._copies():
+            if curve.surface.point_class(q, p)[0] == (q, p):  # once per class
+                chi[region[x]] += 1
+        for _, q, e in set(curve.pair.gs_midpoint.values()):  # the surface edges
+            chi[region[base[q] + index[e[0]]]] -= 1
+        for q in QUADRANTS:
+            for t in curve.tri.triangles:
+                chi[region[base[q] + index[t[0]]]] += 1
+        for comp in curve.components:
+            for kind, q, cell in comp.nodes:
+                chi[region[base[q] + index[cell[0]]]] += 1 if kind == "m" else -1
+        check(sum(chi) == curve.surface.classify_topology().euler,
+              "the Euler characteristics of the regions sum to chi(S)")
+        return chi
+
+    def split(self, comp: Component) -> list:
+        """The sides of S cut along ``comp`` alone, as frozensets of
+        regions: the regions across every other component merge.  One
+        side when ``comp`` does not separate, else two."""
+        parent = list(range(self.count))
+        for other, pair in self.sides.items():
+            if len(pair) == 2 and other != comp:
+                parent[_find(parent, pair[1])] = _find(parent, pair[0])
+        root = [_find(parent, r) for r in range(self.count)]
+        return [frozenset(r for r, g in enumerate(root) if g == side)
+                for side in dict.fromkeys(root[r] for r in self.sides[comp])]
+
+    def disks(self, comp: Component) -> list:
+        """For each side of ``comp`` whose closure is a disk, the ovals
+        other than ``comp`` on it; none unless ``comp`` separates."""
+        sides = self.split(comp)
+        return [[o for o in self.oval_classes if o != comp and self.sides[o][0] in s]
+                for s in sides
+                if len(sides) == 2 and sum(self.euler[r] for r in s) == 1]
 
 
 def ovals_inside(curve: TCurve, comp: Component):
     """The in-quadrant ovals inside the disk bounded by a separating
-    component, or None when the component does not bound a disk."""
-    side_of, adjacent = component_sides(curve, comp)
-    if len(adjacent) != 2:
-        return None
-    chis = {s: side_euler_characteristic(curve, comp, side_of, s)
-            for s in adjacent}
-    disks = [s for s, chi in chis.items() if chi == 1]
-    if len(disks) != 1:
-        return None
-    disk = disks[0]
-    inside = []
-    for other, c in curve.classification.items():
-        if other is comp or c.kind != "oval":
-            continue
-        q = c.quadrant
-        anchor = other.midpoints[0]
-        pcls = curve.surface.point_class(q, anchor[2][0])
-        if side_of[pcls] == disk:
-            inside.append(other)
-    return inside
+    component, or None unless exactly one side of it is a disk."""
+    disks = curve.regions.disks(comp)
+    return disks[0] if len(disks) == 1 else None
 
 
 def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
@@ -575,13 +553,10 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
     the boundary component and, in the oval case, what it surrounds."""
     pred = predicted_harnack_census(curve.surface.polygon, htype)
     got = curve.census
-    if got.total != pred.total:
-        return False
-    if got.quadrant_ovals != pred.quadrant_ovals:
-        return False
     boundary_comps = [comp for comp, c in curve.classification.items()
                       if c.kind != "oval"]
-    if len(boundary_comps) != 1:
+    if (got.total, got.quadrant_ovals, len(boundary_comps)) != \
+            (pred.total, pred.quadrant_ovals, 1):
         return False
     o = boundary_comps[0]
     odd_crossings = any(curve.crossing_count(o, j) % 2
@@ -590,49 +565,34 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
         return odd_crossings
     if odd_crossings:
         return False
-    inside = ovals_inside(curve, o)
-    if inside is None:
-        return False
+    # on the sphere both sides of O are disks: either may hold the ovals
     want = {comp for comp, c in curve.classification.items()
             if c.kind == "oval" and c.quadrant == pred.o_inside_quadrant}
-    return set(inside) == want
+    return any(set(inside) == want for inside in curve.regions.disks(o))
 
 
 # ---------------------------------------------------------------------------
 # transforms
 
-def translate_problem(tri: PrimitiveTriangulation, delta: dict, vec: Point):
-    s, t = vec
-    poly = tri.polygon
-    verts = [(x + s, y + t) for x, y in poly.vertices]
-    if any(x < 0 or y < 0 for x, y in verts):
-        raise LeavesNonnegativeQuadrant(f"translation by {vec} leaves the quadrant")
-    poly2 = validate_polygon(verts)
-    tris2 = [tuple((x + s, y + t) for x, y in tr) for tr in tri.triangles]
-    delta2 = {(p[0] + s, p[1] + t): v for p, v in delta.items()}
-    return poly2, validate_primitive_triangulation(poly2, tris2), delta2
+def affine_problem(tri: PrimitiveTriangulation, delta: dict, matrix,
+                   shift: Point):
+    """The image (triangulation, distribution) under p -> A p + shift for a
+    unimodular A; raises LeavesNonnegativeQuadrant when A is not
+    unimodular or the image polygon leaves the nonnegative quadrant."""
+    (a, b), (c, d) = matrix
+    if abs(a * d - b * c) != 1:
+        raise LeavesNonnegativeQuadrant(f"matrix {matrix} is not unimodular")
 
+    def image(p: Point) -> Point:
+        return (a * p[0] + b * p[1] + shift[0], c * p[0] + d * p[1] + shift[1])
 
-def apply_unimodular(a_matrix, p: Point) -> Point:
-    (a, b), (c, d) = a_matrix
-    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
-
-
-def unimodular_problem(tri: PrimitiveTriangulation, delta: dict, a_matrix):
-    (a, b), (c, d) = a_matrix
-    det = a * d - b * c
-    if abs(det) != 1:
-        raise LeavesNonnegativeQuadrant(f"matrix {a_matrix} is not unimodular")
-    poly = tri.polygon
-    verts = [apply_unimodular(a_matrix, v) for v in poly.vertices]
+    verts = [image(v) for v in tri.polygon.vertices]
     if any(x < 0 or y < 0 for x, y in verts):
         raise LeavesNonnegativeQuadrant("image polygon leaves the quadrant")
     poly2 = validate_polygon(verts)
-    tris2 = [tuple(apply_unimodular(a_matrix, v) for v in tr)
-             for tr in tri.triangles]
-    delta2 = {apply_unimodular(a_matrix, p): v for p, v in delta.items()}
-    a2 = ((a & 1, b & 1), (c & 1, d & 1))
-    return poly2, validate_primitive_triangulation(poly2, tris2), delta2, a2
+    tris2 = [tuple(image(v) for v in tr) for tr in tri.triangles]
+    return (validate_primitive_triangulation(poly2, tris2),
+            {image(p): v for p, v in delta.items()})
 
 
 def transform_curve(curve: TCurve, *, translate: Point | None = None,
@@ -649,13 +609,13 @@ def transform_curve(curve: TCurve, *, translate: Point | None = None,
     """
     if (translate is None) == (unimodular is None):
         raise ValueError("pass exactly one of translate= or unimodular=")
+    matrix = unimodular if translate is None else IDENTITY
+    tri2, delta2 = affine_problem(curve.tri, curve.delta, matrix, translate or (0, 0))
+    curve2 = TCurve(build_ambient_surface(tri2.polygon), tri2, delta2)
     if translate is not None:
-        _, tri2, delta2 = translate_problem(curve.tri, curve.delta, translate)
-        curve2 = TCurve(build_ambient_surface(tri2.polygon), tri2, delta2)
         shift_par = point_parity(translate)
         return curve2, (lambda q: q), (lambda q: (-1) ** pairing(q, shift_par))
-    _, tri2, delta2, a2 = unimodular_problem(curve.tri, curve.delta, unimodular)
-    curve2 = TCurve(build_ambient_surface(tri2.polygon), tri2, delta2)
+    a2 = tuple(tuple(x & 1 for x in row) for row in matrix)
     return curve2, (lambda q: vec_mat(q, a2)), (lambda q: 1)
 
 

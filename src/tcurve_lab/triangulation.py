@@ -10,8 +10,8 @@ merged along the boundary identification) it is G(S).
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import (DanglingEdge, Gap, MissingLatticeVertex,
-                     NonPrimitiveTriangle, Overlap, UnsupportedShape)
+from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
+                     NonPrimitiveTriangle, Overlap, UnsupportedShape, check)
 from .geometry import cross
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
 from .surface import QUADRANTS, AmbientSurface, Quadrant, quad_add
@@ -94,8 +94,8 @@ class PrimitiveTriangulation:
         self._undirected = undirected
 
         # Euler relations, guaranteed by the checks above
-        assert self.T - self.E + self.V == 1
-        assert 3 * self.T == 2 * self.E - self.L
+        check(self.T - self.E + self.V == 1, "T - E + V = 1 on a disk")
+        check(3 * self.T == 2 * self.E - self.L, "3T = 2E - L")
 
     # ------------------------------------------------------------------
 
@@ -255,10 +255,11 @@ def incidence_graphs(surface: AmbientSurface,
                          for ek, m in nbrs):
         mid_adj.setdefault(m, []).append(((q, t, e), ("b", q, t)))
     for m, incid in mid_adj.items():
-        assert len(incid) == 2, f"upstairs midpoint {m} has degree {len(incid)}"
+        if len(incid) != 2:
+            raise InvariantError(f"upstairs midpoint {m} has degree {len(incid)}")
         gs_adj[m] = tuple(sorted(incid))
 
     pair = IncidencePair(surface, tri, gpi_adj, gs_adj, gs_mid)
     if surface.r >= 2:
-        assert pair.gs_connected(), "G(S) must be connected when S is"
+        check(pair.gs_connected(), "G(S) must be connected when S is")
     return pair

@@ -1,7 +1,7 @@
-"""Component classification by faces of the lattice graph, against the
-planar nesting oracle, and its invariant checks."""
+"""Component classification and component sides from the regions of S
+minus the curve, against the planar nesting oracle and the per-component
+split, and their invariant checks."""
 
-import ast
 import itertools
 import os
 import random
@@ -14,9 +14,10 @@ import pytest
 import tcurve_lab.tcurve as tcurve_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.lattice import validate_polygon
-from tcurve_lab.oracles import classify_components_by_nesting
-from tcurve_lab.surface import build_ambient_surface
-from tcurve_lab.tcurve import extract_curve, harnack_distribution
+from tcurve_lab.oracles import classify_components_by_nesting, sides_by_split
+from tcurve_lab.surface import QUADRANTS, build_ambient_surface
+from tcurve_lab.tcurve import (extract_curve, harnack_distribution,
+                               verify_harnack_census)
 from tcurve_lab.triangulation import generate_grid_triangulation
 
 from conftest import pipeline, standard_triangle
@@ -37,8 +38,27 @@ def nested_squares():
     return pipeline(sq, delta)[2]
 
 
+def region_sides(curve, comp):
+    """``Regions.split`` along one component: side as a set of surface
+    point classes -> Euler characteristic of its closure."""
+    regions = curve.regions
+    pts = curve.surface.polygon.lattice_points
+    out = {}
+    for side in regions.split(comp):
+        classes = frozenset(
+            curve.surface.point_class(QUADRANTS[x // len(pts)], pts[x % len(pts)])
+            for x, r in enumerate(regions.region_of) if r in side)
+        out[classes] = sum(regions.euler[r] for r in side)
+    return out
+
+
 def assert_matches_oracle(curve):
+    """Oval classes equal the nesting oracle's; the sides of every other
+    component, and so its disk sides, equal the per-component split's."""
     assert curve.classification == classify_components_by_nesting(curve)
+    for comp, c in curve.classification.items():
+        if c.kind != "oval":
+            assert region_sides(curve, comp) == sides_by_split(curve, comp)
 
 
 @pytest.mark.parametrize("d", range(1, 16))
@@ -80,6 +100,12 @@ def test_nested_ovals():
         ((-1, 0), (-1, 2), (1, 1), (1, 3))
 
 
+def test_nested_ovals_sides_match_split():
+    curve = nested_squares()
+    assert_matches_oracle(curve)
+    assert sum(1 for c in curve.classification.values() if c.kind != "oval") == 8
+
+
 def test_sign_flip_inside_an_oval_raises():
     # (3, 3) lies in the ring of 8 points between the ovals of depth 2
     # and 3; the edge signs were taken before the flip, so the curve is
@@ -112,8 +138,33 @@ def test_sign_check_survives_python_O():
     assert out.strip() == "raised"
 
 
-def test_no_assert_in_tcurve():
-    tree = ast.parse(Path(tcurve_module.__file__).read_text())
-    asserts = [node.lineno for node in ast.walk(tree)
-               if isinstance(node, ast.Assert)]
-    assert asserts == []
+def t6_with_a_misglued_point():
+    """T_6 of type (1,0,0), classified, after which the surface claims that
+    the boundary point (1, 0) is an odd vertex: its two point classes
+    become one, and only the Euler characteristic sum can see it."""
+    t6 = standard_triangle(6)
+    _, _, curve = pipeline(t6, harnack_distribution(t6, (1, 0, 0)))
+    curve.classification
+    curve.surface.boundary_offset[(1, 0)] = None
+    return curve
+
+
+def test_euler_sum_check_raises():
+    curve = t6_with_a_misglued_point()
+    with pytest.raises(InvariantError, match="sum to chi"):
+        verify_harnack_census(curve, (1, 0, 0))
+
+
+def test_euler_sum_check_survives_python_O():
+    code = ("from tcurve_lab.errors import InvariantError\n"
+            "from tcurve_lab.tcurve import verify_harnack_census\n"
+            "from test_classify import t6_with_a_misglued_point\n"
+            "try:\n"
+            "    verify_harnack_census(t6_with_a_misglued_point(), (1, 0, 0))\n"
+            "except InvariantError as exc:\n"
+            "    print(exc)\n")
+    path = os.pathsep.join((str(SRC), str(Path(__file__).resolve().parent)))
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    assert "sum to chi" in out

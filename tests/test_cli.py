@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -122,6 +123,18 @@ def test_harnack_subcommand_with_type_flag(tmp_path, capsys):
     code, out = run_main(capsys, ["harnack", "--input", path, "--type", "0,1,1"])
     assert code == 0
     assert json.loads(out)["harnack_census"]["match"]
+
+
+def test_harnack_census_on_the_sphere(capsys):
+    # both sides of the non-oval component are disks on the sphere; the
+    # census holds because one of them carries the predicted ovals
+    path = str(Path(__file__).parent / "data" / "harnack_sphere.yaml")
+    code, out = run_main(capsys, ["harnack", "--input", path])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["surface"]["topology"]["name"] == "sphere"
+    assert rep["curve"]["component_count"] == 2
+    assert rep["harnack_census"]["match"]
 
 
 def test_render_deterministic(tmp_path):
