@@ -342,19 +342,21 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return 1
     except (InputError, TCurveLabError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     text = result if isinstance(result, str) else json.dumps(result, indent=2)
+    text = text if text.endswith("\n") else text + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            return 2
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import EmptyCurve, InconsistentArcPairing, NotTypeI, check
 from .surface import QUADRANTS
 from .tcurve import Component, TCurve
-from .triangulation import Edge, Tri, midpoint_node
+from .triangulation import Edge, Tri
 from .uf import ParityUnionFind, UnionFind
 
 # A strand state: walking along prong ``slot`` of triangle ``tri`` on the
@@ -51,37 +51,28 @@ class TFilling:
     # gluing data read off the curve
 
     def _build_gluing(self):
-        tri, curve = self.tri, self.curve
-        surface = curve.surface
-        # arc pairing at every midpoint the curve passes through
+        tri, mid = self.tri, self.curve.pair.gs_midpoint
+        # arc pairing at every midpoint the curve passes through: each
+        # neighboring barycenter with the curve's other edge there, the
+        # edge of the midpoint two steps on
         pairings: dict = {}
-        for comp in curve.components:
+        for comp in self.curve.components:
             nodes = comp.nodes
             n = len(nodes)
             for i, node in enumerate(nodes):
-                if node[0] != "m":
-                    continue
-                b_prev, b_next = nodes[(i - 1) % n], nodes[(i + 1) % n]
-                # the other curve edge at each neighboring barycenter
-                def other_edge(b, mid):
-                    q, t = b[1], b[2]
-                    neg = [e for e in tri.slots[t]
-                           if curve.gs_edge_sign(q, e) < 0]
-                    check(len(neg) == 2 and mid[2] in neg,
-                          "the curve meets a triangle in two negative edges")
-                    return neg[0] if neg[1] == mid[2] else neg[1]
-                pairings[node] = ((b_prev, other_edge(b_prev, node)),
-                                  (b_next, other_edge(b_next, node)), comp)
+                if node[0] == "m":
+                    pairings[node] = ((nodes[i - 1], nodes[i - 2][2]),
+                                      (nodes[(i + 1) % n], nodes[(i + 2) % n][2]))
 
         twists: dict = {}
         for e in tri.interior_edges:
             t_a, t_b = sorted(tri.edge_triangles[e])
             readings = []
             for q in QUADRANTS:
-                mid = midpoint_node(surface, tri, q, e)
-                if mid not in pairings:
+                m = mid[(q, e)]
+                if m not in pairings:
                     continue
-                (b1, o1), (b2, o2), _ = pairings[mid]
+                (b1, o1), (b2, o2) = pairings[m]
                 sides = {b1[2]: o1, b2[2]: o2}
                 check(set(sides) == {t_a, t_b}, "interior edge joins its two triangles")
                 i = _rel_slot(tri.slots[t_a], e, sides[t_a])
@@ -98,15 +89,13 @@ class TFilling:
 
         folds = set()
         for e in tri.boundary_edges:
-            hits = [midpoint_node(surface, tri, q, e) for q in QUADRANTS]
-            passed = [m for m in set(hits) if m in pairings]
+            passed = [m for m in {mid[(q, e)] for q in QUADRANTS} if m in pairings]
             check(len(passed) == 1, "one negative lift per boundary edge")
-            (b1, o1), (b2, o2), _ = pairings[passed[0]]
+            (b1, o1), (b2, o2) = pairings[passed[0]]
             check(b1[2] == b2[2], "the projected curve U-turns at the boundary")
             folds.add(e)
         self.twists = twists
         self.folds = frozenset(folds)
-        self._pairings = pairings
 
     @property
     def chi(self) -> int:

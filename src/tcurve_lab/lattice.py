@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (CollinearConsecutiveEdges, DegenerateSegment,
-                     NegativeCoordinate, NotSimple, TooFewVertices)
+                     NegativeCoordinate, NotSimple, TooFewVertices, check)
 from .geometry import (cross, locate_in_polygon, polygon_double_area,
                        segment_integral_length, segment_lattice_points,
                        segments_intersect)
@@ -170,14 +170,15 @@ class Polygon:
     def broken_edges(self) -> tuple[BrokenEdge, ...]:
         n = self.n
         odd = list(self.odd_vertex_indices)
-        assert len(odd) != 1, "a polygon cannot have exactly one odd vertex"
+        check(len(odd) != 1, "a polygon cannot have exactly one odd vertex")
         if not odd:
             segs = []
             for p, q in self.edges:
                 pts = segment_lattice_points(p, q)
                 segs.extend(zip(pts, pts[1:]))
             par = self.edge_segment_parities[0]
-            assert all(par == ep for ep in self.edge_segment_parities)
+            check(all(par == ep for ep in self.edge_segment_parities),
+                  "without odd vertices all edges share a segment parity")
             bp = EVEN
             for ep in self.edge_polygon_parities:
                 bp = parity_sum(bp, ep)
@@ -199,14 +200,15 @@ class Polygon:
                 if i == i1:
                     break
             seg_par = self.edge_segment_parities[idxs[0]]
-            assert all(self.edge_segment_parities[i] == seg_par for i in idxs), \
-                "segments of one broken edge must share a parity"
+            check(all(self.edge_segment_parities[i] == seg_par for i in idxs),
+                  "segments of one broken edge must share a parity")
             bp = EVEN
             for i in idxs:
                 bp = parity_sum(bp, self.edge_polygon_parities[i])
             # equivalent formula: sum of the endpoint vertex parities
-            assert bp == parity_sum(self.vertex_parities[i0],
-                                    self.vertex_parities[i1])
+            check(bp == parity_sum(self.vertex_parities[i0],
+                                   self.vertex_parities[i1]),
+                  "the broken parity is the sum of the end vertex parities")
             segs = []
             for i in idxs:
                 pts = segment_lattice_points(*self.edges[i])
@@ -261,7 +263,8 @@ class Polygon:
         g = {(0, 0): 0, (0, 1): 0, (1, 0): 0, (1, 1): 0}
         for p in self.interior_points:
             g[point_parity(p)] += 1
-        assert total - length == len(self.interior_points)
+        check(total - length == len(self.interior_points),
+              "interior points are the lattice points off the boundary")
         return LatticeCensus(total, length, total - length, g,
                              tuple(b.integral_length for b in self.broken_edges))
 

@@ -12,7 +12,7 @@ structure of the polygon.
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DegenerateAtlas
+from .errors import DegenerateAtlas, check
 from .geometry import segment_lattice_points
 from .lattice import Parity, Point, Polygon
 
@@ -54,7 +54,7 @@ def quad_add(a: Quadrant, b: Quadrant) -> Quadrant:
 
 def glue_offset(seg_par: Parity) -> Quadrant:
     """The unique nonzero (a,b) with <(a,b), seg_par> = 0: the swap."""
-    assert seg_par != (0, 0)
+    check(seg_par != (0, 0), "a primitive segment has nonzero parity")
     return (seg_par[1], seg_par[0])
 
 
@@ -117,9 +117,9 @@ class TopologyClass:
     def __post_init__(self):
         if self.components == 1:
             if self.orientable:
-                assert self.euler == 2 - 2 * self.genus
+                check(self.euler == 2 - 2 * self.genus, "chi = 2 - 2g")
             else:
-                assert self.euler == 2 - self.crosscaps
+                check(self.euler == 2 - self.crosscaps, "chi = 2 - k")
 
 
 def _surface_name(orientable: bool, genus, crosscaps) -> str:
@@ -160,7 +160,7 @@ class AmbientSurface:
                 if p in odd:
                     out[p] = None
                 elif p in out:
-                    assert out[p] == off, "even vertex joins equal-parity edges"
+                    check(out[p] == off, "even vertex joins equal-parity edges")
                 else:
                     out[p] = off
         return out
@@ -228,7 +228,8 @@ class AmbientSurface:
         for k in range(r):
             # adjacent broken edges meet at an odd vertex, so their
             # parities are distinct (and never zero): M_k is invertible
-            assert pars[(k - 1) % r] != pars[k]
+            check(pars[(k - 1) % r] != pars[k],
+                  "adjacent broken edges have distinct parities")
             m = columns_matrix(pars[(k - 1) % r], pars[k])
             center = self.broken_edges[k].start
             charts.append(Chart(k, center, (k - 1) % r, k, m))
@@ -261,7 +262,7 @@ class AmbientSurface:
             return TopologyClass(2, True, 0, None, 4, "two spheres")
         values = {b.segment_parity for b in self.broken_edges}
         if len(values) == 2:
-            assert r % 2 == 0, "orientable forces an even broken-edge count"
+            check(r % 2 == 0, "orientable forces an even broken-edge count")
             genus = r // 2 - 1
             return TopologyClass(1, True, genus, None, 2 - 2 * genus,
                                  _surface_name(True, genus, None))

@@ -31,7 +31,7 @@ from itertools import compress
 from .errors import InconsistentArcPairing, InvariantError, check
 from .lattice import pairing, segment_parity
 from .surface import QUADRANTS, AmbientSurface
-from .triangulation import PrimitiveTriangulation, midpoint_node
+from .triangulation import PrimitiveTriangulation, incidence_graphs
 from .uf import ParityUnionFind, UnionFind
 
 
@@ -55,8 +55,8 @@ class SweepTables:
 
 def compile_sweep(surface: AmbientSurface,
                   tri: PrimitiveTriangulation) -> SweepTables:
-    """The tables ``run_sweep`` reads; G(S) must give every upstairs
-    midpoint degree 2 and G(Pi) must be connected."""
+    """The tables ``run_sweep`` reads; G(S) must pass the checks of
+    ``incidence_graphs`` and G(Pi) must be connected."""
     pts = tri.polygon.lattice_points
     point_id = {p: i for i, p in enumerate(pts)}
     edge_id = {e: i for i, e in enumerate(tri.edges)}
@@ -67,11 +67,9 @@ def compile_sweep(surface: AmbientSurface,
     edge_ends = [(point_id[p], point_id[r]) for p, r in tri.edges]
     seg_par = [pairing(q, segment_parity(*e)) for q in QUADRANTS
                for e in tri.edges]
-    edge_class = []
-    for q in QUADRANTS:
-        for e in tri.edges:
-            _, qc, _ = midpoint_node(surface, tri, q, e)
-            edge_class.append(quad_id[qc] * E + edge_id[e])
+    mid = incidence_graphs(surface, tri).gs_midpoint
+    edge_class = [quad_id[mid[(q, e)][1]] * E + edge_id[e]
+                  for q in QUADRANTS for e in tri.edges]
     slots = [edge_id[e] for t in tri.triangles for e in tri.slots[t]]
 
     def slot_of(t, e):
@@ -84,16 +82,14 @@ def compile_sweep(surface: AmbientSurface,
     boundary = [(edge_id[e], slot_of(tri.edge_triangles[e][0], e))
                 for e in tri.edges if e in tri.boundary_edges]
 
-    # G(S): each upstairs midpoint joins exactly two barycenter prongs
+    # the two barycenter prongs on each upstairs midpoint
     ends: dict = {}
     for q in range(4):
         for s in range(3 * T):
             ends.setdefault(edge_class[q * E + slots[s]], []).append(
                 q * 3 * T + s)
     across = [0] * (12 * T)
-    for c, us in ends.items():
-        check(len(us) == 2, f"upstairs midpoint of lift {c} has degree {len(us)}")
-        u, w = us
+    for u, w in ends.values():
         across[u], across[w] = w, u
 
     # G(Pi) is connected, so every filling is

@@ -20,7 +20,7 @@ from .surface import (QUADRANTS, AmbientSurface, Quadrant,
                       IDENTITY, build_ambient_surface, quad_add, reflect,
                       vec_mat)
 from .triangulation import (Edge, IncidencePair, PrimitiveTriangulation,
-                            edge_key, incidence_graphs, midpoint_node,
+                            edge_key, incidence_graphs,
                             validate_primitive_triangulation)
 
 Sign = int  # +1 or -1
@@ -65,22 +65,16 @@ def extend_signs(delta: dict, surface: AmbientSurface) -> ExtendedSigns:
     return ExtendedSigns(delta, surface)
 
 
-def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
-               ext: ExtendedSigns) -> dict:
-    """Signs of the edges of the lifted triangulation, keyed by surface
-    edge class (canonical quadrant, downstairs edge)."""
+def edge_signs(pair: IncidencePair, ext: ExtendedSigns) -> dict:
+    """Signs of the edges of the lifted triangulation, keyed by midpoint
+    node: the sign of lift (q, e) is the product of its endpoint signs in
+    quadrant q."""
     out: dict = {}
-    for q in QUADRANTS:
-        for e in tri.edges:
-            p, r = e
-            s = ext.value(q, p) * ext.value(q, r)
-            key = midpoint_node(surface, tri, q, e)[1:]
-            if key in out:
-                # identified boundary copies carry equal signs
-                if out[key] != s:
-                    raise InvariantError("edge sign must descend to the surface")
-            else:
-                out[key] = s
+    for (q, (p, r)), m in pair.gs_midpoint.items():
+        s = ext.values[(q, p)] * ext.values[(q, r)]
+        # identified boundary copies carry equal signs
+        if out.setdefault(m, s) != s:
+            raise InvariantError("edge sign must descend to the surface")
     return out
 
 
@@ -151,16 +145,16 @@ class TCurve:
         self.pair = pair if pair is not None else incidence_graphs(surface, tri)
         self.ext = extend_signs(delta, surface)
         self.delta = self.ext.delta
-        self.edge_sign = edge_signs(surface, tri, self.ext)
+        self.edge_sign = edge_signs(self.pair, self.ext)
         self.components = self._extract()
 
     # ------------------------------------------------------------------
 
     def gs_edge_sign(self, q: Quadrant, e: Edge) -> Sign:
-        return self.edge_sign[midpoint_node(self.surface, self.tri, q, e)[1:]]
+        return self.edge_sign[self.pair.gs_midpoint[(q, e)]]
 
     def _extract(self) -> tuple[Component, ...]:
-        tri, surface = self.tri, self.surface
+        tri, mid, sign = self.tri, self.pair.gs_midpoint, self.edge_sign
         adj: dict = {}
 
         def link(a, b):
@@ -172,8 +166,9 @@ class TCurve:
                 b = ("b", q, t)
                 neg = []
                 for e in tri.slots[t]:
-                    if self.gs_edge_sign(q, e) < 0:
-                        neg.append(self.pair.gs_midpoint[(q, e)])
+                    m = mid[(q, e)]
+                    if sign[m] < 0:
+                        neg.append(m)
                         neg_per_downstairs[(t, e)] = neg_per_downstairs.get((t, e), 0) + 1
                 if len(neg) not in (0, 2):
                     raise InvariantError(

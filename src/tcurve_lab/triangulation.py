@@ -1,10 +1,11 @@
-"""Primitive triangulations and their incidence graphs.
+"""Primitive triangulations and their lifts to the surface.
 
 A primitive triangulation uses every lattice point of the polygon as a
 vertex; equivalently all triangles have lattice area 1/2.  The incidence
 graph joins each triangle's barycenter to the midpoints of its three
 edges; downstairs it is G(Pi), upstairs (one copy per quadrant, midpoints
-merged along the boundary identification) it is G(S).
+merged along the boundary identification) it is G(S).  G(S) is kept as
+one table, from each lifted edge to its midpoint (``incidence_graphs``).
 """
 
 from dataclasses import dataclass
@@ -15,6 +16,7 @@ from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
 from .geometry import cross
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
 from .surface import QUADRANTS, AmbientSurface, Quadrant, quad_add
+from .uf import UnionFind
 
 Tri = tuple[Point, Point, Point]          # canonical: sorted
 Edge = tuple[Point, Point]                # canonical: sorted
@@ -181,52 +183,24 @@ def generate_grid_triangulation(polygon: Polygon) -> PrimitiveTriangulation:
 
 
 # ---------------------------------------------------------------------------
-# incidence graphs
-
-BNode = tuple   # ('b', tri) downstairs, ('b', quad, tri) upstairs
-MNode = tuple   # ('m', edge) downstairs, ('m', quad, edge) upstairs
-
+# the lift table
 
 @dataclass(frozen=True)
 class IncidencePair:
-    """G(Pi) and G(S) for one lifted triangulation.
+    """The lifts of one triangulation to its surface.
 
-    Downstairs edges are (tri, edge) pairs; each lifts to the four
-    upstairs edges (quad, tri, edge).  Upstairs midpoints of boundary
-    segments are shared between the two identified quadrant copies.
+    Each downstairs edge e lifts to the four upstairs edges (quad, e), and
+    ``gs_midpoint`` maps each lift to its midpoint node ("m", quad', e) of
+    G(S).  The two copies of a boundary segment that the gluing
+    identifies share one midpoint, labelled by the smaller quadrant.
     """
     surface: AmbientSurface
     tri: PrimitiveTriangulation
-    gpi_adj: dict
-    gs_adj: dict
     gs_midpoint: dict      # (quad, edge) -> canonical midpoint node
-
-    @property
-    def gpi_edge_count(self) -> int:
-        return 3 * self.tri.T
-
-    @property
-    def gpi_vertex_count(self) -> int:
-        return self.tri.T + self.tri.E
-
-    def lifts(self, t: Tri, e: Edge) -> tuple:
-        """The four upstairs edges over a downstairs edge."""
-        return tuple((q, t, e) for q in QUADRANTS)
-
-    def gs_connected(self) -> bool:
-        nodes = list(self.gs_adj)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            for _, nb in self.gs_adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(nodes)
 
 
 def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
-                  q: Quadrant, e: Edge) -> MNode:
+                  q: Quadrant, e: Edge) -> tuple:
     off = surface.boundary_segment_offset.get(e)
     if off is not None and e in tri.boundary_edges:
         q = min(q, quad_add(q, off))
@@ -235,31 +209,24 @@ def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
 
 def incidence_graphs(surface: AmbientSurface,
                      tri: PrimitiveTriangulation) -> IncidencePair:
-    gpi_adj: dict = {}
-    for t in tri.triangles:
-        gpi_adj[("b", t)] = tuple((("m", e)) for e in tri.slots[t])
-    for e in tri.edges:
-        gpi_adj[("m", e)] = tuple(("b", t) for t in tri.edge_triangles[e])
-
-    gs_adj: dict = {}
-    gs_mid: dict = {}
-    for q in QUADRANTS:
-        for e in tri.edges:
-            gs_mid[(q, e)] = midpoint_node(surface, tri, q, e)
-    for q in QUADRANTS:
-        for t in tri.triangles:
-            b = ("b", q, t)
-            gs_adj[b] = tuple(((q, t, e), gs_mid[(q, e)]) for e in tri.slots[t])
-    mid_adj: dict = {}
-    for (q, t, e), m in ((ek, m) for b, nbrs in gs_adj.items()
-                         for ek, m in nbrs):
-        mid_adj.setdefault(m, []).append(((q, t, e), ("b", q, t)))
-    for m, incid in mid_adj.items():
-        if len(incid) != 2:
-            raise InvariantError(f"upstairs midpoint {m} has degree {len(incid)}")
-        gs_adj[m] = tuple(sorted(incid))
-
-    pair = IncidencePair(surface, tri, gpi_adj, gs_adj, gs_mid)
+    """The lift table, once G(S) is checked on it: every midpoint joins
+    exactly two lifted-triangle prongs, and G(S) is connected when S is
+    (r >= 2)."""
+    mid = {(q, e): midpoint_node(surface, tri, q, e)
+           for q in QUADRANTS for e in tri.edges}
+    # per midpoint, the lifted triangles (k * T + triangle index for the
+    # k-th quadrant) whose prongs end there
+    prongs: dict = {m: [] for m in mid.values()}
+    for k, q in enumerate(QUADRANTS):
+        for i, t in enumerate(tri.triangles, k * tri.T):
+            for e in tri.slots[t]:
+                prongs[mid[(q, e)]].append(i)
+    for m, ends in prongs.items():
+        if len(ends) != 2:
+            raise InvariantError(f"upstairs midpoint {m} has degree {len(ends)}")
     if surface.r >= 2:
-        check(pair.gs_connected(), "G(S) must be connected when S is")
-    return pair
+        joined = UnionFind()
+        for a, b in prongs.values():
+            joined.union(a, b)
+        check(len(joined.groups()) == 1, "G(S) must be connected when S is")
+    return IncidencePair(surface, tri, mid)

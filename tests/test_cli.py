@@ -162,6 +162,16 @@ def test_exit_code_input_error(tmp_path, capsys):
     assert code == 2
 
 
+def test_exit_code_unwritable_output(tmp_path, capsys):
+    path = write(tmp_path, "t2.yaml", "polygon: [[0,0],[2,0],[0,2]]\n"
+                 "signs: {harnack: [1,0,0]}\n")
+    out = str(tmp_path / "missing" / "x.json")
+    assert main(["curve", "--input", path, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1
+
+
 def test_exit_code_invariant_violation(tmp_path, capsys, monkeypatch):
     # force a census mismatch to exercise the exit-1 path
     import tcurve_lab.cli as cli

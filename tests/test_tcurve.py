@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from tcurve_lab.errors import (IncompleteDistribution,
+from tcurve_lab.errors import (IncompleteDistribution, InvariantError,
                                LeavesNonnegativeQuadrant, WrongPolygon)
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
@@ -66,6 +66,16 @@ def test_edge_sign_reflection_law():
             for q in QUADRANTS:
                 assert curve.gs_edge_sign(q, e) == \
                     base * (-1) ** pairing(par, q)
+
+
+def test_edge_sign_must_descend():
+    # glue the segment (0,0)-(1,0), of parity (1,0), across (1,0) instead
+    # of (0,1): the two lifts that then share a midpoint differ in sign
+    t2 = standard_triangle(2)
+    surface = build_ambient_surface(t2)
+    surface.boundary_segment_offset[((0, 0), (1, 0))] = (1, 0)
+    with pytest.raises(InvariantError, match="descend"):
+        extract_curve(surface, generate_grid_triangulation(t2), all_plus(t2))
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,25 @@
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
-from tcurve_lab.errors import (Gap, MissingLatticeVertex, NonPrimitiveTriangle,
-                               Overlap, UnsupportedShape)
+import tcurve_lab
+from tcurve_lab.errors import (Gap, InvariantError, MissingLatticeVertex,
+                               NonPrimitiveTriangle, Overlap, UnsupportedShape)
 from tcurve_lab.lattice import validate_polygon
-from tcurve_lab.surface import QUADRANTS, build_ambient_surface
+from tcurve_lab.surface import (QUADRANTS, AmbientSurface, build_ambient_surface,
+                                quad_add)
 from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs,
                                       validate_primitive_triangulation)
 
 from conftest import standard_triangle
 from helpers import primitive_triangulation
+
+SRC = Path(tcurve_lab.__file__).resolve().parents[1]
 
 
 def test_grid_t3_counts():
@@ -67,52 +77,101 @@ def test_general_triangulator_is_primitive():
 
 
 # ---------------------------------------------------------------------------
-# incidence graphs
+# the lift table
+
+def lift_table(poly, tri=None):
+    tri = tri or generate_grid_triangulation(poly)
+    return tri, incidence_graphs(build_ambient_surface(poly), tri).gs_midpoint
+
+
+def prong_counts(tri, mid) -> Counter:
+    """Midpoint node -> number of lifted-triangle prongs that end there."""
+    return Counter(mid[(q, e)] for q in QUADRANTS
+                   for t in tri.triangles for e in tri.slots[t])
+
 
 def test_incidence_counts_t3():
-    poly = standard_triangle(3)
-    pair = incidence_graphs(build_ambient_surface(poly),
-                            generate_grid_triangulation(poly))
-    assert pair.gpi_edge_count == 27
-    assert pair.gpi_vertex_count == 27
-    assert len(pair.gpi_adj) == 27
+    tri, mid = lift_table(standard_triangle(3))
+    # every lift (q, e) has a node; the two lifts that the gluing
+    # identifies over each boundary edge share one
+    assert set(mid) == {(q, e) for q in QUADRANTS for e in tri.edges}
+    assert len(set(mid.values())) == 4 * tri.E - 2 * tri.L == 54
 
 
 def test_gs_over_t1():
-    poly = standard_triangle(1)
-    tri = generate_grid_triangulation(poly)
-    pair = incidence_graphs(build_ambient_surface(poly), tri)
-    barys = [n for n in pair.gs_adj if n[0] == "b"]
-    assert len(barys) == 4
-    edge_keys = {ek for nbrs in (pair.gs_adj[b] for b in barys)
-                 for ek, _ in nbrs}
-    assert len(edge_keys) == 12
-    for t in tri.triangles:
-        for e in tri.slots[t]:
-            assert len(pair.lifts(t, e)) == 4
+    tri, mid = lift_table(standard_triangle(1))
+    (t,) = tri.triangles
+    assert len(mid) == 12 and len(set(mid.values())) == 6
+    # each midpoint joins the copies of the one triangle in two quadrants
+    for m in set(mid.values()):
+        quads = {q for (q, e), n in mid.items() if n == m}
+        assert len(quads) == 2 and min(quads) == m[1]
+        assert m[2] in tri.slots[t]
 
 
 def test_midpoint_degrees():
-    poly = standard_triangle(2)
-    tri = generate_grid_triangulation(poly)
-    pair = incidence_graphs(build_ambient_surface(poly), tri)
-    for e in tri.edges:
-        downstairs_degree = len(tri.edge_triangles[e])
-        assert downstairs_degree == (1 if e in tri.boundary_edges else 2)
-    for node, nbrs in pair.gs_adj.items():
-        if node[0] == "m":
-            assert len(nbrs) == 2
-        else:
-            assert len(nbrs) == 3
-    assert pair.gs_connected()
+    for poly in (standard_triangle(2), standard_triangle(5),
+                 validate_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])):
+        tri, mid = lift_table(poly)
+        for e in tri.edges:
+            downstairs_degree = len(tri.edge_triangles[e])
+            assert downstairs_degree == (1 if e in tri.boundary_edges else 2)
+        counts = prong_counts(tri, mid)
+        assert set(counts) == set(mid.values())
+        assert set(counts.values()) == {2}
 
 
 def test_lift_multiplicity():
     poly = standard_triangle(2)
-    tri = generate_grid_triangulation(poly)
-    pair = incidence_graphs(build_ambient_surface(poly), tri)
-    all_gs_edges = {ek for nbrs in pair.gs_adj.values() for ek, _ in nbrs}
-    for t in tri.triangles:
-        for e in tri.slots[t]:
-            lifts = [k for k in all_gs_edges if k[1] == t and k[2] == e]
-            assert len(lifts) == 4 and {k[0] for k in lifts} == set(QUADRANTS)
+    surface = build_ambient_surface(poly)
+    tri, mid = lift_table(poly)
+    for e in tri.edges:
+        assert {q for q, f in mid if f == e} == set(QUADRANTS)
+        nodes = {q: mid[(q, e)] for q in QUADRANTS}
+        if e not in tri.boundary_edges:
+            assert all(m == ("m", q, e) for q, m in nodes.items())
+            continue
+        off = surface.boundary_segment_offset[e]
+        for q, m in nodes.items():
+            assert m == nodes[quad_add(q, off)] == ("m", min(q, quad_add(q, off)), e)
+
+
+def test_two_spheres_need_no_connected_gs():
+    diamond = validate_polygon([(1, 0), (2, 1), (1, 2), (0, 1)])
+    tri = primitive_triangulation(diamond)
+    _, mid = lift_table(diamond, tri)
+    assert set(prong_counts(tri, mid).values()) == {2}
+
+    class ClaimsOneSheet(AmbientSurface):
+        r = 2
+
+    with pytest.raises(InvariantError, match="connected"):
+        incidence_graphs(ClaimsOneSheet(diamond), tri)
+
+
+DROP_BOUNDARY_SEGMENT = """\
+from tcurve_lab.errors import InvariantError
+from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.surface import build_ambient_surface
+from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
+t3 = validate_polygon([(0, 0), (3, 0), (0, 3)])
+surface = build_ambient_surface(t3)
+del surface.boundary_segment_offset[((0, 0), (1, 0))]
+try:
+    incidence_graphs(surface, generate_grid_triangulation(t3))
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_unglued_boundary_segment_raises():
+    # the lifts of (0,0)-(1,0) keep four midpoints, each on one prong
+    t3 = standard_triangle(3)
+    surface = build_ambient_surface(t3)
+    del surface.boundary_segment_offset[((0, 0), (1, 0))]
+    with pytest.raises(InvariantError, match="has degree 1"):
+        incidence_graphs(surface, generate_grid_triangulation(t3))
+    out = subprocess.run([sys.executable, "-O", "-c", DROP_BOUNDARY_SEGMENT],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    assert "has degree 1" in out
