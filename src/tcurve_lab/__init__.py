@@ -17,7 +17,7 @@ from .triangulation import (IncidencePair, PrimitiveTriangulation,
                             generate_grid_triangulation, incidence_graphs,
                             validate_primitive_triangulation)
 from .tcurve import (Component, ComponentClass, CurveCensus, TCurve,
-                     classify_components, degree_parity_check, edge_signs,
+                     classify_components, degree_parity_check,
                      extend_signs, extract_curve, harnack_distribution,
                      ovals_inside, predicted_harnack_census, theta_action,
                      transform_curve, translated_components,

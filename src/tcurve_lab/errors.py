@@ -123,3 +123,7 @@ class ValidationError(InputError):
 
 class CapExceeded(InputError):
     pass
+
+
+class TooLarge(InputError):
+    pass

@@ -130,11 +130,16 @@ class Polygon:
         return polygon_double_area(self.vertices)
 
     @cached_property
+    def boundary_length(self) -> int:
+        """L = the number of boundary lattice points, a sum of gcds over the
+        edges: no lattice point is enumerated."""
+        return sum(segment_integral_length(p, q) for p, q in self.edges)
+
+    @cached_property
     def point_count(self) -> int:
         """V = |polygon ∩ Z^2| by Pick's theorem, V = A + L/2 + 1, from the
         vertices alone: no lattice point is enumerated."""
-        length = sum(segment_integral_length(p, q) for p, q in self.edges)
-        return (self.double_area + length) // 2 + 1
+        return (self.double_area + self.boundary_length) // 2 + 1
 
     @cached_property
     def edges(self) -> tuple[tuple[Point, Point], ...]:

@@ -9,8 +9,13 @@ orientations, boundary circles from walking free edges.  The component
 classifier nests ovals by planar point-in-ring tests instead of the
 regions of ``TCurve.regions``, and the per-component split cuts the
 surface along one component at a time and counts the cells of each side,
-where ``TCurve.regions`` cuts along all of them at once.  Tests demand
-exact agreement with the fast paths on every instance.
+where ``TCurve.regions`` cuts along all of them at once.  The curve and
+its filling are rebuilt on tuples, apart from the integer strand kernel
+of ``tcurve_lab.sweep``: components by walking the adjacency of the
+negative dual edges, twist bits by the arc pairings at each midpoint, and
+boundary circles, orientability and shadows by tracing tuple strand
+states.  Tests demand exact agreement with the fast paths on every
+instance.
 """
 
 from .lattice import Polygon
@@ -19,8 +24,9 @@ from .surface import (QUADRANTS, TopologyClass, _surface_name, glue_offset,
 from .filling import TFilling
 from .geometry import point_in_ring, segment_lattice_points
 from .errors import check
-from .tcurve import Component, ComponentClass, TCurve, node_coords6
-from .triangulation import midpoint_node
+from .tcurve import (Component, ComponentClass, ExtendedSigns, TCurve,
+                     _normalize_cycle, node_coords6)
+from .triangulation import IncidencePair, PrimitiveTriangulation, midpoint_node
 from .uf import ParityUnionFind, UnionFind
 
 
@@ -280,3 +286,170 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
                     e_count += 1
         out[frozenset(groups[side])] = v - e_count + f
     return out
+
+
+# ---------------------------------------------------------------------------
+# the curve and its filling on tuple nodes and tuple strand states, the
+# references for the strand kernel of ``tcurve_lab.sweep``
+
+def edge_signs(pair: IncidencePair, ext: ExtendedSigns) -> dict:
+    """Signs of the edges of the lifted triangulation, keyed by midpoint
+    node: the sign of lift (q, e) is the product of its endpoint signs in
+    quadrant q."""
+    out: dict = {}
+    for (q, (p, r)), m in pair.gs_midpoint.items():
+        s = ext.values[(q, p)] * ext.values[(q, r)]
+        # identified boundary copies carry equal signs
+        check(out.setdefault(m, s) == s, "edge sign must descend to the surface")
+    return out
+
+
+def components_by_adjacency(pair: IncidencePair, ext: ExtendedSigns) -> tuple:
+    """The curve's components, sorted, by walking the adjacency of the
+    negative dual edges on G(S)."""
+    tri, mid, sign = pair.tri, pair.gs_midpoint, edge_signs(pair, ext)
+    adj: dict = {}
+    neg_per_downstairs: dict = {}
+    for q in QUADRANTS:
+        for t in tri.triangles:
+            neg = [mid[(q, e)] for e in tri.slots[t] if sign[mid[(q, e)]] < 0]
+            check(len(neg) in (0, 2), f"triangle {q}:{t} has {len(neg)} negative edges")
+            for m in neg:
+                neg_per_downstairs[(t, m[2])] = neg_per_downstairs.get((t, m[2]), 0) + 1
+                adj.setdefault(("b", q, t), []).append(m)
+                adj.setdefault(m, []).append(("b", q, t))
+    # exactly two of the four lifts of every downstairs edge are negative
+    check(all(neg_per_downstairs.get((t, e), 0) == 2
+              for t in tri.triangles for e in tri.slots[t]),
+          "a downstairs edge lacks exactly two negative lifts")
+    check(all(len(nbrs) == 2 for nbrs in adj.values()), "curve nodes have degree 2")
+    seen = set()
+    cycles = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        prev, cur = None, start
+        cyc = []
+        while True:
+            cyc.append(cur)
+            seen.add(cur)
+            a, b = adj[cur]
+            nxt = b if a == prev else a if b == prev else min(a, b)
+            prev, cur = cur, nxt
+            if cur == start:
+                break
+        cycles.append(_normalize_cycle(cyc))
+    return tuple(sorted(cycles, key=lambda c: c.nodes))
+
+
+def twists_by_arc_pairing(pair: IncidencePair, components) -> tuple[dict, frozenset]:
+    """(twists, folds) of the filling: an interior edge is twisted when the
+    curve runs on into matching prongs of its two triangles at its
+    negative lifts; every boundary edge, a U-turn of the curve, is folded."""
+    tri, mid = pair.tri, pair.gs_midpoint
+    # arc pairing at every midpoint the curve passes through: each
+    # neighboring barycenter with the curve's other edge there, the edge of
+    # the midpoint two steps on
+    pairings: dict = {}
+    for comp in components:
+        nodes = comp.nodes
+        n = len(nodes)
+        for i, node in enumerate(nodes):
+            if node[0] == "m":
+                pairings[node] = ((nodes[i - 1], nodes[i - 2][2]),
+                                  (nodes[(i + 1) % n], nodes[(i + 2) % n][2]))
+    twists: dict = {}
+    for e in tri.interior_edges:
+        t_a, t_b = sorted(tri.edge_triangles[e])
+        readings = []
+        for q in QUADRANTS:
+            if mid[(q, e)] in pairings:
+                (b1, o1), (b2, o2) = pairings[mid[(q, e)]]
+                sides = {b1[2]: o1, b2[2]: o2}
+                check(set(sides) == {t_a, t_b}, "interior edge joins its two triangles")
+                # where the curve runs on after e: 1 = next prong, 2 = previous
+                readings.append(tuple((tri.slots[t].index(sides[t])
+                                       - tri.slots[t].index(e)) % 3
+                                      for t in (t_a, t_b)))
+        readings = sorted(set(readings))
+        check(len(readings) == 2 and {r[0] for r in readings} == {1, 2}
+              and {r[1] for r in readings} == {1, 2}, f"edge {e}: pairings {readings}")
+        (i1, j1), (i2, j2) = readings
+        check((i1 == j1) == (i2 == j2), f"edge {e}: pairings {readings}")
+        twists[e] = i1 == j1  # matched slots = glued with a twist
+    for e in tri.boundary_edges:
+        passed = [m for m in {mid[(q, e)] for q in QUADRANTS} if m in pairings]
+        check(len(passed) == 1, "one negative lift per boundary edge")
+        (b1, _), (b2, _) = pairings[passed[0]]
+        check(b1[2] == b2[2], "the projected curve U-turns at the boundary")
+    return twists, tri.boundary_edges
+
+
+def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
+                      components) -> tuple[int, bool, dict]:
+    """(D, orientable, shadows) of the filling with these twists and folds.
+
+    A state (t, k, s, d) walks prong k of triangle t on the ribbon-boundary
+    strand s (+1 or -1), heading 'out' toward the end of the prong or 'in'
+    toward the center of the thick-Y.  The boundary circles are the orbit
+    pairs of the strand transitions, orientability comes from parity
+    constraints between the thick-Ys, and the shadow of a component
+    (component -> its states, two per barycenter passage from
+    ``Component.visits``) is the strand that runs beside it, one boundary
+    circle per component."""
+
+    def next_state(state):
+        t, k, s, d = state
+        slots = tri.slots[t]
+        if d == "out":
+            e = slots[k]
+            if e in folds:
+                return (t, k, -s, "in")
+            t_a, t_b = tri.edge_triangles[e]
+            t2 = t_b if t_a == t else t_a
+            return (t2, tri.slots[t2].index(e), s if twists[e] else -s, "in")
+        if s == -1:
+            return (t, (k + 1) % 3, 1, "out")
+        return (t, (k - 1) % 3, -1, "out")
+
+    orbit_of: dict = {}
+    count = 0
+    for st in [(t, k, s, "out") for t in tri.triangles for k in range(3)
+               for s in (-1, 1)]:
+        for start in (st, st[:3] + ("in",)):
+            if start in orbit_of:
+                continue
+            cur = start
+            while cur not in orbit_of:
+                orbit_of[cur] = count
+                cur = next_state(cur)
+            check(cur == start, "boundary transitions must permute the states")
+            count += 1
+        check(orbit_of[st] != orbit_of[st[:3] + ("in",)],
+              "a boundary circle cannot reverse onto itself")
+
+    shadows = {}
+    circles = set()
+    for comp in components:
+        seq = []
+        for q, t, e_in, e_out in comp.visits():
+            k_in, k_out = tri.slots[t].index(e_in), tri.slots[t].index(e_out)
+            s_in = -1 if k_out == (k_in + 1) % 3 else 1
+            check(k_out == (k_in - s_in) % 3, "a component leaves a triangle by another edge")
+            seq += [(t, k_in, s_in, "in"), (t, k_out, -s_in, "out")]
+        check(all(next_state(st) == seq[(i + 1) % len(seq)] for i, st in enumerate(seq)),
+              "shadow must follow the boundary transitions")
+        k = orbit_of[seq[0]]
+        k_reverse = orbit_of[seq[0][:3] + ("out",)]
+        check(frozenset((k, k_reverse)) not in circles, "one boundary circle per component")
+        circles.add(frozenset((k, k_reverse)))
+        shadows[comp] = tuple(seq)
+    check(len(circles) * 2 == count, "boundary circles correspond to curve components")
+
+    spin = ParityUnionFind()
+    for t in tri.triangles:
+        spin.add(t)
+    # no twist: the planar orientations agree; twist: they oppose
+    orientable = all(spin.union(*tri.edge_triangles[e], 1 if twisted else 0)
+                     for e, twisted in sorted(twists.items()))
+    return count // 2, orientable, shadows

@@ -1,19 +1,21 @@
-"""The sweep over every sign vector of one triangulated polygon.
+"""The strand kernel: one sign vector on compiled integer tables.
 
-``sweep(surface, tri)`` yields (D, orientable) for each of the 2^V sign
-vectors in mask order: bit k of the mask gives the k-th lexicographically
-sorted lattice point the sign +1, a clear bit gives it -1.  It gives the
-same D and orientability as ``TCurve`` -> ``build_filling`` ->
-``classify_filling`` on every vector, without building either object.
+``compile_sweep(surface, tri, pair)`` compiles a surface, its
+triangulation and their lift table into flat integer lists once.
+``trace_vector(tab, mask)`` runs one sign vector on them: bit k of the
+mask gives the k-th lexicographically sorted lattice point the sign +1, a
+clear bit gives it -1.  It derives the edge sign bits and the sign of
+every lifted edge, reads each interior edge's twist bit off its two
+triangles, and walks every curve component together with its shadow
+strand on the ribbon boundary.  D and orientability depend on the twist
+vector alone; the trace of the 12T strand states that gives them can be
+memoised on the full vector.  Every invariant of the T-curve and its
+filling is checked on every vector and raises ``InvariantError``.
 
-The surface and triangulation are compiled once into flat integer tables
-(``compile_sweep``).  Per vector the sweep derives the edge sign bits, the
-sign of every lifted edge, reads each interior edge's twist bit off its two
-triangles, and walks every curve component together with its shadow strand
-on the ribbon boundary.  D and orientability depend on the twist vector
-alone, so the trace of the 12T strand states runs once per distinct twist
-vector, memoised on the full vector.  Every invariant that the reference
-path checks is checked on every vector and raises ``InvariantError``.
+Both paths run this one kernel: ``TCurve`` calls it once for its problem
+(``TFilling`` reads that run), and ``sweep(surface, tri)`` calls it for
+each of the 2^V sign vectors in mask order, with the trace memoised per
+twist vector.
 
 Indices: lattice point i is the i-th sorted lattice point, edge e the e-th
 of ``tri.edges``, triangle t the t-th of ``tri.triangles``.  Quadrant q is
@@ -27,17 +29,19 @@ out (db = 0); flipping bit 0 reverses it.
 
 from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .errors import InconsistentArcPairing, InvariantError, check
 from .lattice import pairing, segment_parity
 from .surface import QUADRANTS, AmbientSurface
-from .triangulation import PrimitiveTriangulation, incidence_graphs
+from .triangulation import IncidencePair, PrimitiveTriangulation, incidence_graphs
 from .uf import ParityUnionFind, UnionFind
 
 
 @dataclass
 class SweepTables:
     """One surface and triangulation, compiled to flat integer lists."""
+    pair: IncidencePair  # the lift table the tables were compiled from
     V: int
     T: int
     E: int
@@ -46,34 +50,48 @@ class SweepTables:
     edge_ends: list      # per edge: lattice point indices of its endpoints
     seg_par: list        # per lift id: <q, segment parity of e>
     edge_class: list     # per lift id: lift id of the canonical lift of its class
+    merged: list         # the lift ids identified with another one
+    canonical: list      # per merged lift id: the canonical lift of its class
     slots: list          # per slot id: edge id
     interior: list       # per interior edge: (e, slot id in t_a, slot id in t_b)
     boundary: list       # per boundary edge: (e, its slot id)
     across: list         # per slot lift: the other slot lift on its midpoint
+    nxt: list            # per slot lift: the next prong of its triangle
+    prv: list            # per slot lift: the previous prong of its triangle
+    readings: tuple      # per sign bit, per interior edge: 4 slot lifts
+    u_turns: list        # per boundary edge, per sign bit: 2 lift ids, 2 slot lifts
     succ: tuple          # (untwisted, twisted): successor of every strand state
 
 
-def compile_sweep(surface: AmbientSurface,
-                  tri: PrimitiveTriangulation) -> SweepTables:
-    """The tables ``run_sweep`` reads; G(S) must pass the checks of
-    ``incidence_graphs`` and G(Pi) must be connected."""
+def compile_sweep(surface: AmbientSurface, tri: PrimitiveTriangulation,
+                  pair: IncidencePair) -> SweepTables:
+    """The tables ``trace_vector`` reads, from the lift table ``pair`` of
+    ``incidence_graphs``; G(Pi) must be connected."""
     pts = tri.polygon.lattice_points
     point_id = {p: i for i, p in enumerate(pts)}
     edge_id = {e: i for i, e in enumerate(tri.edges)}
     tri_id = {t: i for i, t in enumerate(tri.triangles)}
     quad_id = {q: i for i, q in enumerate(QUADRANTS)}
-    T, E = tri.T, tri.E
+    T, E, T3 = tri.T, tri.E, 3 * tri.T
+    # one int object per value below 12T, shared by every table of lift
+    # ids, slot lifts and strand states: lists of fresh ints would take
+    # about four times the memory
+    ids = list(range(12 * T))
+
+    def shared(values):
+        return [ids[v] for v in values]
 
     edge_ends = [(point_id[p], point_id[r]) for p, r in tri.edges]
-    seg_par = [pairing(q, segment_parity(*e)) for q in QUADRANTS
-               for e in tri.edges]
-    mid = incidence_graphs(surface, tri).gs_midpoint
-    edge_class = [quad_id[mid[(q, e)][1]] * E + edge_id[e]
-                  for q in QUADRANTS for e in tri.edges]
-    slots = [edge_id[e] for t in tri.triangles for e in tri.slots[t]]
+    par = [segment_parity(*e) for e in tri.edges]
+    seg_par = [pairing(q, p) for q in QUADRANTS for p in par]
+    mid = pair.gs_midpoint
+    edge_class = shared(quad_id[mid[(q, e)][1]] * E + edge_id[e]
+                        for q in QUADRANTS for e in tri.edges)
+    merged = [x for x, c in enumerate(edge_class) if c != x]
+    slots = shared(edge_id[e] for t in tri.triangles for e in tri.slots[t])
 
     def slot_of(t, e):
-        return 3 * tri_id[t] + tri.slots[t].index(e)
+        return ids[3 * tri_id[t] + tri.slots[t].index(e)]
 
     interior = []
     for e in tri.interior_edges:
@@ -84,13 +102,16 @@ def compile_sweep(surface: AmbientSurface,
 
     # the two barycenter prongs on each upstairs midpoint
     ends: dict = {}
-    for q in range(4):
-        for s in range(3 * T):
-            ends.setdefault(edge_class[q * E + slots[s]], []).append(
-                q * 3 * T + s)
+    for u, c in zip(ids, [edge_class[k + e] for k in range(0, 4 * E, E)
+                          for e in slots]):
+        ends.setdefault(c, []).append(u)
     across = [0] * (12 * T)
     for u, w in ends.values():
         across[u], across[w] = w, u
+    nxt, prv = [], []
+    for u in range(0, 12 * T, 3):
+        nxt += (ids[u + 1], ids[u + 2], ids[u])
+        prv += (ids[u + 2], ids[u], ids[u + 1])
 
     # G(Pi) is connected, so every filling is
     conn = UnionFind()
@@ -100,11 +121,31 @@ def compile_sweep(surface: AmbientSurface,
         conn.union(s_a // 3, s_b // 3)
     check(len(conn.groups()) == 1, "G(Pi) is connected, so the filling is")
 
+    def neg_quadrants(e):
+        """Per edge sign bit, the two quadrants where the lift of e is
+        negative."""
+        ones = [q for q in range(4) if seg_par[q * E + e]]
+        check(len(ones) == 2, f"edge {e}: {len(ones)} negative lifts")
+        return ones, [q for q in range(4) if q not in ones]
+
+    # per edge sign bit and interior edge: in the two quadrants where its
+    # lift is negative, the slot lifts of the next prong in t_a and in t_b
+    readings = ([], [])
+    for e, s_a, s_b in interior:
+        for by_bit, (q1, q2) in zip(readings, neg_quadrants(e)):
+            by_bit.append((nxt[q1 * T3 + s_a], nxt[q1 * T3 + s_b],
+                           nxt[q2 * T3 + s_a], nxt[q2 * T3 + s_b]))
+    # per boundary edge and edge sign bit: its two negative lifts, as lift
+    # ids and as slot lifts
+    u_turns = [[(q1 * E + e, q2 * E + e, q1 * T3 + s, q2 * T3 + s)
+                for q1, q2 in neg_quadrants(e)]
+               for e, s in boundary]
+
     # strand transitions: 'in' turns to the neighboring prong of the same
     # thick-Y; 'out' crosses the prong's end, folding back at a boundary
     # edge, onto the other triangle's prong otherwise
     plain = [0] * (12 * T)
-    for s in range(3 * T):
+    for s in range(T3):
         t, k = divmod(s, 3)
         plain[4 * s + 1] = 4 * (3 * t + (k + 1) % 3) + 2
         plain[4 * s + 3] = 4 * (3 * t + (k - 1) % 3)
@@ -115,10 +156,27 @@ def compile_sweep(surface: AmbientSurface,
         for s, s2 in ((s_a, s_b), (s_b, s_a)):
             plain[4 * s], plain[4 * s + 2] = 4 * s2 + 3, 4 * s2 + 1
             twisted[4 * s], twisted[4 * s + 2] = 4 * s2 + 1, 4 * s2 + 3
+    plain, twisted = shared(plain), shared(twisted)
 
-    return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, edge_ends, seg_par,
-                       edge_class, slots, interior, boundary, across,
+    return SweepTables(pair, tri.V, T, E, tri.L, tri.V - tri.L, edge_ends,
+                       seg_par, edge_class, merged,
+                       [edge_class[x] for x in merged], slots, interior,
+                       boundary, across, nxt, prv, readings, u_turns,
                        (plain, twisted))
+
+
+def thick_y_spins(tab: SweepTables, tw) -> ParityUnionFind | None:
+    """Parity constraints between the planar orientations of the thick-Ys
+    (triangle indices) under twist bits ``tw``: equal across an untwisted
+    edge, opposite across a twisted one.  None when they cannot all be met,
+    that is when the filling is not orientable."""
+    uf = ParityUnionFind()
+    for t in range(tab.T):
+        uf.add(t)
+    for e, s_a, s_b in tab.interior:
+        if not uf.union(s_a // 3, s_b // 3, tw[e]):
+            return None
+    return uf
 
 
 def _trace(tab: SweepTables, tw: bytearray) -> tuple[int, bool]:
@@ -142,169 +200,145 @@ def _trace(tab: SweepTables, tw: bytearray) -> tuple[int, bool]:
     check(all(orbit[x] != orbit[x + 1] for x in range(0, n, 2)),
           "a boundary circle cannot reverse onto itself")
     check(count % 2 == 0, "boundary circles come in orbit pairs")
-    # no twist: the planar orientations agree; twist: they oppose
-    uf = ParityUnionFind()
-    for t in range(tab.T):
-        uf.add(t)
-    for e, s_a, s_b in tab.interior:
-        if not uf.union(s_a // 3, s_b // 3, tw[e]):
-            return count // 2, False
-    return count // 2, True
+    return count // 2, thick_y_spins(tab, tw) is not None
+
+
+class VectorTrace(NamedTuple):
+    """What the kernel reads off one sign vector."""
+    tw: bytearray   # per edge id: 1 when the edge is glued with a twist
+    walks: list     # per curve component: the slot lift by which it enters
+                    # each lifted triangle, in order
+    shadow_starts: list  # per component: the first state of the strand
+                         # beside it; the others follow (``shadow_states``)
+    d: int          # boundary circles of the filling
+    orientable: bool
+
+
+def shadow_states(tab: SweepTables, run: VectorTrace, k: int) -> list:
+    """The strand states beside component ``k`` of ``run``, in and out of
+    each lifted triangle of its walk: the orbit of its first state under
+    the transitions of the run's twist bits, which the kernel has followed
+    and checked."""
+    plain_twisted, slots, tw = tab.succ, tab.slots, run.tw
+    x = run.shadow_starts[k]
+    out = []
+    for _ in range(2 * len(run.walks[k])):
+        out.append(x)
+        x = plain_twisted[tw[slots[x >> 2]]][x]
+    return out
+
+
+def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
+                 ) -> VectorTrace:
+    """Run one sign vector; ``memo`` keeps (D, orientable) per twist
+    vector across calls.  See the module docstring for the checks."""
+    T, E, T3 = tab.T, tab.E, 3 * tab.T
+    edge_class, slots, across, succ = tab.edge_class, tab.slots, tab.across, tab.succ
+    nxt, prv = tab.nxt, tab.prv
+    # edge e = (p, r) has sign delta(p) delta(r); its lift to quadrant q
+    # has that sign times (-1)^<q, parity of e>.  Bit 1 = negative.
+    n = [(mask >> a ^ mask >> b) & 1 for a, b in tab.edge_ends]
+    lift = [x ^ p for x, p in zip(n * 4, tab.seg_par)]
+    if [lift[x] for x in tab.merged] != [lift[c] for c in tab.canonical]:
+        raise InvariantError("edge sign must descend to the surface")
+    quads = [lift[:E], lift[E:2 * E], lift[2 * E:3 * E], lift[3 * E:]]
+    if [a + b + c + d for a, b, c, d in zip(*quads)].count(2) != E:
+        raise InvariantError("a downstairs edge lacks exactly two negative lifts")
+    sneg = [part[e] for part in quads for e in slots]
+
+    # twist bits: at each negative lift of an interior edge the curve runs
+    # on into the next or the previous prong of t_a and of t_b; matching
+    # turns mean a twist, and the two lifts must turn oppositely on both
+    # sides
+    tw = bytearray(E)
+    for (e, _, _), r0, r1 in zip(tab.interior, *tab.readings):
+        a1, b1, a2, b2 = r1 if n[e] else r0
+        i1, j1 = sneg[a1], sneg[b1]
+        if i1 == sneg[a2] or j1 == sneg[b2]:
+            raise InconsistentArcPairing(f"edge {e}: arc pairings disagree")
+        if i1 == j1:
+            tw[e] = 1
+    # the one negative class of a boundary edge is a U-turn: its two lifts
+    # meet at one midpoint, in the same triangle
+    for by_sign, (e, _) in zip(tab.u_turns, tab.boundary):
+        l1, l2, u1, u2 = by_sign[n[e]]
+        if edge_class[l1] != edge_class[l2] or across[u1] != u2:
+            raise InvariantError(f"boundary edge {e} must U-turn in one class")
+
+    memo = {} if memo is None else memo
+    key = bytes(tw)
+    if key not in memo:
+        memo[key] = _trace(tab, tw)
+    d, orientable = memo[key]
+
+    # walk each curve component through its lifted triangles, with the
+    # shadow strand beside it: every lifted triangle it enters has exactly
+    # one more negative edge to leave by, at the next prong (strand -1 in,
+    # +1 out) or the previous one (the reverse); the shadow must follow the
+    # transitions of this twist vector, close up with the component and
+    # share no strand with another component
+    walks, firsts = [], []
+    seen = bytearray(12 * T)
+    used = bytearray(6 * T)
+    for u0 in compress(range(12 * T), sneg):
+        if seen[u0]:
+            continue
+        walk = []
+        # the state the shadow enters by; it must come round to it again
+        first = 4 * (u0 % T3) + 3 - 2 * sneg[nxt[u0]]
+        u, expected = u0, first
+        while True:
+            w_next, w_prev = nxt[u], prv[u]
+            turn = sneg[w_next]
+            if not sneg[u] or turn == sneg[w_prev]:
+                raise InvariantError(
+                    "a lifted triangle has an odd number of negative edges")
+            w = w_next if turn else w_prev
+            s = u % T3
+            s_out = w - u + s
+            x_in, x_out = 4 * s + 3 - 2 * turn, 4 * s_out + 2 * turn
+            if x_in != expected or succ[tw[slots[s]]][x_in] != x_out:
+                raise InvariantError("shadow must follow the boundary transitions")
+            if used[x_in >> 1] or used[x_out >> 1]:
+                raise InvariantError("one boundary circle per component")
+            used[x_in >> 1] = used[x_out >> 1] = seen[u] = seen[w] = 1
+            walk.append(u)
+            expected = succ[tw[slots[s_out]]][x_out]
+            u = across[w]
+            if seen[u]:
+                break
+        if u != u0 or expected != first:
+            raise InvariantError("a curve component must close up with its shadow")
+        walks.append(walk)
+        firsts.append(first)
+    if len(walks) != d:
+        raise InvariantError(
+            f"{len(walks)} curve components but {d} boundary circles")
+
+    chi_sigma = E - 2 * T + d
+    if chi_sigma != d + 1 - tab.V + tab.L or chi_sigma > 2:
+        raise InvariantError("the two Euler characteristic computations must "
+                             "agree and give at most 2")
+    if d > tab.interior_points + 1:
+        raise InvariantError(
+            f"component bound violated: {d} > {tab.interior_points + 1}")
+    return VectorTrace(tw, walks, firsts, d, orientable)
 
 
 def run_sweep(tab: SweepTables):
-    """Yield (D, orientable) for every mask in order; see the module
-    docstring for the checks made on each vector."""
-    V, T, E = tab.V, tab.T, tab.E
-    edge_ends, seg_par, edge_class = tab.edge_ends, tab.seg_par, tab.edge_class
-    slots, across, succ = tab.slots, tab.across, tab.succ
-    chi_filling = E - 2 * T
-    chi_identity = 1 - V + tab.L
-    bound = tab.interior_points + 1
-    # lifts identified with another one, and the canonical lift of each
-    merged = [x for x, c in enumerate(edge_class) if c != x]
-    canonical = [edge_class[x] for x in merged]
-    # slot lift -> lift id of its edge
-    slot_lift = [q * E + slots[s] for q in range(4) for s in range(3 * T)]
-
-    # per slot lift: the next and the previous prong of its triangle
-    nxt = [u - u % 3 + (u + 1) % 3 for u in range(12 * T)]
-    prv = [u - u % 3 + (u + 2) % 3 for u in range(12 * T)]
-    # per slot lift u entering prong k and the sign bit of prong k+1 there:
-    # (state in, state out, slot lift of the exit prong, entry edge, exit
-    # edge).  Leaving at k+1 walks strand -1 in and +1 out, at k-1 the
-    # reverse.
-    exits = []
-    for u in range(12 * T):
-        s = u % (3 * T)
-        for s_out, x_in, out_off in ((s - s % 3 + (s + 2) % 3, 4 * s + 3, 0),
-                                     (s - s % 3 + (s + 1) % 3, 4 * s + 1, 2)):
-            exits.append((x_in, 4 * s_out + out_off, u - s + s_out,
-                          slots[s], slots[s_out]))
-
-    def neg_quadrants(e, sign_bit):
-        return [q for q in range(4) if seg_par[q * E + e] != sign_bit]
-
-    # per interior edge and edge sign bit: in the two quadrants where its
-    # lift is negative, the slot lifts of the next prong in t_a and in t_b
-    readings = []
-    for e, s_a, s_b in tab.interior:
-        by_sign = []
-        for sign_bit in (0, 1):
-            qs = neg_quadrants(e, sign_bit)
-            check(len(qs) == 2, f"edge {e}: {len(qs)} negative lifts")
-            by_sign.append(tuple(nxt[q * 3 * T + s]
-                                 for q in qs for s in (s_a, s_b)))
-        readings.append((e, by_sign))
-    # per boundary edge and edge sign bit: its two negative lifts, as lift
-    # ids and as slot lifts
-    u_turns = []
-    for e, s in tab.boundary:
-        by_sign = []
-        for sign_bit in (0, 1):
-            qs = neg_quadrants(e, sign_bit)
-            check(len(qs) == 2, f"edge {e}: {len(qs)} negative lifts")
-            by_sign.append(tuple(q * E + e for q in qs)
-                           + tuple(q * 3 * T + s for q in qs))
-        u_turns.append(by_sign)
-
+    """Yield (D, orientable) for every mask in order; an invariant that
+    fails names its mask."""
     memo: dict = {}
-    for mask in range(1 << V):
-        # edge e = (p, r) has sign delta(p) delta(r); its lift to quadrant
-        # q has that sign times (-1)^<q, parity of e>.  Bit 1 = negative.
-        n = [(mask >> a ^ mask >> b) & 1 for a, b in edge_ends]
-        lift = [x ^ p for x, p in zip(n * 4, seg_par)]
-        if [lift[x] for x in merged] != [lift[c] for c in canonical]:
-            raise InvariantError(f"mask {mask}: edge sign must descend to the surface")
-        if [a + b + c + d for a, b, c, d in zip(
-                lift[:E], lift[E:2 * E], lift[2 * E:3 * E], lift[3 * E:])
-                ].count(2) != E:
-            raise InvariantError(
-                f"mask {mask}: a downstairs edge lacks exactly two negative lifts")
-        sneg = [lift[u] for u in slot_lift]
-
-        # twist bits: at each negative lift of an interior edge the curve
-        # runs on into the next or the previous prong of t_a and of t_b;
-        # matching turns mean a twist, and the two lifts must turn
-        # oppositely on both sides
-        tw = bytearray(E)
-        for e, by_sign in readings:
-            a1, b1, a2, b2 = by_sign[n[e]]
-            i1, j1 = sneg[a1], sneg[b1]
-            if i1 == sneg[a2] or j1 == sneg[b2]:
-                raise InconsistentArcPairing(
-                    f"mask {mask}: edge {e}: arc pairings disagree")
-            if i1 == j1:
-                tw[e] = 1
-        # the one negative class of a boundary edge is a U-turn: its two
-        # lifts meet at one midpoint, in the same triangle
-        for by_sign, (e, _) in zip(u_turns, tab.boundary):
-            l1, l2, u1, u2 = by_sign[n[e]]
-            if edge_class[l1] != edge_class[l2] or across[u1] != u2:
-                raise InvariantError(
-                    f"mask {mask}: boundary edge {e} must U-turn in one class")
-
-        key = bytes(tw)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = _trace(tab, tw)
-        d, orientable = hit
-
-        # walk each curve component through its lifted triangles, with the
-        # shadow strand beside it: every lifted triangle it enters has
-        # exactly one more negative edge to leave by; the shadow must follow
-        # the transitions of this twist vector, close up with the component
-        # and share no strand with another component
-        seen = bytearray(12 * T)
-        used = bytearray(6 * T)
-        components = 0
-        for u0 in compress(range(12 * T), sneg):
-            if seen[u0]:
-                continue
-            components += 1
-            u, first, expected = u0, -1, -1
-            while True:
-                turn = sneg[nxt[u]]
-                if not sneg[u] or turn == sneg[prv[u]]:
-                    raise InvariantError(
-                        f"mask {mask}: a lifted triangle has an odd number "
-                        "of negative edges")
-                x_in, x_out, w, e_in, e_out = exits[2 * u + turn]
-                if x_in != expected:
-                    if expected >= 0:
-                        raise InvariantError(
-                            f"mask {mask}: shadow must follow the boundary transitions")
-                    first = x_in
-                if succ[tw[e_in]][x_in] != x_out:
-                    raise InvariantError(
-                        f"mask {mask}: shadow must follow the boundary transitions")
-                if used[x_in >> 1] or used[x_out >> 1]:
-                    raise InvariantError(
-                        f"mask {mask}: one boundary circle per component")
-                used[x_in >> 1] = used[x_out >> 1] = seen[u] = seen[w] = 1
-                expected = succ[tw[e_out]][x_out]
-                u = across[w]
-                if seen[u]:
-                    break
-            if u != u0 or expected != first:
-                raise InvariantError(
-                    f"mask {mask}: a curve component must close up with its shadow")
-        if components != d:
-            raise InvariantError(
-                f"mask {mask}: {components} curve components but {d} boundary circles")
-
-        chi_sigma = chi_filling + d
-        if chi_sigma != d + chi_identity or chi_sigma > 2:
-            raise InvariantError(
-                f"mask {mask}: the two Euler characteristic computations must "
-                "agree and give at most 2")
-        if d > bound:
-            raise InvariantError(
-                f"component bound violated at mask {mask}: {d} > {bound}")
-        yield d, orientable
+    for mask in range(1 << tab.V):
+        try:
+            run = trace_vector(tab, mask, memo)
+        except InvariantError as exc:
+            raise type(exc)(f"mask {mask}: {exc}") from None
+        yield run.d, run.orientable
 
 
 def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
     """Yield (D, orientable) for each of the 2^V sign vectors, in mask
     order."""
-    yield from run_sweep(compile_sweep(surface, tri))
+    yield from run_sweep(compile_sweep(surface, tri,
+                                       incidence_graphs(surface, tri)))

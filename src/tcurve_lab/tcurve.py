@@ -9,6 +9,7 @@ edge are negative, so the negative dual edges upstairs form disjoint
 cycles covering every downstairs incidence-graph edge twice: the curve.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,11 +18,11 @@ from .errors import (IncompleteDistribution, InvariantError,
 from .lattice import (Point, Polygon, is_standard_triangle, pairing,
                       point_parity, validate_polygon)
 from .surface import (QUADRANTS, AmbientSurface, Quadrant,
-                      IDENTITY, build_ambient_surface, quad_add, reflect,
+                      IDENTITY, build_ambient_surface, reflect,
                       vec_mat)
-from .triangulation import (Edge, IncidencePair, PrimitiveTriangulation,
-                            edge_key, incidence_graphs,
-                            validate_primitive_triangulation)
+from .sweep import SweepTables, compile_sweep, shadow_states, trace_vector
+from .triangulation import (IncidencePair, PrimitiveTriangulation, edge_key,
+                            incidence_graphs, validate_primitive_triangulation)
 
 Sign = int  # +1 or -1
 HarnackType = tuple[int, int, int]  # (c, a, b)
@@ -63,19 +64,6 @@ class ExtendedSigns:
 
 def extend_signs(delta: dict, surface: AmbientSurface) -> ExtendedSigns:
     return ExtendedSigns(delta, surface)
-
-
-def edge_signs(pair: IncidencePair, ext: ExtendedSigns) -> dict:
-    """Signs of the edges of the lifted triangulation, keyed by midpoint
-    node: the sign of lift (q, e) is the product of its endpoint signs in
-    quadrant q."""
-    out: dict = {}
-    for (q, (p, r)), m in pair.gs_midpoint.items():
-        s = ext.values[(q, p)] * ext.values[(q, r)]
-        # identified boundary copies carry equal signs
-        if out.setdefault(m, s) != s:
-            raise InvariantError("edge sign must descend to the surface")
-    return out
 
 
 @dataclass(frozen=True)
@@ -136,76 +124,56 @@ def node_coords6(node) -> Point:
 
 
 class TCurve:
-    """The curve cut out by the negative dual edges on G(S)."""
+    """The curve cut out by the negative dual edges on G(S).
+
+    The strand kernel (``sweep.trace_vector``) runs once on the compiled
+    tables of the problem: ``tables`` when given (one compilation serves
+    any number of sign vectors), else compiled from ``pair``, else from a
+    fresh lift table.  Its integer walks become node tuples here, and each
+    component keeps its shadow strand states (``shadows``), turned with it.
+    """
 
     def __init__(self, surface: AmbientSurface, tri: PrimitiveTriangulation,
-                 delta: dict, pair: IncidencePair | None = None):
+                 delta: dict, pair: IncidencePair | None = None, *,
+                 tables: SweepTables | None = None):
         self.surface = surface
         self.tri = tri
-        self.pair = pair if pair is not None else incidence_graphs(surface, tri)
+        if tables is None:
+            tables = compile_sweep(surface, tri, pair if pair is not None
+                                   else incidence_graphs(surface, tri))
+        self.tables = tables
+        self.pair = tables.pair
         self.ext = extend_signs(delta, surface)
         self.delta = self.ext.delta
-        self.edge_sign = edge_signs(self.pair, self.ext)
-        self.components = self._extract()
+        mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
+                   if self.delta[p] > 0)
+        self.trace = trace_vector(tables, mask)
+        self.components, self.shadows = self._components()
 
     # ------------------------------------------------------------------
 
-    def gs_edge_sign(self, q: Quadrant, e: Edge) -> Sign:
-        return self.edge_sign[self.pair.gs_midpoint[(q, e)]]
-
-    def _extract(self) -> tuple[Component, ...]:
-        tri, mid, sign = self.tri, self.pair.gs_midpoint, self.edge_sign
-        adj: dict = {}
-
-        def link(a, b):
-            adj.setdefault(a, []).append(b)
-
-        neg_per_downstairs: dict = {}
-        for q in QUADRANTS:
-            for t in tri.triangles:
-                b = ("b", q, t)
-                neg = []
-                for e in tri.slots[t]:
-                    m = mid[(q, e)]
-                    if sign[m] < 0:
-                        neg.append(m)
-                        neg_per_downstairs[(t, e)] = neg_per_downstairs.get((t, e), 0) + 1
-                if len(neg) not in (0, 2):
-                    raise InvariantError(
-                        f"triangle {q}:{t} has {len(neg)} negative edges")
-                for m in neg:
-                    link(b, m)
-                    link(m, b)
-        # exactly two of the four lifts of every downstairs edge are negative
-        for t in tri.triangles:
-            for e in tri.slots[t]:
-                n = neg_per_downstairs.get((t, e), 0)
-                if n != 2:
-                    raise InvariantError(
-                        f"downstairs edge {t}/{e} has {n} negative lifts")
-        for node, nbrs in adj.items():
-            if len(nbrs) != 2:
-                raise InvariantError(f"curve node {node} has degree {len(nbrs)}")
-
-        seen = set()
-        cycles = []
-        for start in sorted(adj):
-            if start in seen:
-                continue
-            prev, cur = None, start
-            cyc = []
-            while True:
-                cyc.append(cur)
-                seen.add(cur)
-                a, b = adj[cur]
-                nxt = b if a == prev else a if b == prev else min(a, b)
-                prev, cur = cur, nxt
-                if cur == start:
-                    break
-            cycles.append(_normalize_cycle(cyc))
-        cycles.sort(key=lambda c: c.nodes)
-        check(bool(cycles), "a T-curve always has at least one component")
-        return tuple(cycles)
+    def _components(self) -> tuple[tuple[Component, ...], tuple]:
+        """The kernel's walks as sorted ``Component``s, and with each its
+        shadow strand states, turned with it: from the first barycenter of
+        its nodes, in their direction."""
+        tab, tri, mid = self.tables, self.tri, self.pair.gs_midpoint
+        out = []
+        for k, walk in enumerate(self.trace.walks):
+            shadow = shadow_states(tab, self.trace, k)
+            nodes = []
+            for u in walk:  # the midpoint it enters by, then the barycenter
+                q, s = divmod(u, 3 * tab.T)
+                nodes.append(mid[(QUADRANTS[q], tri.edges[tab.slots[s]])])
+                nodes.append(("b", QUADRANTS[q], tri.triangles[s // 3]))
+            comp = _normalize_cycle(nodes)
+            k = nodes.index(comp.nodes[0])  # a barycenter: visit (k - 1) / 2
+            if comp.nodes[1] == nodes[(k + 1) % len(nodes)]:
+                shadow = shadow[k - 1:] + shadow[:k - 1]
+            else:  # reversed: the same strands, each heading flipped
+                shadow = [x ^ 1 for x in shadow[k::-1] + shadow[:k:-1]]
+            out.append((comp, array("i", shadow)))  # no int object per state
+        out.sort(key=lambda cs: cs[0].nodes)
+        return tuple(c for c, _ in out), tuple(s for _, s in out)
 
     # ------------------------------------------------------------------
     # classification

@@ -69,7 +69,3 @@ class ParityUnionFind:
         self.parent[ry] = rx
         self.offset[ry] = px ^ py ^ rel
         return True
-
-    def coloring(self):
-        """Deterministic +1/-1 labels: the root of each class gets +1."""
-        return {x: -1 if self.find(x)[1] else 1 for x in sorted(self.parent)}

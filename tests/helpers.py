@@ -1,7 +1,8 @@
 """Shared test machinery: random polygons, a general primitive
-triangulator (ear clipping plus refinement to area 1/2), and random
-diagonal flips.  These are test-side oracles and generators, not part of
-the library surface.
+triangulator (ear clipping plus refinement to area 1/2), random diagonal
+flips, and the comparison of a curve and its filling with the tuple
+oracles.  These are test-side oracles and generators, not part of the
+library surface.
 """
 
 import random
@@ -10,6 +11,8 @@ from functools import cmp_to_key
 from tcurve_lab.errors import InputError
 from tcurve_lab.geometry import cross, locate_in_polygon, on_segment
 from tcurve_lab.lattice import Polygon, validate_polygon
+from tcurve_lab.oracles import (components_by_adjacency, strands_by_tuples,
+                                twists_by_arc_pairing)
 from tcurve_lab.triangulation import (PrimitiveTriangulation, edge_key,
                                       tri_key,
                                       validate_primitive_triangulation)
@@ -159,3 +162,26 @@ def random_flips(rng: random.Random, tri: PrimitiveTriangulation,
 
 def random_distribution(rng: random.Random, polygon: Polygon) -> dict:
     return {p: rng.choice((1, -1)) for p in polygon.lattice_points}
+
+
+def tuple_state(tri: PrimitiveTriangulation, x: int) -> tuple:
+    """The oracles' (triangle, prong, strand, heading) form of the strand
+    state ``x`` of ``tcurve_lab.sweep``."""
+    return (tri.triangles[x // 12], (x >> 2) % 3, 1 if x & 2 else -1,
+            "in" if x & 1 else "out")
+
+
+def match_oracles(curve, filling) -> tuple[int, bool]:
+    """Assert that the components, twist bits, folds, boundary circles,
+    orientability and shadows of ``curve`` and ``filling`` equal the tuple
+    oracles' on the same signs; return the oracles' (D, orientable)."""
+    tri = curve.tri
+    components = components_by_adjacency(curve.pair, curve.ext)
+    assert components == curve.components
+    twists, folds = twists_by_arc_pairing(curve.pair, components)
+    assert (twists, folds) == (filling.twists, filling.folds)
+    d, orientable, shadows = strands_by_tuples(tri, twists, folds, components)
+    assert (d, orientable) == (filling.boundary_count, filling.orientable)
+    assert [shadows[c] for c in components] == \
+        [tuple(tuple_state(tri, x) for x in seq) for seq in filling.shadows]
+    return d, orientable

@@ -17,7 +17,7 @@ from tcurve_lab.oracles import (classify_components_by_nesting,
                                 classify_surface_by_cells)
 from tcurve_lab.surface import (IDENTITY, QUADRANTS, build_ambient_surface,
                                 mat_mul)
-from tcurve_lab.sweep import sweep
+from tcurve_lab.sweep import compile_sweep, sweep
 from tcurve_lab.tcurve import (TCurve, degree_parity_check, extract_curve,
                                harnack_distribution, ovals_inside,
                                predicted_harnack_census, transform_curve,
@@ -25,8 +25,8 @@ from tcurve_lab.tcurve import (TCurve, degree_parity_check, extract_curve,
 from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
 
 from conftest import pipeline, standard_triangle
-from helpers import (primitive_triangulation, random_distribution,
-                     random_flips, random_polygon)
+from helpers import (match_oracles, primitive_triangulation,
+                     random_distribution, random_flips, random_polygon)
 
 
 def report(n, text):
@@ -109,14 +109,15 @@ def test_criterion_4_harnack_census_degree_6():
 @pytest.fixture(scope="module")
 def exhaustive_sweeps():
     """Shared by criteria 5 and 7: sweep T_2 (64) and T_3 (1024) sign
-    vectors; check the bound, both chi computations and the cell oracle."""
+    vectors; check the bound, both chi computations, the cell oracle and
+    the tuple oracles."""
     stats = {}
     t0 = time.perf_counter()
     for d in (2, 3):
         poly = standard_triangle(d)
         surface = build_ambient_surface(poly)
         tri = generate_grid_triangulation(poly)
-        pair = incidence_graphs(surface, tri)
+        tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
         pts = poly.lattice_points
         i_count = poly.census().interior_points
         dist: dict = {}
@@ -125,7 +126,7 @@ def exhaustive_sweeps():
         for mask in range(1 << len(pts)):
             delta = {p: 1 if mask >> k & 1 else -1
                      for k, p in enumerate(pts)}
-            curve = TCurve(surface, tri, delta, pair)
+            curve = TCurve(surface, tri, delta, tables=tables)
             filling = build_filling(curve)
             cls = classify_filling(filling)
             d_count = filling.boundary_count
@@ -135,6 +136,7 @@ def exhaustive_sweeps():
             chi, bd, orientable = classify_filling_by_cells(filling)
             assert (chi, bd, orientable) == \
                 (filling.chi, d_count, cls.capped.orientable)
+            assert match_oracles(curve, filling) == (d_count, orientable)
             oracle_checked += 1
             dist[d_count] = dist.get(d_count, 0) + 1
             per_vector.append((d_count, cls.capped.orientable))
@@ -187,6 +189,7 @@ def test_criterion_7_oracle_equivalence(exhaustive_sweeps):
         cls = classify_filling(filling)
         assert classify_filling_by_cells(filling) == \
             (filling.chi, filling.boundary_count, cls.capped.orientable)
+        match_oracles(curve, filling)
         fixed += 1
     # criterion 5 instances were oracle-checked inside the sweep fixture
     swept = exhaustive_sweeps[2]["oracle_checked"] + \
@@ -214,6 +217,7 @@ def test_criterion_7_oracle_equivalence(exhaustive_sweeps):
         cls = classify_filling(filling)
         assert classify_filling_by_cells(filling) == \
             (filling.chi, filling.boundary_count, cls.capped.orientable)
+        match_oracles(curve, filling)
     report(7, f"cell-complex oracles agree on {fixed + swept + 12 + 100} instances")
 
 

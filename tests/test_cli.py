@@ -13,7 +13,10 @@ from tcurve_lab.errors import InputError, ParseError, ValidationError
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     return str(path)
 
 
@@ -253,8 +256,10 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
     ("polygon: [[0,0],[1,0],[0,1]]\ntriangulation: [[0,1,null]]\n"
      "signs: {harnack: [1,0,0]}\n",
      "triangulation[0]: expected integers, got None"),
+    # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
+    (b"polygon: [[0,0],[1,0],[0,1]]\n# \xff\n", "can't decode byte 0xff"),
 ], ids=["negative-index", "string", "float", "bool", "bool-sign",
-        "bool-harnack-bit", "null-coordinate", "null-index"])
+        "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8"])
 def test_strict_input(tmp_path, capsys, text, words):
     code, err = exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
@@ -315,16 +320,51 @@ def test_strict_triangulation_indices():
 # ---------------------------------------------------------------------------
 # the enumerate cap is checked first
 
+HUGE = 10 ** 20
+
+
+def triangle(side):
+    return [[0, 0], [side, 0], [0, side]]
+
+
+# (subcommand, polygon, start of the message): the cap, then the size
+# limit, both counted from the vertices alone
+REFUSED = [
+    ("enumerate", triangle(300), "45451 lattice points exceed the cap 16"),
+    ("enumerate", triangle(HUGE), f"{(HUGE + 1) * (HUGE + 2) // 2} lattice "
+                                  "points exceed the cap 16"),
+    ("surface", triangle(HUGE), f"{3 * HUGE} boundary lattice points exceed "
+                                "the size limit 10000"),
+    ("curve", triangle(200_000), "600000 boundary lattice points exceed"),
+    # three primitive edges around a large area
+    ("harnack", [[0, 0], [200, 1], [1, 201]],
+     "20102 lattice points exceed the size limit 10000"),
+]
+
+
 def test_enumerate_cap_before_any_work(monkeypatch):
     import tcurve_lab.cli as cli
-    from tcurve_lab.errors import CapExceeded
+    from tcurve_lab.errors import CapExceeded, TooLarge
     called = []
     monkeypatch.setattr(cli.Problem, "build_triangulation",
                         lambda self: called.append(self))
-    prob = problem_from_data({"polygon": [[0, 0], [300, 0], [0, 300]],
-                              "signs": "enumerate"})
-    with pytest.raises(CapExceeded) as err:
-        cli.run_subcommand("enumerate", prob)
-    assert str(err.value).startswith("45451 lattice points exceed the cap 16")
-    assert called == []
-    assert "lattice_points" not in vars(prob.polygon)
+    for name, polygon, words in REFUSED:
+        prob = problem_from_data({"polygon": polygon,
+                                  "signs": {"harnack": [1, 0, 0]}})
+        with pytest.raises(CapExceeded if name == "enumerate" else TooLarge) as err:
+            cli.run_subcommand(name, prob)
+        assert str(err.value).startswith(words)
+        assert called == []
+        assert "lattice_points" not in vars(prob.polygon)
+        assert "broken_edges" not in vars(prob.polygon)
+
+
+def test_size_limit_admits_t139():
+    from tcurve_lab.cli import MAX_POINTS, check_size
+    from tcurve_lab.errors import TooLarge
+    t139, t140 = (problem_from_data({"polygon": triangle(d)}).polygon
+                  for d in (139, 140))
+    check_size(t139)
+    assert t139.point_count == 9870 <= MAX_POINTS < t140.point_count
+    with pytest.raises(TooLarge):
+        check_size(t140)

@@ -10,8 +10,8 @@ from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.tcurve import extract_curve, harnack_distribution
 
 from conftest import pipeline, standard_triangle
-from helpers import (primitive_triangulation, random_distribution,
-                     random_flips, random_polygon)
+from helpers import (match_oracles, primitive_triangulation,
+                     random_distribution, random_flips, random_polygon)
 
 
 def test_single_thick_y():
@@ -81,6 +81,7 @@ def test_oracle_agreement_random_instances():
         assert chi == filling.chi
         assert d == filling.boundary_count
         assert orientable == cls.capped.orientable
+        assert match_oracles(curve, filling) == (d, orientable)
         assert d <= poly.census().interior_points + 1
 
 

@@ -1,5 +1,6 @@
-"""The compiled sweep against the reference path (TCurve -> TFilling ->
-classify_filling), and its invariant checks under corrupted tables."""
+"""The strand kernel against the tuple oracles, through the sweep and the
+single-shot TCurve -> TFilling, and its invariant checks under corrupted
+tables through both."""
 
 import os
 import random
@@ -11,24 +12,34 @@ import pytest
 
 import tcurve_lab.sweep as sweep_module
 from tcurve_lab.errors import InvariantError
-from tcurve_lab.filling import build_filling, classify_filling
+from tcurve_lab.filling import build_filling
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.sweep import compile_sweep, run_sweep, sweep
 from tcurve_lab.tcurve import TCurve
 from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
 
 from conftest import standard_triangle
-from helpers import primitive_triangulation, random_flips, random_polygon
+from helpers import (match_oracles, primitive_triangulation, random_flips,
+                     random_polygon)
 
 SRC = Path(sweep_module.__file__).resolve().parents[1]
 
 
-def reference(surface, tri, pair, mask):
-    """(D, orientable) of one sign vector through the reference path."""
-    pts = tri.polygon.lattice_points
-    delta = {p: 1 if mask >> k & 1 else -1 for k, p in enumerate(pts)}
-    filling = build_filling(TCurve(surface, tri, delta, pair))
-    return filling.boundary_count, classify_filling(filling).capped.orientable
+def mask_signs(tri, mask):
+    """The sign vector of ``mask``: bit k for the k-th sorted lattice point."""
+    return {p: 1 if mask >> k & 1 else -1
+            for k, p in enumerate(tri.polygon.lattice_points)}
+
+
+def compiled(surface, tri):
+    return compile_sweep(surface, tri, incidence_graphs(surface, tri))
+
+
+def reference(surface, tri, tables, mask):
+    """(D, orientable) of one sign vector by the tuple oracles, once the
+    single-shot curve and filling on ``tables`` have matched them."""
+    curve = TCurve(surface, tri, mask_signs(tri, mask), tables=tables)
+    return match_oracles(curve, build_filling(curve))
 
 
 def test_random_instances_match_reference():
@@ -51,9 +62,9 @@ def test_random_instances_match_reference():
         assert len(got) == 1 << v
         half = 1 << (v - 1)
         masks = range(half) if v <= 9 else rng.sample(range(half), 32)
-        pair = incidence_graphs(surface, tri)
+        tables = compiled(surface, tri)
         for mask in masks:
-            want = reference(surface, tri, pair, mask)
+            want = reference(surface, tri, tables, mask)
             assert got[mask] == got[~mask % (1 << v)] == want, (poly, mask)
             vectors += 2
     assert vectors > 200 * 64
@@ -69,9 +80,9 @@ def test_t4_distribution():
         dist[d] = dist.get(d, 0) + 1
     # every multiplicity is a multiple of 512 (recorded, not explained)
     assert dist == {1: 14336, 2: 14336, 3: 3584, 4: 512}
-    pair = incidence_graphs(surface, tri)
+    tables = compiled(surface, tri)
     for mask in random.Random(4).sample(range(1 << 15), 32):
-        assert got[mask] == reference(surface, tri, pair, mask)
+        assert got[mask] == reference(surface, tri, tables, mask)
 
 
 def test_memo_runs_once_per_twist_vector(monkeypatch):
@@ -149,31 +160,55 @@ CORRUPTIONS = [_corrupt_seg_par, _corrupt_edge_class, _corrupt_edge_ends,
                _corrupt_succ_pair, _corrupt_twisted_succ, _corrupt_slots]
 
 
-@pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[9:])
-def test_corrupted_table_raises(corrupt):
+def sweep_driver(surface, tri, tab):
+    for _ in run_sweep(tab):
+        pass
+
+
+def single_shot_driver(surface, tri, tab):
+    """TCurve -> TFilling on the same tables, every vector in mask order."""
+    for mask in range(1 << tab.V):
+        build_filling(TCurve(surface, tri, mask_signs(tri, mask), tables=tab))
+
+
+DRIVERS = [sweep_driver, single_shot_driver]
+
+
+# the sweep keeps the bare ids
+@pytest.mark.parametrize("corrupt, driver", [
+    pytest.param(corrupt, driver, id=corrupt.__name__[9:] + suffix)
+    for corrupt in CORRUPTIONS
+    for driver, suffix in zip(DRIVERS, ("", "-single-shot"))])
+def test_corrupted_table_raises(corrupt, driver):
     t3 = standard_triangle(3)
-    tab = compile_sweep(build_ambient_surface(t3), generate_grid_triangulation(t3))
+    surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
+    tab = compiled(surface, tri)
     corrupt(tab)
     with pytest.raises(InvariantError):
-        for _ in run_sweep(tab):
-            pass
+        driver(surface, tri, tab)
 
 
 def test_checks_survive_python_O():
-    code = ("from tcurve_lab.errors import InvariantError\n"
+    """Both drivers, in one interpreter under -O."""
+    code = ("import sys\n"
+            "sys.path.insert(0, sys.argv[1])\n"
+            "import test_sweep\n"
+            "from tcurve_lab.errors import InvariantError\n"
             "from tcurve_lab.lattice import validate_polygon\n"
             "from tcurve_lab.surface import build_ambient_surface\n"
             "from tcurve_lab.triangulation import generate_grid_triangulation\n"
-            "from tcurve_lab.sweep import compile_sweep, run_sweep\n"
             "t2 = validate_polygon([(0, 0), (2, 0), (0, 2)])\n"
-            "tab = compile_sweep(build_ambient_surface(t2),\n"
-            "                    generate_grid_triangulation(t2))\n"
-            "tab.seg_par[tab.E + tab.boundary[0][0]] ^= 1\n"
-            "try:\n"
-            "    list(run_sweep(tab))\n"
-            "except InvariantError:\n"
-            "    print('raised')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+            "surface = build_ambient_surface(t2)\n"
+            "tri = generate_grid_triangulation(t2)\n"
+            "for driver in test_sweep.DRIVERS:\n"
+            "    tab = test_sweep.compiled(surface, tri)\n"
+            "    tab.seg_par[tab.E + tab.boundary[0][0]] ^= 1\n"
+            "    try:\n"
+            "        driver(surface, tri, tab)\n"
+            "    except InvariantError:\n"
+            "        print(driver.__name__, 'raised')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code,
+                          str(Path(__file__).parent)], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    assert out.strip() == "raised"
+    assert out.split("\n")[:2] == [f"{d.__name__} raised" for d in DRIVERS]

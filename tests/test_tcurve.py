@@ -5,6 +5,7 @@ import pytest
 from tcurve_lab.errors import (IncompleteDistribution, InvariantError,
                                LeavesNonnegativeQuadrant, WrongPolygon)
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
+from tcurve_lab.oracles import edge_signs
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
 from tcurve_lab.tcurve import (degree_parity_check, extend_signs,
                                extract_curve, harnack_distribution,
@@ -55,17 +56,18 @@ def test_incomplete_distribution():
 
 def test_edge_sign_reflection_law():
     # sign(sigma_{c,d} e) = (-1)^(<parity(e),(c,d)>) sign(e) for every
-    # triangulation edge, checked through the extracted curve's edge signs
+    # triangulation edge, checked through the oracle's edge signs
     rng = random.Random(3)
     for d in (2, 3):
         poly = standard_triangle(d)
         surface, tri, curve = pipeline(poly, random_distribution(rng, poly))
+        sign = edge_signs(curve.pair, curve.ext)
+        mid = curve.pair.gs_midpoint
         for e in tri.edges:
-            base = curve.gs_edge_sign((0, 0), e)
+            base = sign[mid[((0, 0), e)]]
             par = segment_parity(*e)
             for q in QUADRANTS:
-                assert curve.gs_edge_sign(q, e) == \
-                    base * (-1) ** pairing(par, q)
+                assert sign[mid[(q, e)]] == base * (-1) ** pairing(par, q)
 
 
 def test_edge_sign_must_descend():
