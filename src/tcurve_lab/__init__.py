@@ -13,7 +13,7 @@ from .lattice import (BrokenEdge, LatticeCensus, Polygon,
                       validate_polygon)
 from .surface import (AmbientSurface, Atlas, Chart, TopologyClass,
                       build_ambient_surface)
-from .triangulation import (IncidencePair, PrimitiveTriangulation,
+from .triangulation import (Lifts, PrimitiveTriangulation,
                             generate_grid_triangulation, incidence_graphs,
                             validate_primitive_triangulation)
 from .tcurve import (Component, ComponentClass, CurveCensus, TCurve,

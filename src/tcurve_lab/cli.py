@@ -42,13 +42,20 @@ MAX_POINTS = 10_000
 
 def check_size(polygon: Polygon, triangulates: bool = True):
     """Raise TooLarge when the polygon has more than MAX_POINTS lattice
-    points on its boundary, or in all when ``triangulates``."""
+    points on its boundary, or, when ``triangulates``, more than MAX_POINTS
+    in all or a bounding box of more than 2 * MAX_POINTS lattice points
+    (the box that listing the lattice points scans)."""
     if polygon.boundary_length > MAX_POINTS:
         raise TooLarge(f"{polygon.boundary_length} boundary lattice points "
                        f"exceed the size limit {MAX_POINTS}")
     if triangulates and polygon.point_count > MAX_POINTS:
         raise TooLarge(f"{polygon.point_count} lattice points exceed the "
                        f"size limit {MAX_POINTS}")
+    xs, ys = zip(*polygon.vertices)
+    box = (max(xs) - min(xs) + 1) * (max(ys) - min(ys) + 1)
+    if triangulates and box > 2 * MAX_POINTS:
+        raise TooLarge(f"a bounding box of {box} lattice points exceeds the "
+                       f"size limit {2 * MAX_POINTS}")
 
 
 class Problem:
@@ -132,6 +139,11 @@ def problem_from_data(raw: dict) -> Problem:
             or any(not isinstance(v, list) or len(v) != 2 for v in poly_field)):
         raise ValidationError("polygon: expected a list of [x, y] pairs")
     _check_ints("polygon", poly_field)
+    # every vertex is a boundary lattice point; refused before the
+    # quadratic simplicity test
+    if len(poly_field) > MAX_POINTS:
+        raise TooLarge(f"{len(poly_field)} vertices exceed the size limit "
+                       f"{MAX_POINTS}")
     polygon = validate_polygon([tuple(v) for v in poly_field])
 
     tri_field = raw.get("triangulation", "grid")

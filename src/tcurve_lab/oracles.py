@@ -11,23 +11,55 @@ regions of ``TCurve.regions``, and the per-component split cuts the
 surface along one component at a time and counts the cells of each side,
 where ``TCurve.regions`` cuts along all of them at once.  The curve and
 its filling are rebuilt on tuples, apart from the integer strand kernel
-of ``tcurve_lab.sweep``: components by walking the adjacency of the
-negative dual edges, twist bits by the arc pairings at each midpoint, and
-boundary circles, orientability and shadows by tracing tuple strand
-states.  Tests demand exact agreement with the fast paths on every
-instance.
+of ``tcurve_lab.sweep`` and its lift table: midpoints of G(S) from the
+gluing of each boundary segment (``midpoint_node``), components by
+walking the adjacency of the negative dual edges, twist bits by the arc
+pairings at each midpoint, and boundary circles, orientability and
+shadows by tracing tuple strand states.  Tests demand exact agreement
+with the fast paths on every instance.
 """
 
 from .lattice import Polygon
-from .surface import (QUADRANTS, TopologyClass, _surface_name, glue_offset,
-                      quad_add, reflect)
+from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
+                      _surface_name, glue_offset, quad_add, reflect)
 from .filling import TFilling
 from .geometry import point_in_ring, segment_lattice_points
 from .errors import check
 from .tcurve import (Component, ComponentClass, ExtendedSigns, TCurve,
                      _normalize_cycle, node_coords6)
-from .triangulation import IncidencePair, PrimitiveTriangulation, midpoint_node
-from .uf import ParityUnionFind, UnionFind
+from .triangulation import Edge, PrimitiveTriangulation
+from .uf import ParityUnionFind
+
+
+class UnionFind:
+    """Union-find on a dict: any hashable element, added on first use."""
+
+    def __init__(self):
+        self.parent = {}
+
+    def add(self, x):
+        if x not in self.parent:
+            self.parent[x] = x
+
+    def find(self, x):
+        self.add(x)
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x, y):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            self.parent[ry] = rx
+
+    def groups(self):
+        out = {}
+        for x in self.parent:
+            out.setdefault(self.find(x), []).append(x)
+        return out
 
 
 def classify_surface_by_cells(polygon: Polygon) -> TopologyClass:
@@ -292,22 +324,41 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
 # the curve and its filling on tuple nodes and tuple strand states, the
 # references for the strand kernel of ``tcurve_lab.sweep``
 
-def edge_signs(pair: IncidencePair, ext: ExtendedSigns) -> dict:
+def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
+                  q: Quadrant, e: Edge) -> tuple:
+    """The midpoint node ("m", q', e) of G(S) on the lift of edge e to
+    quadrant q: the two copies of a boundary segment that the gluing
+    identifies share one, labelled by the smaller quadrant."""
+    off = surface.boundary_segment_offset.get(e)
+    if off is not None and e in tri.boundary_edges:
+        q = min(q, quad_add(q, off))
+    return ("m", q, e)
+
+
+def midpoint_nodes(surface: AmbientSurface, tri: PrimitiveTriangulation) -> dict:
+    """(quadrant, edge) -> ``midpoint_node`` for every lifted edge."""
+    return {(q, e): midpoint_node(surface, tri, q, e)
+            for q in QUADRANTS for e in tri.edges}
+
+
+def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
+               ext: ExtendedSigns) -> dict:
     """Signs of the edges of the lifted triangulation, keyed by midpoint
     node: the sign of lift (q, e) is the product of its endpoint signs in
     quadrant q."""
     out: dict = {}
-    for (q, (p, r)), m in pair.gs_midpoint.items():
+    for (q, (p, r)), m in midpoint_nodes(surface, tri).items():
         s = ext.values[(q, p)] * ext.values[(q, r)]
         # identified boundary copies carry equal signs
         check(out.setdefault(m, s) == s, "edge sign must descend to the surface")
     return out
 
 
-def components_by_adjacency(pair: IncidencePair, ext: ExtendedSigns) -> tuple:
+def components_by_adjacency(surface: AmbientSurface, tri: PrimitiveTriangulation,
+                            ext: ExtendedSigns) -> tuple:
     """The curve's components, sorted, by walking the adjacency of the
     negative dual edges on G(S)."""
-    tri, mid, sign = pair.tri, pair.gs_midpoint, edge_signs(pair, ext)
+    mid, sign = midpoint_nodes(surface, tri), edge_signs(surface, tri, ext)
     adj: dict = {}
     neg_per_downstairs: dict = {}
     for q in QUADRANTS:
@@ -342,11 +393,12 @@ def components_by_adjacency(pair: IncidencePair, ext: ExtendedSigns) -> tuple:
     return tuple(sorted(cycles, key=lambda c: c.nodes))
 
 
-def twists_by_arc_pairing(pair: IncidencePair, components) -> tuple[dict, frozenset]:
+def twists_by_arc_pairing(surface: AmbientSurface, tri: PrimitiveTriangulation,
+                          components) -> tuple[dict, frozenset]:
     """(twists, folds) of the filling: an interior edge is twisted when the
     curve runs on into matching prongs of its two triangles at its
     negative lifts; every boundary edge, a U-turn of the curve, is folded."""
-    tri, mid = pair.tri, pair.gs_midpoint
+    mid = midpoint_nodes(surface, tri)
     # arc pairing at every midpoint the curve passes through: each
     # neighboring barycenter with the curve's other edge there, the edge of
     # the midpoint two steps on

@@ -1,7 +1,10 @@
 """The strand kernel: one sign vector on compiled integer tables.
 
-``compile_sweep(surface, tri, pair)`` compiles a surface, its
-triangulation and their lift table into flat integer lists once.
+``compile_sweep(surface, tri, lifts)`` compiles a surface and its
+triangulation into flat integer lists once.  It shares the two lists of
+the lift table ``lifts`` (``triangulation.incidence_graphs``), which is
+already integer and in this numbering: the midpoint of each lift and the
+prong across each midpoint.
 ``trace_vector(tab, mask)`` runs one sign vector on them: bit k of the
 mask gives the k-th lexicographically sorted lattice point the sign +1, a
 clear bit gives it -1.  It derives the edge sign bits and the sign of
@@ -20,11 +23,12 @@ twist vector.
 Indices: lattice point i is the i-th sorted lattice point, edge e the e-th
 of ``tri.edges``, triangle t the t-th of ``tri.triangles``.  Quadrant q is
 ``QUADRANTS[q]``.  A lift id ``q*E + e`` names the copy of edge e in
-quadrant q; a slot id ``3*t + k`` names prong k of triangle t in
-counterclockwise order; a slot lift ``(q*T + t)*3 + k`` names that prong in
-quadrant q.  A strand state ``4*(3*t + k) + 2*sb + db`` walks prong k of
-triangle t on strand +1 (sb = 1) or -1 (sb = 0), heading in (db = 1) or
-out (db = 0); flipping bit 0 reverses it.
+quadrant q; a midpoint of G(S) is named by the lift id of the smaller
+quadrant of the copies it joins.  A slot id ``3*t + k`` names prong k of
+triangle t in counterclockwise order; a slot lift ``(q*T + t)*3 + k``
+names that prong in quadrant q.  A strand state ``4*(3*t + k) + 2*sb +
+db`` walks prong k of triangle t on strand +1 (sb = 1) or -1 (sb = 0),
+heading in (db = 1) or out (db = 0); flipping bit 0 reverses it.
 """
 
 from dataclasses import dataclass
@@ -34,14 +38,13 @@ from typing import NamedTuple
 from .errors import InconsistentArcPairing, InvariantError, check
 from .lattice import pairing, segment_parity
 from .surface import QUADRANTS, AmbientSurface
-from .triangulation import IncidencePair, PrimitiveTriangulation, incidence_graphs
-from .uf import ParityUnionFind, UnionFind
+from .triangulation import Lifts, PrimitiveTriangulation, incidence_graphs
+from .uf import ParityUnionFind, find
 
 
 @dataclass
 class SweepTables:
     """One surface and triangulation, compiled to flat integer lists."""
-    pair: IncidencePair  # the lift table the tables were compiled from
     V: int
     T: int
     E: int
@@ -49,13 +52,13 @@ class SweepTables:
     interior_points: int
     edge_ends: list      # per edge: lattice point indices of its endpoints
     seg_par: list        # per lift id: <q, segment parity of e>
-    edge_class: list     # per lift id: lift id of the canonical lift of its class
+    edge_class: list     # per lift id: lift id of its midpoint (``Lifts``)
     merged: list         # the lift ids identified with another one
     canonical: list      # per merged lift id: the canonical lift of its class
     slots: list          # per slot id: edge id
     interior: list       # per interior edge: (e, slot id in t_a, slot id in t_b)
     boundary: list       # per boundary edge: (e, its slot id)
-    across: list         # per slot lift: the other slot lift on its midpoint
+    across: list         # per slot lift: the other prong on its midpoint (``Lifts``)
     nxt: list            # per slot lift: the next prong of its triangle
     prv: list            # per slot lift: the previous prong of its triangle
     readings: tuple      # per sign bit, per interior edge: 4 slot lifts
@@ -64,19 +67,19 @@ class SweepTables:
 
 
 def compile_sweep(surface: AmbientSurface, tri: PrimitiveTriangulation,
-                  pair: IncidencePair) -> SweepTables:
-    """The tables ``trace_vector`` reads, from the lift table ``pair`` of
+                  lifts: Lifts) -> SweepTables:
+    """The tables ``trace_vector`` reads, sharing the midpoint of each lift
+    and the prong across each midpoint with the lift table ``lifts`` of
     ``incidence_graphs``; G(Pi) must be connected."""
     pts = tri.polygon.lattice_points
     point_id = {p: i for i, p in enumerate(pts)}
     edge_id = {e: i for i, e in enumerate(tri.edges)}
-    tri_id = {t: i for i, t in enumerate(tri.triangles)}
-    quad_id = {q: i for i, q in enumerate(QUADRANTS)}
     T, E, T3 = tri.T, tri.E, 3 * tri.T
+    edge_class, across = lifts.edge_class, lifts.across
     # one int object per value below 12T, shared by every table of lift
-    # ids, slot lifts and strand states: lists of fresh ints would take
-    # about four times the memory
-    ids = list(range(12 * T))
+    # ids, slot lifts and strand states (fresh ints would take about four
+    # times the memory): ``across`` is an involution, so these are its own
+    ids = [across[w] for w in across]
 
     def shared(values):
         return [ids[v] for v in values]
@@ -84,42 +87,26 @@ def compile_sweep(surface: AmbientSurface, tri: PrimitiveTriangulation,
     edge_ends = [(point_id[p], point_id[r]) for p, r in tri.edges]
     par = [segment_parity(*e) for e in tri.edges]
     seg_par = [pairing(q, p) for q in QUADRANTS for p in par]
-    mid = pair.gs_midpoint
-    edge_class = shared(quad_id[mid[(q, e)][1]] * E + edge_id[e]
-                        for q in QUADRANTS for e in tri.edges)
     merged = [x for x, c in enumerate(edge_class) if c != x]
     slots = shared(edge_id[e] for t in tri.triangles for e in tri.slots[t])
+    edge_slots: list = [[] for _ in range(E)]  # in triangle order
+    for s, e in enumerate(slots):
+        edge_slots[e].append(ids[s])
+    interior, boundary = [], []
+    for e, ss in enumerate(edge_slots):
+        (interior if len(ss) == 2 else boundary).append((ids[e], *ss))
 
-    def slot_of(t, e):
-        return ids[3 * tri_id[t] + tri.slots[t].index(e)]
-
-    interior = []
-    for e in tri.interior_edges:
-        t_a, t_b = sorted(tri.edge_triangles[e])
-        interior.append((edge_id[e], slot_of(t_a, e), slot_of(t_b, e)))
-    boundary = [(edge_id[e], slot_of(tri.edge_triangles[e][0], e))
-                for e in tri.edges if e in tri.boundary_edges]
-
-    # the two barycenter prongs on each upstairs midpoint
-    ends: dict = {}
-    for u, c in zip(ids, [edge_class[k + e] for k in range(0, 4 * E, E)
-                          for e in slots]):
-        ends.setdefault(c, []).append(u)
-    across = [0] * (12 * T)
-    for u, w in ends.values():
-        across[u], across[w] = w, u
     nxt, prv = [], []
     for u in range(0, 12 * T, 3):
         nxt += (ids[u + 1], ids[u + 2], ids[u])
         prv += (ids[u + 2], ids[u], ids[u + 1])
 
     # G(Pi) is connected, so every filling is
-    conn = UnionFind()
-    for t in range(T):
-        conn.add(t)
+    parent = list(range(T))
     for _, s_a, s_b in interior:
-        conn.union(s_a // 3, s_b // 3)
-    check(len(conn.groups()) == 1, "G(Pi) is connected, so the filling is")
+        parent[find(parent, s_a // 3)] = find(parent, s_b // 3)
+    check(sum(t == p for t, p in enumerate(parent)) == 1,
+          "G(Pi) is connected, so the filling is")
 
     def neg_quadrants(e):
         """Per edge sign bit, the two quadrants where the lift of e is
@@ -158,7 +145,7 @@ def compile_sweep(surface: AmbientSurface, tri: PrimitiveTriangulation,
             twisted[4 * s], twisted[4 * s + 2] = 4 * s2 + 1, 4 * s2 + 3
     plain, twisted = shared(plain), shared(twisted)
 
-    return SweepTables(pair, tri.V, T, E, tri.L, tri.V - tri.L, edge_ends,
+    return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, edge_ends,
                        seg_par, edge_class, merged,
                        [edge_class[x] for x in merged], slots, interior,
                        boundary, across, nxt, prv, readings, u_turns,

@@ -21,8 +21,9 @@ from .surface import (QUADRANTS, AmbientSurface, Quadrant,
                       IDENTITY, build_ambient_surface, reflect,
                       vec_mat)
 from .sweep import SweepTables, compile_sweep, shadow_states, trace_vector
-from .triangulation import (IncidencePair, PrimitiveTriangulation, edge_key,
+from .triangulation import (PrimitiveTriangulation, edge_key,
                             incidence_graphs, validate_primitive_triangulation)
+from .uf import find
 
 Sign = int  # +1 or -1
 HarnackType = tuple[int, int, int]  # (c, a, b)
@@ -128,42 +129,42 @@ class TCurve:
 
     The strand kernel (``sweep.trace_vector``) runs once on the compiled
     tables of the problem: ``tables`` when given (one compilation serves
-    any number of sign vectors), else compiled from ``pair``, else from a
-    fresh lift table.  Its integer walks become node tuples here, and each
-    component keeps its shadow strand states (``shadows``), turned with it.
+    any number of sign vectors), else compiled from a fresh lift table.
+    Its integer walks become node tuples here.  Each component keeps its
+    walk (``walks``) and its shadow strand states (``shadows``), the
+    shadow turned with it.
     """
 
     def __init__(self, surface: AmbientSurface, tri: PrimitiveTriangulation,
-                 delta: dict, pair: IncidencePair | None = None, *,
-                 tables: SweepTables | None = None):
+                 delta: dict, tables: SweepTables | None = None):
         self.surface = surface
         self.tri = tri
         if tables is None:
-            tables = compile_sweep(surface, tri, pair if pair is not None
-                                   else incidence_graphs(surface, tri))
+            tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
         self.tables = tables
-        self.pair = tables.pair
         self.ext = extend_signs(delta, surface)
         self.delta = self.ext.delta
         mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
                    if self.delta[p] > 0)
         self.trace = trace_vector(tables, mask)
-        self.components, self.shadows = self._components()
+        self.components, self.walks, self.shadows = self._components()
 
     # ------------------------------------------------------------------
 
-    def _components(self) -> tuple[tuple[Component, ...], tuple]:
+    def _components(self) -> tuple[tuple[Component, ...], tuple, tuple]:
         """The kernel's walks as sorted ``Component``s, and with each its
-        shadow strand states, turned with it: from the first barycenter of
-        its nodes, in their direction."""
-        tab, tri, mid = self.tables, self.tri, self.pair.gs_midpoint
+        walk and its shadow strand states, turned with it: from the first
+        barycenter of its nodes, in their direction."""
+        tab, tri = self.tables, self.tri
+        E, T3, edge_class, slots = tab.E, 3 * tab.T, tab.edge_class, tab.slots
         out = []
         for k, walk in enumerate(self.trace.walks):
             shadow = shadow_states(tab, self.trace, k)
             nodes = []
             for u in walk:  # the midpoint it enters by, then the barycenter
-                q, s = divmod(u, 3 * tab.T)
-                nodes.append(mid[(QUADRANTS[q], tri.edges[tab.slots[s]])])
+                q, s = divmod(u, T3)
+                m_q, e = divmod(edge_class[q * E + slots[s]], E)
+                nodes.append(("m", QUADRANTS[m_q], tri.edges[e]))
                 nodes.append(("b", QUADRANTS[q], tri.triangles[s // 3]))
             comp = _normalize_cycle(nodes)
             k = nodes.index(comp.nodes[0])  # a barycenter: visit (k - 1) / 2
@@ -171,9 +172,10 @@ class TCurve:
                 shadow = shadow[k - 1:] + shadow[:k - 1]
             else:  # reversed: the same strands, each heading flipped
                 shadow = [x ^ 1 for x in shadow[k::-1] + shadow[:k:-1]]
-            out.append((comp, array("i", shadow)))  # no int object per state
-        out.sort(key=lambda cs: cs[0].nodes)
-        return tuple(c for c, _ in out), tuple(s for _, s in out)
+            out.append((comp, walk, array("i", shadow)))  # no int object per state
+        out.sort(key=lambda cws: cws[0].nodes)
+        return tuple(c for c, _, _ in out), tuple(w for _, w, _ in out), \
+            tuple(s for _, _, s in out)
 
     # ------------------------------------------------------------------
     # classification
@@ -287,8 +289,8 @@ class CurveCensus:
 
 
 def extract_curve(surface: AmbientSurface, tri: PrimitiveTriangulation,
-                  delta: dict, pair: IncidencePair | None = None) -> TCurve:
-    return TCurve(surface, tri, delta, pair)
+                  delta: dict, tables: SweepTables | None = None) -> TCurve:
+    return TCurve(surface, tri, delta, tables)
 
 
 def classify_components(curve: TCurve) -> dict:
@@ -359,13 +361,6 @@ def predicted_harnack_census(polygon: Polygon, htype: HarnackType) -> PredictedC
 # ---------------------------------------------------------------------------
 # regions of S minus the curve: oval classes, sides, what O surrounds
 
-def _find(parent: list, x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
 class Regions:
     """The regions of S minus the curve, from one union-find pass.
 
@@ -373,32 +368,38 @@ class Regions:
     V + point_index``.  The copies that are one surface point are joined,
     then the two ends of every lifted edge that no component crosses:
     each set is one region.  A component borders one region or two
-    (``sides``), the same on every edge it crosses.
+    (``sides``), the same on every edge it crosses.  Lifted edges and
+    midpoints are the lift ids of the curve's tables.
     """
 
     def __init__(self, curve: TCurve):
         self.curve = curve
-        surface, pts = curve.surface, curve.surface.polygon.lattice_points
+        surface, tab = curve.surface, curve.tables
+        V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
+        pts = surface.polygon.lattice_points
         self._index = index = {p: i for i, p in enumerate(pts)}
-        self._base = base = {q: k * len(pts) for k, q in enumerate(QUADRANTS)}
-        parent = list(range(4 * len(pts)))
+        self._base = base = {q: k * V for k, q in enumerate(QUADRANTS)}
+        parent = list(range(4 * V))
         for q, p, x in self._copies():  # join x to the first copy of its point
             first, _ = surface.point_class(q, p)[0]
-            parent[_find(parent, x)] = _find(parent, base[first] + index[p])
-        crossing = {m: k for k, comp in enumerate(curve.components)
-                    for m in comp.midpoints}
-        ends = [(e, index[e[0]], index[e[1]]) for e in curve.tri.edges]
+            parent[find(parent, x)] = find(parent, base[first] + index[p])
+        # per midpoint: the component that crosses it, if any
+        crossing = [None] * (4 * E)
+        for k, walk in enumerate(curve.walks):
+            for u in walk:
+                q, s = divmod(u, T3)
+                crossing[edge_class[q * E + tab.slots[s]]] = k
         crossed = []
-        for q in QUADRANTS:
-            for e, i, j in ends:
-                x, y = base[q] + i, base[q] + j
-                k = crossing.get(curve.pair.gs_midpoint[(q, e)])
+        for q in range(4):
+            for e, (i, j) in enumerate(tab.edge_ends):
+                x, y = q * V + i, q * V + j
+                k = crossing[edge_class[q * E + e]]
                 if k is None:
-                    parent[_find(parent, x)] = _find(parent, y)
+                    parent[find(parent, x)] = find(parent, y)
                 else:
                     crossed.append((k, x, y))
         label: dict = {}
-        self.region_of = region = [label.setdefault(_find(parent, x), len(label))
+        self.region_of = region = [label.setdefault(find(parent, x), len(label))
                                    for x in range(len(parent))]
         self.count = len(label)
         pairs: list = [None] * len(curve.components)
@@ -466,19 +467,26 @@ class Regions:
         gets of each crossed edge and triangle cancel.  Edges and triangles
         count at the region of their first vertex; the curve's midpoints
         and barycenters take the crossed ones back out."""
-        curve, region, index, base = self.curve, self.region_of, self._index, self._base
+        curve, region, index = self.curve, self.region_of, self._index
+        tab = curve.tables
+        V, E, T, edge_ends = tab.V, tab.E, tab.T, tab.edge_ends
+        firsts = [index[t[0]] for t in curve.tri.triangles]
         chi = [0] * self.count
         for q, p, x in self._copies():
             if curve.surface.point_class(q, p)[0] == (q, p):  # once per class
                 chi[region[x]] += 1
-        for _, q, e in set(curve.pair.gs_midpoint.values()):  # the surface edges
-            chi[region[base[q] + index[e[0]]]] -= 1
-        for q in QUADRANTS:
-            for t in curve.tri.triangles:
-                chi[region[base[q] + index[t[0]]]] += 1
-        for comp in curve.components:
-            for kind, q, cell in comp.nodes:
-                chi[region[base[q] + index[cell[0]]]] += 1 if kind == "m" else -1
+        for x, c in enumerate(tab.edge_class):
+            if c == x:  # a surface edge
+                chi[region[x // E * V + edge_ends[x % E][0]]] -= 1
+        for q in range(4):
+            for i in firsts:
+                chi[region[q * V + i]] += 1
+        for walk in curve.walks:
+            for u in walk:  # its midpoint, then its lifted triangle
+                q, s = divmod(u, 3 * T)
+                c = tab.edge_class[q * E + tab.slots[s]]
+                chi[region[c // E * V + edge_ends[c % E][0]]] += 1
+                chi[region[q * V + firsts[s // 3]]] -= 1
         check(sum(chi) == curve.surface.classify_topology().euler,
               "the Euler characteristics of the regions sum to chi(S)")
         return chi
@@ -490,8 +498,8 @@ class Regions:
         parent = list(range(self.count))
         for other, pair in self.sides.items():
             if len(pair) == 2 and other != comp:
-                parent[_find(parent, pair[1])] = _find(parent, pair[0])
-        root = [_find(parent, r) for r in range(self.count)]
+                parent[find(parent, pair[1])] = find(parent, pair[0])
+        root = [find(parent, r) for r in range(self.count)]
         return [frozenset(r for r, g in enumerate(root) if g == side)
                 for side in dict.fromkeys(root[r] for r in self.sides[comp])]
 

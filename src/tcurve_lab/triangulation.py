@@ -5,18 +5,19 @@ vertex; equivalently all triangles have lattice area 1/2.  The incidence
 graph joins each triangle's barycenter to the midpoints of its three
 edges; downstairs it is G(Pi), upstairs (one copy per quadrant, midpoints
 merged along the boundary identification) it is G(S).  G(S) is kept as
-one table, from each lifted edge to its midpoint (``incidence_graphs``).
+two integer lists (``incidence_graphs``): each lifted edge's midpoint,
+and the prong across each midpoint.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
                      NonPrimitiveTriangle, Overlap, UnsupportedShape, check)
 from .geometry import cross
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
-from .surface import QUADRANTS, AmbientSurface, Quadrant, quad_add
-from .uf import UnionFind
+from .surface import QUADRANTS, AmbientSurface, quad_add
+from .uf import find
 
 Tri = tuple[Point, Point, Point]          # canonical: sorted
 Edge = tuple[Point, Point]                # canonical: sorted
@@ -185,48 +186,47 @@ def generate_grid_triangulation(polygon: Polygon) -> PrimitiveTriangulation:
 # ---------------------------------------------------------------------------
 # the lift table
 
-@dataclass(frozen=True)
-class IncidencePair:
-    """The lifts of one triangulation to its surface.
-
-    Each downstairs edge e lifts to the four upstairs edges (quad, e), and
-    ``gs_midpoint`` maps each lift to its midpoint node ("m", quad', e) of
-    G(S).  The two copies of a boundary segment that the gluing
-    identifies share one midpoint, labelled by the smaller quadrant.
-    """
-    surface: AmbientSurface
-    tri: PrimitiveTriangulation
-    gs_midpoint: dict      # (quad, edge) -> canonical midpoint node
-
-
-def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
-                  q: Quadrant, e: Edge) -> tuple:
-    off = surface.boundary_segment_offset.get(e)
-    if off is not None and e in tri.boundary_edges:
-        q = min(q, quad_add(q, off))
-    return ("m", q, e)
+class Lifts(NamedTuple):
+    """The lifts of one triangulation to its surface, numbered as in
+    ``tcurve_lab.sweep`` (lift id ``q*E + e``, slot lift ``(q*T + t)*3 + k``).
+    The two copies of a boundary segment that the gluing identifies share
+    one midpoint of G(S), named by the lift id of the smaller quadrant."""
+    edge_class: list  # per lift id: the lift id of its midpoint
+    across: list      # per slot lift: the other prong on its midpoint
 
 
 def incidence_graphs(surface: AmbientSurface,
-                     tri: PrimitiveTriangulation) -> IncidencePair:
+                     tri: PrimitiveTriangulation) -> Lifts:
     """The lift table, once G(S) is checked on it: every midpoint joins
     exactly two lifted-triangle prongs, and G(S) is connected when S is
     (r >= 2)."""
-    mid = {(q, e): midpoint_node(surface, tri, q, e)
-           for q in QUADRANTS for e in tri.edges}
-    # per midpoint, the lifted triangles (k * T + triangle index for the
-    # k-th quadrant) whose prongs end there
-    prongs: dict = {m: [] for m in mid.values()}
-    for k, q in enumerate(QUADRANTS):
-        for i, t in enumerate(tri.triangles, k * tri.T):
-            for e in tri.slots[t]:
-                prongs[mid[(q, e)]].append(i)
-    for m, ends in prongs.items():
+    E, T = tri.E, tri.T
+    ids = list(range(12 * T))  # one int object per id (4E <= 12T)
+    edge_class = ids[:4 * E]
+    for e, edge in enumerate(tri.edges):
+        off = surface.boundary_segment_offset.get(edge)
+        if off is not None and edge in tri.boundary_edges:
+            for k, q in enumerate(QUADRANTS):
+                edge_class[k * E + e] = ids[
+                    QUADRANTS.index(min(q, quad_add(q, off))) * E + e]
+    edge_id = {e: i for i, e in enumerate(tri.edges)}
+    slot_edges = [edge_id[e] for t in tri.triangles for e in tri.slots[t]]
+    # per midpoint, the slot lifts of the prongs that end there
+    prongs: list = [[] for _ in range(4 * E)]
+    for k in range(4):
+        for s, e in enumerate(slot_edges):
+            prongs[edge_class[k * E + e]].append(ids[3 * k * T + s])
+    across = [0] * (12 * T)
+    parent = list(range(4 * T))  # lifted triangle q*T + t
+    for c, ends in enumerate(prongs):
+        if edge_class[c] != c:
+            continue
         if len(ends) != 2:
+            m = ("m", QUADRANTS[c // E], tri.edges[c % E])
             raise InvariantError(f"upstairs midpoint {m} has degree {len(ends)}")
-    if surface.r >= 2:
-        joined = UnionFind()
-        for a, b in prongs.values():
-            joined.union(a, b)
-        check(len(joined.groups()) == 1, "G(S) must be connected when S is")
-    return IncidencePair(surface, tri, mid)
+        u, w = ends
+        across[u], across[w] = w, u
+        parent[find(parent, u // 3)] = find(parent, w // 3)
+    check(surface.r < 2 or sum(x == p for x, p in enumerate(parent)) == 1,
+          "G(S) must be connected when S is")
+    return Lifts(edge_class, across)

@@ -1,33 +1,12 @@
-"""Union-find, plain and with Z2 parity constraints."""
+"""Union-find on a list of integer parents, and with Z2 parity constraints."""
 
 
-class UnionFind:
-    def __init__(self):
-        self.parent = {}
-
-    def add(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x, y):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            self.parent[ry] = rx
-
-    def groups(self):
-        out = {}
-        for x in self.parent:
-            out.setdefault(self.find(x), []).append(x)
-        return out
+def find(parent: list, x: int) -> int:
+    """The root of ``x`` in the integer forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 class ParityUnionFind:

@@ -176,9 +176,9 @@ def match_oracles(curve, filling) -> tuple[int, bool]:
     orientability and shadows of ``curve`` and ``filling`` equal the tuple
     oracles' on the same signs; return the oracles' (D, orientable)."""
     tri = curve.tri
-    components = components_by_adjacency(curve.pair, curve.ext)
+    components = components_by_adjacency(curve.surface, tri, curve.ext)
     assert components == curve.components
-    twists, folds = twists_by_arc_pairing(curve.pair, components)
+    twists, folds = twists_by_arc_pairing(curve.surface, tri, components)
     assert (twists, folds) == (filling.twists, filling.folds)
     d, orientable, shadows = strands_by_tuples(tri, twists, folds, components)
     assert (d, orientable) == (filling.boundary_count, filling.orientable)

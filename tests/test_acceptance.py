@@ -228,9 +228,9 @@ def test_criterion_8_degree_parity():
         poly = standard_triangle(d)
         surface = build_ambient_surface(poly)
         tri = generate_grid_triangulation(poly)
-        pair = incidence_graphs(surface, tri)
+        tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
         for _ in range(200):
-            curve = TCurve(surface, tri, random_distribution(rng, poly), pair)
+            curve = TCurve(surface, tri, random_distribution(rng, poly), tables)
             witness = degree_parity_check(curve)
             assert (witness is not None) == (d % 2 == 1)
             runs += 1
@@ -265,11 +265,11 @@ def test_criterion_10_theta_action():
     t4 = standard_triangle(4)
     surface = build_ambient_surface(t4)
     tri = generate_grid_triangulation(t4)
-    pair = incidence_graphs(surface, tri)
+    tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
     census_of = {}
     for htype in itertools.product((0, 1), repeat=3):
         delta = harnack_distribution(t4, htype)
-        curve = TCurve(surface, tri, delta, pair)
+        curve = TCurve(surface, tri, delta, tables)
         assert verify_harnack_census(curve, htype), f"census mismatch for {htype}"
         assert curve.census.total == predicted_harnack_census(t4, htype).total
         census_of[htype] = curve.census
@@ -304,11 +304,11 @@ def test_classification_matches_nesting_oracle():
         poly = standard_triangle(d)
         surface = build_ambient_surface(poly)
         tri = generate_grid_triangulation(poly)
-        pair = incidence_graphs(surface, tri)
+        tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
         pts = poly.lattice_points
         for mask in range(1 << len(pts)):
             agree(TCurve(surface, tri, {p: 1 if mask >> k & 1 else -1
-                                        for k, p in enumerate(pts)}, pair))
+                                        for k, p in enumerate(pts)}, tables))
     for d in (3, 4, 5, 6):
         poly = standard_triangle(d)
         for htype in itertools.product((0, 1), repeat=3):

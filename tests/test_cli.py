@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from tcurve_lab.cli import (YAML_LOADER, Problem, main, parse_problem,
                             problem_from_data)
-from tcurve_lab.errors import InputError, ParseError, ValidationError
+from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
+                               ValidationError)
 
 
 def write(tmp_path, name, text):
@@ -327,36 +328,57 @@ def triangle(side):
     return [[0, 0], [side, 0], [0, side]]
 
 
-# (subcommand, polygon, start of the message): the cap, then the size
-# limit, both counted from the vertices alone
+# (subcommand, polygon, error, start of the message): the cap, then the
+# size limit, both counted from the vertices alone
+THIN = [[0, 0], [10 ** 9, 1], [1, 0]]  # 3 lattice points in a huge box
 REFUSED = [
-    ("enumerate", triangle(300), "45451 lattice points exceed the cap 16"),
-    ("enumerate", triangle(HUGE), f"{(HUGE + 1) * (HUGE + 2) // 2} lattice "
-                                  "points exceed the cap 16"),
-    ("surface", triangle(HUGE), f"{3 * HUGE} boundary lattice points exceed "
-                                "the size limit 10000"),
-    ("curve", triangle(200_000), "600000 boundary lattice points exceed"),
+    ("enumerate", triangle(300), CapExceeded,
+     "45451 lattice points exceed the cap 16"),
+    ("enumerate", triangle(HUGE), CapExceeded,
+     f"{(HUGE + 1) * (HUGE + 2) // 2} lattice points exceed the cap 16"),
+    ("surface", triangle(HUGE), TooLarge,
+     f"{3 * HUGE} boundary lattice points exceed the size limit 10000"),
+    ("curve", triangle(200_000), TooLarge, "600000 boundary lattice points exceed"),
     # three primitive edges around a large area
-    ("harnack", [[0, 0], [200, 1], [1, 201]],
+    ("harnack", [[0, 0], [200, 1], [1, 201]], TooLarge,
      "20102 lattice points exceed the size limit 10000"),
+    ("curve", THIN, TooLarge, "a bounding box of 2000000002 lattice points "
+                              "exceeds the size limit 20000"),
+    ("enumerate", THIN, TooLarge, "a bounding box of 2000000002 lattice "
+                                  "points exceeds the size limit 20000"),
 ]
 
 
 def test_enumerate_cap_before_any_work(monkeypatch):
     import tcurve_lab.cli as cli
-    from tcurve_lab.errors import CapExceeded, TooLarge
     called = []
     monkeypatch.setattr(cli.Problem, "build_triangulation",
                         lambda self: called.append(self))
-    for name, polygon, words in REFUSED:
+    for name, polygon, error, words in REFUSED:
         prob = problem_from_data({"polygon": polygon,
                                   "signs": {"harnack": [1, 0, 0]}})
-        with pytest.raises(CapExceeded if name == "enumerate" else TooLarge) as err:
+        with pytest.raises(error) as err:
             cli.run_subcommand(name, prob)
         assert str(err.value).startswith(words)
         assert called == []
         assert "lattice_points" not in vars(prob.polygon)
         assert "broken_edges" not in vars(prob.polygon)
+
+
+def test_long_vertex_list_refused_before_validation(monkeypatch):
+    # a comb: its zigzag top has more than MAX_POINTS vertices, each a
+    # boundary lattice point; the simplicity test is quadratic in them
+    import tcurve_lab.cli as cli
+
+    def validate_polygon(vertices):
+        raise AssertionError("the vertex list should be refused first")
+
+    monkeypatch.setattr(cli, "validate_polygon", validate_polygon)
+    n = cli.MAX_POINTS // 2 + 1
+    comb = [[0, 0], [2 * n, 0]] + [[x, 2 - x % 2] for x in range(2 * n, -1, -1)]
+    with pytest.raises(TooLarge, match=f"^{2 * n + 3} vertices exceed the "
+                                       "size limit 10000$"):
+        problem_from_data({"polygon": comb})
 
 
 def test_size_limit_admits_t139():

@@ -5,7 +5,7 @@ import pytest
 from tcurve_lab.errors import (IncompleteDistribution, InvariantError,
                                LeavesNonnegativeQuadrant, WrongPolygon)
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
-from tcurve_lab.oracles import edge_signs
+from tcurve_lab.oracles import edge_signs, midpoint_node
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
 from tcurve_lab.tcurve import (degree_parity_check, extend_signs,
                                extract_curve, harnack_distribution,
@@ -61,13 +61,13 @@ def test_edge_sign_reflection_law():
     for d in (2, 3):
         poly = standard_triangle(d)
         surface, tri, curve = pipeline(poly, random_distribution(rng, poly))
-        sign = edge_signs(curve.pair, curve.ext)
-        mid = curve.pair.gs_midpoint
+        sign = edge_signs(surface, tri, curve.ext)
         for e in tri.edges:
-            base = sign[mid[((0, 0), e)]]
+            base = sign[midpoint_node(surface, tri, (0, 0), e)]
             par = segment_parity(*e)
             for q in QUADRANTS:
-                assert sign[mid[(q, e)]] == base * (-1) ** pairing(par, q)
+                assert sign[midpoint_node(surface, tri, q, e)] == \
+                    base * (-1) ** pairing(par, q)
 
 
 def test_edge_sign_must_descend():

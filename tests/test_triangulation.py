@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ import tcurve_lab
 from tcurve_lab.errors import (Gap, InvariantError, MissingLatticeVertex,
                                NonPrimitiveTriangle, Overlap, UnsupportedShape)
 from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.oracles import midpoint_node
 from tcurve_lab.surface import (QUADRANTS, AmbientSurface, build_ambient_surface,
                                 quad_add)
 from tcurve_lab.triangulation import (generate_grid_triangulation,
@@ -17,7 +19,7 @@ from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       validate_primitive_triangulation)
 
 from conftest import standard_triangle
-from helpers import primitive_triangulation
+from helpers import primitive_triangulation, random_flips, random_polygon
 
 SRC = Path(tcurve_lab.__file__).resolve().parents[1]
 
@@ -80,8 +82,16 @@ def test_general_triangulator_is_primitive():
 # the lift table
 
 def lift_table(poly, tri=None):
+    """The lift table as (quadrant, edge) -> midpoint node ("m", q', e),
+    read off its integer ``edge_class``."""
     tri = tri or generate_grid_triangulation(poly)
-    return tri, incidence_graphs(build_ambient_surface(poly), tri).gs_midpoint
+    edge_class = incidence_graphs(build_ambient_surface(poly), tri).edge_class
+    mid = {}
+    for x, c in enumerate(edge_class):
+        q, e = divmod(x, tri.E)
+        mid[(QUADRANTS[q], tri.edges[e])] = ("m", QUADRANTS[c // tri.E],
+                                             tri.edges[c % tri.E])
+    return tri, mid
 
 
 def prong_counts(tri, mid) -> Counter:
@@ -149,9 +159,45 @@ def test_two_spheres_need_no_connected_gs():
         incidence_graphs(ClaimsOneSheet(diamond), tri)
 
 
+def oracle_lifts(surface, tri):
+    """``edge_class`` and ``across`` from ``oracles.midpoint_node``: the
+    lift id of each lift's midpoint node, and the pairing of the two
+    slot lifts whose prongs end on each node."""
+    edge_id = {e: i for i, e in enumerate(tri.edges)}
+    edge_class = []
+    for q in QUADRANTS:
+        for e in tri.edges:
+            _, q_m, e_m = midpoint_node(surface, tri, q, e)
+            edge_class.append(QUADRANTS.index(q_m) * tri.E + edge_id[e_m])
+    prongs: dict = {}
+    for k, q in enumerate(QUADRANTS):
+        for t, tr in enumerate(tri.triangles):
+            for j, e in enumerate(tri.slots[tr]):
+                prongs.setdefault(midpoint_node(surface, tri, q, e), []).append(
+                    (k * tri.T + t) * 3 + j)
+    across = [None] * (12 * tri.T)
+    for u, w in prongs.values():
+        across[u], across[w] = w, u
+    return edge_class, across
+
+
+def test_lift_table_matches_oracle(t_polygons, square22, diamond):
+    rng = random.Random(17)
+    cases = [(p, generate_grid_triangulation(p))
+             for p in (*t_polygons.values(), square22)]
+    cases.append((diamond, primitive_triangulation(diamond)))
+    for _ in range(100):
+        poly = random_polygon(rng)
+        cases.append((poly, random_flips(rng, primitive_triangulation(poly), 8)))
+    for poly, tri in cases:
+        surface = build_ambient_surface(poly)
+        assert incidence_graphs(surface, tri) == oracle_lifts(surface, tri)
+
+
 DROP_BOUNDARY_SEGMENT = """\
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.oracles import midpoint_node
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
 t3 = validate_polygon([(0, 0), (3, 0), (0, 3)])
