@@ -174,6 +174,8 @@ def problem_from_data(raw: dict) -> Problem:
                 x, y = (int(s) for s in str(key).split(","))
             except ValueError:
                 raise ValidationError(f"signs.explicit: bad point key {key!r}")
+            if (x, y) in parsed:
+                raise ValidationError(f"signs.explicit: point {(x, y)} given twice")
             if type(v) is not int or v not in (1, -1):
                 raise ValidationError(f"signs.explicit[{key!r}]: sign must be 1 or -1")
             parsed[(x, y)] = v

@@ -146,11 +146,13 @@ def orient_curve(curve: TCurve, filling: TFilling,
                  flip: bool = False) -> OrientedCurve:
     """A coherent orientation of a type-I curve.
 
-    Choose compatible orientations of the thick-Ys (one of two global
-    choices), take the induced boundary orientation of each circle, push
-    it to the projected cycles and lift back edge by edge: the copy of a
-    downstairs segment directed p -> q in quadrant (a,b) is directed
-    sigma_{a,b} p -> sigma_{a,b} q.
+    Choose compatible orientations of the thick-Ys, take the induced
+    boundary orientation of each circle, push it to the projected cycles
+    and lift back edge by edge: the copy of a downstairs segment directed
+    p -> q in quadrant (a,b) is directed sigma_{a,b} p -> sigma_{a,b} q.
+    Of the two global choices, ``flip=False`` keeps the planar orientation
+    of the thick-Y of triangle 0 (the first of ``tri.triangles``);
+    ``flip=True`` reverses every component.
     """
     spins = thick_y_spins(curve.tables, curve.trace.tw)
     if spins is None:
@@ -159,8 +161,7 @@ def orient_curve(curve: TCurve, filling: TFilling,
     for comp, shadow in zip(curve.components, filling.shadows):
         # induced boundary direction: along the shadow when the global
         # orientation agrees with the local planar reference there
-        along = {_surface_left(x) ^ spins.find(x // 12)[1] ^ flip
-                 for x in shadow}
+        along = {_surface_left(x) ^ spins[x // 12] ^ flip for x in shadow}
         check(len(along) == 1, "induced orientation must be constant along a circle")
         nodes = comp.nodes if along.pop() else comp.nodes[:1] + comp.nodes[:0:-1]
         out.append(OrientedComponent(nodes, _directed_projection(nodes)))

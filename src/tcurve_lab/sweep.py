@@ -39,7 +39,7 @@ from .errors import InconsistentArcPairing, InvariantError, check
 from .lattice import pairing, segment_parity
 from .surface import QUADRANTS, AmbientSurface
 from .triangulation import Lifts, PrimitiveTriangulation, incidence_graphs
-from .uf import ParityUnionFind, find
+from .uf import find
 
 
 @dataclass
@@ -152,18 +152,22 @@ def compile_sweep(surface: AmbientSurface, tri: PrimitiveTriangulation,
                        (plain, twisted))
 
 
-def thick_y_spins(tab: SweepTables, tw) -> ParityUnionFind | None:
-    """Parity constraints between the planar orientations of the thick-Ys
-    (triangle indices) under twist bits ``tw``: equal across an untwisted
-    edge, opposite across a twisted one.  None when they cannot all be met,
-    that is when the filling is not orientable."""
-    uf = ParityUnionFind()
-    for t in range(tab.T):
-        uf.add(t)
+def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
+    """Per triangle, 1 when its thick-Y's planar orientation is reversed
+    relative to that of triangle 0 under twist bits ``tw``: kept across an
+    untwisted edge, reversed across a twisted one.  Union-find on the
+    double cover of G(Pi), where node 2t + o is triangle t with relative
+    orientation o.  None when some 2t and 2t + 1 meet, that is when the
+    filling is not orientable."""
+    parent = list(range(2 * tab.T))
     for e, s_a, s_b in tab.interior:
-        if not uf.union(s_a // 3, s_b // 3, tw[e]):
-            return None
-    return uf
+        a, b = s_a // 3 * 2, s_b // 3 * 2 + tw[e]
+        parent[find(parent, a)] = find(parent, b)
+        parent[find(parent, a + 1)] = find(parent, b ^ 1)
+    root = [find(parent, x) for x in range(2 * tab.T)]
+    if any(r == r1 for r, r1 in zip(root[::2], root[1::2])):
+        return None
+    return bytes(r != root[0] for r in root[::2])
 
 
 def _trace(tab: SweepTables, tw: bytearray) -> tuple[int, bool]:

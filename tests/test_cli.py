@@ -259,8 +259,13 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
      "triangulation[0]: expected integers, got None"),
     # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
     (b"polygon: [[0,0],[1,0],[0,1]]\n# \xff\n", "can't decode byte 0xff"),
+    # two spellings of one point used to pass, the later sign silently winning
+    ('polygon: [[0,0],[2,0],[0,2]]\nsigns: {explicit: {"0,0": 1, "00,0": -1, '
+     '"1,0": 1, "2,0": 1, "0,1": 1, "1,1": 1, "0,2": 1}}\n',
+     "signs.explicit: point (0, 0) given twice"),
 ], ids=["negative-index", "string", "float", "bool", "bool-sign",
-        "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8"])
+        "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8",
+        "duplicate-point"])
 def test_strict_input(tmp_path, capsys, text, words):
     code, err = exit_and_stderr(tmp_path, capsys, text)
     assert code == 2

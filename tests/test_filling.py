@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from tcurve_lab.errors import EmptyCurve, NotTypeI
-from tcurve_lab.filling import (build_filling, classify_filling,
-                                harnack_check, orient_curve)
+from tcurve_lab.filling import (_surface_left, build_filling,
+                                classify_filling, harnack_check, orient_curve)
 from tcurve_lab.oracles import classify_filling_by_cells
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.tcurve import extract_curve, harnack_distribution
@@ -133,6 +134,45 @@ def test_orientation_reversal():
         a = comp.directed_projection[i]
         b = comp.directed_projection[(i + 1) % len(comp.directed_projection)]
         assert a[1] == b[0]
+
+
+def type_one_curves():
+    """Harnack curves of T_2..T_5 under all 8 types, then 40 type I curves
+    with random signs on seeded random polygons with flips."""
+    for d in range(2, 6):
+        poly = standard_triangle(d)
+        for htype in itertools.product((0, 1), repeat=3):
+            _, _, curve = pipeline(poly, harnack_distribution(poly, htype))
+            yield curve, build_filling(curve)
+    rng = random.Random(5150)
+    found = 0
+    while found < 40:
+        poly = random_polygon(rng, box=5)
+        tri = random_flips(rng, primitive_triangulation(poly),
+                           len(poly.lattice_points))
+        surface = build_ambient_surface(poly)
+        for _ in range(20):
+            curve = extract_curve(surface, tri, random_distribution(rng, poly))
+            filling = build_filling(curve)
+            if filling.orientable:
+                found += 1
+                yield curve, filling
+                break
+
+
+def test_orientation_pins_triangle_zero():
+    # flip=False keeps the planar orientation of the thick-Y of triangle 0:
+    # each circle runs along its shadow exactly where that shadow passes
+    # triangle 0 with the planar orientation on its left
+    for curve, filling in type_one_curves():
+        oc = orient_curve(curve, filling)
+        passes = 0
+        for comp, shadow, oriented in zip(curve.components, filling.shadows,
+                                          oc.components):
+            along = {_surface_left(x) for x in shadow if x // 12 == 0}
+            assert along <= {oriented.nodes == comp.nodes}
+            passes += len(along)
+        assert passes > 0
 
 
 def test_orientation_lift_rule():

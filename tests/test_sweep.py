@@ -1,5 +1,6 @@
 """The strand kernel against the tuple oracles, through the sweep and the
-single-shot TCurve -> TFilling, and its invariant checks under corrupted
+single-shot TCurve -> TFilling, its thick-Y spins against the parity
+union-find of the oracles, and its invariant checks under corrupted
 tables through both."""
 
 import os
@@ -7,16 +8,21 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tcurve_lab.sweep as sweep_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.filling import build_filling
+from tcurve_lab.oracles import ParityUnionFind
 from tcurve_lab.surface import build_ambient_surface
-from tcurve_lab.sweep import compile_sweep, run_sweep, sweep
+from tcurve_lab.sweep import (compile_sweep, run_sweep, sweep, thick_y_spins,
+                              trace_vector)
 from tcurve_lab.tcurve import TCurve
-from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
+from tcurve_lab.triangulation import (Lifts, edge_key,
+                                      generate_grid_triangulation,
+                                      incidence_graphs)
 
 from conftest import standard_triangle
 from helpers import (match_oracles, primitive_triangulation, random_flips,
@@ -99,6 +105,72 @@ def test_memo_runs_once_per_twist_vector(monkeypatch):
     monkeypatch.setattr(sweep_module, "_trace", counted)
     assert sum(1 for _ in sweep(surface, tri)) == 1024
     assert len(keys) == len(set(keys)) == 1 << (10 - 3)
+
+
+# ---------------------------------------------------------------------------
+# thick-Y spins
+
+def spin_instances():
+    """T_2..T_6 on the grid, then 100 seeded random polygons with flips."""
+    for d in range(2, 7):
+        poly = standard_triangle(d)
+        yield poly, generate_grid_triangulation(poly)
+    rng = random.Random(88)
+    for _ in range(100):
+        poly = random_polygon(rng, box=5)
+        yield poly, random_flips(rng, primitive_triangulation(poly), 10)
+
+
+def test_thick_y_spins_match_parity_union_find():
+    """Twist vectors of real curves, random bits (mostly not orientable)
+    and bits ``s[t_a] ^ s[t_b]`` of random spins s: the spins exist exactly
+    when the oracle meets no contradiction, and then pin triangle 0 and
+    differ across an edge exactly when it is twisted."""
+    rng = random.Random(8)
+    counts = [0, 0]
+    for poly, tri in spin_instances():
+        tab = compiled(build_ambient_surface(poly), tri)
+        vectors = [trace_vector(tab, rng.getrandbits(tab.V)).tw
+                   for _ in range(4)]
+        vectors += [bytes(rng.getrandbits(1) for _ in range(tab.E))
+                    for _ in range(4)]
+        for _ in range(4):
+            s = [rng.getrandbits(1) for _ in range(tab.T)]
+            tw = bytearray(tab.E)
+            for e, s_a, s_b in tab.interior:
+                tw[e] = s[s_a // 3] ^ s[s_b // 3]
+            vectors.append(tw)
+        for tw in vectors:
+            oracle = ParityUnionFind()
+            consistent = all(oracle.union(s_a // 3, s_b // 3, tw[e])
+                             for e, s_a, s_b in tab.interior)
+            spins = thick_y_spins(tab, tw)
+            assert (spins is not None) == consistent, (poly, tri, tw)
+            counts[consistent] += 1
+            if spins is not None:
+                assert len(spins) == tab.T and spins[0] == 0
+                for e, s_a, s_b in tab.interior:
+                    assert spins[s_a // 3] ^ spins[s_b // 3] == tw[e]
+    assert min(counts) > 300
+
+
+def two_islands():
+    """A stub triangulation of two triangles that share no edge, with an
+    identity lift table: its G(Pi) has two components."""
+    t1, t2 = ((0, 0), (1, 0), (0, 1)), ((2, 0), (3, 0), (2, 1))
+    slots = {t: (edge_key(t[0], t[1]), edge_key(t[1], t[2]),
+                 edge_key(t[2], t[0])) for t in (t1, t2)}
+    tri = SimpleNamespace(polygon=SimpleNamespace(lattice_points=sorted(t1 + t2)),
+                          triangles=(t1, t2), slots=slots,
+                          edges=tuple(sorted(e for t in slots for e in slots[t])),
+                          T=2, E=6, V=6, L=6)
+    return tri, Lifts(list(range(4 * tri.E)), list(range(12 * tri.T)))
+
+
+def test_disconnected_g_pi_raises():
+    tri, lifts = two_islands()
+    with pytest.raises(InvariantError, match=r"G\(Pi\) is connected"):
+        compile_sweep(None, tri, lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +261,8 @@ def test_corrupted_table_raises(corrupt, driver):
 
 
 def test_checks_survive_python_O():
-    """Both drivers, in one interpreter under -O."""
+    """Both drivers and the G(Pi) connectivity check, in one interpreter
+    under -O."""
     code = ("import sys\n"
             "sys.path.insert(0, sys.argv[1])\n"
             "import test_sweep\n"
@@ -206,9 +279,14 @@ def test_checks_survive_python_O():
             "    try:\n"
             "        driver(surface, tri, tab)\n"
             "    except InvariantError:\n"
-            "        print(driver.__name__, 'raised')\n")
+            "        print(driver.__name__, 'raised')\n"
+            "try:\n"
+            "    test_sweep.compile_sweep(None, *test_sweep.two_islands())\n"
+            "except InvariantError as exc:\n"
+            "    print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code,
                           str(Path(__file__).parent)], check=True,
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    assert out.split("\n")[:2] == [f"{d.__name__} raised" for d in DRIVERS]
+    assert out.split("\n") == [f"{d.__name__} raised" for d in DRIVERS] + \
+        ["G(Pi) is connected, so the filling is", ""]
