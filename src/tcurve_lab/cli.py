@@ -1,6 +1,6 @@
 """Command line interface.
 
-Problem files are YAML with three fields:
+Problem files are YAML with these three fields and no other:
 
     polygon: [[0,0], [5,0], [0,5]]
     triangulation: grid            # or a list of index triples into the
@@ -132,6 +132,9 @@ def _check_ints(field: str, rows: list):
 
 
 def problem_from_data(raw: dict) -> Problem:
+    unknown = [k for k in raw if k not in ("polygon", "triangulation", "signs")]
+    if unknown:
+        raise ValidationError(f"unknown field: {unknown[0]!r}")
     if "polygon" not in raw:
         raise ValidationError("missing field: polygon")
     poly_field = raw["polygon"]
@@ -158,6 +161,9 @@ def problem_from_data(raw: dict) -> Problem:
     signs_field = raw.get("signs", "enumerate")
     if signs_field == "enumerate":
         signs = ("enumerate",)
+    elif isinstance(signs_field, dict) and len(signs_field) != 1:
+        raise ValidationError("signs: expected exactly one of harnack or "
+                              f"explicit, got {list(signs_field)!r}")
     elif isinstance(signs_field, dict) and "harnack" in signs_field:
         t = signs_field["harnack"]
         if not isinstance(t, list) or len(t) != 3 or any(

@@ -12,10 +12,12 @@ disks gives a closed surface whose Euler characteristic proves the
 interior-point bound on the number of components.
 """
 
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import EmptyCurve, NotTypeI, check
-from .sweep import thick_y_spins
+from .sweep import thick_y_spins, walk_states
 from .tcurve import TCurve
 
 
@@ -25,7 +27,8 @@ class TFilling:
 
     ``shadows`` holds, per curve component, the ribbon-boundary strand
     states that run beside it (``tcurve_lab.sweep`` numbering), two per
-    barycenter passage, in the direction of the component's nodes.
+    barycenter passage, in the direction of the component's nodes,
+    derived from its walk (``sweep.walk_states``) when first read.
     """
 
     def __init__(self, curve: TCurve):
@@ -39,7 +42,11 @@ class TFilling:
         self.folds = tri.boundary_edges
         self.boundary_count = run.d
         self.orientable = run.orientable
-        self.shadows = curve.shadows
+
+    @cached_property
+    def shadows(self) -> tuple:  # arrays: no int object per state
+        return tuple(array("i", walk_states(self.curve.tables, walk))
+                     for walk in self.curve.walks)
 
     @property
     def chi(self) -> int:

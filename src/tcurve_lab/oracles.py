@@ -388,7 +388,7 @@ def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
     quadrant q."""
     out: dict = {}
     for (q, (p, r)), m in midpoint_nodes(surface, tri).items():
-        s = ext.values[(q, p)] * ext.values[(q, r)]
+        s = ext.value(q, p) * ext.value(q, r)
         # identified boundary copies carry equal signs
         check(out.setdefault(m, s) == s, "edge sign must descend to the surface")
     return out

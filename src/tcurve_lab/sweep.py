@@ -1,10 +1,10 @@
 """The strand kernel: one sign vector on compiled integer tables.
 
-``compile_sweep(surface, tri, lifts)`` compiles a surface and its
-triangulation into flat integer lists once.  It shares the two lists of
-the lift table ``lifts`` (``triangulation.incidence_graphs``), which is
-already integer and in this numbering: the midpoint of each lift and the
-prong across each midpoint.
+``compile_sweep(tri, lifts)`` compiles a triangulation and its lift
+table ``lifts`` (``triangulation.incidence_graphs``) into flat integer
+lists once.  It shares the two lists of the lift table, which is already
+integer and in this numbering: the midpoint of each lift and the prong
+across each midpoint.
 ``trace_vector(tab, mask)`` runs one sign vector on them: bit k of the
 mask gives the k-th lexicographically sorted lattice point the sign +1, a
 clear bit gives it -1.  It derives the edge sign bits and the sign of
@@ -66,8 +66,7 @@ class SweepTables:
     succ: tuple          # (untwisted, twisted): successor of every strand state
 
 
-def compile_sweep(surface: AmbientSurface, tri: PrimitiveTriangulation,
-                  lifts: Lifts) -> SweepTables:
+def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     """The tables ``trace_vector`` reads, sharing the midpoint of each lift
     and the prong across each midpoint with the lift table ``lifts`` of
     ``incidence_graphs``; G(Pi) must be connected."""
@@ -199,23 +198,22 @@ class VectorTrace(NamedTuple):
     tw: bytearray   # per edge id: 1 when the edge is glued with a twist
     walks: list     # per curve component: the slot lift by which it enters
                     # each lifted triangle, in order
-    shadow_starts: list  # per component: the first state of the strand
-                         # beside it; the others follow (``shadow_states``)
     d: int          # boundary circles of the filling
     orientable: bool
 
 
-def shadow_states(tab: SweepTables, run: VectorTrace, k: int) -> list:
-    """The strand states beside component ``k`` of ``run``, in and out of
-    each lifted triangle of its walk: the orbit of its first state under
-    the transitions of the run's twist bits, which the kernel has followed
-    and checked."""
-    plain_twisted, slots, tw = tab.succ, tab.slots, run.tw
-    x = run.shadow_starts[k]
+def walk_states(tab: SweepTables, walk) -> list:
+    """The strand states beside ``walk``, in and out of each lifted
+    triangle it visits: the exit prong of a visit is the one across the
+    next entry, and the walk turns to the next prong (strand -1 in, +1
+    out) or the previous one (the reverse).  The kernel has checked that
+    they form one orbit of the run's strand transitions."""
+    across, nxt, T3 = tab.across, tab.nxt, 3 * tab.T
     out = []
-    for _ in range(2 * len(run.walks[k])):
-        out.append(x)
-        x = plain_twisted[tw[slots[x >> 2]]][x]
+    for u, u_next in zip(walk, walk[1:] + walk[:1]):
+        w = across[u_next]
+        turn = w == nxt[u]
+        out += (4 * (u % T3) + 3 - 2 * turn, 4 * (w % T3) + 2 * turn)
     return out
 
 
@@ -268,7 +266,7 @@ def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
     # +1 out) or the previous one (the reverse); the shadow must follow the
     # transitions of this twist vector, close up with the component and
     # share no strand with another component
-    walks, firsts = [], []
+    walks = []
     seen = bytearray(12 * T)
     used = bytearray(6 * T)
     for u0 in compress(range(12 * T), sneg):
@@ -301,7 +299,6 @@ def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
         if u != u0 or expected != first:
             raise InvariantError("a curve component must close up with its shadow")
         walks.append(walk)
-        firsts.append(first)
     if len(walks) != d:
         raise InvariantError(
             f"{len(walks)} curve components but {d} boundary circles")
@@ -313,7 +310,7 @@ def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
     if d > tab.interior_points + 1:
         raise InvariantError(
             f"component bound violated: {d} > {tab.interior_points + 1}")
-    return VectorTrace(tw, walks, firsts, d, orientable)
+    return VectorTrace(tw, walks, d, orientable)
 
 
 def run_sweep(tab: SweepTables):
@@ -331,5 +328,4 @@ def run_sweep(tab: SweepTables):
 def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
     """Yield (D, orientable) for each of the 2^V sign vectors, in mask
     order."""
-    yield from run_sweep(compile_sweep(surface, tri,
-                                       incidence_graphs(surface, tri)))
+    yield from run_sweep(compile_sweep(tri, incidence_graphs(surface, tri)))

@@ -9,7 +9,6 @@ edge are negative, so the negative dual edges upstairs form disjoint
 cycles covering every downstairs incidence-graph edge twice: the curve.
 """
 
-from array import array
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,7 +19,7 @@ from .lattice import (Point, Polygon, is_standard_triangle, pairing,
 from .surface import (QUADRANTS, AmbientSurface, Quadrant,
                       IDENTITY, build_ambient_surface, reflect,
                       vec_mat)
-from .sweep import SweepTables, compile_sweep, shadow_states, trace_vector
+from .sweep import SweepTables, compile_sweep, trace_vector
 from .triangulation import (PrimitiveTriangulation, edge_key,
                             incidence_graphs, validate_primitive_triangulation)
 from .uf import find
@@ -44,7 +43,7 @@ def check_distribution(polygon: Polygon, delta: dict) -> dict:
 
 
 class ExtendedSigns:
-    """Signs on all four quadrant copies of the lattice points.
+    """Signs on all four quadrant copies of the lattice points, on demand.
 
     The values live on the disjoint union of the copies; only edge signs
     descend to the glued surface.
@@ -53,14 +52,9 @@ class ExtendedSigns:
     def __init__(self, delta: dict, surface: AmbientSurface):
         self.surface = surface
         self.delta = check_distribution(surface.polygon, delta)
-        self.values = {
-            (q, p): v * (-1) ** pairing(q, point_parity(p))
-            for p, v in self.delta.items()
-            for q in QUADRANTS
-        }
 
     def value(self, q: Quadrant, p: Point) -> Sign:
-        return self.values[(q, p)]
+        return self.delta[p] * (-1) ** pairing(q, point_parity(p))
 
 
 def extend_signs(delta: dict, surface: AmbientSurface) -> ExtendedSigns:
@@ -88,17 +82,10 @@ class Component:
 
     def visits(self):
         """Barycenter passages as (quad, tri, in_edge, out_edge), in cycle
-        order starting from nodes[0] or nodes[1]."""
+        order: the smallest node is a barycenter, so visit v is node 2v."""
         nodes = self.nodes
-        n = len(nodes)
-        start = 0 if nodes[0][0] == "b" else 1
-        out = []
-        for i in range(start, n + start, 2):
-            b = nodes[i % n]
-            m_in = nodes[(i - 1) % n]
-            m_out = nodes[(i + 1) % n]
-            out.append((b[1], b[2], m_in[2], m_out[2]))
-        return out
+        return [(nodes[i][1], nodes[i][2], nodes[i - 1][2],
+                 nodes[(i + 1) % len(nodes)][2]) for i in range(0, len(nodes), 2)]
 
 
 @dataclass(frozen=True)
@@ -131,8 +118,8 @@ class TCurve:
     tables of the problem: ``tables`` when given (one compilation serves
     any number of sign vectors), else compiled from a fresh lift table.
     Its integer walks become node tuples here.  Each component keeps its
-    walk (``walks``) and its shadow strand states (``shadows``), the
-    shadow turned with it.
+    walk (``walks``), turned to run with its nodes; the strands beside it
+    belong to the filling (``TFilling.shadows``).
     """
 
     def __init__(self, surface: AmbientSurface, tri: PrimitiveTriangulation,
@@ -140,26 +127,25 @@ class TCurve:
         self.surface = surface
         self.tri = tri
         if tables is None:
-            tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
+            tables = compile_sweep(tri, incidence_graphs(surface, tri))
         self.tables = tables
         self.ext = extend_signs(delta, surface)
         self.delta = self.ext.delta
         mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
                    if self.delta[p] > 0)
         self.trace = trace_vector(tables, mask)
-        self.components, self.walks, self.shadows = self._components()
+        self.components, self.walks = self._components()
 
     # ------------------------------------------------------------------
 
-    def _components(self) -> tuple[tuple[Component, ...], tuple, tuple]:
+    def _components(self) -> tuple[tuple[Component, ...], tuple]:
         """The kernel's walks as sorted ``Component``s, and with each its
-        walk and its shadow strand states, turned with it: from the first
-        barycenter of its nodes, in their direction."""
+        walk turned with it: visit v at node 2v, from the first barycenter
+        of its nodes, in their direction."""
         tab, tri = self.tables, self.tri
         E, T3, edge_class, slots = tab.E, 3 * tab.T, tab.edge_class, tab.slots
         out = []
-        for k, walk in enumerate(self.trace.walks):
-            shadow = shadow_states(tab, self.trace, k)
+        for walk in self.trace.walks:
             nodes = []
             for u in walk:  # the midpoint it enters by, then the barycenter
                 q, s = divmod(u, T3)
@@ -167,15 +153,14 @@ class TCurve:
                 nodes.append(("m", QUADRANTS[m_q], tri.edges[e]))
                 nodes.append(("b", QUADRANTS[q], tri.triangles[s // 3]))
             comp = _normalize_cycle(nodes)
-            k = nodes.index(comp.nodes[0])  # a barycenter: visit (k - 1) / 2
-            if comp.nodes[1] == nodes[(k + 1) % len(nodes)]:
-                shadow = shadow[k - 1:] + shadow[:k - 1]
-            else:  # reversed: the same strands, each heading flipped
-                shadow = [x ^ 1 for x in shadow[k::-1] + shadow[:k:-1]]
-            out.append((comp, walk, array("i", shadow)))  # no int object per state
-        out.sort(key=lambda cws: cws[0].nodes)
-        return tuple(c for c, _, _ in out), tuple(w for _, w, _ in out), \
-            tuple(s for _, _, s in out)
+            v = nodes.index(comp.nodes[0]) // 2  # a barycenter: visit v
+            walk = walk[v:] + walk[:v]
+            if comp.nodes[1] != nodes[(2 * v + 2) % len(nodes)]:
+                # the nodes run backward: each visit enters by its old exit
+                walk = [tab.across[u] for u in walk[1::-1] + walk[:1:-1]]
+            out.append((comp, walk))
+        out.sort(key=lambda cw: cw[0].nodes)
+        return tuple(c for c, _ in out), tuple(w for _, w in out)
 
     # ------------------------------------------------------------------
     # classification
@@ -260,7 +245,6 @@ class TCurve:
 
 
 def _normalize_cycle(nodes: list) -> Component:
-    n = len(nodes)
     k = nodes.index(min(nodes))
     rot = nodes[k:] + nodes[:k]
     if rot[-1] < rot[1]:
@@ -365,11 +349,13 @@ class Regions:
     """The regions of S minus the curve, from one union-find pass.
 
     The four copies of the lattice points are numbered ``quadrant_index *
-    V + point_index``.  The copies that are one surface point are joined,
-    then the two ends of every lifted edge that no component crosses:
-    each set is one region.  A component borders one region or two
-    (``sides``), the same on every edge it crosses.  Lifted edges and
-    midpoints are the lift ids of the curve's tables.
+    V + point_index``, and ``first_copy`` gives the first copy of each one's
+    surface point (another copy only at boundary points).  The copies of
+    one surface point are joined, then the two ends of every lifted edge
+    that no component crosses: each set is one region.  A component
+    borders one region or two (``sides``), the same on every edge it
+    crosses.  Lifted edges and midpoints are the lift ids of the curve's
+    tables.
     """
 
     def __init__(self, curve: TCurve):
@@ -377,12 +363,9 @@ class Regions:
         surface, tab = curve.surface, curve.tables
         V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
         pts = surface.polygon.lattice_points
-        self._index = index = {p: i for i, p in enumerate(pts)}
-        self._base = base = {q: k * V for k, q in enumerate(QUADRANTS)}
-        parent = list(range(4 * V))
-        for q, p, x in self._copies():  # join x to the first copy of its point
-            first, _ = surface.point_class(q, p)[0]
-            parent[find(parent, x)] = find(parent, base[first] + index[p])
+        self.first_copy = [QUADRANTS.index(surface.point_class(q, p)[0][0]) * V + i
+                           for q in QUADRANTS for i, p in enumerate(pts)]
+        parent = list(self.first_copy)
         # per midpoint: the component that crosses it, if any
         crossing = [None] * (4 * E)
         for k, walk in enumerate(curve.walks):
@@ -410,11 +393,6 @@ class Regions:
             pairs[k] = pair
         self.sides = dict(zip(curve.components, pairs))
 
-    def _copies(self):
-        """(quadrant, lattice point, id) of every copy of a lattice point."""
-        return ((q, p, self._base[q] + i) for q in QUADRANTS
-                for p, i in self._index.items())
-
     @cached_property
     def oval_classes(self) -> dict:
         """Sign and nesting depth of every in-quadrant oval, by a BFS that
@@ -430,8 +408,8 @@ class Regions:
             check(len(sides[comp]) == 2, "an oval joins two regions")
             for r in sides[comp]:
                 at_region.setdefault(r, []).append(o)
-        frontier = list(dict.fromkeys(region[x] for _, p, x in self._copies()
-                                      if p in curve.surface.boundary_offset))
+        frontier = list(dict.fromkeys(
+            region[x] for x, f in enumerate(self.first_copy) if f != x))
         region_depth = dict.fromkeys(frontier, 0)
         depth: list = [None] * len(ovals)
         inner: dict = {}
@@ -450,10 +428,12 @@ class Regions:
             frontier = later
         check(len(region_depth) == self.count and None not in depth,
               "every region and oval is reached from the boundary")
+        pts, V = curve.surface.polygon.lattice_points, curve.tables.V
         signs: dict = {}
-        for q, p, x in self._copies():
-            if region[x] in inner:
-                signs.setdefault(inner[region[x]], set()).add(curve.ext.values[(q, p)])
+        for x, r in enumerate(region):
+            if r in inner:
+                signs.setdefault(inner[r], set()).add(
+                    curve.ext.value(QUADRANTS[x // V], pts[x % V]))
         check(all(len(s) == 1 for s in signs.values()),
               "the sign of an oval is well defined")
         return {comp: ComponentClass("oval", q, min(signs[o]), depth[o])
@@ -465,15 +445,15 @@ class Regions:
         classes - uncrossed surface edges + uncrossed lifted triangles, as
         the half-edge and midpoint copy, piece and arc copy that a side
         gets of each crossed edge and triangle cancel.  Edges and triangles
-        count at the region of their first vertex; the curve's midpoints
-        and barycenters take the crossed ones back out."""
-        curve, region, index = self.curve, self.region_of, self._index
-        tab = curve.tables
+        count at the region of their first vertex (a triangle's is that of
+        its first edge); the curve's midpoints and barycenters take the
+        crossed ones back out."""
+        curve, region, tab = self.curve, self.region_of, self.curve.tables
         V, E, T, edge_ends = tab.V, tab.E, tab.T, tab.edge_ends
-        firsts = [index[t[0]] for t in curve.tri.triangles]
+        firsts = [edge_ends[e][0] for e in tab.slots[::3]]
         chi = [0] * self.count
-        for q, p, x in self._copies():
-            if curve.surface.point_class(q, p)[0] == (q, p):  # once per class
+        for x, f in enumerate(self.first_copy):
+            if f == x:  # once per class
                 chi[region[x]] += 1
         for x, c in enumerate(tab.edge_class):
             if c == x:  # a surface edge

@@ -117,7 +117,7 @@ def exhaustive_sweeps():
         poly = standard_triangle(d)
         surface = build_ambient_surface(poly)
         tri = generate_grid_triangulation(poly)
-        tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
+        tables = compile_sweep(tri, incidence_graphs(surface, tri))
         pts = poly.lattice_points
         i_count = poly.census().interior_points
         dist: dict = {}
@@ -228,7 +228,7 @@ def test_criterion_8_degree_parity():
         poly = standard_triangle(d)
         surface = build_ambient_surface(poly)
         tri = generate_grid_triangulation(poly)
-        tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
+        tables = compile_sweep(tri, incidence_graphs(surface, tri))
         for _ in range(200):
             curve = TCurve(surface, tri, random_distribution(rng, poly), tables)
             witness = degree_parity_check(curve)
@@ -265,7 +265,7 @@ def test_criterion_10_theta_action():
     t4 = standard_triangle(4)
     surface = build_ambient_surface(t4)
     tri = generate_grid_triangulation(t4)
-    tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
+    tables = compile_sweep(tri, incidence_graphs(surface, tri))
     census_of = {}
     for htype in itertools.product((0, 1), repeat=3):
         delta = harnack_distribution(t4, htype)
@@ -304,7 +304,7 @@ def test_classification_matches_nesting_oracle():
         poly = standard_triangle(d)
         surface = build_ambient_surface(poly)
         tri = generate_grid_triangulation(poly)
-        tables = compile_sweep(surface, tri, incidence_graphs(surface, tri))
+        tables = compile_sweep(tri, incidence_graphs(surface, tri))
         pts = poly.lattice_points
         for mask in range(1 << len(pts)):
             agree(TCurve(surface, tri, {p: 1 if mask >> k & 1 else -1

@@ -109,9 +109,10 @@ def test_nested_ovals_sides_match_split():
 def test_sign_flip_inside_an_oval_raises():
     # (3, 3) lies in the ring of 8 points between the ovals of depth 2
     # and 3; the edge signs were taken before the flip, so the curve is
-    # unchanged and only the sign check can see it
+    # unchanged and only the sign check can see it (the other quadrants
+    # hold no oval)
     curve = nested_squares()
-    curve.ext.values[((0, 0), (3, 3))] *= -1
+    curve.ext.delta[(3, 3)] *= -1
     with pytest.raises(InvariantError, match="sign of an oval"):
         curve.classification
 
@@ -127,7 +128,7 @@ def test_sign_check_survives_python_O():
             "         for p in sq.lattice_points}\n"
             "curve = extract_curve(build_ambient_surface(sq),\n"
             "                      generate_grid_triangulation(sq), delta)\n"
-            "curve.ext.values[((0, 0), (3, 3))] *= -1\n"
+            "curve.ext.delta[(3, 3)] *= -1\n"
             "try:\n"
             "    curve.classification\n"
             "except InvariantError:\n"
@@ -139,13 +140,17 @@ def test_sign_check_survives_python_O():
 
 
 def t6_with_a_misglued_point():
-    """T_6 of type (1,0,0), classified, after which the surface claims that
-    the boundary point (1, 0) is an odd vertex: its two point classes
-    become one, and only the Euler characteristic sum can see it."""
+    """T_6 of type (1,0,0), classified, after which the regions claim that
+    the boundary point (1, 0) is an odd vertex: the four copies of it
+    point to its (0,0) copy, so its two point classes become one, and only
+    the Euler characteristic sum can see it."""
     t6 = standard_triangle(6)
     _, _, curve = pipeline(t6, harnack_distribution(t6, (1, 0, 0)))
     curve.classification
-    curve.surface.boundary_offset[(1, 0)] = None
+    first_copy, V = curve.regions.first_copy, len(t6.lattice_points)
+    i = t6.lattice_points.index((1, 0))
+    for q in range(4):
+        first_copy[q * V + i] = i
     return curve
 
 

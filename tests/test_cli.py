@@ -263,9 +263,20 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
     ('polygon: [[0,0],[2,0],[0,2]]\nsigns: {explicit: {"0,0": 1, "00,0": -1, '
      '"1,0": 1, "2,0": 1, "0,1": 1, "1,1": 1, "0,2": 1}}\n',
      "signs.explicit: point (0, 0) given twice"),
+    # a misspelled field used to be ignored: the grid triangulation ran
+    ("polygon: [[0,0],[1,0],[0,1]]\ntriangulations: [[0,1,2]]\n"
+     "signs: {harnack: [1,0,0]}\n", "unknown field: 'triangulations'"),
+    # ... or to be read as a missing one, with a misleading message
+    ("polygon: [[0,0],[1,0],[0,1]]\nsign: {harnack: [1,0,0]}\n",
+     "unknown field: 'sign'"),
+    # both kinds of signs used to pass, harnack silently winning
+    ('polygon: [[0,0],[1,0],[0,1]]\nsigns: {harnack: [1,0,0], explicit: '
+     '{"0,0": 1, "1,0": -1, "0,1": 1}}\n',
+     "signs: expected exactly one of harnack or explicit"),
 ], ids=["negative-index", "string", "float", "bool", "bool-sign",
         "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8",
-        "duplicate-point"])
+        "duplicate-point", "misspelled-field", "misspelled-signs",
+        "two-kinds-of-signs"])
 def test_strict_input(tmp_path, capsys, text, words):
     code, err = exit_and_stderr(tmp_path, capsys, text)
     assert code == 2

@@ -7,7 +7,7 @@ from tcurve_lab.errors import EmptyCurve, NotTypeI
 from tcurve_lab.filling import (_surface_left, build_filling,
                                 classify_filling, harnack_check, orient_curve)
 from tcurve_lab.oracles import classify_filling_by_cells
-from tcurve_lab.surface import build_ambient_surface
+from tcurve_lab.surface import QUADRANTS, build_ambient_surface
 from tcurve_lab.tcurve import extract_curve, harnack_distribution
 
 from conftest import pipeline, standard_triangle
@@ -54,6 +54,56 @@ def test_boundary_cycles_match_components():
             assert filling.boundary_count == len(curve.components)
             cycles = filling.boundary_cycles()
             assert [c for _, c in cycles] == list(curve.components)
+
+
+def walked_curves():
+    """Harnack curves of T_2..T_6 under all 8 types, then curves with
+    random signs on 30 seeded random polygons with flips."""
+    for d in range(2, 7):
+        poly = standard_triangle(d)
+        for htype in itertools.product((0, 1), repeat=3):
+            yield pipeline(poly, harnack_distribution(poly, htype))[2]
+    rng = random.Random(909)
+    for _ in range(30):
+        poly = random_polygon(rng, box=5)
+        tri = random_flips(rng, primitive_triangulation(poly),
+                           len(poly.lattice_points))
+        yield extract_curve(build_ambient_surface(poly), tri,
+                            random_distribution(rng, poly))
+
+
+def test_walks_run_with_their_nodes():
+    # visit v of a walk is the barycenter at node 2v, and the midpoint of
+    # the next entry is node 2v + 1
+    for curve in walked_curves():
+        tab, tri = curve.tables, curve.tri
+        T3, E = 3 * tab.T, tab.E
+
+        def midpoint(u):
+            q, s = divmod(u, T3)
+            m_q, e = divmod(tab.edge_class[q * E + tab.slots[s]], E)
+            return ("m", QUADRANTS[m_q], tri.edges[e])
+
+        for comp, walk in zip(curve.components, curve.walks):
+            nodes = []
+            for u, u_next in zip(walk, walk[1:] + walk[:1]):
+                q, s = divmod(u, T3)
+                nodes += (("b", QUADRANTS[q], tri.triangles[s // 3]),
+                          midpoint(u_next))
+            assert tuple(nodes) == comp.nodes
+
+
+def test_shadows_are_closed_orbits():
+    # the strand states derived from each walk follow the transitions of
+    # the run's twist bits and come round after two per visit
+    for curve in walked_curves():
+        tab, tw = curve.tables, curve.trace.tw
+        shadows = build_filling(curve).shadows
+        assert len(shadows) == len(curve.walks)
+        for shadow, walk in zip(shadows, curve.walks):
+            assert len(shadow) == 2 * len(walk) == len(set(shadow))
+            for x, y in zip(shadow, shadow[1:] + shadow[:1]):
+                assert tab.succ[tw[tab.slots[x >> 2]]][x] == y
 
 
 def test_chi_formulas_agree():

@@ -38,7 +38,7 @@ def mask_signs(tri, mask):
 
 
 def compiled(surface, tri):
-    return compile_sweep(surface, tri, incidence_graphs(surface, tri))
+    return compile_sweep(tri, incidence_graphs(surface, tri))
 
 
 def reference(surface, tri, tables, mask):
@@ -170,7 +170,7 @@ def two_islands():
 def test_disconnected_g_pi_raises():
     tri, lifts = two_islands()
     with pytest.raises(InvariantError, match=r"G\(Pi\) is connected"):
-        compile_sweep(None, tri, lifts)
+        compile_sweep(tri, lifts)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +281,7 @@ def test_checks_survive_python_O():
             "    except InvariantError:\n"
             "        print(driver.__name__, 'raised')\n"
             "try:\n"
-            "    test_sweep.compile_sweep(None, *test_sweep.two_islands())\n"
+            "    test_sweep.compile_sweep(*test_sweep.two_islands())\n"
             "except InvariantError as exc:\n"
             "    print(exc)\n")
     out = subprocess.run([sys.executable, "-O", "-c", code,
