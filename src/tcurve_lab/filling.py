@@ -13,8 +13,8 @@ interior-point bound on the number of components.
 """
 
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import EmptyCurve, NotTypeI, check
 from .sweep import thick_y_spins, walk_states
@@ -70,8 +70,7 @@ def build_filling(curve: TCurve) -> TFilling:
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class CappedSurface:
+class CappedSurface(NamedTuple):
     chi_filling: int
     boundary_count: int
     chi: int
@@ -81,8 +80,7 @@ class CappedSurface:
     crosscaps: int | None
 
 
-@dataclass(frozen=True)
-class FillingClass:
+class FillingClass(NamedTuple):
     capped: CappedSurface
     curve_type: str  # 'I' | 'II'
 
@@ -101,8 +99,7 @@ def classify_filling(filling: TFilling) -> FillingClass:
     return FillingClass(capped, "I" if orientable else "II")
 
 
-@dataclass(frozen=True)
-class HarnackVerdict:
+class HarnackVerdict(NamedTuple):
     boundary_count: int
     interior_points: int
     bound_holds: bool
@@ -124,14 +121,12 @@ def harnack_check(curve: TCurve, filling: TFilling) -> HarnackVerdict:
 # ---------------------------------------------------------------------------
 # orientation of type-I curves
 
-@dataclass(frozen=True)
-class OrientedComponent:
+class OrientedComponent(NamedTuple):
     nodes: tuple            # directed cyclic node sequence on G(S)
     directed_projection: tuple  # downstairs directed segments (node pairs)
 
 
-@dataclass(frozen=True)
-class OrientedCurve:
+class OrientedCurve(NamedTuple):
     components: tuple
     flipped: bool
 

@@ -9,9 +9,9 @@ vertices cut the boundary into broken edges; all segments of one broken
 edge share a single parity.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (CollinearConsecutiveEdges, DegenerateSegment,
                      NegativeCoordinate, NotSimple, TooFewVertices, check)
@@ -55,8 +55,7 @@ def segment_parity(p: Point, q: Point) -> Parity:
     return (((q[0] - p[0]) // n) & 1, ((q[1] - p[1]) // n) & 1)
 
 
-@dataclass(frozen=True)
-class BrokenEdge:
+class BrokenEdge(NamedTuple):
     """A maximal boundary arc between consecutive odd-parity vertices.
 
     ``start``/``end`` are None exactly when the polygon has no odd
@@ -76,8 +75,7 @@ class BrokenEdge:
         return is_odd(self.broken_parity)
 
 
-@dataclass(frozen=True)
-class LatticeCensus:
+class LatticeCensus(NamedTuple):
     total_points: int          # V = |polygon ∩ Z^2|
     boundary_length: int       # L = integral length of the boundary
     interior_points: int       # i = V - L

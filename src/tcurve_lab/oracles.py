@@ -381,24 +381,23 @@ def midpoint_nodes(surface: AmbientSurface, tri: PrimitiveTriangulation) -> dict
             for q in QUADRANTS for e in tri.edges}
 
 
-def edge_signs(surface: AmbientSurface, tri: PrimitiveTriangulation,
-               ext: ExtendedSigns) -> dict:
+def edge_signs(mid: dict, ext: ExtendedSigns) -> dict:
     """Signs of the edges of the lifted triangulation, keyed by midpoint
-    node: the sign of lift (q, e) is the product of its endpoint signs in
-    quadrant q."""
+    node (``mid`` is ``midpoint_nodes``): the sign of lift (q, e) is the
+    product of its endpoint signs in quadrant q."""
     out: dict = {}
-    for (q, (p, r)), m in midpoint_nodes(surface, tri).items():
+    for (q, (p, r)), m in mid.items():
         s = ext.value(q, p) * ext.value(q, r)
         # identified boundary copies carry equal signs
         check(out.setdefault(m, s) == s, "edge sign must descend to the surface")
     return out
 
 
-def components_by_adjacency(surface: AmbientSurface, tri: PrimitiveTriangulation,
+def components_by_adjacency(tri: PrimitiveTriangulation, mid: dict,
                             ext: ExtendedSigns) -> tuple:
     """The curve's components, sorted, by walking the adjacency of the
-    negative dual edges on G(S)."""
-    mid, sign = midpoint_nodes(surface, tri), edge_signs(surface, tri, ext)
+    negative dual edges on G(S); ``mid`` is ``midpoint_nodes``."""
+    sign = edge_signs(mid, ext)
     adj: dict = {}
     neg_per_downstairs: dict = {}
     for q in QUADRANTS:
@@ -433,12 +432,12 @@ def components_by_adjacency(surface: AmbientSurface, tri: PrimitiveTriangulation
     return tuple(sorted(cycles, key=lambda c: c.nodes))
 
 
-def twists_by_arc_pairing(surface: AmbientSurface, tri: PrimitiveTriangulation,
+def twists_by_arc_pairing(tri: PrimitiveTriangulation, mid: dict,
                           components) -> tuple[dict, frozenset]:
     """(twists, folds) of the filling: an interior edge is twisted when the
     curve runs on into matching prongs of its two triangles at its
-    negative lifts; every boundary edge, a U-turn of the curve, is folded."""
-    mid = midpoint_nodes(surface, tri)
+    negative lifts; every boundary edge, a U-turn of the curve, is folded.
+    ``mid`` is ``midpoint_nodes``."""
     # arc pairing at every midpoint the curve passes through: each
     # neighboring barycenter with the curve's other edge there, the edge of
     # the midpoint two steps on

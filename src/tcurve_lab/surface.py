@@ -9,8 +9,8 @@ closed surface; its topology is controlled entirely by the broken-edge
 structure of the polygon.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import DegenerateAtlas, check
 from .geometry import segment_lattice_points
@@ -58,8 +58,7 @@ def glue_offset(seg_par: Parity) -> Quadrant:
     return (seg_par[1], seg_par[0])
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """Canonical chart around the lift of an odd vertex.
 
     The two axes are the lifted broken edges ending and starting at the
@@ -77,8 +76,7 @@ class Chart:
         return {q: vec_mat(q, self.matrix) for q in QUADRANTS}
 
 
-@dataclass(frozen=True)
-class Atlas:
+class Atlas(NamedTuple):
     charts: tuple[Chart, ...]
     eta: tuple[int, ...]            # one bit per broken edge
     steps: tuple[Mat2, ...]         # steps[k]: M_k = M_{k-1} * steps[k]
@@ -105,8 +103,7 @@ class Atlas:
         return g
 
 
-@dataclass(frozen=True)
-class TopologyClass:
+class _Topology(NamedTuple):
     components: int
     orientable: bool
     genus: int | None
@@ -114,12 +111,19 @@ class TopologyClass:
     euler: int
     name: str
 
-    def __post_init__(self):
-        if self.components == 1:
-            if self.orientable:
-                check(self.euler == 2 - 2 * self.genus, "chi = 2 - 2g")
+
+class TopologyClass(_Topology):
+    """A closed surface; a connected one is checked against chi."""
+    __slots__ = ()
+
+    def __new__(cls, components, orientable, genus, crosscaps, euler, name):
+        if components == 1:
+            if orientable:
+                check(euler == 2 - 2 * genus, "chi = 2 - 2g")
             else:
-                check(self.euler == 2 - self.crosscaps, "chi = 2 - k")
+                check(euler == 2 - crosscaps, "chi = 2 - k")
+        return super().__new__(cls, components, orientable, genus, crosscaps,
+                               euler, name)
 
 
 def _surface_name(orientable: bool, genus, crosscaps) -> str:

@@ -31,7 +31,6 @@ db`` walks prong k of triangle t on strand +1 (sb = 1) or -1 (sb = 0),
 heading in (db = 1) or out (db = 0); flipping bit 0 reverses it.
 """
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
@@ -42,8 +41,7 @@ from .triangulation import Lifts, PrimitiveTriangulation, incidence_graphs
 from .uf import find
 
 
-@dataclass
-class SweepTables:
+class SweepTables(NamedTuple):
     """One surface and triangulation, compiled to flat integer lists."""
     V: int
     T: int

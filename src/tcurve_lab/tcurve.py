@@ -9,8 +9,8 @@ edge are negative, so the negative dual edges upstairs form disjoint
 cycles covering every downstairs incidence-graph edge twice: the curve.
 """
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (IncompleteDistribution, InvariantError,
                      LeavesNonnegativeQuadrant, WrongPolygon, check)
@@ -50,7 +50,6 @@ class ExtendedSigns:
     """
 
     def __init__(self, delta: dict, surface: AmbientSurface):
-        self.surface = surface
         self.delta = check_distribution(surface.polygon, delta)
 
     def value(self, q: Quadrant, p: Point) -> Sign:
@@ -61,12 +60,14 @@ def extend_signs(delta: dict, surface: AmbientSurface) -> ExtendedSigns:
     return ExtendedSigns(delta, surface)
 
 
-@dataclass(frozen=True)
-class Component:
+class _Cycle(NamedTuple):
+    nodes: tuple
+
+
+class Component(_Cycle):
     """One cycle of the curve on G(S): nodes alternate barycenters and
     midpoints, normalized to start at the smallest node, smaller neighbor
-    first."""
-    nodes: tuple
+    first.  No ``__slots__``: the cached properties need a ``__dict__``."""
 
     @cached_property
     def barycenters(self) -> tuple:
@@ -88,8 +89,7 @@ class Component:
                  nodes[(i + 1) % len(nodes)][2]) for i in range(0, len(nodes), 2)]
 
 
-@dataclass(frozen=True)
-class ComponentClass:
+class ComponentClass(NamedTuple):
     kind: str                      # 'oval' | 'nontrivial_rp2' | 'oval_rp2' | 'boundary'
     quadrant: Quadrant | None = None
     sign: Sign | None = None
@@ -252,8 +252,7 @@ def _normalize_cycle(nodes: list) -> Component:
     return Component(tuple(rot))
 
 
-@dataclass(frozen=True)
-class CurveCensus:
+class CurveCensus(NamedTuple):
     quadrant_ovals: dict          # quadrant -> sorted tuple of (sign, depth)
     boundary_kinds: tuple
     total: int
@@ -318,8 +317,7 @@ def theta_action(theta: HarnackType, delta: dict) -> dict:
             for p, v in delta.items()}
 
 
-@dataclass(frozen=True)
-class PredictedCensus:
+class PredictedCensus(NamedTuple):
     quadrant_ovals: dict
     o_kind: str                    # 'nontrivial' | 'oval'
     o_inside_quadrant: Quadrant    # which quadrant's ovals O surrounds (oval case)

@@ -11,8 +11,8 @@ from functools import cmp_to_key
 from tcurve_lab.errors import InputError
 from tcurve_lab.geometry import cross, locate_in_polygon, on_segment
 from tcurve_lab.lattice import Polygon, validate_polygon
-from tcurve_lab.oracles import (components_by_adjacency, strands_by_tuples,
-                                twists_by_arc_pairing)
+from tcurve_lab.oracles import (components_by_adjacency, midpoint_nodes,
+                                strands_by_tuples, twists_by_arc_pairing)
 from tcurve_lab.triangulation import (PrimitiveTriangulation, edge_key,
                                       tri_key,
                                       validate_primitive_triangulation)
@@ -176,9 +176,10 @@ def match_oracles(curve, filling) -> tuple[int, bool]:
     orientability and shadows of ``curve`` and ``filling`` equal the tuple
     oracles' on the same signs; return the oracles' (D, orientable)."""
     tri = curve.tri
-    components = components_by_adjacency(curve.surface, tri, curve.ext)
+    mid = midpoint_nodes(curve.surface, tri)
+    components = components_by_adjacency(tri, mid, curve.ext)
     assert components == curve.components
-    twists, folds = twists_by_arc_pairing(curve.surface, tri, components)
+    twists, folds = twists_by_arc_pairing(tri, mid, components)
     assert (twists, folds) == (filling.twists, filling.folds)
     d, orientable, shadows = strands_by_tuples(tri, twists, folds, components)
     assert (d, orientable) == (filling.boundary_count, filling.orientable)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tcurve_lab
 from tcurve_lab.cli import (YAML_LOADER, Problem, main, parse_problem,
                             problem_from_data)
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
@@ -406,3 +410,19 @@ def test_size_limit_admits_t139():
     assert t139.point_count == 9870 <= MAX_POINTS < t140.point_count
     with pytest.raises(TooLarge):
         check_size(t140)
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every `tcurve-lab` process pays for what importing the CLI loads;
+    # `dataclasses` alone would pull in `inspect`, `ast`, `dis` and
+    # `tokenize`
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import tcurve_lab.cli\n"
+            "new = set(sys.modules) - before\n"
+            "print(sorted({'dataclasses', 'inspect'} & new))\n")
+    src = Path(tcurve_lab.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "[]"

@@ -1,11 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from tcurve_lab.errors import DegenerateAtlas
+import tcurve_lab
+from tcurve_lab.errors import DegenerateAtlas, InvariantError
 from tcurve_lab.lattice import validate_polygon
 from tcurve_lab.oracles import classify_surface_by_cells
-from tcurve_lab.surface import (A1, IDENTITY, QUADRANTS,
+from tcurve_lab.surface import (A1, IDENTITY, QUADRANTS, TopologyClass,
                                 build_ambient_surface, mat_mul, vec_mat)
 
 from conftest import standard_triangle
@@ -129,6 +134,29 @@ def test_classify_families():
     sq = build_ambient_surface(
         validate_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])).classify_topology()
     assert (sq.orientable, sq.genus) == (True, 1)
+
+
+def test_inconsistent_topology_class_raises():
+    with pytest.raises(InvariantError, match="chi = 2 - 2g"):
+        TopologyClass(1, True, 1, None, 2, "torus")
+    with pytest.raises(InvariantError, match="chi = 2 - k"):
+        TopologyClass(1, False, None, 2, 1, "Klein bottle")
+    # two spheres are not checked against one chi formula
+    assert TopologyClass(2, True, 0, None, 4, "two spheres").euler == 4
+
+
+def test_topology_check_survives_python_O():
+    code = ("from tcurve_lab.errors import InvariantError\n"
+            "from tcurve_lab.surface import TopologyClass\n"
+            "try:\n"
+            "    TopologyClass(1, True, 1, None, 2, 'torus')\n"
+            "except InvariantError:\n"
+            "    print('raised')\n")
+    src = Path(tcurve_lab.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.strip() == "raised"
 
 
 def test_classify_matches_cell_oracle_on_random_polygons():

@@ -5,7 +5,7 @@ import pytest
 from tcurve_lab.errors import (IncompleteDistribution, InvariantError,
                                LeavesNonnegativeQuadrant, WrongPolygon)
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
-from tcurve_lab.oracles import edge_signs, midpoint_node
+from tcurve_lab.oracles import edge_signs, midpoint_node, midpoint_nodes
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
 from tcurve_lab.tcurve import (degree_parity_check, extend_signs,
                                extract_curve, harnack_distribution,
@@ -61,7 +61,7 @@ def test_edge_sign_reflection_law():
     for d in (2, 3):
         poly = standard_triangle(d)
         surface, tri, curve = pipeline(poly, random_distribution(rng, poly))
-        sign = edge_signs(surface, tri, curve.ext)
+        sign = edge_signs(midpoint_nodes(surface, tri), curve.ext)
         for e in tri.edges:
             base = sign[midpoint_node(surface, tri, (0, 0), e)]
             par = segment_parity(*e)
