@@ -20,8 +20,7 @@ from .tcurve import (Component, ComponentClass, CurveCensus, TCurve,
                      classify_components, degree_parity_check,
                      extend_signs, extract_curve, harnack_distribution,
                      ovals_inside, predicted_harnack_census, theta_action,
-                     transform_curve, translated_components,
-                     verify_harnack_census)
+                     transform_curve, verify_harnack_census)
 from .filling import (CappedSurface, FillingClass, HarnackVerdict,
                       OrientedCurve, TFilling, build_filling,
                       classify_filling, harnack_check, orient_curve)

@@ -36,7 +36,7 @@ YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 # the most lattice points a problem may have, counted from the vertices
 # before any point is listed: on the boundary for every subcommand, in all
 # for those that triangulate.  `harnack` on T_139 (9870 points) takes
-# about 4.3 s and 155 MB of peak RSS on a 2-vCPU VM with CPython 3.11.
+# about 2.1-2.3 s and 100 MB of peak RSS on a 2-vCPU VM with CPython 3.11.
 MAX_POINTS = 10_000
 
 
@@ -243,7 +243,7 @@ def curve_report(curve: TCurve) -> dict:
             "nesting_depth": c.depth,
             "crossing_vector": list(c.crossing_vector)
             if c.crossing_vector is not None else None,
-            "length": len(comp.nodes),
+            "length": 2 * len(comp.walk),
         })
     census = curve.census
     return {

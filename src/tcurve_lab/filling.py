@@ -45,8 +45,8 @@ class TFilling:
 
     @cached_property
     def shadows(self) -> tuple:  # arrays: no int object per state
-        return tuple(array("i", walk_states(self.curve.tables, walk))
-                     for walk in self.curve.walks)
+        return tuple(array("i", walk_states(self.curve.tables, comp.walk))
+                     for comp in self.curve.components)
 
     @property
     def chi(self) -> int:

@@ -15,8 +15,8 @@ of ``tcurve_lab.sweep`` and its lift table: midpoints of G(S) from the
 gluing of each boundary segment (``midpoint_node``), components by
 walking the adjacency of the negative dual edges, twist bits by the arc
 pairings at each midpoint, and boundary circles, orientability and
-shadows by tracing tuple strand states.  Tests demand exact agreement
-with the fast paths on every instance.
+shadows by tracing tuple strand states, each component a tuple of nodes.
+Tests demand exact agreement with the fast paths on every instance.
 """
 
 from .lattice import Polygon
@@ -25,8 +25,8 @@ from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
 from .filling import TFilling
 from .geometry import point_in_ring, segment_lattice_points
 from .errors import check
-from .tcurve import (Component, ComponentClass, ExtendedSigns, TCurve,
-                     _normalize_cycle, node_coords6)
+from .svg import node_coords6
+from .tcurve import Component, ComponentClass, ExtendedSigns, TCurve
 from .triangulation import Edge, PrimitiveTriangulation
 
 
@@ -296,7 +296,7 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
     point-in-ring test), and its sign is the one sign of the lattice
     points inside it but outside the ovals it contains."""
     by_quadrant = curve.in_quadrant_ovals()
-    rings = {comp: tuple(node_coords6(n) for n in comp.nodes)
+    rings = {comp: tuple(node_coords6(n[1], n) for n in comp.nodes)
              for ovals in by_quadrant.values() for comp in ovals}
     result = {}
     for q, ovals in by_quadrant.items():
@@ -326,7 +326,7 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
     edge that ``comp`` does not cross; the sets touching ``comp`` are its
     sides, one when it does not separate and two when it does."""
     surface, tri = curve.surface, curve.tri
-    crossed = {(m[1], m[2]) for m in comp.midpoints}
+    crossed = {(m[1], m[2]) for m in comp.nodes[1::2]}  # its midpoints
 
     def mid(q, e):
         return midpoint_node(surface, tri, q, e)[1:]
@@ -363,6 +363,30 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
 # ---------------------------------------------------------------------------
 # the curve and its filling on tuple nodes and tuple strand states, the
 # references for the strand kernel of ``tcurve_lab.sweep``
+
+def _normalize_cycle(nodes: list) -> tuple:
+    """The cycle from its smallest node, smaller neighbor first."""
+    k = nodes.index(min(nodes))
+    rot = nodes[k:] + nodes[:k]
+    if rot[-1] < rot[1]:
+        rot = [rot[0]] + rot[:0:-1]
+    return tuple(rot)
+
+
+def visits(nodes: tuple) -> list:
+    """Barycenter passages as (quad, tri, in_edge, out_edge), in cycle
+    order: the smallest node is a barycenter, so visit v is node 2v."""
+    return [(nodes[i][1], nodes[i][2], nodes[i - 1][2],
+             nodes[(i + 1) % len(nodes)][2]) for i in range(0, len(nodes), 2)]
+
+
+def translated_components(curve: TCurve, vec) -> list:
+    """The nodes of each component of ``curve`` translated by ``vec``, which
+    keeps the order of points: the translated problem's components."""
+    s, t = vec
+    return [tuple(n[:2] + (tuple((x + s, y + t) for x, y in n[2]),)
+                  for n in comp.nodes) for comp in curve.components]
+
 
 def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
                   q: Quadrant, e: Edge) -> tuple:
@@ -429,7 +453,7 @@ def components_by_adjacency(tri: PrimitiveTriangulation, mid: dict,
             if cur == start:
                 break
         cycles.append(_normalize_cycle(cyc))
-    return tuple(sorted(cycles, key=lambda c: c.nodes))
+    return tuple(sorted(cycles))
 
 
 def twists_by_arc_pairing(tri: PrimitiveTriangulation, mid: dict,
@@ -442,8 +466,7 @@ def twists_by_arc_pairing(tri: PrimitiveTriangulation, mid: dict,
     # neighboring barycenter with the curve's other edge there, the edge of
     # the midpoint two steps on
     pairings: dict = {}
-    for comp in components:
-        nodes = comp.nodes
+    for nodes in components:
         n = len(nodes)
         for i, node in enumerate(nodes):
             if node[0] == "m":
@@ -485,9 +508,8 @@ def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
     toward the center of the thick-Y.  The boundary circles are the orbit
     pairs of the strand transitions, orientability comes from parity
     constraints between the thick-Ys, and the shadow of a component
-    (component -> its states, two per barycenter passage from
-    ``Component.visits``) is the strand that runs beside it, one boundary
-    circle per component."""
+    (component -> its states, two per barycenter passage from ``visits``)
+    is the strand that runs beside it, one boundary circle per component."""
 
     def next_state(state):
         t, k, s, d = state
@@ -523,7 +545,7 @@ def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
     circles = set()
     for comp in components:
         seq = []
-        for q, t, e_in, e_out in comp.visits():
+        for q, t, e_in, e_out in visits(comp):
             k_in, k_out = tri.slots[t].index(e_in), tri.slots[t].index(e_out)
             s_in = -1 if k_out == (k_in + 1) % 3 else 1
             check(k_out == (k_in - s_in) % 3, "a component leaves a triangle by another edge")

@@ -125,6 +125,10 @@ class TopologyClass(_Topology):
         return super().__new__(cls, components, orientable, genus, crosscaps,
                                euler, name)
 
+    @classmethod
+    def _make(cls, iterable):  # checked; ``_replace`` builds through it
+        return cls(*iterable)
+
 
 def _surface_name(orientable: bool, genus, crosscaps) -> str:
     if orientable:

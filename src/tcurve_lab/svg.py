@@ -6,7 +6,7 @@ sixth-integral barycenter and midpoint coordinates land on multiples of
 """
 
 from .surface import QUADRANTS, reflect
-from .tcurve import TCurve, node_coords6
+from .tcurve import TCurve
 
 UNIT = 30          # px per lattice unit
 SUB = UNIT // 6    # px per sixth
@@ -64,8 +64,7 @@ def render_svg(curve: TCurve) -> str:
             a, b = nodes[i], nodes[(i + 1) % len(nodes)]
             # both endpoints drawn in the frame of the barycenter's quadrant
             q = a[1] if a[0] == "b" else b[1]
-            ca = node_coords6(a) if a[0] == "b" else _in_frame(q, a)
-            cb = node_coords6(b) if b[0] == "b" else _in_frame(q, b)
+            ca, cb = node_coords6(q, a), node_coords6(q, b)
             out.append(f'<line x1="{ca[0] * SUB}" y1="{-ca[1] * SUB}" '
                        f'x2="{cb[0] * SUB}" y2="{-cb[1] * SUB}"/>')
         out.append('</g>')
@@ -84,8 +83,11 @@ def render_svg(curve: TCurve) -> str:
     return "\n".join(out) + "\n"
 
 
-def _in_frame(q, mnode):
-    """Midpoint coordinates drawn in the frame of quadrant q (a boundary
-    midpoint's canonical label may differ from the side being drawn)."""
-    e = mnode[2]
-    return reflect(q, (3 * (e[0][0] + e[1][0]), 3 * (e[0][1] + e[1][1])))
+def node_coords6(q, node) -> tuple:
+    """Planar coordinates of a G(S) node scaled by 6, in the frame of
+    quadrant q (a boundary midpoint's label may name the other side)."""
+    if node[0] == "b":
+        (a, b), (c, d), (e, f) = node[2]
+        return reflect(q, (2 * (a + c + e), 2 * (b + d + f)))
+    (a, b), (c, d) = node[2]
+    return reflect(q, (3 * (a + c), 3 * (b + d)))

@@ -17,8 +17,7 @@ from .errors import (IncompleteDistribution, InvariantError,
 from .lattice import (Point, Polygon, is_standard_triangle, pairing,
                       point_parity, validate_polygon)
 from .surface import (QUADRANTS, AmbientSurface, Quadrant,
-                      IDENTITY, build_ambient_surface, reflect,
-                      vec_mat)
+                      IDENTITY, build_ambient_surface, vec_mat)
 from .sweep import SweepTables, compile_sweep, trace_vector
 from .triangulation import (PrimitiveTriangulation, edge_key,
                             incidence_graphs, validate_primitive_triangulation)
@@ -60,33 +59,47 @@ def extend_signs(delta: dict, surface: AmbientSurface) -> ExtendedSigns:
     return ExtendedSigns(delta, surface)
 
 
-class _Cycle(NamedTuple):
-    nodes: tuple
+class Component:
+    """One cycle of the curve on G(S), a view over its walk: the slot lift
+    by which it enters each lifted triangle (``sweep`` numbering), from its
+    smallest lifted triangle toward the smaller of that visit's two
+    midpoints.  Its nodes, derived only when read, start at the smallest
+    node, smaller neighbor first: visit v at node 2v.  Components hash and
+    compare by identity; compare ``nodes`` across curves."""
 
+    __slots__ = ("walk", "tables", "tri")
 
-class Component(_Cycle):
-    """One cycle of the curve on G(S): nodes alternate barycenters and
-    midpoints, normalized to start at the smallest node, smaller neighbor
-    first.  No ``__slots__``: the cached properties need a ``__dict__``."""
+    def __init__(self, walk: list, tables: SweepTables,
+                 tri: PrimitiveTriangulation):
+        self.walk, self.tables, self.tri = walk, tables, tri
 
-    @cached_property
-    def barycenters(self) -> tuple:
-        return tuple(n for n in self.nodes if n[0] == "b")
-
-    @cached_property
-    def midpoints(self) -> tuple:
-        return tuple(n for n in self.nodes if n[0] == "m")
-
-    @cached_property
+    @property
     def quadrants(self) -> frozenset:
-        return frozenset(n[1] for n in self.barycenters)
+        T3 = 3 * self.tables.T
+        return frozenset(QUADRANTS[u // T3] for u in self.walk)
 
-    def visits(self):
-        """Barycenter passages as (quad, tri, in_edge, out_edge), in cycle
-        order: the smallest node is a barycenter, so visit v is node 2v."""
-        nodes = self.nodes
-        return [(nodes[i][1], nodes[i][2], nodes[i - 1][2],
-                 nodes[(i + 1) % len(nodes)][2]) for i in range(0, len(nodes), 2)]
+    @property
+    def edges(self) -> list:
+        """Per visit, the edge id of the midpoint it enters by."""
+        T3, slots = 3 * self.tables.T, self.tables.slots
+        return [slots[u % T3] for u in self.walk]
+
+    @property
+    def nodes(self) -> tuple:
+        tab, tri, walk = self.tables, self.tri, self.walk
+        T3, E = 3 * tab.T, tab.E
+        out = []
+        for u, u_next in zip(walk, walk[1:] + walk[:1]):
+            m_q, e = divmod(_midpoint(tab, u_next), E)
+            out += (("b", QUADRANTS[u // T3], tri.triangles[u % T3 // 3]),
+                    ("m", QUADRANTS[m_q], tri.edges[e]))
+        return tuple(out)
+
+
+def _midpoint(tab: SweepTables, u: int) -> int:
+    """The midpoint id of slot lift ``u``."""
+    T3 = 3 * tab.T
+    return tab.edge_class[u // T3 * tab.E + tab.slots[u % T3]]
 
 
 class ComponentClass(NamedTuple):
@@ -97,29 +110,14 @@ class ComponentClass(NamedTuple):
     crossing_vector: tuple | None = None
 
 
-def node_coords6(node) -> Point:
-    """Planar coordinates of a G(S) node scaled by 6, in the frame of the
-    node's own quadrant label."""
-    if node[0] == "b":
-        _, q, t = node
-        x = 2 * (t[0][0] + t[1][0] + t[2][0])
-        y = 2 * (t[0][1] + t[1][1] + t[2][1])
-    else:
-        _, q, e = node
-        x = 3 * (e[0][0] + e[1][0])
-        y = 3 * (e[0][1] + e[1][1])
-    return reflect(q, (x, y))
-
-
 class TCurve:
     """The curve cut out by the negative dual edges on G(S).
 
     The strand kernel (``sweep.trace_vector``) runs once on the compiled
     tables of the problem: ``tables`` when given (one compilation serves
     any number of sign vectors), else compiled from a fresh lift table.
-    Its integer walks become node tuples here.  Each component keeps its
-    walk (``walks``), turned to run with its nodes; the strands beside it
-    belong to the filling (``TFilling.shadows``).
+    Each of its walks, turned in place, is a ``Component``; the strands
+    beside it belong to the filling (``TFilling.shadows``).
     """
 
     def __init__(self, surface: AmbientSurface, tri: PrimitiveTriangulation,
@@ -134,33 +132,26 @@ class TCurve:
         mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
                    if self.delta[p] > 0)
         self.trace = trace_vector(tables, mask)
-        self.components, self.walks = self._components()
+        self.components = self._components()
 
     # ------------------------------------------------------------------
 
-    def _components(self) -> tuple[tuple[Component, ...], tuple]:
-        """The kernel's walks as sorted ``Component``s, and with each its
-        walk turned with it: visit v at node 2v, from the first barycenter
-        of its nodes, in their direction."""
-        tab, tri = self.tables, self.tri
-        E, T3, edge_class, slots = tab.E, 3 * tab.T, tab.edge_class, tab.slots
+    def _components(self) -> tuple[Component, ...]:
+        """The kernel's walks as ``Component``s, in the order of their
+        nodes.  A lifted triangle is visited at most once, so a walk's
+        smallest slot lift is its smallest barycenter; midpoint ids order
+        as their nodes do, and the first slot lift orders the components."""
+        tab, across = self.tables, self.tables.across
         out = []
         for walk in self.trace.walks:
-            nodes = []
-            for u in walk:  # the midpoint it enters by, then the barycenter
-                q, s = divmod(u, T3)
-                m_q, e = divmod(edge_class[q * E + slots[s]], E)
-                nodes.append(("m", QUADRANTS[m_q], tri.edges[e]))
-                nodes.append(("b", QUADRANTS[q], tri.triangles[s // 3]))
-            comp = _normalize_cycle(nodes)
-            v = nodes.index(comp.nodes[0]) // 2  # a barycenter: visit v
-            walk = walk[v:] + walk[:v]
-            if comp.nodes[1] != nodes[(2 * v + 2) % len(nodes)]:
-                # the nodes run backward: each visit enters by its old exit
-                walk = [tab.across[u] for u in walk[1::-1] + walk[:1:-1]]
-            out.append((comp, walk))
-        out.sort(key=lambda cw: cw[0].nodes)
-        return tuple(c for c, _ in out), tuple(w for _, w in out)
+            v = walk.index(min(walk))
+            walk[:] = walk[v:] + walk[:v]
+            if _midpoint(tab, walk[0]) < _midpoint(tab, walk[1]):
+                # run backward: each visit enters by its old exit
+                walk[:] = [across[u] for u in walk[1::-1] + walk[:1:-1]]
+            out.append(Component(walk, tab, self.tri))
+        out.sort(key=lambda comp: comp.walk[0])
+        return tuple(out)
 
     # ------------------------------------------------------------------
     # classification
@@ -172,17 +163,24 @@ class TCurve:
         return tuple(self.crossing_count(comp, j) % 2 for j in basis)
 
     def crossing_count(self, comp: Component, broken_index: int) -> int:
-        segs = {edge_key(p, q) for p, q in
-                self.surface.broken_edges[broken_index].primitive_segments}
-        return sum(1 for m in comp.midpoints if m[2] in segs)
+        segs = self.broken_edge_ids[broken_index]
+        return sum(e in segs for e in comp.edges)
+
+    @cached_property
+    def broken_edge_ids(self) -> list:
+        """Per broken edge, the edge ids of its primitive segments."""
+        edges = self.tri.edges
+        edge_id = {edges[e]: e for e, _ in self.tables.boundary}
+        return [frozenset(edge_id[edge_key(p, q)] for p, q in b.primitive_segments)
+                for b in self.surface.broken_edges]
 
     def in_quadrant_ovals(self) -> dict:
         """Quadrant -> the components that cross no boundary edge, in
         component order."""
-        boundary = self.tri.boundary_edges
+        boundary = {e for e, _ in self.tables.boundary}
         out: dict = {}
         for comp in self.components:
-            if any(m[2] in boundary for m in comp.midpoints):
+            if not boundary.isdisjoint(comp.edges):
                 continue
             qs = comp.quadrants
             check(len(qs) == 1, "an interior component stays in one quadrant")
@@ -242,14 +240,6 @@ class TCurve:
     def __repr__(self):
         return (f"TCurve({self.surface.polygon!r}, components="
                 f"{len(self.components)})")
-
-
-def _normalize_cycle(nodes: list) -> Component:
-    k = nodes.index(min(nodes))
-    rot = nodes[k:] + nodes[:k]
-    if rot[-1] < rot[1]:
-        rot = [rot[0]] + rot[:0:-1]
-    return Component(tuple(rot))
 
 
 class CurveCensus(NamedTuple):
@@ -366,10 +356,9 @@ class Regions:
         parent = list(self.first_copy)
         # per midpoint: the component that crosses it, if any
         crossing = [None] * (4 * E)
-        for k, walk in enumerate(curve.walks):
-            for u in walk:
-                q, s = divmod(u, T3)
-                crossing[edge_class[q * E + tab.slots[s]]] = k
+        for k, comp in enumerate(curve.components):
+            for u in comp.walk:
+                crossing[edge_class[u // T3 * E + tab.slots[u % T3]]] = k
         crossed = []
         for q in range(4):
             for e, (i, j) in enumerate(tab.edge_ends):
@@ -459,8 +448,8 @@ class Regions:
         for q in range(4):
             for i in firsts:
                 chi[region[q * V + i]] += 1
-        for walk in curve.walks:
-            for u in walk:  # its midpoint, then its lifted triangle
+        for comp in curve.components:
+            for u in comp.walk:  # its midpoint, then its lifted triangle
                 q, s = divmod(u, 3 * T)
                 c = tab.edge_class[q * E + tab.slots[s]]
                 chi[region[c // E * V + edge_ends[c % E][0]]] += 1
@@ -566,21 +555,3 @@ def transform_curve(curve: TCurve, *, translate: Point | None = None,
         return curve2, (lambda q: q), (lambda q: (-1) ** pairing(q, shift_par))
     a2 = tuple(tuple(x & 1 for x in row) for row in matrix)
     return curve2, (lambda q: vec_mat(q, a2)), (lambda q: 1)
-
-
-def translated_components(curve: TCurve, vec: Point):
-    """The component set of ``curve`` with every node translated: equal to
-    the extracted components of the translated problem."""
-    s, t = vec
-
-    def move(node):
-        if node[0] == "b":
-            _, q, tr = node
-            return ("b", q, tuple((x + s, y + t) for x, y in tr))
-        _, q, e = node
-        return ("m", q, tuple((x + s, y + t) for x, y in e))
-
-    out = []
-    for comp in curve.components:
-        out.append(_normalize_cycle([move(n) for n in comp.nodes]))
-    return tuple(sorted(out, key=lambda c: c.nodes))

@@ -426,3 +426,40 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": str(src)}).stdout
     assert out.strip() == "[]"
+
+
+def torus_problem():
+    """Harnack signs on a seeded random polygon whose surface is a torus,
+    with an index triangulation."""
+    import random
+    from helpers import primitive_triangulation, random_polygon
+    from tcurve_lab.surface import build_ambient_surface
+    poly = random_polygon(random.Random(23), box=6)
+    assert build_ambient_surface(poly).classify_topology().name == "torus"
+    index = {p: k for k, p in enumerate(sorted(poly.lattice_points))}
+    triples = [sorted(index[p] for p in t)
+               for t in primitive_triangulation(poly).triangles]
+    return problem_from_data({"polygon": [list(v) for v in poly.vertices],
+                              "triangulation": triples,
+                              "signs": {"harnack": [1, 0, 0]}})
+
+
+def test_reports_build_no_nodes(monkeypatch):
+    # `curve`, `filling` and `harnack` read component walks only; nodes
+    # are for rendering, orientation and the oracles
+    import tcurve_lab.cli as cli
+    from tcurve_lab.tcurve import Component
+
+    def nodes(self):
+        raise AssertionError("a report built component nodes")
+
+    monkeypatch.setattr(Component, "nodes", property(nodes))
+    problems = [
+        problem_from_data({"polygon": triangle(7), "signs": {"harnack": [1, 0, 0]}}),
+        parse_problem(str(Path(__file__).parent / "data" / "harnack_sphere.yaml")),
+        torus_problem(),
+    ]
+    for prob in problems:
+        for name in ("curve", "filling", "harnack"):
+            rep = cli.run_subcommand(name, prob)
+            assert rep["curve"]["component_count"] >= 2

@@ -6,7 +6,8 @@ import pytest
 from tcurve_lab.errors import EmptyCurve, NotTypeI
 from tcurve_lab.filling import (_surface_left, build_filling,
                                 classify_filling, harnack_check, orient_curve)
-from tcurve_lab.oracles import classify_filling_by_cells
+from tcurve_lab.oracles import (classify_filling_by_cells,
+                                components_by_adjacency, midpoint_nodes)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
 from tcurve_lab.tcurve import extract_curve, harnack_distribution
 
@@ -74,7 +75,7 @@ def walked_curves():
 
 def test_walks_run_with_their_nodes():
     # visit v of a walk is the barycenter at node 2v, and the midpoint of
-    # the next entry is node 2v + 1
+    # the next entry is node 2v + 1, against the oracle's components
     for curve in walked_curves():
         tab, tri = curve.tables, curve.tri
         T3, E = 3 * tab.T, tab.E
@@ -84,13 +85,16 @@ def test_walks_run_with_their_nodes():
             m_q, e = divmod(tab.edge_class[q * E + tab.slots[s]], E)
             return ("m", QUADRANTS[m_q], tri.edges[e])
 
-        for comp, walk in zip(curve.components, curve.walks):
-            nodes = []
+        oracle = components_by_adjacency(tri, midpoint_nodes(curve.surface, tri),
+                                          curve.ext)
+        assert len(oracle) == len(curve.components)
+        for comp, want in zip(curve.components, oracle):
+            walk, nodes = comp.walk, []
             for u, u_next in zip(walk, walk[1:] + walk[:1]):
                 q, s = divmod(u, T3)
                 nodes += (("b", QUADRANTS[q], tri.triangles[s // 3]),
                           midpoint(u_next))
-            assert tuple(nodes) == comp.nodes
+            assert tuple(nodes) == want
 
 
 def test_shadows_are_closed_orbits():
@@ -99,9 +103,9 @@ def test_shadows_are_closed_orbits():
     for curve in walked_curves():
         tab, tw = curve.tables, curve.trace.tw
         shadows = build_filling(curve).shadows
-        assert len(shadows) == len(curve.walks)
-        for shadow, walk in zip(shadows, curve.walks):
-            assert len(shadow) == 2 * len(walk) == len(set(shadow))
+        assert len(shadows) == len(curve.components)
+        for shadow, comp in zip(shadows, curve.components):
+            assert len(shadow) == 2 * len(comp.walk) == len(set(shadow))
             for x, y in zip(shadow, shadow[1:] + shadow[:1]):
                 assert tab.succ[tw[tab.slots[x >> 2]]][x] == y
 

@@ -159,6 +159,36 @@ def test_topology_check_survives_python_O():
     assert out.strip() == "raised"
 
 
+MAKE_AND_REPLACE = (
+    "TopologyClass(1, True, 1, None, 0, 'torus')._replace(euler=2)",
+    "TopologyClass._make((1, True, 1, None, 2, 'torus'))",
+)
+
+
+def test_make_and_replace_are_checked():
+    for expr in MAKE_AND_REPLACE:
+        with pytest.raises(InvariantError, match="chi = 2 - 2g"):
+            eval(expr)
+    torus = TopologyClass(1, True, 1, None, 0, "torus")
+    assert torus._replace(name="T") == (1, True, 1, None, 0, "T")
+    assert type(TopologyClass._make(torus)) is TopologyClass
+
+
+def test_make_and_replace_checks_survive_python_O():
+    code = ("from tcurve_lab.errors import InvariantError\n"
+            "from tcurve_lab.surface import TopologyClass\n"
+            "for expr in %r:\n"
+            "    try:\n"
+            "        eval(expr)\n"
+            "    except InvariantError:\n"
+            "        print('raised')\n" % (MAKE_AND_REPLACE,))
+    src = Path(tcurve_lab.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
+    assert out.split() == ["raised", "raised"]
+
+
 def test_classify_matches_cell_oracle_on_random_polygons():
     rng = random.Random(11)
     for _ in range(30):
