@@ -85,14 +85,6 @@ class IncompleteDistribution(InputError):
     pass
 
 
-class WrongPolygon(InputError):
-    pass
-
-
-class LeavesNonnegativeQuadrant(InputError):
-    pass
-
-
 # --- filling ---------------------------------------------------------------
 
 class EmptyCurve(InputError):

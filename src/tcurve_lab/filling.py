@@ -53,11 +53,6 @@ class TFilling:
         """Euler characteristic: the filling retracts onto G(Pi)."""
         return self.tri.E - 2 * self.tri.T
 
-    def boundary_cycles(self):
-        """One oriented strand-state orbit per boundary circle, with the
-        curve component it runs along."""
-        return list(zip(self.shadows, self.curve.components))
-
     def __repr__(self):
         return (f"TFilling(T={self.tri.T}, chi={self.chi}, "
                 f"D={self.boundary_count})")
@@ -129,13 +124,6 @@ class OrientedComponent(NamedTuple):
 class OrientedCurve(NamedTuple):
     components: tuple
     flipped: bool
-
-    def reversed(self) -> "OrientedCurve":
-        comps = tuple(
-            OrientedComponent(c.nodes[:1] + c.nodes[:0:-1],
-                              tuple((b, a) for a, b in c.directed_projection[::-1]))
-            for c in self.components)
-        return OrientedCurve(comps, not self.flipped)
 
 
 def _surface_left(x: int) -> int:

@@ -280,10 +280,6 @@ def validate_polygon(vertices) -> Polygon:
     return Polygon(vertices)
 
 
-def broken_edge_decomposition(polygon: Polygon) -> tuple[BrokenEdge, ...]:
-    return polygon.broken_edges
-
-
 def lattice_census(polygon: Polygon) -> LatticeCensus:
     return polygon.census()
 

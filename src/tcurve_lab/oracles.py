@@ -9,17 +9,20 @@ orientations, boundary circles from walking free edges.  The component
 classifier nests ovals by planar point-in-ring tests instead of the
 regions of ``TCurve.regions``, and the per-component split cuts the
 surface along one component at a time and counts the cells of each side,
-where ``TCurve.regions`` cuts along all of them at once.  The curve and
-its filling are rebuilt on tuples, apart from the integer strand kernel
-of ``tcurve_lab.sweep`` and its lift table: midpoints of G(S) from the
-gluing of each boundary segment (``midpoint_node``), components by
-walking the adjacency of the negative dual edges, twist bits by the arc
-pairings at each midpoint, and boundary circles, orientability and
-shadows by tracing tuple strand states, each component a tuple of nodes.
+where ``TCurve.regions`` cuts along all of them at once; it glues the
+copies of each boundary point by the offsets of the polygon's edges
+(``boundary_offset``, ``point_class``), where ``TCurve.regions`` reads
+the lift table.  The curve and its filling are rebuilt on tuples, apart
+from the integer strand kernel of ``tcurve_lab.sweep`` and its lift
+table: midpoints of G(S) from the gluing of each boundary segment
+(``midpoint_node``), components by walking the adjacency of the negative
+dual edges, twist bits by the arc pairings at each midpoint, and
+boundary circles, orientability and shadows by tracing tuple strand
+states, each component a tuple of nodes.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
-from .lattice import Polygon
+from .lattice import Point, Polygon
 from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
                       _surface_name, glue_offset, quad_add, reflect)
 from .filling import TFilling
@@ -106,9 +109,7 @@ def classify_surface_by_cells(polygon: Polygon) -> TopologyClass:
     """Classify the glued surface from an explicit polygon-identification
     cell complex: four faces, one 1-cell per primitive boundary segment
     copy (identified in pairs), 0-cells at boundary lattice points."""
-    odd_vertices = {polygon.vertices[i] for i in polygon.odd_vertex_indices}
     seg_offset = {}
-    point_offset = {}
     base_cycle = []  # directed primitive segments, counterclockwise
     for edge, par in zip(polygon.edges, polygon.edge_segment_parities):
         off = glue_offset(par)
@@ -116,14 +117,7 @@ def classify_surface_by_cells(polygon: Polygon) -> TopologyClass:
         for p, q in zip(pts, pts[1:]):
             base_cycle.append((p, q))
             seg_offset[frozenset((p, q))] = off
-            for x in (p, q):
-                if x not in odd_vertices:
-                    point_offset.setdefault(x, off)
-
-    def vclass(q, p):
-        if p in odd_vertices:
-            return ("v", p)
-        return ("p", min(q, quad_add(q, point_offset[p])), p)
+    offsets = boundary_offset(AmbientSurface(polygon))
 
     def eclass(q, seg):
         off = seg_offset[frozenset(seg)]
@@ -139,7 +133,7 @@ def classify_surface_by_cells(polygon: Polygon) -> TopologyClass:
         cyc = base_cycle if preserves else [(b, a) for a, b in base_cycle[::-1]]
         tr = []
         for p, r in cyc:
-            vertices.add(vclass(q, p))
+            vertices.add(point_class(offsets, q, p))
             edges.add(eclass(q, (p, r)))
             tr.append((eclass(q, (p, r)), (p, r)))
         face_traversal[q] = tr
@@ -319,6 +313,36 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
     return curve.with_non_ovals(result)
 
 
+def boundary_offset(surface: AmbientSurface) -> dict:
+    """Map boundary lattice point -> gluing offset, or None at the odd
+    vertices where all four copies merge: the gluing point by point, from
+    the polygon's edges rather than the lift table."""
+    out = {}
+    polygon = surface.polygon
+    odd = {polygon.vertices[i] for i in polygon.odd_vertex_indices}
+    for edge, par in zip(polygon.edges, polygon.edge_segment_parities):
+        off = glue_offset(par)
+        for p in segment_lattice_points(*edge):
+            if p in odd:
+                out[p] = None
+            elif p in out:
+                check(out[p] == off, "even vertex joins equal-parity edges")
+            else:
+                out[p] = off
+    return out
+
+
+def point_class(offsets: dict, q: Quadrant, p: Point) -> tuple:
+    """Canonical orbit of the copy of p in quadrant q, as sorted (quadrant,
+    point) pairs; ``offsets`` is ``boundary_offset(surface)``."""
+    if p not in offsets:
+        return ((q, p),)
+    off = offsets[p]
+    if off is None:
+        return tuple((qq, p) for qq in QUADRANTS)
+    return tuple(sorted(((q, p), (quad_add(q, off), p))))
+
+
 def sides_by_split(curve: TCurve, comp: Component) -> dict:
     """Split the surface along one component: side (frozenset of surface
     point classes) -> Euler characteristic of its closure, counted cell by
@@ -327,20 +351,24 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
     sides, one when it does not separate and two when it does."""
     surface, tri = curve.surface, curve.tri
     crossed = {(m[1], m[2]) for m in comp.nodes[1::2]}  # its midpoints
+    offsets = boundary_offset(surface)
 
     def mid(q, e):
         return midpoint_node(surface, tri, q, e)[1:]
 
+    def pclass(q, p):
+        return point_class(offsets, q, p)
+
     uf = UnionFind()
     for q in QUADRANTS:
         for p in surface.polygon.lattice_points:
-            uf.add(surface.point_class(q, p))
+            uf.add(pclass(q, p))
         for e in tri.edges:
             if mid(q, e) not in crossed:
-                uf.union(surface.point_class(q, e[0]), surface.point_class(q, e[1]))
+                uf.union(pclass(q, e[0]), pclass(q, e[1]))
     groups = uf.groups()
     out = {}
-    for side in {uf.find(surface.point_class(q, p)) for q, e in crossed for p in e}:
+    for side in {uf.find(pclass(q, p)) for q, e in crossed for p in e}:
         v = len(groups[side]) + len(crossed)  # plus a copy of each crossing midpoint
         e_count = len(crossed)                # half of each crossed edge
         f = 0
@@ -350,11 +378,11 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
                 check(cut in (0, 2), "a component crosses 0 or 2 edges of a triangle")
                 if cut:  # its arc and one of its two pieces
                     e_count, f = e_count + 1, f + 1
-                elif uf.find(surface.point_class(q, t[0])) == side:
+                elif uf.find(pclass(q, t[0])) == side:
                     f += 1
             for e in tri.edges:  # identified boundary edges count once
                 if mid(q, e)[0] == q and mid(q, e) not in crossed and \
-                        uf.find(surface.point_class(q, e[0])) == side:
+                        uf.find(pclass(q, e[0])) == side:
                     e_count += 1
         out[frozenset(groups[side])] = v - e_count + f
     return out

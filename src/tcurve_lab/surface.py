@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import DegenerateAtlas, check
-from .geometry import segment_lattice_points
 from .lattice import Parity, Point, Polygon
 
 Quadrant = tuple[int, int]
@@ -22,22 +21,8 @@ QUADRANTS: tuple[Quadrant, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
-IDENTITY: Mat2 = ((1, 0), (0, 1))
 A0: Mat2 = ((0, 1), (1, 0))
 A1: Mat2 = ((0, 1), (1, 1))
-
-
-def mat_mul(m: Mat2, n: Mat2) -> Mat2:
-    return (((m[0][0] * n[0][0] + m[0][1] * n[1][0]) & 1,
-             (m[0][0] * n[0][1] + m[0][1] * n[1][1]) & 1),
-            ((m[1][0] * n[0][0] + m[1][1] * n[1][0]) & 1,
-             (m[1][0] * n[0][1] + m[1][1] * n[1][1]) & 1))
-
-
-def vec_mat(v: Quadrant, m: Mat2) -> Quadrant:
-    """Row vector times matrix over Z2."""
-    return ((v[0] * m[0][0] + v[1] * m[1][0]) & 1,
-            (v[0] * m[0][1] + v[1] * m[1][1]) & 1)
 
 
 def columns_matrix(col1: Parity, col2: Parity) -> Mat2:
@@ -71,36 +56,11 @@ class Chart(NamedTuple):
     out_edge: int
     matrix: Mat2
 
-    @property
-    def quadrant_map(self) -> dict:
-        return {q: vec_mat(q, self.matrix) for q in QUADRANTS}
-
 
 class Atlas(NamedTuple):
     charts: tuple[Chart, ...]
     eta: tuple[int, ...]            # one bit per broken edge
     steps: tuple[Mat2, ...]         # steps[k]: M_k = M_{k-1} * steps[k]
-
-    @property
-    def r(self) -> int:
-        return len(self.charts)
-
-    def gluing_matrix(self, i: int, j: int) -> Mat2:
-        """The matrix G with M_j = M_i * G, walking forward from i to j.
-
-        ``gluing_matrix(i, i)`` is the identity; a full loop of r steps
-        multiplies back to the identity as well.
-        """
-        g = IDENTITY
-        for k in range(i + 1, i + 1 + (j - i) % self.r):
-            g = mat_mul(g, self.steps[k % self.r])
-        return g
-
-    def cyclic_product(self) -> Mat2:
-        g = IDENTITY
-        for k in range(1, self.r + 1):
-            g = mat_mul(g, self.steps[k % self.r])
-        return g
 
 
 class _Topology(NamedTuple):
@@ -156,68 +116,17 @@ class AmbientSurface:
     # boundary identification
 
     @cached_property
-    def boundary_offset(self) -> dict:
-        """Map boundary lattice point -> gluing offset, or None at the
-        odd vertices where all four copies merge."""
-        out = {}
-        odd = {self.polygon.vertices[i]
-               for i in self.polygon.odd_vertex_indices}
-        for edge, par in zip(self.polygon.edges, self.polygon.edge_segment_parities):
-            off = glue_offset(par)
-            for p in segment_lattice_points(*edge):
-                if p in odd:
-                    out[p] = None
-                elif p in out:
-                    check(out[p] == off, "even vertex joins equal-parity edges")
-                else:
-                    out[p] = off
-        return out
-
-    @cached_property
     def boundary_segment_offset(self) -> dict:
         """Map primitive boundary segment (as a sorted point pair) to its
-        gluing offset."""
+        gluing offset: the one statement of the gluing, which the lift
+        table (``triangulation.incidence_graphs``) carries to every
+        reader."""
         out = {}
         for b in self.broken_edges:
             off = glue_offset(b.segment_parity)
             for p, q in b.primitive_segments:
                 out[tuple(sorted((p, q)))] = off
         return out
-
-    def point_class(self, q: Quadrant, p: Point) -> tuple:
-        """Canonical orbit of the copy of p in quadrant q."""
-        if p not in self.boundary_offset:
-            return ((q, p),)
-        off = self.boundary_offset[p]
-        if off is None:
-            return tuple((qq, p) for qq in QUADRANTS)
-        return tuple(sorted(((q, p), (quad_add(q, off), p))))
-
-    def preimage_classes(self, p: Point) -> list:
-        """Distinct surface points over p; lengths 4 / 2 / 1 for interior
-        points, broken-edge interiors and odd vertices respectively."""
-        seen = []
-        for q in QUADRANTS:
-            c = self.point_class(q, p)
-            if c not in seen:
-                seen.append(c)
-        return seen
-
-    def lifted_broken_edge(self, j: int):
-        """The lift of broken edge j: a cyclic point-class sequence (a
-        circle, doubly covering the broken edge)."""
-        if self.r < 2:
-            raise DegenerateAtlas("broken-edge lifts are circles only for r >= 2")
-        b = self.broken_edges[j]
-        pts = [b.primitive_segments[0][0]]
-        for _, qpt in b.primitive_segments:
-            pts.append(qpt)
-        off = glue_offset(b.segment_parity)
-        other = next(q for q in QUADRANTS
-                     if q not in ((0, 0), off))
-        fwd = [self.point_class((0, 0), p) for p in pts]
-        back = [self.point_class(other, p) for p in pts[-2:0:-1]]
-        return tuple(fwd + back)
 
     # ------------------------------------------------------------------
     # canonical atlas
@@ -256,10 +165,6 @@ class AmbientSurface:
         if self.r < 3:
             raise DegenerateAtlas("homology basis needs r >= 3")
         return tuple(range(2, self.r))
-
-    def homology_basis_circles(self) -> tuple:
-        """The r - 2 basis circles themselves, as point-class cycles."""
-        return tuple(self.lifted_broken_edge(j) for j in self.homology_basis())
 
     # ------------------------------------------------------------------
     # topology

@@ -12,15 +12,11 @@ cycles covering every downstairs incidence-graph edge twice: the curve.
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import (IncompleteDistribution, InvariantError,
-                     LeavesNonnegativeQuadrant, WrongPolygon, check)
-from .lattice import (Point, Polygon, is_standard_triangle, pairing,
-                      point_parity, validate_polygon)
-from .surface import (QUADRANTS, AmbientSurface, Quadrant,
-                      IDENTITY, build_ambient_surface, vec_mat)
+from .errors import IncompleteDistribution, InvariantError, check
+from .lattice import Point, Polygon, pairing, point_parity
+from .surface import QUADRANTS, AmbientSurface, Quadrant
 from .sweep import SweepTables, compile_sweep, trace_vector
-from .triangulation import (PrimitiveTriangulation, edge_key,
-                            incidence_graphs, validate_primitive_triangulation)
+from .triangulation import PrimitiveTriangulation, edge_key, incidence_graphs
 from .uf import find
 
 Sign = int  # +1 or -1
@@ -53,10 +49,6 @@ class ExtendedSigns:
 
     def value(self, q: Quadrant, p: Point) -> Sign:
         return self.delta[p] * (-1) ** pairing(q, point_parity(p))
-
-
-def extend_signs(delta: dict, surface: AmbientSurface) -> ExtendedSigns:
-    return ExtendedSigns(delta, surface)
 
 
 class Component:
@@ -127,7 +119,7 @@ class TCurve:
         if tables is None:
             tables = compile_sweep(tri, incidence_graphs(surface, tri))
         self.tables = tables
-        self.ext = extend_signs(delta, surface)
+        self.ext = ExtendedSigns(delta, surface)
         self.delta = self.ext.delta
         mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
                    if self.delta[p] > 0)
@@ -247,19 +239,6 @@ class CurveCensus(NamedTuple):
     boundary_kinds: tuple
     total: int
 
-    def comparable(self, relabel=None, sign_flip=None):
-        """Canonical form; ``relabel`` maps this census's quadrants onto
-        the reference census's quadrants and ``sign_flip`` multiplies the
-        oval signs of a quadrant (translations flip the extended point
-        signs of quadrant q by (-1)^<q, parity of the shift>)."""
-        relabel = relabel or (lambda q: q)
-        sign_flip = sign_flip or (lambda q: 1)
-        return (tuple(sorted(
-                    (relabel(q), tuple(sorted((s * sign_flip(q), dep)
-                                              for s, dep in v)))
-                    for q, v in self.quadrant_ovals.items())),
-                self.boundary_kinds, self.total)
-
 
 def extract_curve(surface: AmbientSurface, tri: PrimitiveTriangulation,
                   delta: dict, tables: SweepTables | None = None) -> TCurve:
@@ -271,21 +250,8 @@ def classify_components(curve: TCurve) -> dict:
     return curve.classification
 
 
-def degree_parity_check(curve: TCurve):
-    """On the standard triangle, return the nontrivial component when the
-    degree is odd, None when even; raises WrongPolygon elsewhere."""
-    d = is_standard_triangle(curve.surface.polygon)
-    if d is None:
-        raise WrongPolygon("degree parity applies to the standard triangle only")
-    nontrivial = [comp for comp, c in curve.classification.items()
-                  if c.kind == "nontrivial_rp2"]
-    check(len(nontrivial) == d % 2,
-          f"degree {d} must have {d % 2} nontrivial components, found {len(nontrivial)}")
-    return nontrivial[0] if nontrivial else None
-
-
 # ---------------------------------------------------------------------------
-# Harnack distributions and the (Z2)^3 action
+# Harnack distributions and their predicted censuses
 
 def harnack_distribution(polygon: Polygon, htype: HarnackType) -> dict:
     """The distribution of type (c,a,b): on the base quadrant a point of
@@ -297,14 +263,6 @@ def harnack_distribution(polygon: Polygon, htype: HarnackType) -> dict:
         expo = c + (1 if ef != (0, 0) else 0) + pairing(ef, (a, b))
         out[p] = (-1) ** (expo % 2)
     return out
-
-
-def theta_action(theta: HarnackType, delta: dict) -> dict:
-    """(theta . delta)(x,y) = (-1)^(c + <(a,b),(x,y)>) delta(x,y).  On
-    Harnack types the action is addition in (Z2)^3."""
-    c, a, b = theta
-    return {p: v * (-1) ** ((c + a * p[0] + b * p[1]) % 2)
-            for p, v in delta.items()}
 
 
 class PredictedCensus(NamedTuple):
@@ -338,21 +296,36 @@ class Regions:
 
     The four copies of the lattice points are numbered ``quadrant_index *
     V + point_index``, and ``first_copy`` gives the first copy of each one's
-    surface point (another copy only at boundary points).  The copies of
-    one surface point are joined, then the two ends of every lifted edge
-    that no component crosses: each set is one region.  A component
-    borders one region or two (``sides``), the same on every edge it
-    crosses.  Lifted edges and midpoints are the lift ids of the curve's
-    tables.
+    surface point (another copy only at boundary points).  The lift table
+    is the only gluing read: the ends of each lifted boundary edge that it
+    merges into another are joined with that one's, which must leave 1 copy
+    per interior point, 2 per boundary point and 4 per odd vertex.  Then the
+    two ends of every lifted edge that no component crosses are joined: each
+    set is one region.  A component borders one region or two (``sides``),
+    the same on every edge it crosses.  Lifted edges and midpoints are the
+    lift ids of the curve's tables.
     """
 
     def __init__(self, curve: TCurve):
         self.curve = curve
-        surface, tab = curve.surface, curve.tables
+        polygon, tab = curve.surface.polygon, curve.tables
         V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
-        pts = surface.polygon.lattice_points
-        self.first_copy = [QUADRANTS.index(surface.point_class(q, p)[0][0]) * V + i
-                           for q in QUADRANTS for i, p in enumerate(pts)]
+        first = list(range(4 * V))
+        for x, c in zip(tab.merged, tab.canonical):
+            for i, j in zip(tab.edge_ends[x % E], tab.edge_ends[c % E]):
+                a, b = find(first, x // E * V + i), find(first, c // E * V + j)
+                first[max(a, b)] = min(a, b)  # the smallest copy is the root
+        self.first_copy = [find(first, x) for x in range(4 * V)]
+        copies = [0] * (4 * V)
+        for f in self.first_copy:
+            copies[f] += 1
+        odd = {polygon.vertices[k] for k in polygon.odd_vertex_indices}
+        bd = polygon.boundary_point_set
+        want = [4 if p in odd else 2 if p in bd else 1
+                for p in polygon.lattice_points]
+        check(all(copies[f] == want[x % V] for x, f in enumerate(self.first_copy)),
+              "a surface point has 1 copy inside, 2 on the boundary and 4 "
+              "at an odd vertex")
         parent = list(self.first_copy)
         # per midpoint: the component that crosses it, if any
         crossing = [None] * (4 * E)
@@ -479,13 +452,6 @@ class Regions:
                 if len(sides) == 2 and sum(self.euler[r] for r in s) == 1]
 
 
-def ovals_inside(curve: TCurve, comp: Component):
-    """The in-quadrant ovals inside the disk bounded by a separating
-    component, or None unless exactly one side of it is a disk."""
-    disks = curve.regions.disks(comp)
-    return disks[0] if len(disks) == 1 else None
-
-
 def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
     """Extracted census equals the predicted one, including the nature of
     the boundary component and, in the oval case, what it surrounds."""
@@ -507,51 +473,3 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
     want = {comp for comp, c in curve.classification.items()
             if c.kind == "oval" and c.quadrant == pred.o_inside_quadrant}
     return any(set(inside) == want for inside in curve.regions.disks(o))
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-def affine_problem(tri: PrimitiveTriangulation, delta: dict, matrix,
-                   shift: Point):
-    """The image (triangulation, distribution) under p -> A p + shift for a
-    unimodular A; raises LeavesNonnegativeQuadrant when A is not
-    unimodular or the image polygon leaves the nonnegative quadrant."""
-    (a, b), (c, d) = matrix
-    if abs(a * d - b * c) != 1:
-        raise LeavesNonnegativeQuadrant(f"matrix {matrix} is not unimodular")
-
-    def image(p: Point) -> Point:
-        return (a * p[0] + b * p[1] + shift[0], c * p[0] + d * p[1] + shift[1])
-
-    verts = [image(v) for v in tri.polygon.vertices]
-    if any(x < 0 or y < 0 for x, y in verts):
-        raise LeavesNonnegativeQuadrant("image polygon leaves the quadrant")
-    poly2 = validate_polygon(verts)
-    tris2 = [tuple(image(v) for v in tr) for tr in tri.triangles]
-    return (validate_primitive_triangulation(poly2, tris2),
-            {image(p): v for p, v in delta.items()})
-
-
-def transform_curve(curve: TCurve, *, translate: Point | None = None,
-                    unimodular=None):
-    """Translated or unimodularly transformed curve.
-
-    Returns (curve', quadrant_map, sign_flip).  quadrant_map sends a
-    quadrant of the new curve to the corresponding quadrant of the old
-    one: identity for translations, (s,t) -> (s,t)*A2 for a unimodular
-    map A.  Under a translation the curve is identical but the extended
-    point signs of quadrant q all flip by (-1)^<q, parity of the shift>,
-    which flips the recorded oval signs accordingly; unimodular maps
-    preserve them.
-    """
-    if (translate is None) == (unimodular is None):
-        raise ValueError("pass exactly one of translate= or unimodular=")
-    matrix = unimodular if translate is None else IDENTITY
-    tri2, delta2 = affine_problem(curve.tri, curve.delta, matrix, translate or (0, 0))
-    curve2 = TCurve(build_ambient_surface(tri2.polygon), tri2, delta2)
-    if translate is not None:
-        shift_par = point_parity(translate)
-        return curve2, (lambda q: q), (lambda q: (-1) ** pairing(q, shift_par))
-    a2 = tuple(tuple(x & 1 for x in row) for row in matrix)
-    return curve2, (lambda q: vec_mat(q, a2)), (lambda q: 1)

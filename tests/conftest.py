@@ -15,12 +15,6 @@ def t_polygons():
 
 
 @pytest.fixture(scope="session")
-def wide_triangles():
-    return {d: validate_polygon([(0, 0), (2 * d, 0), (0, d)])
-            for d in range(1, 5)}
-
-
-@pytest.fixture(scope="session")
 def diamond():
     return validate_polygon([(1, 0), (2, 1), (1, 2), (0, 1)])
 

@@ -1,21 +1,45 @@
 """Shared test machinery: random polygons, a general primitive
 triangulator (ear clipping plus refinement to area 1/2), random diagonal
-flips, and the comparison of a curve and its filling with the tuple
-oracles.  These are test-side oracles and generators, not part of the
-library surface.
+flips, the comparison of a curve and its filling with the tuple oracles,
+the Z2 matrix algebra of the atlas, the (Z2)^3 action on sign
+distributions, the degree parity law, and translated or unimodularly
+transformed curves with their census comparison.  These are test-side
+oracles and generators, not part of the library surface.
 """
 
+import os
 import random
+import subprocess
+import sys
 from functools import cmp_to_key
+from pathlib import Path
 
-from tcurve_lab.errors import InputError
+import tcurve_lab
+from tcurve_lab.errors import InputError, check
+from tcurve_lab.filling import OrientedComponent, OrientedCurve
 from tcurve_lab.geometry import cross, locate_in_polygon, on_segment
-from tcurve_lab.lattice import Polygon, validate_polygon
+from tcurve_lab.lattice import (Point, Polygon, is_standard_triangle, pairing,
+                                point_parity, validate_polygon)
 from tcurve_lab.oracles import (components_by_adjacency, midpoint_nodes,
                                 strands_by_tuples, twists_by_arc_pairing)
+from tcurve_lab.surface import Atlas, Mat2, Quadrant, build_ambient_surface
+from tcurve_lab.tcurve import CurveCensus, HarnackType, TCurve
 from tcurve_lab.triangulation import (PrimitiveTriangulation, edge_key,
                                       tri_key,
                                       validate_primitive_triangulation)
+
+
+# the package and this directory, importable in a fresh interpreter
+PYTHONPATH = os.pathsep.join((str(Path(tcurve_lab.__file__).resolve().parents[1]),
+                              str(Path(__file__).resolve().parent)))
+
+
+def run_python(code: str, *flags: str) -> str:
+    """The standard output of ``code`` run by a fresh interpreter with
+    ``flags`` (``-O`` strips ``assert``)."""
+    return subprocess.run([sys.executable, *flags, "-c", code], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH}).stdout
 
 
 def random_polygon(rng: random.Random, *, box=9, min_r=0, max_tries=500) -> Polygon:
@@ -186,3 +210,127 @@ def match_oracles(curve, filling) -> tuple[int, bool]:
     assert [shadows[c] for c in components] == \
         [tuple(tuple_state(tri, x) for x in seq) for seq in filling.shadows]
     return d, orientable
+
+
+# ---------------------------------------------------------------------------
+# Z2 matrices of the atlas
+
+IDENTITY: Mat2 = ((1, 0), (0, 1))
+
+
+def mat_mul(m: Mat2, n: Mat2) -> Mat2:
+    return (((m[0][0] * n[0][0] + m[0][1] * n[1][0]) & 1,
+             (m[0][0] * n[0][1] + m[0][1] * n[1][1]) & 1),
+            ((m[1][0] * n[0][0] + m[1][1] * n[1][0]) & 1,
+             (m[1][0] * n[0][1] + m[1][1] * n[1][1]) & 1))
+
+
+def vec_mat(v: Quadrant, m: Mat2) -> Quadrant:
+    """Row vector times matrix over Z2."""
+    return ((v[0] * m[0][0] + v[1] * m[1][0]) & 1,
+            (v[0] * m[0][1] + v[1] * m[1][1]) & 1)
+
+
+def gluing_matrix(atlas: Atlas, i: int, j: int) -> Mat2:
+    """The matrix G with M_j = M_i * G, walking forward from chart i to
+    chart j.  ``gluing_matrix(atlas, i, i)`` is the identity."""
+    g, r = IDENTITY, len(atlas.steps)
+    for k in range(i + 1, i + 1 + (j - i) % r):
+        g = mat_mul(g, atlas.steps[k % r])
+    return g
+
+
+# ---------------------------------------------------------------------------
+# laws of curves: the (Z2)^3 action, degree parity, transforms
+
+class WrongPolygon(InputError):
+    pass
+
+
+class LeavesNonnegativeQuadrant(InputError):
+    pass
+
+
+def theta_action(theta: HarnackType, delta: dict) -> dict:
+    """(theta . delta)(x,y) = (-1)^(c + <(a,b),(x,y)>) delta(x,y).  On
+    Harnack types the action is addition in (Z2)^3."""
+    c, a, b = theta
+    return {p: v * (-1) ** ((c + a * p[0] + b * p[1]) % 2)
+            for p, v in delta.items()}
+
+
+def degree_parity_check(curve: TCurve):
+    """On the standard triangle, return the nontrivial component when the
+    degree is odd, None when even; raises WrongPolygon elsewhere."""
+    d = is_standard_triangle(curve.surface.polygon)
+    if d is None:
+        raise WrongPolygon("degree parity applies to the standard triangle only")
+    nontrivial = [comp for comp, c in curve.classification.items()
+                  if c.kind == "nontrivial_rp2"]
+    check(len(nontrivial) == d % 2,
+          f"degree {d} must have {d % 2} nontrivial components, found {len(nontrivial)}")
+    return nontrivial[0] if nontrivial else None
+
+
+def comparable(census: CurveCensus, relabel=None, sign_flip=None):
+    """Canonical form of a census; ``relabel`` maps its quadrants onto the
+    reference census's quadrants and ``sign_flip`` multiplies the oval
+    signs of a quadrant (translations flip the extended point signs of
+    quadrant q by (-1)^<q, parity of the shift>)."""
+    relabel = relabel or (lambda q: q)
+    sign_flip = sign_flip or (lambda q: 1)
+    return (tuple(sorted(
+                (relabel(q), tuple(sorted((s * sign_flip(q), dep)
+                                          for s, dep in v)))
+                for q, v in census.quadrant_ovals.items())),
+            census.boundary_kinds, census.total)
+
+
+def transform_curve(curve: TCurve, *, translate: Point | None = None,
+                    unimodular=None):
+    """Translated or unimodularly transformed curve: the problem's image
+    under p -> A p + shift.
+
+    Returns (curve', quadrant_map, sign_flip).  quadrant_map sends a
+    quadrant of the new curve to the corresponding quadrant of the old
+    one: identity for translations, (s,t) -> (s,t)*A2 for a unimodular
+    map A.  Under a translation the curve is identical but the extended
+    point signs of quadrant q all flip by (-1)^<q, parity of the shift>,
+    which flips the recorded oval signs accordingly; unimodular maps
+    preserve them.  Raises LeavesNonnegativeQuadrant when A is not
+    unimodular or the image polygon leaves the nonnegative quadrant.
+    """
+    if (translate is None) == (unimodular is None):
+        raise ValueError("pass exactly one of translate= or unimodular=")
+    matrix = unimodular if translate is None else IDENTITY
+    shift = translate or (0, 0)
+    (a, b), (c, d) = matrix
+    if abs(a * d - b * c) != 1:
+        raise LeavesNonnegativeQuadrant(f"matrix {matrix} is not unimodular")
+
+    def image(p: Point) -> Point:
+        return (a * p[0] + b * p[1] + shift[0], c * p[0] + d * p[1] + shift[1])
+
+    verts = [image(v) for v in curve.tri.polygon.vertices]
+    if any(x < 0 or y < 0 for x, y in verts):
+        raise LeavesNonnegativeQuadrant("image polygon leaves the quadrant")
+    poly2 = validate_polygon(verts)
+    tri2 = validate_primitive_triangulation(
+        poly2, [tuple(image(v) for v in tr) for tr in curve.tri.triangles])
+    curve2 = TCurve(build_ambient_surface(poly2), tri2,
+                    {image(p): v for p, v in curve.delta.items()})
+    if translate is not None:
+        shift_par = point_parity(translate)
+        return curve2, (lambda q: q), (lambda q: (-1) ** pairing(q, shift_par))
+    a2 = tuple(tuple(x & 1 for x in row) for row in matrix)
+    return curve2, (lambda q: vec_mat(q, a2)), (lambda q: 1)
+
+
+def reversed_curve(oc: OrientedCurve) -> OrientedCurve:
+    """The other coherent orientation of an oriented curve: every cycle
+    and its directed projection run backward."""
+    comps = tuple(
+        OrientedComponent(c.nodes[:1] + c.nodes[:0:-1],
+                          tuple((b, a) for a, b in c.directed_projection[::-1]))
+        for c in oc.components)
+    return OrientedCurve(comps, not oc.flipped)

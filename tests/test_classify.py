@@ -14,7 +14,8 @@ import pytest
 import tcurve_lab.tcurve as tcurve_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.lattice import validate_polygon
-from tcurve_lab.oracles import classify_components_by_nesting, sides_by_split
+from tcurve_lab.oracles import (boundary_offset, classify_components_by_nesting,
+                                point_class, sides_by_split)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
 from tcurve_lab.tcurve import (extract_curve, harnack_distribution,
                                verify_harnack_census)
@@ -22,7 +23,7 @@ from tcurve_lab.triangulation import generate_grid_triangulation
 
 from conftest import pipeline, standard_triangle
 from helpers import (primitive_triangulation, random_distribution,
-                     random_flips, random_polygon)
+                     random_flips, random_polygon, run_python)
 
 SRC = Path(tcurve_module.__file__).resolve().parents[1]
 
@@ -43,18 +44,30 @@ def region_sides(curve, comp):
     point classes -> Euler characteristic of its closure."""
     regions = curve.regions
     pts = curve.surface.polygon.lattice_points
+    offsets = boundary_offset(curve.surface)
     out = {}
     for side in regions.split(comp):
         classes = frozenset(
-            curve.surface.point_class(QUADRANTS[x // len(pts)], pts[x % len(pts)])
+            point_class(offsets, QUADRANTS[x // len(pts)], pts[x % len(pts)])
             for x, r in enumerate(regions.region_of) if r in side)
         out[classes] = sum(regions.euler[r] for r in side)
     return out
 
 
+def oracle_first_copy(surface) -> list:
+    """``Regions.first_copy`` from the oracle's point classes: the copy of
+    the smallest quadrant in each point's class."""
+    offsets = boundary_offset(surface)
+    pts = surface.polygon.lattice_points
+    return [QUADRANTS.index(point_class(offsets, q, p)[0][0]) * len(pts) + i
+            for q in QUADRANTS for i, p in enumerate(pts)]
+
+
 def assert_matches_oracle(curve):
-    """Oval classes equal the nesting oracle's; the sides of every other
-    component, and so its disk sides, equal the per-component split's."""
+    """The point gluing of the regions and the oval classes equal the
+    oracles'; the sides of every other component, and so its disk sides,
+    equal the per-component split's."""
+    assert curve.regions.first_copy == oracle_first_copy(curve.surface)
     assert curve.classification == classify_components_by_nesting(curve)
     for comp, c in curve.classification.items():
         if c.kind != "oval":
@@ -78,14 +91,30 @@ def test_large_harnack_curves_match_oracle(d):
     assert_matches_oracle(curve)
 
 
+def test_rectangles_match_oracle():
+    for x0, y0, x1, y1 in ((0, 0, 1, 1), (0, 0, 3, 2), (1, 0, 4, 2),
+                           (0, 1, 3, 3), (2, 3, 4, 6), (0, 0, 5, 4)):
+        poly = validate_polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+        for htype in HARNACK_TYPES:
+            assert_matches_oracle(
+                pipeline(poly, harnack_distribution(poly, htype))[2])
+
+
 def test_random_instances_match_oracle():
     rng = random.Random(4242)
+    classes = set()
     for _ in range(200):
         poly = random_polygon(rng, box=6)
         tri = random_flips(rng, primitive_triangulation(poly), poly.point_count)
         curve = extract_curve(build_ambient_surface(poly), tri,
                               random_distribution(rng, poly))
         assert_matches_oracle(curve)
+        topo = curve.surface.classify_topology()
+        classes.add((topo.components, topo.orientable, min(topo.genus or 0, 1),
+                     min(topo.crosscaps or 0, 2)))
+    # two spheres, sphere, torus or more, projective plane, >= 2 crosscaps
+    assert classes == {(2, True, 0, 0), (1, True, 0, 0), (1, True, 1, 0),
+                       (1, False, 0, 1), (1, False, 0, 2)}
 
 
 def test_nested_ovals():
@@ -119,24 +148,14 @@ def test_sign_flip_inside_an_oval_raises():
 
 def test_sign_check_survives_python_O():
     code = ("from tcurve_lab.errors import InvariantError\n"
-            "from tcurve_lab.lattice import validate_polygon\n"
-            "from tcurve_lab.surface import build_ambient_surface\n"
-            "from tcurve_lab.tcurve import extract_curve\n"
-            "from tcurve_lab.triangulation import generate_grid_triangulation\n"
-            "sq = validate_polygon([(0, 0), (8, 0), (8, 8), (0, 8)])\n"
-            "delta = {p: (-1) ** max(abs(p[0] - 4), abs(p[1] - 4))\n"
-            "         for p in sq.lattice_points}\n"
-            "curve = extract_curve(build_ambient_surface(sq),\n"
-            "                      generate_grid_triangulation(sq), delta)\n"
+            "from test_classify import nested_squares\n"
+            "curve = nested_squares()\n"
             "curve.ext.delta[(3, 3)] *= -1\n"
             "try:\n"
             "    curve.classification\n"
             "except InvariantError:\n"
             "    print('raised')\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    assert out.strip() == "raised"
+    assert run_python(code, "-O").strip() == "raised"
 
 
 def t6_with_a_misglued_point():
@@ -173,3 +192,28 @@ def test_euler_sum_check_survives_python_O():
                          capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}).stdout
     assert "sum to chi" in out
+
+
+def t6_with_a_misglued_lift():
+    """T_6 of type (1,0,0) whose lift table, after the curve is built,
+    merges one lifted boundary edge into the copy of a third quadrant: the
+    point classes at its ends then take three quadrants."""
+    t6 = standard_triangle(6)
+    _, _, curve = pipeline(t6, harnack_distribution(t6, (1, 0, 0)))
+    tab = curve.tables
+    x, c = tab.merged[0], tab.canonical[0]
+    q = next(q for q in range(4) if q not in (x // tab.E, c // tab.E))
+    tab.canonical[0] = q * tab.E + c % tab.E
+    return curve
+
+
+def test_misglued_lift_raises():
+    with pytest.raises(InvariantError, match="2 on the boundary"):
+        t6_with_a_misglued_lift().classification
+    out = run_python("from tcurve_lab.errors import InvariantError\n"
+                     "from test_classify import t6_with_a_misglued_lift\n"
+                     "try:\n"
+                     "    t6_with_a_misglued_lift().classification\n"
+                     "except InvariantError as exc:\n"
+                     "    print(exc)\n", "-O")
+    assert "2 on the boundary" in out

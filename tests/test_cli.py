@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -9,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import tcurve_lab
 from tcurve_lab.cli import (YAML_LOADER, Problem, main, parse_problem,
                             problem_from_data)
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
                                ValidationError)
+
+from helpers import run_python
 
 
 def write(tmp_path, name, text):
@@ -421,11 +419,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
             "import tcurve_lab.cli\n"
             "new = set(sys.modules) - before\n"
             "print(sorted({'dataclasses', 'inspect'} & new))\n")
-    src = Path(tcurve_lab.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)}).stdout
-    assert out.strip() == "[]"
+    assert run_python(code).strip() == "[]"
 
 
 def torus_problem():

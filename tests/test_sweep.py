@@ -3,11 +3,7 @@ single-shot TCurve -> TFilling, its thick-Y spins against the parity
 union-find of the oracles, and its invariant checks under corrupted
 tables through both."""
 
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -26,9 +22,7 @@ from tcurve_lab.triangulation import (Lifts, edge_key,
 
 from conftest import standard_triangle
 from helpers import (match_oracles, primitive_triangulation, random_flips,
-                     random_polygon)
-
-SRC = Path(sweep_module.__file__).resolve().parents[1]
+                     random_polygon, run_python)
 
 
 def mask_signs(tri, mask):
@@ -263,9 +257,7 @@ def test_corrupted_table_raises(corrupt, driver):
 def test_checks_survive_python_O():
     """Both drivers and the G(Pi) connectivity check, in one interpreter
     under -O."""
-    code = ("import sys\n"
-            "sys.path.insert(0, sys.argv[1])\n"
-            "import test_sweep\n"
+    code = ("import test_sweep\n"
             "from tcurve_lab.errors import InvariantError\n"
             "from tcurve_lab.lattice import validate_polygon\n"
             "from tcurve_lab.surface import build_ambient_surface\n"
@@ -284,9 +276,6 @@ def test_checks_survive_python_O():
             "    test_sweep.compile_sweep(*test_sweep.two_islands())\n"
             "except InvariantError as exc:\n"
             "    print(exc)\n")
-    out = subprocess.run([sys.executable, "-O", "-c", code,
-                          str(Path(__file__).parent)], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    out = run_python(code, "-O")
     assert out.split("\n") == [f"{d.__name__} raised" for d in DRIVERS] + \
         ["G(Pi) is connected, so the filling is", ""]

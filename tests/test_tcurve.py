@@ -2,21 +2,20 @@ import random
 
 import pytest
 
-from tcurve_lab.errors import (IncompleteDistribution, InvariantError,
-                               LeavesNonnegativeQuadrant, WrongPolygon)
+from tcurve_lab.errors import IncompleteDistribution, InvariantError
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
 from tcurve_lab.oracles import (edge_signs, midpoint_node, midpoint_nodes,
                                 translated_components, visits)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
-from tcurve_lab.tcurve import (degree_parity_check, extend_signs,
-                               extract_curve, harnack_distribution,
-                               ovals_inside, predicted_harnack_census,
-                               theta_action, transform_curve,
+from tcurve_lab.tcurve import (ExtendedSigns, extract_curve,
+                               harnack_distribution, predicted_harnack_census,
                                verify_harnack_census)
 from tcurve_lab.triangulation import generate_grid_triangulation
 
 from conftest import pipeline, standard_triangle
-from helpers import random_distribution
+from helpers import (LeavesNonnegativeQuadrant, WrongPolygon, comparable,
+                     degree_parity_check, random_distribution, theta_action,
+                     transform_curve)
 
 
 def all_plus(poly):
@@ -29,7 +28,7 @@ def all_plus(poly):
 def test_extension_formula():
     t2 = standard_triangle(2)
     s = build_ambient_surface(t2)
-    ext = extend_signs(all_plus(t2), s)
+    ext = ExtendedSigns(all_plus(t2), s)
     # odd point in a reflecting quadrant flips
     assert ext.value((1, 0), (1, 1)) == -1
     # even points keep their sign in all four quadrants
@@ -43,7 +42,7 @@ def test_extension_agrees_on_identified_t2_edge_point():
     s = build_ambient_surface(t2)
     rng = random.Random(0)
     for _ in range(8):
-        ext = extend_signs(random_distribution(rng, t2), s)
+        ext = ExtendedSigns(random_distribution(rng, t2), s)
         assert ext.value((0, 0), (1, 0)) == ext.value((0, 1), (1, 0))
         assert ext.value((1, 0), (1, 0)) == ext.value((1, 1), (1, 0))
 
@@ -52,7 +51,7 @@ def test_incomplete_distribution():
     t1 = standard_triangle(1)
     s = build_ambient_surface(t1)
     with pytest.raises(IncompleteDistribution):
-        extend_signs({(0, 0): 1, (1, 0): 1}, s)
+        ExtendedSigns({(0, 0): 1, (1, 0): 1}, s)
 
 
 def test_edge_sign_reflection_law():
@@ -97,21 +96,27 @@ def test_all_plus_unit_triangle_has_one_hexagon():
 
 
 def test_every_downstairs_edge_used_twice():
+    # an interior edge has two negative lifts, each its own midpoint; the
+    # two negative lifts of a boundary edge share one midpoint, a U-turn
     rng = random.Random(9)
-    poly = standard_triangle(3)
-    _, tri, curve = pipeline(poly, random_distribution(rng, poly))
-    usage = {}
-    for comp in curve.components:
-        for m in comp.nodes[1::2]:  # its midpoints
-            usage[m[2]] = usage.get(m[2], 0) + 2  # two curve edges per visit
-    lifted_uses = {}
-    for comp in curve.components:
-        for q, t, e_in, e_out in visits(comp.nodes):
-            for e in (e_in, e_out):
-                lifted_uses[(t, e)] = lifted_uses.get((t, e), 0) + 1
-    for t in tri.triangles:
-        for e in tri.slots[t]:
-            assert lifted_uses[(t, e)] == 2
+    for d in (3, 4, 5):
+        poly = standard_triangle(d)
+        for _ in range(20):
+            _, tri, curve = pipeline(poly, random_distribution(rng, poly))
+            usage = {}
+            for comp in curve.components:
+                for m in comp.nodes[1::2]:  # its midpoints
+                    usage[m[2]] = usage.get(m[2], 0) + 1
+            assert usage == {e: 1 if e in tri.boundary_edges else 2
+                             for e in tri.edges}
+            lifted_uses = {}
+            for comp in curve.components:
+                for q, t, e_in, e_out in visits(comp.nodes):
+                    for e in (e_in, e_out):
+                        lifted_uses[(t, e)] = lifted_uses.get((t, e), 0) + 1
+            for t in tri.triangles:
+                for e in tri.slots[t]:
+                    assert lifted_uses[(t, e)] == 2
 
 
 def test_minus_delta_gives_same_curve():
@@ -164,8 +169,10 @@ def test_harnack_t6_census():
     assert census.boundary_kinds == ("oval_rp2",)
     assert sum(len(v) for v in census.quadrant_ovals.values()) == 10
     o = next(c for c, k in curve.classification.items() if k.kind != "oval")
-    inside = ovals_inside(curve, o)
-    assert inside is not None and len(inside) == 1
+    disks = curve.regions.disks(o)
+    assert len(disks) == 1
+    inside = disks[0]
+    assert len(inside) == 1
     assert curve.classification[inside[0]].quadrant == (0, 0)
     assert verify_harnack_census(curve, (1, 0, 0))
 
@@ -283,7 +290,7 @@ def test_harnack_census_independent_of_triangulation():
         for _ in range(3):
             tri2 = random_flips(rng, generate_grid_triangulation(poly), 8)
             other = extract_curve(surface, tri2, delta)
-            assert other.census.comparable() == base.census.comparable()
+            assert comparable(other.census) == comparable(base.census)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +300,7 @@ def test_translation_gives_identical_curve():
     t2 = standard_triangle(2)
     _, _, curve = pipeline(t2, harnack_distribution(t2, (1, 0, 0)))
     moved, relabel, flip = transform_curve(curve, translate=(1, 1))
-    assert moved.census.comparable(relabel, flip) == curve.census.comparable()
+    assert comparable(moved.census, relabel, flip) == comparable(curve.census)
     assert translated_components(curve, (1, 1)) == \
         [c.nodes for c in moved.components]
 
@@ -307,7 +314,7 @@ def test_translation_flips_oval_signs_by_shift_parity():
         _, _, curve = pipeline(sq, random_distribution(rng, sq))
         moved, relabel, flip = transform_curve(curve, translate=(1, 0))
         assert [flip(q) for q in QUADRANTS] == [1, 1, -1, -1]
-        assert moved.census.comparable(relabel, flip) == curve.census.comparable()
+        assert comparable(moved.census, relabel, flip) == comparable(curve.census)
         assert translated_components(curve, (1, 0)) == \
             [c.nodes for c in moved.components]
 
@@ -324,7 +331,7 @@ def test_swap_on_harnack_t5():
     t5 = standard_triangle(5)
     _, _, curve = pipeline(t5, harnack_distribution(t5, (1, 0, 0)))
     swapped, relabel, _ = transform_curve(curve, unimodular=((0, 1), (1, 0)))
-    assert swapped.census.comparable(relabel) == curve.census.comparable()
+    assert comparable(swapped.census, relabel) == comparable(curve.census)
     # quadrant law (c,d) = (s,t) * A2: the swap exchanges (0,1) and (1,0)
     assert relabel((0, 1)) == (1, 0) and relabel((1, 1)) == (1, 1)
 

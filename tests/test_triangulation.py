@@ -1,13 +1,8 @@
-import os
 import random
-import subprocess
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
-import tcurve_lab
 from tcurve_lab.errors import (Gap, InvariantError, MissingLatticeVertex,
                                NonPrimitiveTriangle, Overlap, UnsupportedShape)
 from tcurve_lab.lattice import validate_polygon
@@ -19,9 +14,8 @@ from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       validate_primitive_triangulation)
 
 from conftest import standard_triangle
-from helpers import primitive_triangulation, random_flips, random_polygon
-
-SRC = Path(tcurve_lab.__file__).resolve().parents[1]
+from helpers import (primitive_triangulation, random_flips, random_polygon,
+                     run_python)
 
 
 def test_grid_t3_counts():
@@ -217,7 +211,5 @@ def test_unglued_boundary_segment_raises():
     del surface.boundary_segment_offset[((0, 0), (1, 0))]
     with pytest.raises(InvariantError, match="has degree 1"):
         incidence_graphs(surface, generate_grid_triangulation(t3))
-    out = subprocess.run([sys.executable, "-O", "-c", DROP_BOUNDARY_SEGMENT],
-                         check=True, capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    out = run_python(DROP_BOUNDARY_SEGMENT, "-O")
     assert "has degree 1" in out
