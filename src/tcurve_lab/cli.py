@@ -332,14 +332,24 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
     elif name == "enumerate":
         tri = problem.build_triangulation()
         i_count = polygon.census().interior_points
+        # per curve type (I when the filling is orientable): D -> vectors
+        by_type: dict = {"I": {}, "II": {}}
+        for _, d, orientable in sweep(surface, tri):
+            per = by_type["I" if orientable else "II"]
+            per[d] = per.get(d, 0) + 1
         dist: dict = {}
-        for d, _ in sweep(surface, tri):
-            dist[d] = dist.get(d, 0) + 1
+        for per in by_type.values():
+            for d, count in per.items():
+                dist[d] = dist.get(d, 0) + count
         report["enumerate"] = {
             "runs": 1 << tri.V,
             "interior_points": i_count,
             "max_components": max(dist),
             "distribution": {str(k): v for k, v in sorted(dist.items())},
+            "distribution_by_type": {
+                kind: {str(k): v for k, v in sorted(per.items())}
+                for kind, per in by_type.items() if per},
+            "maximal_vectors": dist.get(i_count + 1, 0),
             "bound_violations": 0,
         }
     else:

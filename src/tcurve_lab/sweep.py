@@ -1,24 +1,46 @@
-"""The strand kernel: one sign vector on compiled integer tables.
+"""The strand kernel: sign vectors on compiled integer tables.
 
 ``compile_sweep(tri, lifts)`` compiles a triangulation and its lift
 table ``lifts`` (``triangulation.incidence_graphs``) into flat integer
 lists once.  It shares the two lists of the lift table, which is already
 integer and in this numbering: the midpoint of each lift and the prong
 across each midpoint.
-``trace_vector(tab, mask)`` runs one sign vector on them: bit k of the
-mask gives the k-th lexicographically sorted lattice point the sign +1, a
-clear bit gives it -1.  It derives the edge sign bits and the sign of
-every lifted edge, reads each interior edge's twist bit off its two
-triangles, and walks every curve component together with its shadow
-strand on the ribbon boundary.  D and orientability depend on the twist
-vector alone; the trace of the 12T strand states that gives them can be
-memoised on the full vector.  Every invariant of the T-curve and its
-filling is checked on every vector and raises ``InvariantError``.
 
-Both paths run this one kernel: ``TCurve`` calls it once for its problem
-(``TFilling`` reads that run), and ``sweep(surface, tri)`` calls it for
-each of the 2^V sign vectors in mask order, with the trace memoised per
-twist vector.
+Bit k of a mask gives the k-th lexicographically sorted lattice point the
+sign +1, a clear bit gives it -1.  The kernel holds what one sign vector
+makes of the tables as a few Python ints, one byte (0 or 1) per entry,
+entry i in byte i (``int.from_bytes(..., "little")``):
+
+- ``n``: per edge, 1 when its sign is negative;
+- ``defect``: per merged lift, 1 when its sign differs from that of its
+  canonical lift (the edge sign fails to descend);
+- ``sneg``: per slot lift, 1 when its lifted edge is negative;
+- eight reading ints, per edge sign bit b and reading prong p: per
+  interior edge, the sign of the p-th prong its curve may run on into
+  when the edge has sign bit b (``SweepTables.readings``).
+
+Every invariant of the T-curve and its filling that this state decides is
+an identity on these ints: no defect; exactly two negative lifts per edge
+(the four quadrant masks ``n ^ seg_par`` A..D have ``A^B^C^D == 0``,
+``A|B|C|D`` full and ``A&B&C&D == 0``); 0 or 2 negative edges per lifted
+triangle (``sneg ^ sneg >> 8 ^ sneg >> 16`` clear on the first byte of
+each); arc pairings that agree at both negative lifts of an interior edge,
+whose twist bits come from the same readings; and a U-turn at each
+boundary edge.  The curve walk then follows every component together with
+its shadow strand on the ribbon boundary, and checks the transitions, one
+boundary circle per component, closure, both Euler characteristics and
+D <= i + 1.  D and orientability depend on the twist vector alone; the
+trace of the 12T strand states that gives them can be memoised on it.
+Every failure raises ``InvariantError``.
+
+The state is affine in the mask over GF(2), so one representation serves
+two drivers.  ``trace_vector(tab, mask)`` builds it from scratch
+(``kernel_state``) for ``TCurve``, which alone records the walks
+(``TFilling`` reads that run).  ``run_sweep`` (``sweep(surface, tri)``)
+visits the 2^V masks in Gray-code order, ``mask = g ^ g >> 1``: each step
+flips one point sign j and XORs the state with the change that flipping
+j alone makes to the state of mask 0 (``gray_states``), and the trace is
+memoised per twist vector.
 
 Indices: lattice point i is the i-th sorted lattice point, edge e the e-th
 of ``tri.edges``, triangle t the t-th of ``tri.triangles``.  Quadrant q is
@@ -32,6 +54,7 @@ heading in (db = 1) or out (db = 0); flipping bit 0 reverses it.
 """
 
 from itertools import compress
+from operator import itemgetter, xor
 from typing import NamedTuple
 
 from .errors import InconsistentArcPairing, InvariantError, check
@@ -59,7 +82,8 @@ class SweepTables(NamedTuple):
     across: list         # per slot lift: the other prong on its midpoint (``Lifts``)
     nxt: list            # per slot lift: the next prong of its triangle
     prv: list            # per slot lift: the previous prong of its triangle
-    readings: tuple      # per sign bit, per interior edge: 4 slot lifts
+    readings: tuple      # per edge sign bit b and reading prong p, at 4*b + p:
+                         # per edge id, the slot lift read (-1 at a boundary edge)
     u_turns: list        # per boundary edge, per sign bit: 2 lift ids, 2 slot lifts
     succ: tuple          # (untwisted, twisted): successor of every strand state
 
@@ -114,11 +138,13 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
 
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
-    readings = ([], [])
+    readings = tuple([-1] * E for _ in range(8))
     for e, s_a, s_b in interior:
-        for by_bit, (q1, q2) in zip(readings, neg_quadrants(e)):
-            by_bit.append((nxt[q1 * T3 + s_a], nxt[q1 * T3 + s_b],
-                           nxt[q2 * T3 + s_a], nxt[q2 * T3 + s_b]))
+        for b, (q1, q2) in enumerate(neg_quadrants(e)):
+            for rd, u in zip(readings[4 * b:4 * b + 4],
+                             (q1 * T3 + s_a, q1 * T3 + s_b,
+                              q2 * T3 + s_a, q2 * T3 + s_b)):
+                rd[e] = nxt[u]
     # per boundary edge and edge sign bit: its two negative lifts, as lift
     # ids and as slot lifts
     u_turns = [[(q1 * E + e, q2 * E + e, q1 * T3 + s, q2 * T3 + s)
@@ -167,7 +193,9 @@ def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     return bytes(r != root[0] for r in root[::2])
 
 
-def _trace(tab: SweepTables, tw: bytearray) -> tuple[int, bool]:
+
+
+def _trace(tab: SweepTables, tw: bytes) -> tuple[int, bool]:
     """Boundary circles and orientability of the filling with twist bits
     ``tw``: orbits of the strand-state permutation, two per circle."""
     plain, twisted = tab.succ
@@ -193,7 +221,7 @@ def _trace(tab: SweepTables, tw: bytearray) -> tuple[int, bool]:
 
 class VectorTrace(NamedTuple):
     """What the kernel reads off one sign vector."""
-    tw: bytearray   # per edge id: 1 when the edge is glued with a twist
+    tw: bytes       # per edge id: 1 when the edge is glued with a twist
     walks: list     # per curve component: the slot lift by which it enters
                     # each lifted triangle, in order
     d: int          # boundary circles of the filling
@@ -215,48 +243,92 @@ def walk_states(tab: SweepTables, walk) -> list:
     return out
 
 
-def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
-                 ) -> VectorTrace:
-    """Run one sign vector; ``memo`` keeps (D, orientable) per twist
-    vector across calls.  See the module docstring for the checks."""
-    T, E, T3 = tab.T, tab.E, 3 * tab.T
-    edge_class, slots, across, succ = tab.edge_class, tab.slots, tab.across, tab.succ
-    nxt, prv = tab.nxt, tab.prv
+def _ints(*rows) -> list:
+    """Byte rows of 0/1 entries as ints, entry i in byte i."""
+    return [int.from_bytes(row, "little") for row in rows]
+
+
+def kernel_state(tab: SweepTables, mask: int) -> list:
+    """The kernel state of ``mask`` built from scratch: (n, defect, sneg,
+    and the eight reading ints), as the module docstring describes."""
+    E = tab.E
     # edge e = (p, r) has sign delta(p) delta(r); its lift to quadrant q
-    # has that sign times (-1)^<q, parity of e>.  Bit 1 = negative.
-    n = [(mask >> a ^ mask >> b) & 1 for a, b in tab.edge_ends]
-    lift = [x ^ p for x, p in zip(n * 4, tab.seg_par)]
-    if [lift[x] for x in tab.merged] != [lift[c] for c in tab.canonical]:
+    # has that sign times (-1)^<q, parity of e>.  1 = negative.
+    sign = format(mask, "b").zfill(tab.V)[::-1].encode()  # byte k: 48 + bit k
+    n = bytes([sign[a] ^ sign[b] for a, b in tab.edge_ends])
+    lift = (int.from_bytes(n * 4, "little") ^ int.from_bytes(
+        bytes(tab.seg_par), "little")).to_bytes(4 * E, "little")
+    defect = bytes(map(xor, map(lift.__getitem__, tab.merged),
+                       map(lift.__getitem__, tab.canonical)))
+    # itemgetter of 3 or more indices gathers a tuple
+    by_slot = itemgetter(*tab.slots)
+    sneg = b"".join(bytes(by_slot(lift[q * E:q * E + E])) for q in range(4))
+    read = sneg + b"\0"  # a boundary edge reads slot lift -1: 0
+    return _ints(n, defect, sneg,
+                 *(bytes(itemgetter(*rd)(read)) for rd in tab.readings))
+
+
+def _identities(tab: SweepTables) -> tuple:
+    """The constants the kernel state is checked against, derived from the
+    tables when a run starts, one byte per entry as in the state: per
+    quadrant, seg_par over the edges; 1 per edge; 1 per interior edge; 1
+    on the first slot lift of each lifted triangle; per edge sign bit, 1
+    per boundary edge that does not U-turn in one class under it; and the
+    gather of per-edge values to per-slot ones."""
+    E, seg_par, edge_class, across = tab.E, tab.seg_par, tab.edge_class, tab.across
+    interior, bad = bytearray(E), (bytearray(E), bytearray(E))
+    for e, _, _ in tab.interior:
+        interior[e] = 1
+    # the one negative class of a boundary edge is a U-turn: its two lifts
+    # meet at one midpoint, in the same triangle
+    for by_sign, (e, _) in zip(tab.u_turns, tab.boundary):
+        for b, (l1, l2, u1, u2) in enumerate(by_sign):
+            bad[b][e] = edge_class[l1] != edge_class[l2] or across[u1] != u2
+    return (_ints(*(bytes(seg_par[q * E:q * E + E]) for q in range(4))),
+            *_ints(b"\1" * E, interior, b"\1\0\0" * (4 * tab.T)), _ints(*bad),
+            itemgetter(*tab.slots))  # 3 or more indices: gathers a tuple
+
+
+def _first_byte(x: int) -> int:
+    """The index of the lowest nonzero byte of ``x`` > 0."""
+    return ((x & -x).bit_length() - 1) >> 3
+
+
+def _run(tab: SweepTables, ids: tuple, state: list, memo: dict,
+         record: bool) -> VectorTrace:
+    """Check one kernel state and walk its curve; the walks are recorded
+    only with ``record``.  See the module docstring for the checks."""
+    n, defect, s, r00, r01, r02, r03, r10, r11, r12, r13 = state
+    quads, edges, interior, triangles, (bad0, bad1), by_slot = ids
+    if defect:
         raise InvariantError("edge sign must descend to the surface")
-    quads = [lift[:E], lift[E:2 * E], lift[2 * E:3 * E], lift[3 * E:]]
-    if [a + b + c + d for a, b, c, d in zip(*quads)].count(2) != E:
+    a, b, c, d = [n ^ q for q in quads]
+    if a ^ b ^ c ^ d or a | b | c | d != edges or a & b & c & d:
         raise InvariantError("a downstairs edge lacks exactly two negative lifts")
-    sneg = [part[e] for part in quads for e in slots]
+    if (s ^ s >> 8 ^ s >> 16) & triangles:
+        raise InvariantError(
+            "a lifted triangle has an odd number of negative edges")
 
     # twist bits: at each negative lift of an interior edge the curve runs
     # on into the next or the previous prong of t_a and of t_b; matching
     # turns mean a twist, and the two lifts must turn oppositely on both
     # sides
-    tw = bytearray(E)
-    for (e, _, _), r0, r1 in zip(tab.interior, *tab.readings):
-        a1, b1, a2, b2 = r1 if n[e] else r0
-        i1, j1 = sneg[a1], sneg[b1]
-        if i1 == sneg[a2] or j1 == sneg[b2]:
-            raise InconsistentArcPairing(f"edge {e}: arc pairings disagree")
-        if i1 == j1:
-            tw[e] = 1
-    # the one negative class of a boundary edge is a U-turn: its two lifts
-    # meet at one midpoint, in the same triangle
-    for by_sign, (e, _) in zip(tab.u_turns, tab.boundary):
-        l1, l2, u1, u2 = by_sign[n[e]]
-        if edge_class[l1] != edge_class[l2] or across[u1] != u2:
-            raise InvariantError(f"boundary edge {e} must U-turn in one class")
+    i1 = r00 ^ (r00 ^ r10) & n
+    j1 = r01 ^ (r01 ^ r11) & n
+    agree = (i1 ^ r02 ^ (r02 ^ r12) & n) & (j1 ^ r03 ^ (r03 ^ r13) & n)
+    if agree != interior:
+        raise InconsistentArcPairing(
+            f"edge {_first_byte(agree ^ interior)}: arc pairings disagree")
+    u_turns = (n ^ edges) & bad0 | n & bad1
+    if u_turns:
+        raise InvariantError(
+            f"boundary edge {_first_byte(u_turns)} must U-turn in one class")
 
-    memo = {} if memo is None else memo
-    key = bytes(tw)
-    if key not in memo:
-        memo[key] = _trace(tab, tw)
-    d, orientable = memo[key]
+    T, E, T3 = tab.T, tab.E, 3 * tab.T
+    tw = (i1 ^ j1 ^ interior).to_bytes(E, "little")
+    if tw not in memo:
+        memo[tw] = _trace(tab, tw)
+    d, orientable = memo[tw]
 
     # walk each curve component through its lifted triangles, with the
     # shadow strand beside it: every lifted triangle it enters has exactly
@@ -264,9 +336,13 @@ def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
     # +1 out) or the previous one (the reverse); the shadow must follow the
     # transitions of this twist vector, close up with the component and
     # share no strand with another component
+    # a list and a tuple: indexing either is faster than indexing bytes
+    sneg, tws = list(s.to_bytes(12 * T, "little")), by_slot(tw)
+    across, succ, nxt, prv = tab.across, tab.succ, tab.nxt, tab.prv
     walks = []
-    seen = bytearray(12 * T)
-    used = bytearray(6 * T)
+    count = 0
+    seen = [0] * (12 * T)
+    used = [0] * (6 * T)
     for u0 in compress(range(12 * T), sneg):
         if seen[u0]:
             continue
@@ -275,31 +351,33 @@ def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
         first = 4 * (u0 % T3) + 3 - 2 * sneg[nxt[u0]]
         u, expected = u0, first
         while True:
-            w_next, w_prev = nxt[u], prv[u]
-            turn = sneg[w_next]
-            if not sneg[u] or turn == sneg[w_prev]:
-                raise InvariantError(
-                    "a lifted triangle has an odd number of negative edges")
-            w = w_next if turn else w_prev
-            s = u % T3
-            s_out = w - u + s
+            if not sneg[u]:
+                raise InvariantError("a curve component must cross by negative edges")
+            # the lifted triangle has one more negative edge, by the identity
+            w = nxt[u]
+            turn = sneg[w]
+            if not turn:
+                w = prv[u]
+            s, s_out = u % T3, w % T3
             x_in, x_out = 4 * s + 3 - 2 * turn, 4 * s_out + 2 * turn
-            if x_in != expected or succ[tw[slots[s]]][x_in] != x_out:
+            if x_in != expected or succ[tws[s]][x_in] != x_out:
                 raise InvariantError("shadow must follow the boundary transitions")
             if used[x_in >> 1] or used[x_out >> 1]:
                 raise InvariantError("one boundary circle per component")
             used[x_in >> 1] = used[x_out >> 1] = seen[u] = seen[w] = 1
-            walk.append(u)
-            expected = succ[tw[slots[s_out]]][x_out]
+            if record:
+                walk.append(u)
+            expected = succ[tws[s_out]][x_out]
             u = across[w]
             if seen[u]:
                 break
         if u != u0 or expected != first:
             raise InvariantError("a curve component must close up with its shadow")
-        walks.append(walk)
-    if len(walks) != d:
-        raise InvariantError(
-            f"{len(walks)} curve components but {d} boundary circles")
+        count += 1
+        if record:
+            walks.append(walk)
+    if count != d:
+        raise InvariantError(f"{count} curve components but {d} boundary circles")
 
     chi_sigma = E - 2 * T + d
     if chi_sigma != d + 1 - tab.V + tab.L or chi_sigma > 2:
@@ -311,19 +389,42 @@ def trace_vector(tab: SweepTables, mask: int, memo: dict | None = None
     return VectorTrace(tw, walks, d, orientable)
 
 
+def trace_vector(tab: SweepTables, mask: int) -> VectorTrace:
+    """Run one sign vector from scratch and record the walk of each curve
+    component."""
+    return _run(tab, _identities(tab), kernel_state(tab, mask), {}, True)
+
+
+def gray_states(tab: SweepTables):
+    """Yield (mask, kernel state) for all 2^V masks in Gray-code order.
+    Step g flips the sign of point j, the lowest set bit of g; as the
+    state is affine in the mask, that XORs it with the state of mask 0
+    plus that of mask 1 << j."""
+    state = kernel_state(tab, 0)
+    flips = [list(map(xor, kernel_state(tab, 1 << j), state))
+             for j in range(tab.V)]
+    yield 0, state
+    for g in range(1, 1 << tab.V):
+        # a list: tuple() of a map grows by resizing, and each size-11
+        # tuple it frees would stay on the interpreter's free list
+        state = list(map(xor, state, flips[(g & -g).bit_length() - 1]))
+        yield g ^ g >> 1, state
+
+
 def run_sweep(tab: SweepTables):
-    """Yield (D, orientable) for every mask in order; an invariant that
-    fails names its mask."""
+    """Yield (mask, D, orientable) for every mask, in Gray-code order; an
+    invariant that fails names its mask."""
+    ids = _identities(tab)
     memo: dict = {}
-    for mask in range(1 << tab.V):
+    for mask, state in gray_states(tab):
         try:
-            run = trace_vector(tab, mask, memo)
+            run = _run(tab, ids, state, memo, False)
         except InvariantError as exc:
             raise type(exc)(f"mask {mask}: {exc}") from None
-        yield run.d, run.orientable
+        yield mask, run.d, run.orientable
 
 
 def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
-    """Yield (D, orientable) for each of the 2^V sign vectors, in mask
-    order."""
+    """Yield (mask, D, orientable) for each of the 2^V sign vectors, in
+    Gray-code order."""
     yield from run_sweep(compile_sweep(tri, incidence_graphs(surface, tri)))

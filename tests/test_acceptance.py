@@ -162,9 +162,10 @@ def test_criterion_5_exhaustive_bound(exhaustive_sweeps):
 def test_compiled_sweep_matches_exhaustive_sweeps(exhaustive_sweeps):
     for d in (2, 3):
         poly = standard_triangle(d)
-        got = list(sweep(build_ambient_surface(poly),
-                         generate_grid_triangulation(poly)))
-        assert got == exhaustive_sweeps[d]["per_vector"]
+        got = {mask: (count, orientable) for mask, count, orientable in
+               sweep(build_ambient_surface(poly), generate_grid_triangulation(poly))}
+        assert [got[mask] for mask in range(len(got))] == \
+            exhaustive_sweeps[d]["per_vector"]
 
 
 def test_criterion_6_filling_arithmetic():

@@ -116,6 +116,20 @@ def test_enumerate_subcommand(tmp_path, capsys):
     assert rep["bound_violations"] == 0
 
 
+@pytest.mark.parametrize("d, dist, by_type, maximal", [
+    (2, {"1": 64}, {"I": {"1": 64}}, 64),
+    (3, {"1": 512, "2": 512}, {"I": {"2": 512}, "II": {"1": 512}}, 512)])
+def test_enumerate_type_split(tmp_path, capsys, d, dist, by_type, maximal):
+    path = write(tmp_path, "t.yaml",
+                 f"polygon: [[0,0],[{d},0],[0,{d}]]\nsigns: enumerate\n")
+    code, out = run_main(capsys, ["enumerate", "--input", path])
+    assert code == 0
+    rep = json.loads(out)["enumerate"]
+    assert rep["distribution"] == dist
+    assert rep["distribution_by_type"] == by_type
+    assert rep["maximal_vectors"] == maximal
+
+
 def test_enumerate_cap(tmp_path, capsys):
     path = write(tmp_path, "t5.yaml",
                  "polygon: [[0,0],[5,0],[0,5]]\nsigns: enumerate\n")

@@ -1,7 +1,8 @@
 """The strand kernel against the tuple oracles, through the sweep and the
-single-shot TCurve -> TFilling, its thick-Y spins against the parity
-union-find of the oracles, and its invariant checks under corrupted
-tables through both."""
+single-shot TCurve -> TFilling, its Gray-code steps against its
+from-scratch state, its thick-Y spins against the parity union-find of
+the oracles, and its invariant checks under corrupted tables through
+both."""
 
 import random
 from types import SimpleNamespace
@@ -13,8 +14,8 @@ from tcurve_lab.errors import InvariantError
 from tcurve_lab.filling import build_filling
 from tcurve_lab.oracles import ParityUnionFind
 from tcurve_lab.surface import build_ambient_surface
-from tcurve_lab.sweep import (compile_sweep, run_sweep, sweep, thick_y_spins,
-                              trace_vector)
+from tcurve_lab.sweep import (compile_sweep, gray_states, kernel_state,
+                              run_sweep, sweep, thick_y_spins, trace_vector)
 from tcurve_lab.tcurve import TCurve
 from tcurve_lab.triangulation import (Lifts, edge_key,
                                       generate_grid_triangulation,
@@ -33,6 +34,11 @@ def mask_signs(tri, mask):
 
 def compiled(surface, tri):
     return compile_sweep(tri, incidence_graphs(surface, tri))
+
+
+def by_mask(results):
+    """mask -> (D, orientable) from the sweep's (mask, D, orientable)."""
+    return {mask: (d, orientable) for mask, d, orientable in results}
 
 
 def reference(surface, tri, tables, mask):
@@ -58,8 +64,8 @@ def test_random_instances_match_reference():
         instances += 1
         tri = random_flips(rng, primitive_triangulation(poly), v)
         surface = build_ambient_surface(poly)
-        got = list(sweep(surface, tri))
-        assert len(got) == 1 << v
+        got = by_mask(sweep(surface, tri))
+        assert sorted(got) == list(range(1 << v))
         half = 1 << (v - 1)
         masks = range(half) if v <= 9 else rng.sample(range(half), 32)
         tables = compiled(surface, tri)
@@ -74,12 +80,17 @@ def test_t4_distribution():
     t4 = standard_triangle(4)
     surface = build_ambient_surface(t4)
     tri = generate_grid_triangulation(t4)
-    got = list(sweep(surface, tri))
+    got = by_mask(sweep(surface, tri))
     dist: dict = {}
-    for d, _ in got:
+    by_type: dict = {}
+    for d, orientable in got.values():
         dist[d] = dist.get(d, 0) + 1
+        per = by_type.setdefault("I" if orientable else "II", {})
+        per[d] = per.get(d, 0) + 1
     # every multiplicity is a multiple of 512 (recorded, not explained)
     assert dist == {1: 14336, 2: 14336, 3: 3584, 4: 512}
+    assert by_type == {"I": {2: 3584, 4: 512},
+                       "II": {1: 14336, 2: 10752, 3: 3584}}
     tables = compiled(surface, tri)
     for mask in random.Random(4).sample(range(1 << 15), 32):
         assert got[mask] == reference(surface, tri, tables, mask)
@@ -99,6 +110,57 @@ def test_memo_runs_once_per_twist_vector(monkeypatch):
     monkeypatch.setattr(sweep_module, "_trace", counted)
     assert sum(1 for _ in sweep(surface, tri)) == 1024
     assert len(keys) == len(set(keys)) == 1 << (10 - 3)
+
+
+# ---------------------------------------------------------------------------
+# Gray-code steps
+
+def test_gray_steps_match_scratch_states():
+    """Every mask once, each with the state built from scratch: T_3 and 20
+    seeded random polygons under random primitive triangulations."""
+    t3 = standard_triangle(3)
+    instances = [(t3, generate_grid_triangulation(t3))]
+    rng = random.Random(13)
+    while len(instances) < 21:
+        poly = random_polygon(rng, box=4)
+        if len(poly.lattice_points) <= 11:
+            instances.append(
+                (poly, random_flips(rng, primitive_triangulation(poly), 8)))
+    for poly, tri in instances:
+        tab = compiled(build_ambient_surface(poly), tri)
+        masks = []
+        for mask, state in gray_states(tab):
+            assert state == kernel_state(tab, mask), (poly, mask)
+            masks.append(mask)
+        assert sorted(masks) == list(range(1 << tab.V))
+
+
+def test_failure_names_its_mask_in_gray_order():
+    """A boundary edge that fails its U-turn under one edge sign only: the
+    sweep stops at the first mask in Gray order that gives the edge that
+    sign, not at mask 0 nor at the first such mask in mask order, and
+    ``trace_vector`` on that mask raises the same message."""
+    t3 = standard_triangle(3)
+    surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
+    tab = compiled(surface, tri)
+    gray = [g ^ g >> 1 for g in range(1 << tab.V)]
+    for k, (e, _) in enumerate(tab.boundary):
+        a, b = tab.edge_ends[e]
+        first = [next(m for m in order if (m >> a ^ m >> b) & 1)
+                 for order in (gray, range(1 << tab.V))]
+        if first[0] != first[1]:
+            break
+    l1, _, _, _ = tab.u_turns[k][1]
+    tab.edge_class[l1] = next(c for c in tab.edge_class if c != tab.edge_class[l1])
+    message = f"boundary edge {e} must U-turn in one class"
+    with pytest.raises(InvariantError) as swept:
+        for _ in run_sweep(tab):
+            pass
+    assert first[0] not in (0, first[1])
+    assert str(swept.value) == f"mask {first[0]}: {message}"
+    with pytest.raises(InvariantError) as single:
+        trace_vector(tab, first[0])
+    assert str(single.value) == message
 
 
 # ---------------------------------------------------------------------------
