@@ -193,8 +193,6 @@ def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     return bytes(r != root[0] for r in root[::2])
 
 
-
-
 def _trace(tab: SweepTables, tw: bytes) -> tuple[int, bool]:
     """Boundary circles and orientability of the filling with twist bits
     ``tw``: orbits of the strand-state permutation, two per circle."""
@@ -294,18 +292,19 @@ def _first_byte(x: int) -> int:
     return ((x & -x).bit_length() - 1) >> 3
 
 
-def _run(tab: SweepTables, ids: tuple, state: list, memo: dict,
+def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
          record: bool) -> VectorTrace:
-    """Check one kernel state and walk its curve; the walks are recorded
-    only with ``record``.  See the module docstring for the checks."""
-    n, defect, s, r00, r01, r02, r03, r10, r11, r12, r13 = state
-    quads, edges, interior, triangles, (bad0, bad1), by_slot = ids
+    """Check one kernel state against ``_identities(tab)`` and walk its
+    curve; the walks are recorded only with ``record``.  See the module
+    docstring for the checks."""
+    n, defect, neg, r00, r01, r02, r03, r10, r11, r12, r13 = state
+    quads, edges, interior, triangles, (bad0, bad1), by_slot = identities
     if defect:
         raise InvariantError("edge sign must descend to the surface")
     a, b, c, d = [n ^ q for q in quads]
     if a ^ b ^ c ^ d or a | b | c | d != edges or a & b & c & d:
         raise InvariantError("a downstairs edge lacks exactly two negative lifts")
-    if (s ^ s >> 8 ^ s >> 16) & triangles:
+    if (neg ^ neg >> 8 ^ neg >> 16) & triangles:
         raise InvariantError(
             "a lifted triangle has an odd number of negative edges")
 
@@ -337,7 +336,7 @@ def _run(tab: SweepTables, ids: tuple, state: list, memo: dict,
     # transitions of this twist vector, close up with the component and
     # share no strand with another component
     # a list and a tuple: indexing either is faster than indexing bytes
-    sneg, tws = list(s.to_bytes(12 * T, "little")), by_slot(tw)
+    sneg, tws = list(neg.to_bytes(12 * T, "little")), by_slot(tw)
     across, succ, nxt, prv = tab.across, tab.succ, tab.nxt, tab.prv
     walks = []
     count = 0
@@ -414,11 +413,11 @@ def gray_states(tab: SweepTables):
 def run_sweep(tab: SweepTables):
     """Yield (mask, D, orientable) for every mask, in Gray-code order; an
     invariant that fails names its mask."""
-    ids = _identities(tab)
+    identities = _identities(tab)
     memo: dict = {}
     for mask, state in gray_states(tab):
         try:
-            run = _run(tab, ids, state, memo, False)
+            run = _run(tab, identities, state, memo, False)
         except InvariantError as exc:
             raise type(exc)(f"mask {mask}: {exc}") from None
         yield mask, run.d, run.orientable
