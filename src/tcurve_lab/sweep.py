@@ -33,14 +33,15 @@ D <= i + 1.  D and orientability depend on the twist vector alone; the
 trace of the 12T strand states that gives them can be memoised on it.
 Every failure raises ``InvariantError``.
 
-The state is affine in the mask over GF(2), so one representation serves
-two drivers.  ``trace_vector(tab, mask)`` builds it from scratch
-(``kernel_state``) for ``TCurve``, which alone records the walks
+One representation serves two drivers, with the same checks and the
+same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
+(``kernel_state``) for ``TCurve``, and it alone records the walks
 (``TFilling`` reads that run).  ``run_sweep`` (``sweep(surface, tri)``)
-visits the 2^V masks in Gray-code order, ``mask = g ^ g >> 1``: each step
-flips one point sign j and XORs the state with the change that flipping
-j alone makes to the state of mask 0 (``gray_states``), and the trace is
-memoised per twist vector.
+visits the 2^V masks in Gray-code order, ``mask = g ^ g >> 1``, and
+memoises the trace per twist vector.  Each step flips one point sign j;
+the state is affine in the mask over GF(2), so the step XORs it with the
+change that flipping j alone makes to the state of mask 0
+(``gray_states``).
 
 Indices: lattice point i is the i-th sorted lattice point, edge e the e-th
 of ``tri.edges``, triangle t the t-th of ``tri.triangles``.  Quadrant q is
