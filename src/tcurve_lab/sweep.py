@@ -359,12 +359,14 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
             if not turn:
                 w = prv[u]
             s, s_out = u % T3, w % T3
-            x_in, x_out = 4 * s + 3 - 2 * turn, 4 * s_out + 2 * turn
+            # the strand pairs beside the visit, and its in and out states
+            p_in, p_out = 2 * s + 1 - turn, 2 * s_out + turn
+            x_in, x_out = 2 * p_in + 1, 2 * p_out
             if x_in != expected or succ[tws[s]][x_in] != x_out:
                 raise InvariantError("shadow must follow the boundary transitions")
-            if used[x_in >> 1] or used[x_out >> 1]:
+            if used[p_in] or used[p_out]:
                 raise InvariantError("one boundary circle per component")
-            used[x_in >> 1] = used[x_out >> 1] = seen[u] = seen[w] = 1
+            used[p_in] = used[p_out] = seen[u] = seen[w] = 1
             if record:
                 walk.append(u)
             expected = succ[tws[s_out]][x_out]
