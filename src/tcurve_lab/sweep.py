@@ -139,13 +139,14 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
 
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
-    readings = tuple([-1] * E for _ in range(8))
+    rows = [(-1,) * 8] * E
     for e, s_a, s_b in interior:
-        for b, (q1, q2) in enumerate(neg_quadrants(e)):
-            for rd, u in zip(readings[4 * b:4 * b + 4],
-                             (q1 * T3 + s_a, q1 * T3 + s_b,
-                              q2 * T3 + s_a, q2 * T3 + s_b)):
-                rd[e] = nxt[u]
+        (q1, q2), (q3, q4) = neg_quadrants(e)
+        rows[e] = (nxt[q1 * T3 + s_a], nxt[q1 * T3 + s_b],
+                   nxt[q2 * T3 + s_a], nxt[q2 * T3 + s_b],
+                   nxt[q3 * T3 + s_a], nxt[q3 * T3 + s_b],
+                   nxt[q4 * T3 + s_a], nxt[q4 * T3 + s_b])
+    readings = tuple(zip(*rows))
     # per boundary edge and edge sign bit: its two negative lifts, as lift
     # ids and as slot lifts
     u_turns = [[(q1 * E + e, q2 * E + e, q1 * T3 + s, q2 * T3 + s)
