@@ -139,14 +139,14 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
 
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
-    rows = [(-1,) * 8] * E
+    readings = tuple([-1] * E for _ in range(8))
+    r0, r1, r2, r3, r4, r5, r6, r7 = readings
     for e, s_a, s_b in interior:
         (q1, q2), (q3, q4) = neg_quadrants(e)
-        rows[e] = (nxt[q1 * T3 + s_a], nxt[q1 * T3 + s_b],
-                   nxt[q2 * T3 + s_a], nxt[q2 * T3 + s_b],
-                   nxt[q3 * T3 + s_a], nxt[q3 * T3 + s_b],
-                   nxt[q4 * T3 + s_a], nxt[q4 * T3 + s_b])
-    readings = tuple(zip(*rows))
+        r0[e], r1[e] = nxt[q1 * T3 + s_a], nxt[q1 * T3 + s_b]
+        r2[e], r3[e] = nxt[q2 * T3 + s_a], nxt[q2 * T3 + s_b]
+        r4[e], r5[e] = nxt[q3 * T3 + s_a], nxt[q3 * T3 + s_b]
+        r6[e], r7[e] = nxt[q4 * T3 + s_a], nxt[q4 * T3 + s_b]
     # per boundary edge and edge sign bit: its two negative lifts, as lift
     # ids and as slot lifts
     u_turns = [[(q1 * E + e, q2 * E + e, q1 * T3 + s, q2 * T3 + s)
