@@ -28,8 +28,8 @@ from .sweep import sweep
 from .tcurve import (TCurve, extract_curve, harnack_distribution,
                      predicted_harnack_census, verify_harnack_census)
 # incidence_graphs stays importable from here: bench/tracing.py wraps it
-from .triangulation import (generate_grid_triangulation, incidence_graphs,
-                            validate_primitive_triangulation)
+from .triangulation import (PrimitiveTriangulation,
+                            generate_grid_triangulation, incidence_graphs)
 
 # libyaml's loader when PyYAML was built with it: the same data, faster
 YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
@@ -43,8 +43,8 @@ MAX_POINTS = 10_000
 def check_size(polygon: Polygon, triangulates: bool = True):
     """Raise TooLarge when the polygon has more than MAX_POINTS lattice
     points on its boundary, or, when ``triangulates``, more than MAX_POINTS
-    in all or a bounding box of more than 2 * MAX_POINTS lattice points
-    (the box that listing the lattice points scans)."""
+    in all or a bounding box of more than 2 * MAX_POINTS lattice points,
+    whose columns the lattice point scan walks."""
     if polygon.boundary_length > MAX_POINTS:
         raise TooLarge(f"{polygon.boundary_length} boundary lattice points "
                        f"exceed the size limit {MAX_POINTS}")
@@ -83,16 +83,7 @@ class Problem:
     def build_triangulation(self):
         if self.triangulation == "grid":
             return generate_grid_triangulation(self.polygon)
-        pts = sorted(self.polygon.lattice_points)
-        tris = []
-        for k, triple in enumerate(self.triangulation):
-            bad = next((i for i in triple if not 0 <= i < len(pts)), None)
-            if bad is not None:
-                raise ValidationError(
-                    f"triangulation[{k}]: index {bad} out of range "
-                    f"(have {len(pts)} lattice points)")
-            tris.append(tuple(pts[i] for i in triple))
-        return validate_primitive_triangulation(self.polygon, tris)
+        return PrimitiveTriangulation(self.polygon, self.triangulation)
 
     def distribution(self, override_type=None):
         if override_type is not None:

@@ -65,34 +65,3 @@ def polygon_double_area(ring: tuple[Point, ...]) -> int:
         x2, y2 = ring[(i + 1) % len(ring)]
         s += x1 * y2 - x2 * y1
     return s
-
-
-def point_on_ring(pt: Point, ring: tuple[Point, ...]) -> bool:
-    n = len(ring)
-    return any(on_segment(pt, ring[i], ring[(i + 1) % n]) for i in range(n))
-
-
-def point_in_ring(pt: Point, ring: tuple[Point, ...]) -> bool:
-    """Even-odd test, exact.  The point must not lie on the ring itself
-    (use :func:`point_on_ring` first when that can happen)."""
-    px, py = pt
-    inside = False
-    n = len(ring)
-    for i in range(n):
-        x1, y1 = ring[i]
-        x2, y2 = ring[(i + 1) % n]
-        if (y1 > py) != (y2 > py):
-            # px versus the x-coordinate of the crossing, cross-multiplied
-            t = (px - x1) * (y2 - y1) - (py - y1) * (x2 - x1)
-            if y2 > y1:
-                inside ^= t < 0
-            else:
-                inside ^= t > 0
-    return inside
-
-
-def locate_in_polygon(pt: Point, ring: tuple[Point, ...]) -> str:
-    """Return 'interior', 'boundary' or 'exterior' for a simple ring."""
-    if point_on_ring(pt, ring):
-        return "boundary"
-    return "interior" if point_in_ring(pt, ring) else "exterior"

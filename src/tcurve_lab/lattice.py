@@ -15,9 +15,8 @@ from typing import NamedTuple
 
 from .errors import (CollinearConsecutiveEdges, DegenerateSegment,
                      NegativeCoordinate, NotSimple, TooFewVertices, check)
-from .geometry import (cross, locate_in_polygon, polygon_double_area,
-                       segment_integral_length, segment_lattice_points,
-                       segments_intersect)
+from .geometry import (cross, polygon_double_area, segment_integral_length,
+                       segment_lattice_points, segments_intersect)
 
 Point = tuple[int, int]
 Parity = tuple[int, int]
@@ -228,9 +227,6 @@ class Polygon:
     # ------------------------------------------------------------------
     # lattice point census
 
-    def locate(self, p: Point) -> str:
-        return locate_in_polygon(p, self.vertices)
-
     @cached_property
     def boundary_points(self) -> tuple[Point, ...]:
         """All boundary lattice points, counterclockwise, starting at
@@ -246,13 +242,26 @@ class Polygon:
 
     @cached_property
     def lattice_points(self) -> tuple[Point, ...]:
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        pts = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if self.locate((x, y)) != "exterior":
-                    pts.append((x, y))
+        """All lattice points, sorted: the boundary points, and on each
+        column x the integers strictly between the 1st and 2nd, 3rd and 4th,
+        ... heights c at which the edges over [x, x + 1) cross it, each kept
+        as 2 floor(c) + [c is not an integer], which sorts them as finely as
+        the integers between them need."""
+        x0 = min(x for x, _ in self.vertices)
+        cuts: list = [[] for _ in range(max(x for x, _ in self.vertices) - x0)]
+        for (x1, y1), (x2, y2) in map(sorted, self.edges):
+            num = y1 * (x2 - x1)  # x2 - x1 times the height at x1, x1 + 1, ...
+            for col in cuts[x1 - x0:x2 - x0]:
+                q, r = divmod(num, x2 - x1)
+                col.append(2 * q + (r != 0))
+                num += y2 - y1
+        pts = set(self.boundary_points)
+        for x, col in enumerate(cuts, x0):
+            col.sort()
+            for lo, hi in zip(col[::2], col[1::2]):
+                pts.update((x, y) for y in range((lo >> 1) + 1, (hi + 1) >> 1))
+        check(len(pts) == self.point_count,
+              "the column scan finds the Pick count of lattice points")
         return tuple(sorted(pts))
 
     @cached_property

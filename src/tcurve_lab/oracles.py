@@ -19,6 +19,9 @@ table: midpoints of G(S) from the gluing of each boundary segment
 dual edges, twist bits by the arc pairings at each midpoint, and
 boundary circles, orientability and shadows by tracing tuple strand
 states, each component a tuple of nodes.
+The lattice points are listed by locating every point of the bounding
+box against the ring (``lattice_points_by_box``), where
+``Polygon.lattice_points`` scans columns.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
@@ -26,11 +29,51 @@ from .lattice import Point, Polygon
 from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
                       _surface_name, glue_offset, quad_add, reflect)
 from .filling import TFilling
-from .geometry import point_in_ring, segment_lattice_points
+from .geometry import on_segment, segment_lattice_points
 from .errors import check
-from .svg import node_coords6
 from .tcurve import Component, ComponentClass, ExtendedSigns, TCurve
 from .triangulation import Edge, PrimitiveTriangulation
+
+
+def point_on_ring(pt: Point, ring: tuple[Point, ...]) -> bool:
+    n = len(ring)
+    return any(on_segment(pt, ring[i], ring[(i + 1) % n]) for i in range(n))
+
+
+def point_in_ring(pt: Point, ring: tuple[Point, ...]) -> bool:
+    """Even-odd test, exact.  The point must not lie on the ring itself
+    (use :func:`point_on_ring` first when that can happen)."""
+    px, py = pt
+    inside = False
+    n = len(ring)
+    for i in range(n):
+        x1, y1 = ring[i]
+        x2, y2 = ring[(i + 1) % n]
+        if (y1 > py) != (y2 > py):
+            # px versus the x-coordinate of the crossing, cross-multiplied
+            t = (px - x1) * (y2 - y1) - (py - y1) * (x2 - x1)
+            if y2 > y1:
+                inside ^= t < 0
+            else:
+                inside ^= t > 0
+    return inside
+
+
+def locate_in_polygon(pt: Point, ring: tuple[Point, ...]) -> str:
+    """Return 'interior', 'boundary' or 'exterior' for a simple ring."""
+    if point_on_ring(pt, ring):
+        return "boundary"
+    return "interior" if point_in_ring(pt, ring) else "exterior"
+
+
+def lattice_points_by_box(polygon: Polygon) -> tuple:
+    """The lattice points of ``polygon``, sorted: every point of the
+    bounding box located against every edge, the reference for the column
+    scan of ``Polygon.lattice_points``."""
+    xs, ys = zip(*polygon.vertices)
+    return tuple((x, y) for x in range(min(xs), max(xs) + 1)
+                 for y in range(min(ys), max(ys) + 1)
+                 if locate_in_polygon((x, y), polygon.vertices) != "exterior")
 
 
 class UnionFind:
@@ -215,8 +258,9 @@ def classify_filling_by_cells(filling: TFilling):
 
     slot_of = {t: {e: i for i, e in enumerate(tri.slots[t])}
                for t in tri.triangles}
+    on_edge = edge_triangles(tri)
     for e, twisted in filling.twists.items():
-        t1, t2 = tri.edge_triangles[e]
+        t1, t2 = on_edge[e]
         k1, k2 = slot_of[t1][e], slot_of[t2][e]
         eps = 1 if twisted else -1
         vuf.union(emid(t1, k1), emid(t2, k2))
@@ -224,7 +268,7 @@ def classify_filling_by_cells(filling: TFilling):
             vuf.union(corner(t1, k1, s), corner(t2, k2, eps * s))
             euf.union(ehalf(t1, k1, s), ehalf(t2, k2, eps * s))
     for e in filling.folds:
-        (t,) = tri.edge_triangles[e]
+        (t,) = on_edge[e]
         k = slot_of[t][e]
         vuf.union(corner(t, k, 1), corner(t, k, -1))
         euf.union(ehalf(t, k, 1), ehalf(t, k, -1))
@@ -282,6 +326,16 @@ def classify_filling_by_cells(filling: TFilling):
 
 
 # ---------------------------------------------------------------------------
+
+def node_coords6(q, node) -> tuple:
+    """Planar coordinates of a G(S) node scaled by 6, in the frame of
+    quadrant q (a boundary midpoint's label may name the other side)."""
+    if node[0] == "b":
+        (a, b), (c, d), (e, f) = node[2]
+        return reflect(q, (2 * (a + c + e), 2 * (b + d + f)))
+    (a, b), (c, d) = node[2]
+    return reflect(q, (3 * (a + c), 3 * (b + d)))
+
 
 def classify_components_by_nesting(curve: TCurve) -> dict:
     """Component -> ComponentClass with oval depths and signs from planar
@@ -416,6 +470,15 @@ def translated_components(curve: TCurve, vec) -> list:
                   for n in comp.nodes) for comp in curve.components]
 
 
+def edge_triangles(tri: PrimitiveTriangulation) -> dict:
+    """Edge -> the triangles that have it, in triangle order."""
+    out: dict = {}
+    for t, edges in tri.slots.items():
+        for e in edges:
+            out.setdefault(e, []).append(t)
+    return out
+
+
 def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
                   q: Quadrant, e: Edge) -> tuple:
     """The midpoint node ("m", q', e) of G(S) on the lift of edge e to
@@ -501,8 +564,11 @@ def twists_by_arc_pairing(tri: PrimitiveTriangulation, mid: dict,
                 pairings[node] = ((nodes[i - 1], nodes[i - 2][2]),
                                   (nodes[(i + 1) % n], nodes[(i + 2) % n][2]))
     twists: dict = {}
-    for e in tri.interior_edges:
-        t_a, t_b = sorted(tri.edge_triangles[e])
+    on_edge = edge_triangles(tri)
+    for e in tri.edges:
+        if e in tri.boundary_edges:
+            continue
+        t_a, t_b = sorted(on_edge[e])
         readings = []
         for q in QUADRANTS:
             if mid[(q, e)] in pairings:
@@ -538,6 +604,7 @@ def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
     constraints between the thick-Ys, and the shadow of a component
     (component -> its states, two per barycenter passage from ``visits``)
     is the strand that runs beside it, one boundary circle per component."""
+    on_edge = edge_triangles(tri)
 
     def next_state(state):
         t, k, s, d = state
@@ -546,7 +613,7 @@ def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
             e = slots[k]
             if e in folds:
                 return (t, k, -s, "in")
-            t_a, t_b = tri.edge_triangles[e]
+            t_a, t_b = on_edge[e]
             t2 = t_b if t_a == t else t_a
             return (t2, tri.slots[t2].index(e), s if twists[e] else -s, "in")
         if s == -1:
@@ -591,6 +658,6 @@ def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
     for t in tri.triangles:
         spin.add(t)
     # no twist: the planar orientations agree; twist: they oppose
-    orientable = all(spin.union(*tri.edge_triangles[e], 1 if twisted else 0)
+    orientable = all(spin.union(*on_edge[e], 1 if twisted else 0)
                      for e, twisted in sorted(twists.items()))
     return count // 2, orientable, shadows

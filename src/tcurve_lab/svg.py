@@ -5,23 +5,21 @@ sixth-integral barycenter and midpoint coordinates land on multiples of
 5 px.  Rendering the same problem twice yields identical bytes.
 """
 
-from .surface import QUADRANTS, reflect
+from .surface import QUADRANTS
 from .tcurve import TCurve
 
 UNIT = 30          # px per lattice unit
 SUB = UNIT // 6    # px per sixth
 
+SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # per quadrant, as ``reflect``
+
 PALETTE = ("#c62828", "#1565c0", "#2e7d32", "#6a1b9a", "#ef6c00",
            "#00838f", "#ad1457", "#4e342e")
 
 
-def _pt(x6: int, y6: int) -> str:
-    return f"{x6 * SUB},{-y6 * SUB}"
-
-
 def render_svg(curve: TCurve) -> str:
-    polygon = curve.surface.polygon
-    tri = curve.tri
+    polygon, tri, tab = curve.surface.polygon, curve.tri, curve.tables
+    pts = polygon.lattice_points
     xs = [v[0] for v in polygon.vertices]
     ys = [v[1] for v in polygon.vertices]
     span_x, span_y = max(xs), max(ys)
@@ -35,59 +33,60 @@ def render_svg(curve: TCurve) -> str:
         f'<rect x="{-span_x * UNIT - pad}" y="{-span_y * UNIT - pad}" '
         f'width="{w}" height="{h}" fill="white"/>',
     ]
+    # pixel coordinates in quadrant (0,0); quadrant q multiplies them by
+    # the signs SIGNS[q], which the y axis turns downward
+    X, Y = [UNIT * x for x, _ in pts], [-UNIT * y for _, y in pts]
 
     # triangulation edges, all four copies
     out.append('<g stroke="#c8c8c8" stroke-width="1">')
-    for q in QUADRANTS:
-        for e in tri.edges:
-            a = reflect(q, (6 * e[0][0], 6 * e[0][1]))
-            b = reflect(q, (6 * e[1][0], 6 * e[1][1]))
-            out.append(f'<line x1="{a[0] * SUB}" y1="{-a[1] * SUB}" '
-                       f'x2="{b[0] * SUB}" y2="{-b[1] * SUB}"/>')
+    for sx, sy in SIGNS:
+        for i, j in tri.edge_ends:
+            out.append(f'<line x1="{sx * X[i]}" y1="{sy * Y[i]}" '
+                       f'x2="{sx * X[j]}" y2="{sy * Y[j]}"/>')
     out.append('</g>')
 
     # quadrant outlines
     out.append('<g fill="none" stroke="#555555" stroke-width="2">')
-    for q in QUADRANTS:
-        pts = " ".join(_pt(*reflect(q, (6 * x, 6 * y)))
-                       for x, y in polygon.vertices)
-        out.append(f'<polygon points="{pts}"/>')
+    for sx, sy in SIGNS:
+        corners = " ".join(f"{sx * UNIT * x},{-sy * UNIT * y}"
+                           for x, y in polygon.vertices)
+        out.append(f'<polygon points="{corners}"/>')
     out.append('</g>')
 
-    # curve cycles: bold polylines through barycenters and midpoints
+    # curve cycles: bold polylines through barycenters and midpoints.  A
+    # visit runs from the barycenter of its lifted triangle to the midpoint
+    # that the next visit enters by, and that visit on from there, each in
+    # the frame of its own quadrant.  In sixths of a unit, a midpoint is 3
+    # times the sum of its edge's ends, a barycenter that sum over its
+    # triangle's three edges
+    ex = [pts[i][0] + pts[j][0] for i, j in tri.edge_ends]
+    ey = [pts[i][1] + pts[j][1] for i, j in tri.edge_ends]
+    mx, my = [3 * SUB * x for x in ex], [-3 * SUB * y for y in ey]
+    slots, T3 = tab.slots, 3 * tab.T
+    by_t = list(zip(slots[::3], slots[1::3], slots[2::3]))
+    bx = [SUB * (ex[a] + ex[b] + ex[c]) for a, b, c in by_t]
+    by = [-SUB * (ey[a] + ey[b] + ey[c]) for a, b, c in by_t]
     for idx, comp in enumerate(curve.components):
         color = PALETTE[idx % len(PALETTE)]
         out.append(f'<g fill="none" stroke="{color}" stroke-width="4" '
                    'stroke-linecap="round">')
-        nodes = comp.nodes
-        for i in range(len(nodes)):
-            a, b = nodes[i], nodes[(i + 1) % len(nodes)]
-            # both endpoints drawn in the frame of the barycenter's quadrant
-            q = a[1] if a[0] == "b" else b[1]
-            ca, cb = node_coords6(q, a), node_coords6(q, b)
-            out.append(f'<line x1="{ca[0] * SUB}" y1="{-ca[1] * SUB}" '
-                       f'x2="{cb[0] * SUB}" y2="{-cb[1] * SUB}"/>')
+        walk = comp.walk
+        for u, u_next in zip(walk, walk[1:] + walk[:1]):
+            (sx, sy), t = SIGNS[u // T3], u % T3 // 3
+            (nx, ny), s = SIGNS[u_next // T3], u_next % T3
+            e = slots[s]
+            out.append(f'<line x1="{sx * bx[t]}" y1="{sy * by[t]}" '
+                       f'x2="{sx * mx[e]}" y2="{sy * my[e]}"/>')
+            out.append(f'<line x1="{nx * mx[e]}" y1="{ny * my[e]}" '
+                       f'x2="{nx * bx[s // 3]}" y2="{ny * by[s // 3]}"/>')
         out.append('</g>')
 
     # lattice point signs: filled disc is +, open circle is -
     out.append('<g stroke="black" stroke-width="1">')
-    for q in QUADRANTS:
-        for p in polygon.lattice_points:
-            v = curve.ext.value(q, p)
-            x, y = reflect(q, (6 * p[0], 6 * p[1]))
-            fill = "black" if v > 0 else "white"
-            out.append(f'<circle cx="{x * SUB}" cy="{-y * SUB}" r="4" '
+    for q, (sx, sy) in zip(QUADRANTS, SIGNS):
+        for i, p in enumerate(pts):
+            fill = "black" if curve.ext.value(q, p) > 0 else "white"
+            out.append(f'<circle cx="{sx * X[i]}" cy="{sy * Y[i]}" r="4" '
                        f'fill="{fill}"/>')
-    out.append('</g>')
-    out.append('</svg>')
-    return "\n".join(out) + "\n"
-
-
-def node_coords6(q, node) -> tuple:
-    """Planar coordinates of a G(S) node scaled by 6, in the frame of
-    quadrant q (a boundary midpoint's label may name the other side)."""
-    if node[0] == "b":
-        (a, b), (c, d), (e, f) = node[2]
-        return reflect(q, (2 * (a + c + e), 2 * (b + d + f)))
-    (a, b), (c, d) = node[2]
-    return reflect(q, (3 * (a + c), 3 * (b + d)))
+    out += ('</g>', '</svg>', '')
+    return "\n".join(out)

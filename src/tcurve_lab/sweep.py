@@ -59,8 +59,7 @@ from operator import itemgetter, xor
 from typing import NamedTuple
 
 from .errors import InconsistentArcPairing, InvariantError, check
-from .lattice import pairing, segment_parity
-from .surface import QUADRANTS, AmbientSurface
+from .surface import AmbientSurface
 from .triangulation import Lifts, PrimitiveTriangulation, incidence_graphs
 from .uf import find
 
@@ -89,13 +88,19 @@ class SweepTables(NamedTuple):
     succ: tuple          # (untwisted, twisted): successor of every strand state
 
 
+# <q, p> for quadrant index q = 2a + b and segment parity p = 2c + d; per
+# segment parity 1..3 and edge sign bit: the two quadrants where a lift of
+# that parity is negative
+PAIRING = [[bin(q & p).count("1") & 1 for p in range(4)] for q in range(4)]
+NEG = [[[q for q in range(4) if PAIRING[q][p] != b] for b in (0, 1)]
+       for p in range(4)]
+
+
 def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
-    """The tables ``trace_vector`` reads, sharing the midpoint of each lift
-    and the prong across each midpoint with the lift table ``lifts`` of
+    """The tables ``trace_vector`` reads, sharing the edge ends and the edge
+    of each slot with ``tri``, and the midpoint of each lift and the prong
+    across each midpoint with the lift table ``lifts`` of
     ``incidence_graphs``; G(Pi) must be connected."""
-    pts = tri.polygon.lattice_points
-    point_id = {p: i for i, p in enumerate(pts)}
-    edge_id = {e: i for i, e in enumerate(tri.edges)}
     T, E, T3 = tri.T, tri.E, 3 * tri.T
     edge_class, across = lifts.edge_class, lifts.across
     # one int object per value below 12T, shared by every table of lift
@@ -106,11 +111,15 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     def shared(values):
         return [ids[v] for v in values]
 
-    edge_ends = [(point_id[p], point_id[r]) for p, r in tri.edges]
-    par = [segment_parity(*e) for e in tri.edges]
-    seg_par = [pairing(q, p) for q in QUADRANTS for p in par]
+    # the segment parity of a primitive edge, 2x + y, is the sum of the
+    # parities of its ends
+    par = [2 * (x & 1) + (y & 1) for x, y in tri.polygon.lattice_points]
+    spar = [par[i] ^ par[j] for i, j in tri.edge_ends]
+    if 0 in spar:
+        raise InvariantError(f"edge {spar.index(0)}: 0 negative lifts")
+    seg_par = [PAIRING[q][p] for q in range(4) for p in spar]
     merged = [x for x, c in enumerate(edge_class) if c != x]
-    slots = shared(edge_id[e] for t in tri.triangles for e in tri.slots[t])
+    slots = tri.slot_edges
     edge_slots: list = [[] for _ in range(E)]  # in triangle order
     for s, e in enumerate(slots):
         edge_slots[e].append(ids[s])
@@ -130,19 +139,12 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     check(sum(t == p for t, p in enumerate(parent)) == 1,
           "G(Pi) is connected, so the filling is")
 
-    def neg_quadrants(e):
-        """Per edge sign bit, the two quadrants where the lift of e is
-        negative."""
-        ones = [q for q in range(4) if seg_par[q * E + e]]
-        check(len(ones) == 2, f"edge {e}: {len(ones)} negative lifts")
-        return ones, [q for q in range(4) if q not in ones]
-
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
     readings = tuple([-1] * E for _ in range(8))
     r0, r1, r2, r3, r4, r5, r6, r7 = readings
     for e, s_a, s_b in interior:
-        (q1, q2), (q3, q4) = neg_quadrants(e)
+        (q1, q2), (q3, q4) = NEG[spar[e]]
         r0[e], r1[e] = nxt[q1 * T3 + s_a], nxt[q1 * T3 + s_b]
         r2[e], r3[e] = nxt[q2 * T3 + s_a], nxt[q2 * T3 + s_b]
         r4[e], r5[e] = nxt[q3 * T3 + s_a], nxt[q3 * T3 + s_b]
@@ -150,7 +152,7 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     # per boundary edge and edge sign bit: its two negative lifts, as lift
     # ids and as slot lifts
     u_turns = [[(q1 * E + e, q2 * E + e, q1 * T3 + s, q2 * T3 + s)
-                for q1, q2 in neg_quadrants(e)]
+                for q1, q2 in NEG[spar[e]]]
                for e, s in boundary]
 
     # strand transitions: 'in' turns to the neighboring prong of the same
@@ -170,7 +172,7 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
             twisted[4 * s], twisted[4 * s + 2] = 4 * s2 + 1, 4 * s2 + 3
     plain, twisted = shared(plain), shared(twisted)
 
-    return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, edge_ends,
+    return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, tri.edge_ends,
                        seg_par, edge_class, merged,
                        [edge_class[x] for x in merged], slots, interior,
                        boundary, across, nxt, prv, readings, u_turns,
@@ -195,9 +197,10 @@ def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     return bytes(r != root[0] for r in root[::2])
 
 
-def _trace(tab: SweepTables, tw: bytes) -> tuple[int, bool]:
-    """Boundary circles and orientability of the filling with twist bits
-    ``tw``: orbits of the strand-state permutation, two per circle."""
+def _trace(tab: SweepTables, tw: bytes) -> int:
+    """2 D + 1 when orientable, for the D boundary circles of the filling
+    with twist bits ``tw``: orbits of the strand-state permutation, two per
+    circle.  A small int, one shared object, is what a memo keeps."""
     plain, twisted = tab.succ
     slots = tab.slots
     n = 12 * tab.T
@@ -216,7 +219,7 @@ def _trace(tab: SweepTables, tw: bytes) -> tuple[int, bool]:
     check(all(orbit[x] != orbit[x + 1] for x in range(0, n, 2)),
           "a boundary circle cannot reverse onto itself")
     check(count % 2 == 0, "boundary circles come in orbit pairs")
-    return count // 2, thick_y_spins(tab, tw) is not None
+    return count + (thick_y_spins(tab, tw) is not None)
 
 
 class VectorTrace(NamedTuple):
@@ -327,9 +330,10 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
 
     T, E, T3 = tab.T, tab.E, 3 * tab.T
     tw = (i1 ^ j1 ^ interior).to_bytes(E, "little")
-    if tw not in memo:
-        memo[tw] = _trace(tab, tw)
-    d, orientable = memo[tw]
+    code = memo.get(tw)
+    if code is None:
+        code = memo[tw] = _trace(tab, tw)
+    d, orientable = code >> 1, bool(code & 1)
 
     # walk each curve component through its lifted triangles, with the
     # shadow strand beside it: every lifted triangle it enters has exactly

@@ -9,136 +9,147 @@ two integer lists (``incidence_graphs``): each lifted edge's midpoint,
 and the prong across each midpoint.
 """
 
+from collections import Counter
 from functools import cached_property
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
-                     NonPrimitiveTriangle, Overlap, UnsupportedShape, check)
-from .geometry import cross
+                     NonPrimitiveTriangle, Overlap, UnsupportedShape,
+                     ValidationError, check)
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
-from .surface import QUADRANTS, AmbientSurface, quad_add
-from .uf import find
+from .surface import QUADRANTS, AmbientSurface
 
 Tri = tuple[Point, Point, Point]          # canonical: sorted
 Edge = tuple[Point, Point]                # canonical: sorted
-
-
-def tri_key(a: Point, b: Point, c: Point) -> Tri:
-    return tuple(sorted((a, b, c)))
 
 
 def edge_key(a: Point, b: Point) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-def tri_edges(t: Tri) -> tuple[Edge, Edge, Edge]:
-    a, b, c = t
-    return (edge_key(a, b), edge_key(a, c), edge_key(b, c))
-
-
-def tri_ccw(t: Tri) -> tuple[Point, Point, Point]:
-    a, b, c = t
-    return (a, b, c) if cross(a, b, c) > 0 else (a, c, b)
-
-
 class PrimitiveTriangulation:
-    """A validated primitive triangulation of a polygon."""
+    """A validated primitive triangulation of a polygon, numbered once.
 
-    def __init__(self, polygon: Polygon, triangles):
+    Point i is the i-th of ``polygon.lattice_points``, edge e the e-th
+    in sorted order and triangle t the t-th in sorted order; slot 3t + k
+    is its k-th edge counterclockwise from its smallest vertex.  Two
+    integer lists hold it, ``slot_edges`` (the edge id of each slot) and
+    ``edge_ends`` (the point indices of each edge, smaller first); the
+    tuple forms (``triangles``, ``edges``, ``slots``, ...) are views
+    derived from them.  ``boundary`` lists the edge ids on the boundary.
+    """
+
+    def __init__(self, polygon: Polygon, triples):
+        """Validate and number ``triples``, index triples into
+        ``polygon.lattice_points``, in one pass."""
         self.polygon = polygon
-        tris = tuple(sorted(tri_key(*t) for t in triangles))
+        pts = polygon.lattice_points
+        V = len(pts)
+        if triples and not 0 <= min(map(min, triples)) <= max(map(max, triples)) < V:
+            k, bad = next((k, i) for k, t in enumerate(triples)
+                          for i in t if not 0 <= i < V)
+            raise ValidationError(f"triangulation[{k}]: index {bad} out of range "
+                                  f"(have {V} lattice points)")
+        tris = sorted(map(tuple, map(sorted, triples)))
         if len(set(tris)) != len(tris):
             raise Overlap("repeated triangle")
-        self.triangles: tuple[Tri, ...] = tris
-        self._validate()
-
-    def _validate(self):
-        poly = self.polygon
-        lattice = set(poly.lattice_points)
-        used = set()
-        for t in self.triangles:
-            a, b, c = t
-            if abs(cross(a, b, c)) != 1:
-                raise NonPrimitiveTriangle(f"triangle {t} has area {abs(cross(a,b,c))}/2")
-            for v in t:
-                if v not in lattice:
-                    raise MissingLatticeVertex(
-                        f"triangle vertex {v} is not a lattice point of the polygon")
-            used.update(t)
-        if used != lattice:
-            missing = sorted(lattice - used)
+        # per slot, its edge i-j (i < j) as 2 * (i * V + j), plus 1 when
+        # the counterclockwise boundary of the triangle runs from j to i
+        keys: list = []
+        for a, b, c in tris:
+            (xa, ya), (xb, yb), (xc, yc) = pts[a], pts[b], pts[c]
+            area = (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa)
+            ab, bc, ac = 2 * (a * V + b), 2 * (b * V + c), 2 * (a * V + c)
+            if area == 1:
+                keys += (ab, bc, ac + 1)
+            elif area == -1:
+                keys += (ac, bc + 1, ab + 1)
+            else:
+                raise NonPrimitiveTriangle(f"triangle {(pts[a], pts[b], pts[c])} "
+                                           f"has area {abs(area)}/2")
+        used = set().union(*tris)
+        if len(used) != V:
+            missing = [p for i, p in enumerate(pts) if i not in used]
             raise MissingLatticeVertex(f"unused lattice points: {missing}")
 
         # oriented edges must be pairwise distinct; undirected counts are
         # 1 (boundary) or 2 (interior)
-        directed = set()
-        undirected: dict[Edge, int] = {}
-        for t in self.triangles:
-            v0, v1, v2 = tri_ccw(t)
-            for p, q in ((v0, v1), (v1, v2), (v2, v0)):
-                if (p, q) in directed:
-                    raise Overlap(f"directed edge {(p, q)} used twice")
-                directed.add((p, q))
-                undirected[edge_key(p, q)] = undirected.get(edge_key(p, q), 0) + 1
-        boundary_segments = {edge_key(p, q)
-                             for b in poly.broken_edges
-                             for p, q in b.primitive_segments}
-        for e, cnt in undirected.items():
-            if cnt > 2:
-                raise Overlap(f"edge {e} shared by {cnt} triangles")
-            if cnt == 1 and e not in boundary_segments:
-                raise DanglingEdge(f"interior edge {e} belongs to one triangle only")
-        for e in boundary_segments:
-            if undirected.get(e, 0) != 1:
-                raise Gap(f"boundary segment {e} not covered exactly once")
+        directed = set(keys)
+        if len(directed) != len(keys):
+            seen: set = set()
+            k = next(k for k in keys if k in seen or seen.add(k))  # first repeat
+            i, j = divmod(k >> 1, V)
+            p, q = (pts[j], pts[i]) if k & 1 else (pts[i], pts[j])
+            raise Overlap(f"directed edge {(p, q)} used twice")
+        single = {k >> 1 for k in directed.difference([k ^ 1 for k in keys])}
+        point_id = dict(zip(pts, range(V)))
+        segments = {edge_key(p, q) for b in polygon.broken_edges
+                    for p, q in b.primitive_segments}
+        if single != {point_id[p] * V + point_id[q] for p, q in segments}:
+            # the first edge used once off the boundary, in order of first
+            # use, else a boundary segment not used exactly once
+            for u, cnt in Counter(k >> 1 for k in keys).items():
+                e = (pts[u // V], pts[u % V])
+                if cnt > 2:
+                    raise Overlap(f"edge {e} shared by {cnt} triangles")
+                if cnt == 1 and e not in segments:
+                    raise DanglingEdge(f"interior edge {e} belongs to one triangle only")
+            for e in segments:
+                if point_id[e[0]] * V + point_id[e[1]] not in single:
+                    raise Gap(f"boundary segment {e} not covered exactly once")
         # each triangle has area 1/2, so the count equals twice the area
-        if len(self.triangles) != poly.double_area:
+        if len(tris) != polygon.double_area:
             raise Gap("triangle areas do not sum to the polygon area")
-        self._undirected = undirected
 
+        ukeys = [k >> 1 for k in keys]
+        order = sorted(set(ukeys))
+        edge_id = dict(zip(order, range(len(order))))
+        self.slot_edges: list = list(map(edge_id.__getitem__, ukeys))
+        self.edge_ends: list = [divmod(u, V) for u in order]
+        self.boundary: list = sorted(map(edge_id.__getitem__, single))
         # Euler relations, guaranteed by the checks above
         check(self.T - self.E + self.V == 1, "T - E + V = 1 on a disk")
         check(3 * self.T == 2 * self.E - self.L, "3T = 2E - L")
 
     # ------------------------------------------------------------------
+    # views
 
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
-        return tuple(sorted(self._undirected))
+        pts = self.polygon.lattice_points
+        return tuple((pts[i], pts[j]) for i, j in self.edge_ends)
+
+    @cached_property
+    def triangles(self) -> tuple[Tri, ...]:
+        # slot 3t runs from the smallest vertex, slot 3t + 2 back to it
+        pts, ends, se = self.polygon.lattice_points, self.edge_ends, self.slot_edges
+        out = []
+        for s in range(0, len(se), 3):
+            (a, b), c = ends[se[s]], ends[se[s + 2]][1]
+            out.append((pts[a], pts[min(b, c)], pts[max(b, c)]))
+        return tuple(out)
 
     @cached_property
     def boundary_edges(self) -> frozenset:
-        return frozenset(e for e, c in self._undirected.items() if c == 1)
-
-    @cached_property
-    def interior_edges(self) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e not in self.boundary_edges)
-
-    @cached_property
-    def edge_triangles(self) -> dict:
-        out: dict[Edge, list] = {e: [] for e in self.edges}
-        for t in self.triangles:
-            for e in tri_edges(t):
-                out[e].append(t)
-        return {e: tuple(ts) for e, ts in out.items()}
+        return frozenset(map(self.edges.__getitem__, self.boundary))
 
     @cached_property
     def slots(self) -> dict:
         """Per triangle, its three edges in counterclockwise cyclic order
         (the order of their midpoints around the barycenter)."""
-        out = {}
-        for t in self.triangles:
-            v0, v1, v2 = tri_ccw(t)
-            out[t] = (edge_key(v0, v1), edge_key(v1, v2), edge_key(v2, v0))
-        return out
+        edges = self.edges
+        by_slot = [edges[e] for e in self.slot_edges]
+        return {t: tuple(by_slot[3 * k:3 * k + 3])
+                for k, t in enumerate(self.triangles)}
 
     @property
     def T(self) -> int:
-        return len(self.triangles)
+        return len(self.slot_edges) // 3
 
     @property
     def E(self) -> int:
-        return len(self._undirected)
+        return len(self.edge_ends)
 
     @property
     def V(self) -> int:
@@ -152,31 +163,32 @@ class PrimitiveTriangulation:
         return f"PrimitiveTriangulation({self.polygon!r}, T={self.T})"
 
 
-def validate_primitive_triangulation(polygon: Polygon, triangles) -> PrimitiveTriangulation:
-    return PrimitiveTriangulation(polygon, triangles)
-
-
 def generate_grid_triangulation(polygon: Polygon) -> PrimitiveTriangulation:
     """Staircase triangulation of the standard triangle (0,0),(d,0),(0,d)
     or of an axis-aligned rectangle: every unit cell is split along its
     NW-SE diagonal.  Other polygons must supply triangulations explicitly.
-    """
+    The index triples go through the same checks as any other."""
     d = is_standard_triangle(polygon)
     tris = []
     if d is not None:
+        # column x holds the d - x + 1 points (x, 0), ..., (x, d - x)
+        col = [x * (2 * d + 3 - x) // 2 for x in range(d + 1)]
         for x in range(d):
             for y in range(d - x):
-                tris.append(((x, y), (x + 1, y), (x, y + 1)))
+                i, j = col[x] + y, col[x + 1] + y
+                tris.append((i, j, i + 1))
                 if x + y <= d - 2:
-                    tris.append(((x + 1, y), (x + 1, y + 1), (x, y + 1)))
+                    tris.append((j, j + 1, i + 1))
         return PrimitiveTriangulation(polygon, tris)
     rect = is_axis_rectangle(polygon)
     if rect is not None:
         (x0, y0), (x1, y1) = rect
-        for x in range(x0, x1):
-            for y in range(y0, y1):
-                tris.append(((x, y), (x + 1, y), (x, y + 1)))
-                tris.append(((x + 1, y), (x + 1, y + 1), (x, y + 1)))
+        h = y1 - y0 + 1
+        for x in range(x1 - x0):
+            for y in range(y1 - y0):
+                i, j = x * h + y, (x + 1) * h + y
+                tris.append((i, j, i + 1))
+                tris.append((j, j + 1, i + 1))
         return PrimitiveTriangulation(polygon, tris)
     raise UnsupportedShape(
         "built-in generator covers the standard triangle and axis-aligned "
@@ -200,33 +212,46 @@ def incidence_graphs(surface: AmbientSurface,
     """The lift table, once G(S) is checked on it: every midpoint joins
     exactly two lifted-triangle prongs, and G(S) is connected when S is
     (r >= 2)."""
-    E, T = tri.E, tri.T
-    ids = list(range(12 * T))  # one int object per id (4E <= 12T)
+    E, T, n = tri.E, tri.T, 12 * tri.T
+    ids = list(range(n))  # one int object per id (4E <= 12T)
     edge_class = ids[:4 * E]
-    for e, edge in enumerate(tri.edges):
-        off = surface.boundary_segment_offset.get(edge)
-        if off is not None and edge in tri.boundary_edges:
-            for k, q in enumerate(QUADRANTS):
-                edge_class[k * E + e] = ids[
-                    QUADRANTS.index(min(q, quad_add(q, off))) * E + e]
-    edge_id = {e: i for i, e in enumerate(tri.edges)}
-    slot_edges = [edge_id[e] for t in tri.triangles for e in tri.slots[t]]
-    # per midpoint, the slot lifts of the prongs that end there
-    prongs: list = [[] for _ in range(4 * E)]
-    for k in range(4):
-        for s, e in enumerate(slot_edges):
-            prongs[edge_class[k * E + e]].append(ids[3 * k * T + s])
-    across = [0] * (12 * T)
-    parent = list(range(4 * T))  # lifted triangle q*T + t
-    for c, ends in enumerate(prongs):
-        if edge_class[c] != c:
-            continue
-        if len(ends) != 2:
-            m = ("m", QUADRANTS[c // E], tri.edges[c % E])
-            raise InvariantError(f"upstairs midpoint {m} has degree {len(ends)}")
-        u, w = ends
-        across[u], across[w] = w, u
-        parent[find(parent, u // 3)] = find(parent, w // 3)
-    check(surface.r < 2 or sum(x == p for x, p in enumerate(parent)) == 1,
-          "G(S) must be connected when S is")
+    pts, offsets = tri.polygon.lattice_points, surface.boundary_segment_offset
+    for e in tri.boundary:
+        i, j = tri.edge_ends[e]
+        off = offsets.get((pts[i], pts[j]))
+        if off is not None:
+            o = 2 * off[0] + off[1]  # quadrant index k moves to k ^ o
+            for k in range(4):
+                edge_class[k * E + e] = ids[min(k, k ^ o) * E + e]
+    # per slot lift, its midpoint; per midpoint, its first prong until the
+    # second one pairs with it, then 12T
+    by_slot = itemgetter(*tri.slot_edges)  # 3 or more indices: a tuple
+    mids = [m for x in range(0, 4 * E, E) for m in by_slot(edge_class[x:x + E])]
+    across = [-1] * n
+    first = [-1] * (4 * E)
+    for u, m in zip(ids, mids):
+        w = first[m]
+        if w < 0:
+            first[m] = u
+        elif w < n:
+            across[u], across[w] = w, u
+            first[m] = n
+        else:
+            break
+    if -1 in across:
+        degree = Counter(mids)
+        c = next(c for c, x in enumerate(edge_class) if c == x and degree[c] != 2)
+        m = ("m", QUADRANTS[c // E], tri.edges[c % E])
+        raise InvariantError(f"upstairs midpoint {m} has degree {degree[c]}")
+    if surface.r >= 2:
+        # every lifted triangle q*T + t is reached from the first one
+        seen = bytearray(4 * T)
+        seen[0], stack = 1, [0]
+        while stack:
+            x = stack.pop()
+            for w in across[3 * x:3 * x + 3]:
+                if not seen[w // 3]:
+                    seen[w // 3] = 1
+                    stack.append(w // 3)
+        check(all(seen), "G(S) must be connected when S is")
     return Lifts(edge_class, across)

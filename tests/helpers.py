@@ -15,18 +15,18 @@ from functools import cmp_to_key
 from pathlib import Path
 
 import tcurve_lab
-from tcurve_lab.errors import InputError, check
+from tcurve_lab.errors import (InputError, MissingLatticeVertex,
+                               NonPrimitiveTriangle, Overlap, check)
 from tcurve_lab.filling import OrientedComponent, OrientedCurve
-from tcurve_lab.geometry import cross, locate_in_polygon, on_segment
+from tcurve_lab.geometry import cross, on_segment
 from tcurve_lab.lattice import (Point, Polygon, is_standard_triangle, pairing,
                                 point_parity, validate_polygon)
-from tcurve_lab.oracles import (components_by_adjacency, midpoint_nodes,
-                                strands_by_tuples, twists_by_arc_pairing)
+from tcurve_lab.oracles import (components_by_adjacency, locate_in_polygon,
+                                midpoint_nodes, strands_by_tuples,
+                                twists_by_arc_pairing)
 from tcurve_lab.surface import Atlas, Mat2, Quadrant, build_ambient_surface
 from tcurve_lab.tcurve import CurveCensus, HarnackType, TCurve
-from tcurve_lab.triangulation import (PrimitiveTriangulation, edge_key,
-                                      tri_key,
-                                      validate_primitive_triangulation)
+from tcurve_lab.triangulation import PrimitiveTriangulation, edge_key
 
 
 # the package and this directory, importable in a fresh interpreter
@@ -88,6 +88,34 @@ def random_polygon(rng: random.Random, *, box=9, min_r=0, max_tries=500) -> Poly
         if poly.r >= min_r:
             return poly
     raise RuntimeError("could not sample a polygon")
+
+
+# ---------------------------------------------------------------------------
+# triangulations given by point triples
+
+def tri_key(a: Point, b: Point, c: Point) -> tuple:
+    return tuple(sorted((a, b, c)))
+
+
+def validate_primitive_triangulation(polygon: Polygon, triangles) -> PrimitiveTriangulation:
+    """The triangulation with these point triples: their index triples into
+    the sorted lattice points go through the library's one pass.  A vertex
+    off the lattice points is reported where the pass would meet it: after
+    a repeated triangle, and after the area of its own and every earlier
+    sorted triangle."""
+    point_id = {p: i for i, p in enumerate(polygon.lattice_points)}
+    if any(p not in point_id for t in triangles for p in t):
+        tris = sorted(tri_key(*t) for t in triangles)
+        if len(set(tris)) != len(tris):
+            raise Overlap("repeated triangle")
+        for t in tris:
+            if abs(cross(*t)) != 1:
+                raise NonPrimitiveTriangle(f"triangle {t} has area {abs(cross(*t))}/2")
+            for v in t:
+                if v not in point_id:
+                    raise MissingLatticeVertex(
+                        f"triangle vertex {v} is not a lattice point of the polygon")
+    return PrimitiveTriangulation(polygon, [[point_id[p] for p in t] for t in triangles])
 
 
 # ---------------------------------------------------------------------------

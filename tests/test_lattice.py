@@ -9,6 +9,7 @@ from tcurve_lab.errors import (CollinearConsecutiveEdges, DegenerateSegment,
 from tcurve_lab.geometry import segment_lattice_points
 from tcurve_lab.lattice import (parity_sum, point_parity, segment_parity,
                                 validate_polygon)
+from tcurve_lab.oracles import lattice_points_by_box
 
 from conftest import standard_triangle
 from helpers import random_polygon
@@ -171,3 +172,22 @@ def test_pick_point_count_matches_scan():
     polys += [random_polygon(rng) for _ in range(40)]
     for poly in polys:
         assert poly.point_count == len(poly.lattice_points)
+
+
+def comb(teeth: int) -> list:
+    """A comb: a flat base under a zigzag top of ``2 * teeth + 1`` vertices,
+    non-convex at every valley."""
+    return [(0, 0), (2 * teeth, 0)] + [(x, 2 - x % 2) for x in range(2 * teeth, -1, -1)]
+
+
+def test_column_scan_matches_bounding_box_scan():
+    rng = random.Random(67)
+    polys = [standard_triangle(d) for d in range(1, 16)]
+    polys += [random_polygon(rng, box=rng.choice((3, 6, 9, 14))) for _ in range(300)]
+    polys += [validate_polygon(comb(k)) for k in (1, 2, 7, 30)]
+    # thin slivers: long edges with few lattice points between them
+    polys += [validate_polygon(v) for v in (
+        [(0, 0), (7, 1), (13, 2)], [(0, 0), (9, 4), (2, 1)], [(1, 1), (30, 2), (1, 2)],
+        [(0, 0), (5, 1), (10, 1), (5, 0)], [(0, 3), (17, 0), (18, 0), (1, 3)])]
+    for poly in polys:
+        assert poly.lattice_points == lattice_points_by_box(poly), poly

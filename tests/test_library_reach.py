@@ -32,9 +32,9 @@ READERS = {
     "AmbientSurface.r": "cli:surface_report",
     "BrokenEdge.is_odd": "surface:AmbientSurface.tubular_type",
     "Component.edges": "tcurve:TCurve.crossing_count",
-    "Component.nodes": "svg:render_svg",
+    "Component.nodes": "filling:orient_curve",
     "Polygon.boundary_length": "cli:check_size",
-    "Polygon.broken_edges": "triangulation:PrimitiveTriangulation._validate",
+    "Polygon.broken_edges": "triangulation:PrimitiveTriangulation.__init__",
     "Polygon.census": "cli:run_subcommand",
     "Polygon.edges": "lattice:Polygon.boundary_length",
     "Polygon.interior_points": "lattice:Polygon.census",
@@ -43,8 +43,8 @@ READERS = {
     "PrimitiveTriangulation.L": "filling:harnack_check",
     "PrimitiveTriangulation.T": "filling:TFilling.chi",
     "PrimitiveTriangulation.V": "cli:run_subcommand",
-    "PrimitiveTriangulation.edges": "svg:render_svg",
-    "PrimitiveTriangulation.slots": "sweep:compile_sweep",
+    "PrimitiveTriangulation.edges": "filling:TFilling.__init__",
+    "PrimitiveTriangulation.slots": "oracles:edge_triangles",
     "Regions.euler": "tcurve:Regions.disks",
     "Regions.split": "tcurve:Regions.disks",
     "TCurve.census": "cli:curve_report",

@@ -214,11 +214,11 @@ def two_islands():
     """A stub triangulation of two triangles that share no edge, with an
     identity lift table: its G(Pi) has two components."""
     t1, t2 = ((0, 0), (1, 0), (0, 1)), ((2, 0), (3, 0), (2, 1))
-    slots = {t: (edge_key(t[0], t[1]), edge_key(t[1], t[2]),
-                 edge_key(t[2], t[0])) for t in (t1, t2)}
-    tri = SimpleNamespace(polygon=SimpleNamespace(lattice_points=sorted(t1 + t2)),
-                          triangles=(t1, t2), slots=slots,
-                          edges=tuple(sorted(e for t in slots for e in slots[t])),
+    slots = [edge_key(t[k], t[(k + 1) % 3]) for t in (t1, t2) for k in range(3)]
+    pts, edges = sorted(t1 + t2), sorted(slots)
+    tri = SimpleNamespace(polygon=SimpleNamespace(lattice_points=pts),
+                          slot_edges=[edges.index(e) for e in slots],
+                          edge_ends=[(pts.index(p), pts.index(q)) for p, q in edges],
                           T=2, E=6, V=6, L=6)
     return tri, Lifts(list(range(4 * tri.E)), list(range(12 * tri.T)))
 

@@ -1,21 +1,23 @@
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
-from tcurve_lab.errors import (Gap, InvariantError, MissingLatticeVertex,
-                               NonPrimitiveTriangle, Overlap, UnsupportedShape)
+from tcurve_lab.errors import (DanglingEdge, Gap, InvariantError,
+                               MissingLatticeVertex, NonPrimitiveTriangle,
+                               Overlap, UnsupportedShape)
+from tcurve_lab.geometry import cross
 from tcurve_lab.lattice import validate_polygon
-from tcurve_lab.oracles import midpoint_node
+from tcurve_lab.oracles import edge_triangles, midpoint_node
 from tcurve_lab.surface import (QUADRANTS, AmbientSurface, build_ambient_surface,
                                 quad_add)
-from tcurve_lab.triangulation import (generate_grid_triangulation,
-                                      incidence_graphs,
-                                      validate_primitive_triangulation)
+from tcurve_lab.triangulation import (edge_key, generate_grid_triangulation,
+                                      incidence_graphs)
 
 from conftest import standard_triangle
 from helpers import (primitive_triangulation, random_flips, random_polygon,
-                     run_python)
+                     run_python, tri_key, validate_primitive_triangulation)
 
 
 def test_grid_t3_counts():
@@ -50,9 +52,9 @@ def test_non_primitive_triangle_rejected():
 
 def test_missing_vertex_rejected():
     poly = standard_triangle(2)
-    # primitive triangles but the midpoint (1,1) of nothing... leave out
-    # lattice point (1,1) by triangulating a sub-area only
-    with pytest.raises((MissingLatticeVertex, Gap)):
+    # a sub-area only: three lattice points are left out
+    with pytest.raises(MissingLatticeVertex,
+                       match=r"^unused lattice points: \[\(0, 2\), \(1, 1\), \(2, 0\)\]$"):
         validate_primitive_triangulation(poly, [
             ((0, 0), (1, 0), (0, 1)),
         ])
@@ -60,9 +62,98 @@ def test_missing_vertex_rejected():
 
 def test_overlap_rejected():
     poly = standard_triangle(1)
-    with pytest.raises((Overlap, Gap)):
+    with pytest.raises(Overlap, match="^repeated triangle$"):
         validate_primitive_triangulation(
             poly, [((0, 0), (1, 0), (0, 1)), ((0, 0), (1, 0), (0, 1))])
+
+
+# ---------------------------------------------------------------------------
+# every rejection: one class and one message, in the library and as the
+# one line a `tcurve-lab` process prints before it exits 2
+
+GRID2 = [((0, 0), (0, 1), (1, 0)), ((0, 1), (0, 2), (1, 1)),
+         ((0, 1), (1, 0), (1, 1)), ((1, 0), (1, 1), (2, 0))]
+GRID3 = [((0, 0), (0, 1), (1, 0)), ((0, 1), (0, 2), (1, 1)),
+         ((0, 1), (1, 0), (1, 1)), ((0, 2), (0, 3), (1, 2)),
+         ((0, 2), (1, 1), (1, 2)), ((1, 0), (1, 1), (2, 0)),
+         ((1, 1), (1, 2), (2, 1)), ((1, 1), (2, 0), (2, 1)),
+         ((2, 0), (2, 1), (3, 0))]
+
+
+def _without(tris, t):
+    return [x for x in tris if x != t]
+
+
+# name -> (d of T_d, triangles, error, message)
+REJECTIONS = {
+    # a hole at the boundary leaves its interior edges with one triangle
+    "gap": (3, _without(GRID3, ((1, 0), (1, 1), (2, 0))), DanglingEdge,
+            "interior edge ((1, 0), (1, 1)) belongs to one triangle only"),
+    "dangling interior edge": (
+        3, _without(GRID3, ((0, 1), (1, 0), (1, 1))), DanglingEdge,
+        "interior edge ((0, 1), (1, 0)) belongs to one triangle only"),
+    "unused lattice point": (
+        3, _without(GRID3, ((0, 0), (0, 1), (1, 0))), MissingLatticeVertex,
+        "unused lattice points: [(0, 0)]"),
+    # two of the three lie on one side of the edge
+    "edge shared by three triangles": (
+        3, GRID3 + [((1, 0), (1, 1), (2, 1))], Overlap,
+        "directed edge ((1, 1), (1, 0)) used twice"),
+    "non-lattice vertex": (
+        2, _without(GRID2, ((0, 1), (1, 0), (1, 1))) + [((1, 0), (2, 0), (2, 1))],
+        MissingLatticeVertex,
+        "triangle vertex (2, 1) is not a lattice point of the polygon"),
+    "repeated triangle": (2, GRID2 + [GRID2[1]], Overlap, "repeated triangle"),
+    "directed edge used twice": (
+        2, _without(GRID2, ((0, 1), (1, 0), (1, 1))) + [((0, 0), (1, 0), (1, 1))],
+        Overlap, "directed edge ((0, 0), (1, 0)) used twice"),
+    "non-primitive triangle": (
+        2, _without(GRID2, ((0, 1), (0, 2), (1, 1))) + [((0, 1), (0, 2), (2, 0))],
+        NonPrimitiveTriangle, "triangle ((0, 1), (0, 2), (2, 0)) has area 2/2"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_rejection_class_and_message(name):
+    d, tris, error, message = REJECTIONS[name]
+    with pytest.raises(error) as err:
+        validate_primitive_triangulation(standard_triangle(d), tris)
+    assert type(err.value) is error and str(err.value) == message
+
+
+@pytest.mark.parametrize("name", REJECTIONS)
+def test_rejection_cli_line(name, tmp_path, capsys):
+    from tcurve_lab.cli import main
+    d, tris, _, message = REJECTIONS[name]
+    points = standard_triangle(d).lattice_points
+    # an index past the lattice points is how a problem file names a
+    # vertex off them
+    triples = [[points.index(p) if p in points else len(points) for p in t]
+               for t in tris]
+    if name == "non-lattice vertex":
+        message = "triangulation[3]: index 6 out of range (have 6 lattice points)"
+    path = tmp_path / "p.yaml"
+    path.write_text(f"polygon: [[0, 0], [{d}, 0], [0, {d}]]\n"
+                    f"triangulation: {triples}\nsigns: {{harnack: [1, 0, 0]}}\n")
+    assert main(["curve", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_rejected_with_the_polygon_data_altered():
+    """The two coverage checks that no valid polygon reaches once the edge
+    checks pass: each boundary segment once, and the area sum."""
+    poly = standard_triangle(2)
+    poly.lattice_points  # listed before the data is altered
+    poly.double_area = 5
+    with pytest.raises(Gap, match="^triangle areas do not sum to the polygon area$"):
+        validate_primitive_triangulation(poly, GRID2)
+    poly = standard_triangle(2)
+    extra = poly.broken_edges[0]._replace(primitive_segments=(((0, 0), (2, 0)),))
+    poly.broken_edges = poly.broken_edges + (extra,)
+    with pytest.raises(Gap, match=r"^boundary segment \(\(0, 0\), \(2, 0\)\) "
+                                  "not covered exactly once$"):
+        validate_primitive_triangulation(poly, GRID2)
 
 
 def test_general_triangulator_is_primitive():
@@ -117,8 +208,9 @@ def test_midpoint_degrees():
     for poly in (standard_triangle(2), standard_triangle(5),
                  validate_polygon([(0, 0), (2, 0), (2, 2), (0, 2)])):
         tri, mid = lift_table(poly)
+        on_edge = edge_triangles(tri)
         for e in tri.edges:
-            downstairs_degree = len(tri.edge_triangles[e])
+            downstairs_degree = len(on_edge[e])
             assert downstairs_degree == (1 if e in tri.boundary_edges else 2)
         counts = prong_counts(tri, mid)
         assert set(counts) == set(mid.values())
@@ -156,7 +248,9 @@ def test_two_spheres_need_no_connected_gs():
 def oracle_lifts(surface, tri):
     """``edge_class`` and ``across`` from ``oracles.midpoint_node``: the
     lift id of each lift's midpoint node, and the pairing of the two
-    slot lifts whose prongs end on each node."""
+    slot lifts whose prongs end on each node.  ``tri`` needs only the
+    tuple forms: ``edges``, ``triangles``, ``slots``, ``boundary_edges``,
+    ``E`` and ``T``."""
     edge_id = {e: i for i, e in enumerate(tri.edges)}
     edge_class = []
     for q in QUADRANTS:
@@ -213,3 +307,53 @@ def test_unglued_boundary_segment_raises():
         incidence_graphs(surface, generate_grid_triangulation(t3))
     out = run_python(DROP_BOUNDARY_SEGMENT, "-O")
     assert "has degree 1" in out
+
+
+def tuple_construction(triangles) -> SimpleNamespace:
+    """The tuple forms of a triangulation built from its point triples
+    alone: sorted triangles and edges, each triangle's edges
+    counterclockwise from its smallest vertex, and the edges of one
+    triangle."""
+    tris = tuple(sorted(tri_key(*t) for t in triangles))
+    slots, uses = {}, Counter()
+    for a, b, c in tris:
+        v = (a, b, c) if cross(a, b, c) > 0 else (a, c, b)
+        slots[(a, b, c)] = tuple(edge_key(v[k], v[(k + 1) % 3]) for k in range(3))
+        uses.update(slots[(a, b, c)])
+    return SimpleNamespace(triangles=tris, edges=tuple(sorted(uses)), slots=slots,
+                           boundary_edges=frozenset(e for e, n in uses.items() if n == 1),
+                           T=len(tris), E=len(uses))
+
+
+def test_numbering_matches_tuple_construction():
+    """The views derived from ``slot_edges`` and ``edge_ends``, and the lift
+    table built on them, equal the tuple construction on randomly flipped
+    triangulations of random polygons, given in any order and orientation."""
+    rng = random.Random(29)
+    for _ in range(120):
+        poly = random_polygon(rng, box=rng.choice((4, 7, 9)))
+        flipped = random_flips(rng, primitive_triangulation(poly), 10).triangles
+        triangles = [tuple(rng.sample(t, 3)) for t in flipped]
+        rng.shuffle(triangles)
+        tri, ref = validate_primitive_triangulation(poly, triangles), tuple_construction(triangles)
+        assert (tri.triangles, tri.edges, tri.slots, tri.boundary_edges) == \
+            (ref.triangles, ref.edges, ref.slots, ref.boundary_edges)
+        points = poly.lattice_points
+        assert [(points[i], points[j]) for i, j in tri.edge_ends] == list(ref.edges)
+        assert [ref.edges[e] for e in tri.slot_edges] == \
+            [e for t in ref.triangles for e in ref.slots[t]]
+        surface = build_ambient_surface(poly)
+        assert incidence_graphs(surface, tri) == oracle_lifts(surface, ref)
+
+
+def test_grid_is_the_staircase():
+    """The grid's index triples name the cells' NW-SE halves."""
+    for poly in [standard_triangle(d) for d in range(1, 8)] + [
+            validate_polygon([(1, 2), (4, 2), (4, 4), (1, 4)])]:
+        pts = set(poly.lattice_points)
+        want = [t for x, y in pts
+                for t in (((x, y), (x + 1, y), (x, y + 1)),
+                          ((x + 1, y), (x + 1, y + 1), (x, y + 1)))
+                if set(t) <= pts]
+        assert generate_grid_triangulation(poly).triangles == \
+            tuple_construction(want).triangles
