@@ -12,11 +12,12 @@ Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad input.
 """
 
 import argparse
+import io
 import json
+import os
+import re
 import sys
 import time
-
-import yaml
 
 from .errors import (CapExceeded, InputError, InvariantError, ParseError,
                      TCurveLabError, TooLarge, ValidationError)
@@ -31,13 +32,19 @@ from .tcurve import (TCurve, extract_curve, harnack_distribution,
 from .triangulation import (PrimitiveTriangulation,
                             generate_grid_triangulation, incidence_graphs)
 
-# libyaml's loader when PyYAML was built with it: the same data, faster
-YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 # the most lattice points a problem may have, counted from the vertices
 # before any point is listed: on the boundary for every subcommand, in all
 # for those that triangulate.  `harnack` on T_139 (9870 points) takes
 # about 2.1-2.3 s and 100 MB of peak RSS on a 2-vCPU VM with CPython 3.11.
 MAX_POINTS = 10_000
+# the largest problem file read, checked before the read.  A problem within
+# MAX_POINTS lists at most MAX_POINTS vertices, one explicit sign per
+# lattice point and fewer than 2 * MAX_POINTS triangles (a primitive
+# triangulation of V lattice points, B of them on the boundary, has
+# 2V - B - 2): at most 4 * MAX_POINTS items.  Flow style spends about 20
+# bytes on one (`"9999,9999": -1, `, `[9998,9999,10000],`); 64 bytes per
+# item leave room for block style, indentation and a comment on each line.
+MAX_FILE_BYTES = 4 * 64 * MAX_POINTS
 
 
 def check_size(polygon: Polygon, triangulates: bool = True):
@@ -100,14 +107,88 @@ class Problem:
 def parse_problem(path: str) -> Problem:
     try:
         with open(path, encoding="utf-8") as fh:
-            raw = yaml.load(fh, Loader=YAML_LOADER)
+            size = os.fstat(fh.fileno()).st_size
+            # st_size reads 0 for a pipe, hence the bounded read
+            text = "" if size > MAX_FILE_BYTES else fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}")
-    except (yaml.YAMLError, UnicodeDecodeError) as exc:
-        raise ParseError(f"{path}: {' '.join(str(exc).split())}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}")
+    if max(size, len(text)) > MAX_FILE_BYTES:
+        raise TooLarge(f"{path}: larger than the size limit of "
+                       f"{MAX_FILE_BYTES} bytes")
+    raw = read_flow_problem(text)
+    if raw is None:
+        raw = load_yaml(text, path)
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: expected a mapping at the top level")
     return problem_from_data(raw)
+
+
+# one column-0 line `field: value` of a flow-style problem file
+_FIELD = re.compile(r"(polygon|triangulation|signs): ")
+# a value of such a line, token by token, each after optional spaces: a
+# flow indicator, a key's colon (right after the key, a space after it), a
+# decimal int, one of the words, or a double-quoted "x,y" key.  The
+# lookaheads end ints and words where PyYAML's plain scalars end, so that
+# `010`, `1:20`, `1_0`, `0x1` or `true` match nothing.
+_FLOW_VALUE = re.compile(
+    r'(?::(?= )| *(?:[][{},]|-?(?:0|[1-9][0-9]*)(?![0-9])'
+    r'|(?:grid|enumerate|harnack|explicit)(?![a-z])|"-?[0-9]+,-?[0-9]+"))*')
+_WORD = re.compile(r"[a-z]+")
+
+
+def _unique_keys(pairs: list) -> dict:
+    data = dict(pairs)
+    if len(data) != len(pairs):  # PyYAML would keep the last value
+        raise ValueError("duplicate key")
+    return data
+
+
+def read_flow_problem(text: str):
+    """The data of a problem file written in the flow style the examples
+    use, one ``field: value`` line per field, with the same values and
+    types that PyYAML's safe loaders give; None for any text outside that
+    grammar.  A value line within it is JSON once its words are quoted."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    data = {}
+    for line in lines:
+        field = _FIELD.match(line)
+        if (field is None or field[1] in data
+                or not _FLOW_VALUE.fullmatch(line, field.end())):
+            return None
+        try:
+            data[field[1]] = json.loads(
+                _WORD.sub(r'"\g<0>"', line[field.end():]),
+                object_pairs_hook=_unique_keys)
+        # ValueError: not JSON, a repeated key or an int of more digits
+        # than int() converts; RecursionError: nesting too deep for json
+        except (ValueError, RecursionError):
+            return None
+    return data or None
+
+
+def yaml_loader():
+    """libyaml's safe loader when PyYAML was built with it: the same data,
+    faster; PyYAML's own safe loader otherwise."""
+    import yaml
+    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def load_yaml(text: str, path: str):
+    """PyYAML's reading of a problem file, for text the flow reader
+    declines; imported here so that flow-style files never pay for it."""
+    import yaml
+    stream = io.StringIO(text)
+    stream.name = path  # PyYAML's messages name the file
+    try:
+        return yaml.load(stream, Loader=yaml_loader())
+    # ValueError: an int of more digits than int() converts, or a date
+    # such as 2020-13-01
+    except (yaml.YAMLError, ValueError) as exc:
+        raise ParseError(f"{path}: {' '.join(str(exc).split())}")
 
 
 _NO_VALUE = object()  # cannot come out of YAML, unlike None

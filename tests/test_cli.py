@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcurve_lab.cli import (YAML_LOADER, Problem, main, parse_problem,
-                            problem_from_data)
+from tcurve_lab.cli import (Problem, main, parse_problem, problem_from_data,
+                            yaml_loader)
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
                                ValidationError)
 
@@ -222,25 +223,61 @@ PROBLEMS = [
 ]
 
 
-def test_libyaml_and_python_loaders_agree():
+def test_libyaml_and_python_loaders_agree(tmp_path):
     import yaml
     for text in PROBLEMS:
         data = yaml.load(text, Loader=yaml.SafeLoader)
         if yaml.__with_libyaml__:
             assert yaml.load(text, Loader=yaml.CSafeLoader) == data
         assert problem_from_data(data).data() == \
-            problem_from_data(yaml.load(text, Loader=YAML_LOADER)).data()
+            problem_from_data(yaml.load(text, Loader=yaml_loader())).data() == \
+            parse_problem(write(tmp_path, "p.yaml", text)).data()
 
 
 def test_syntax_error_with_either_loader(tmp_path, monkeypatch):
     import yaml
     import tcurve_lab.cli as cli
     path = write(tmp_path, "bad.yaml", "polygon: [[0,0")
-    for loader in (yaml.SafeLoader, YAML_LOADER):
-        monkeypatch.setattr(cli, "YAML_LOADER", loader)
+    for loader in (yaml.SafeLoader, yaml_loader()):
+        monkeypatch.setattr(cli, "yaml_loader", lambda: loader)
         with pytest.raises(ParseError) as err:
             parse_problem(path)
         assert "\n" not in str(err.value)
+
+
+def test_flow_style_runs_without_yaml(tmp_path):
+    # PROBLEMS[3] in block style and its flow twin
+    flow = write(tmp_path, "flow.yaml", "polygon: [[0, 0], [4, 0], [0, 4]]\n"
+                 "signs: {harnack: [0, 1, 1]}\n")
+    block = write(tmp_path, "block.yaml", PROBLEMS[3])
+    out = str(tmp_path / "out.json")
+    code = ("import sys\n"
+            "from tcurve_lab.cli import main, parse_problem\n"
+            f"print(main(['filling', '--input', {flow!r}, '--out', {out!r}]))\n"
+            "print('yaml' in sys.modules)\n"
+            f"flow = parse_problem({flow!r}).data()\n"
+            "print('yaml' in sys.modules)\n"
+            f"print(parse_problem({block!r}).data() == flow)\n"
+            "print('yaml' in sys.modules)\n")
+    assert run_python(code).split() == ["0", "False", "False", "True", "True"]
+    assert json.loads(Path(out).read_text())["filling"]["boundary_components"] > 0
+
+
+def test_file_over_the_size_limit_refused_before_reading(tmp_path, capsys):
+    from tcurve_lab.cli import MAX_FILE_BYTES
+    # sparse: the size is known without a byte written or read
+    sparse = tmp_path / "sparse.yaml"
+    with open(sparse, "wb") as fh:
+        fh.truncate(MAX_FILE_BYTES + 1)
+    # a flow polygon of 300,000 vertices, refused before the vertex count
+    many = write(tmp_path, "many.yaml", "polygon: [" + ",".join(
+        f"[{k},{k % 2}]" for k in range(300_000)) + "]\n")
+    assert os.path.getsize(many) > MAX_FILE_BYTES
+    for path in (str(sparse), many):
+        assert main(["surface", "--input", path]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: larger than the size limit of "
+                       f"{MAX_FILE_BYTES} bytes\n")
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +326,14 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
     ('polygon: [[0,0],[1,0],[0,1]]\nsigns: {harnack: [1,0,0], explicit: '
      '{"0,0": 1, "1,0": -1, "0,1": 1}}\n',
      "signs: expected exactly one of harnack or explicit"),
+    # an int longer than int() converts, or a date that does not exist,
+    # used to end in a ValueError traceback from PyYAML's constructor
+    ("polygon: [[0,0],[1,0],[0," + "1" * 5000 + "]]\n", "Exceeds the limit"),
+    ("polygon: 2020-13-01\n", "month must be in 1..12"),
 ], ids=["negative-index", "string", "float", "bool", "bool-sign",
         "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8",
         "duplicate-point", "misspelled-field", "misspelled-signs",
-        "two-kinds-of-signs"])
+        "two-kinds-of-signs", "long-int", "bad-date"])
 def test_strict_input(tmp_path, capsys, text, words):
     code, err = exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
