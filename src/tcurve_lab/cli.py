@@ -34,8 +34,9 @@ from .triangulation import (PrimitiveTriangulation,
 
 # the most lattice points a problem may have, counted from the vertices
 # before any point is listed: on the boundary for every subcommand, in all
-# for those that triangulate.  `harnack` on T_139 (9870 points) takes
-# about 2.1-2.3 s and 100 MB of peak RSS on a 2-vCPU VM with CPython 3.11.
+# for those that triangulate.  A `harnack` process on T_139 (9870 points)
+# took 1.0-1.8 s of wall time and 84-88 MiB of VmHWM in five runs on a
+# shared 2-vCPU x86-64 VM with CPython 3.11.
 MAX_POINTS = 10_000
 # the largest problem file read, checked before the read.  A problem within
 # MAX_POINTS lists at most MAX_POINTS vertices, one explicit sign per
@@ -177,9 +178,51 @@ def yaml_loader():
     return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
+# how deep a problem file may nest, as ``nesting_depth`` counts; a valid
+# problem counts at most 4 (a block-style vertex `  - [0, 0]` under
+# `polygon:`).  libyaml overflows the C stack tens of thousands of levels
+# down and PyYAML's own loader the recursion limit some hundreds down, so
+# deeper text is refused before either runs.
+MAX_NESTING = 16
+# the indentation of a line, then the block entries it opens (`- `, `? `
+# and `: `, each followed by spaces or the end of the line)
+_BLOCK_OPENERS = re.compile(r"( *)((?:[-?:](?: +|$))*)")
+_BRACKETS = re.compile(r"[][{}]")
+
+
+def nesting_depth(text: str) -> int:
+    """An upper bound on how deep YAML ``text`` nests, counted until it
+    passes ``MAX_NESTING``.  Blank lines and comment lines count for nothing.
+    Outside flow collections, a line is one deeper than the lines above it
+    with less indentation that are still open, and one deeper for each
+    block entry it opens; each open flow bracket adds one."""
+    deepest, block, flow, indents = 0, 0, 0, []
+    for line in text.split("\n"):
+        opened = _BLOCK_OPENERS.match(line)
+        rest = line[opened.end():]
+        if not opened[2] and rest[:1] in ("", "#"):
+            continue
+        if flow == 0:
+            while indents and indents[-1] >= len(opened[1]):
+                indents.pop()
+            indents.append(len(opened[1]))
+            block = len(indents) + len(opened[2].split())
+        deepest = max(deepest, block)
+        for bracket in _BRACKETS.finditer(rest):
+            if deepest > MAX_NESTING:
+                break
+            flow = max(flow + (1 if bracket[0] in "[{" else -1), 0)
+            deepest = max(deepest, block + flow)
+        if deepest > MAX_NESTING:
+            break
+    return deepest
+
+
 def load_yaml(text: str, path: str):
     """PyYAML's reading of a problem file, for text the flow reader
     declines; imported here so that flow-style files never pay for it."""
+    if nesting_depth(text) > MAX_NESTING:
+        raise ParseError(f"{path}: nested deeper than {MAX_NESTING} levels")
     import yaml
     stream = io.StringIO(text)
     stream.name = path  # PyYAML's messages name the file

@@ -6,13 +6,14 @@ edge pairings, the filling as one hexagonal disk per thick-Y with
 explicit end-segment identifications.  Euler characteristics come from
 counting identified cells, orientability from propagating face
 orientations, boundary circles from walking free edges.  The component
-classifier nests ovals by planar point-in-ring tests instead of the
-regions of ``TCurve.regions``, and the per-component split cuts the
-surface along one component at a time and counts the cells of each side,
-where ``TCurve.regions`` cuts along all of them at once; it glues the
-copies of each boundary point by the offsets of the polygon's edges
-(``boundary_offset``, ``point_class``), where ``TCurve.regions`` reads
-the lift table.  The curve and its filling are rebuilt on tuples, apart
+classifier finds the ovals and the crossing parities in the nodes of each
+component and the segments of the broken edges, and nests the ovals by
+planar point-in-ring tests instead of the regions of ``TCurve.regions``;
+the per-component split cuts the surface along one component at a time
+and counts the cells of each side, where ``TCurve.regions`` cuts along
+all of them at once; it glues the copies of each boundary point by the
+offsets of the polygon's edges (``boundary_offset``, ``point_class``),
+where ``TCurve.regions`` reads the lift table.  The curve and its filling are rebuilt on tuples, apart
 from the integer strand kernel of ``tcurve_lab.sweep`` and its lift
 table: midpoints of G(S) from the gluing of each boundary segment
 (``midpoint_node``), components by walking the adjacency of the negative
@@ -338,15 +339,37 @@ def node_coords6(q, node) -> tuple:
 
 
 def classify_components_by_nesting(curve: TCurve) -> dict:
-    """Component -> ComponentClass with oval depths and signs from planar
-    geometry: each in-quadrant oval is drawn as the polyline of its nodes,
-    an oval lies inside another when its first node does (exact
-    point-in-ring test), and its sign is the one sign of the lattice
-    points inside it but outside the ovals it contains."""
-    by_quadrant = curve.in_quadrant_ovals()
+    """Component -> ComponentClass from the nodes of each component, the
+    primitive segments of the broken edges and planar geometry, sharing
+    nothing with ``TCurve.regions``.  A component is an in-quadrant oval
+    when none of its midpoints lies on a broken edge; each oval is drawn
+    as the polyline of its nodes, an oval lies inside another when its
+    first node does (exact point-in-ring test), and its sign is the one
+    sign of the lattice points inside it but outside the ovals it
+    contains.  Every other component gets the parities of its midpoints on
+    the broken edges of the homology basis, which on the projective plane
+    tell whether it is trivial."""
+    surface = curve.surface
+    segments = [frozenset(tuple(sorted(s)) for s in b.primitive_segments)
+                for b in surface.broken_edges]
+    topo = classify_surface_by_cells(surface.polygon)
+    basis = surface.homology_basis() if surface.r >= 3 else None
+    by_quadrant: dict = {}
+    result = {}
+    for comp in curve.components:
+        mids = [m[2] for m in comp.nodes[1::2]]
+        vector = None if basis is None else \
+            tuple(sum(m in segments[j] for m in mids) % 2 for j in basis)
+        if not any(m in segs for segs in segments for m in mids):
+            (q,) = {n[1] for n in comp.nodes}  # it stays in one quadrant
+            by_quadrant.setdefault(q, []).append(comp)
+        elif topo.components == 1 and topo.crosscaps == 1:
+            kind = "nontrivial_rp2" if vector == (1,) else "oval_rp2"
+            result[comp] = ComponentClass(kind, crossing_vector=vector)
+        else:
+            result[comp] = ComponentClass("boundary", crossing_vector=vector)
     rings = {comp: tuple(node_coords6(n[1], n) for n in comp.nodes)
              for ovals in by_quadrant.values() for comp in ovals}
-    result = {}
     for q, ovals in by_quadrant.items():
         contains = {a: {b for b in ovals
                         if b is not a and point_in_ring(rings[b][0], rings[a])}
@@ -354,7 +377,7 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
         for comp in ovals:
             depth = sum(1 for other in ovals if comp in contains[other])
             inner = []
-            for p in curve.surface.polygon.lattice_points:
+            for p in surface.polygon.lattice_points:
                 sp = reflect(q, (6 * p[0], 6 * p[1]))
                 if point_in_ring(sp, rings[comp]) and \
                         not any(point_in_ring(sp, rings[c]) for c in contains[comp]):
@@ -364,7 +387,7 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
             assert len(signs) == 1, "the sign of an oval is well defined"
             result[comp] = ComponentClass("oval", quadrant=q,
                                           sign=signs.pop(), depth=depth)
-    return curve.with_non_ovals(result)
+    return result
 
 
 def boundary_offset(surface: AmbientSurface) -> dict:

@@ -16,7 +16,7 @@ from .errors import IncompleteDistribution, InvariantError, check
 from .lattice import Point, Polygon, pairing, point_parity
 from .surface import QUADRANTS, AmbientSurface, Quadrant
 from .sweep import SweepTables, compile_sweep, trace_vector
-from .triangulation import PrimitiveTriangulation, edge_key, incidence_graphs
+from .triangulation import PrimitiveTriangulation, incidence_graphs
 from .uf import find
 
 Sign = int  # +1 or -1
@@ -64,17 +64,6 @@ class Component:
     def __init__(self, walk: list, tables: SweepTables,
                  tri: PrimitiveTriangulation):
         self.walk, self.tables, self.tri = walk, tables, tri
-
-    @property
-    def quadrants(self) -> frozenset:
-        T3 = 3 * self.tables.T
-        return frozenset(QUADRANTS[u // T3] for u in self.walk)
-
-    @property
-    def edges(self) -> list:
-        """Per visit, the edge id of the midpoint it enters by."""
-        T3, slots = 3 * self.tables.T, self.tables.slots
-        return [slots[u % T3] for u in self.walk]
 
     @property
     def nodes(self) -> tuple:
@@ -148,66 +137,32 @@ class TCurve:
     # ------------------------------------------------------------------
     # classification
 
-    def crossing_parities(self, comp: Component) -> tuple[int, ...]:
-        """Z2 crossing vector of a component with the homology-basis
-        circles (the lifts of broken edges 3..r)."""
-        basis = self.surface.homology_basis()  # raises DegenerateAtlas if r < 3
-        return tuple(self.crossing_count(comp, j) % 2 for j in basis)
-
-    def crossing_count(self, comp: Component, broken_index: int) -> int:
-        segs = self.broken_edge_ids[broken_index]
-        return sum(e in segs for e in comp.edges)
-
-    @cached_property
-    def broken_edge_ids(self) -> list:
-        """Per broken edge, the edge ids of its primitive segments."""
-        edges = self.tri.edges
-        edge_id = {edges[e]: e for e, _ in self.tables.boundary}
-        return [frozenset(edge_id[edge_key(p, q)] for p, q in b.primitive_segments)
-                for b in self.surface.broken_edges]
-
-    def in_quadrant_ovals(self) -> dict:
-        """Quadrant -> the components that cross no boundary edge, in
-        component order."""
-        boundary = {e for e, _ in self.tables.boundary}
-        out: dict = {}
-        for comp in self.components:
-            if not boundary.isdisjoint(comp.edges):
-                continue
-            qs = comp.quadrants
-            check(len(qs) == 1, "an interior component stays in one quadrant")
-            out.setdefault(next(iter(qs)), []).append(comp)
-        return out
-
     @cached_property
     def regions(self) -> "Regions":
         return Regions(self)
 
     @cached_property
     def classification(self) -> dict:
-        """Map component -> ComponentClass."""
-        return self.with_non_ovals(self.regions.oval_classes)
-
-    def with_non_ovals(self, ovals: dict) -> dict:
-        """``ovals`` (oval -> ComponentClass) completed by the class of
-        every other component."""
-        surface = self.surface
-        topo = surface.classify_topology()
+        """Map component -> ComponentClass, in component order: the oval
+        classes of the regions; every other component gets the parities of
+        its crossings with the homology-basis circles (the lifts of broken
+        edges 3..r).  On RP^2 the single basis circle generates H_1(RP^2;
+        Z2), so its parity decides whether the component is trivial."""
+        regions, surface = self.regions, self.surface
+        ovals, topo = regions.oval_classes, surface.classify_topology()
         on_rp2 = topo.components == 1 and not topo.orientable and topo.crosscaps == 1
-        result = dict(ovals)
+        basis = surface.homology_basis() if surface.r >= 3 else None
+        result = {}
         for comp in self.components:
-            if comp in result:
-                continue
-            vector = None
-            if surface.r >= 3:
-                vector = self.crossing_parities(comp)
-            if on_rp2:
-                # the single basis circle generates H_1(RP^2; Z2), so the
-                # crossing parity decides triviality
-                kind = "nontrivial_rp2" if vector[0] == 1 else "oval_rp2"
-                result[comp] = ComponentClass(kind, crossing_vector=vector)
+            if comp in ovals:
+                result[comp] = ovals[comp]
+            elif basis is None:
+                result[comp] = ComponentClass("boundary")
             else:
-                result[comp] = ComponentClass("boundary", crossing_vector=vector)
+                vector = tuple(regions.crossings[comp][j] % 2 for j in basis)
+                kind = ("boundary" if not on_rp2 else
+                        "nontrivial_rp2" if vector[0] else "oval_rp2")
+                result[comp] = ComponentClass(kind, crossing_vector=vector)
         return result
 
     # ------------------------------------------------------------------
@@ -215,11 +170,9 @@ class TCurve:
 
     @cached_property
     def census(self) -> "CurveCensus":
-        cls = self.classification
         quadrant_ovals = {q: [] for q in QUADRANTS}
         boundary = []
-        for comp in self.components:
-            c = cls[comp]
+        for c in self.classification.values():
             if c.kind == "oval":
                 quadrant_ovals[c.quadrant].append((c.sign, c.depth))
             else:
@@ -303,7 +256,9 @@ class Regions:
     two ends of every lifted edge that no component crosses are joined: each
     set is one region.  A component borders one region or two (``sides``),
     the same on every edge it crosses.  Lifted edges and midpoints are the
-    lift ids of the curve's tables.
+    lift ids of the curve's tables.  The one pass over each component's
+    walk also sorts it into ``crossings``, how often it crosses each broken
+    edge when it crosses one, or else ``ovals``, its one quadrant.
     """
 
     def __init__(self, curve: TCurve):
@@ -329,9 +284,22 @@ class Regions:
         parent = list(self.first_copy)
         # per midpoint: the component that crosses it, if any
         crossing = [None] * (4 * E)
+        slots, broken, r = tab.slots, curve.tri.broken_edge_of, curve.surface.r
+        self.crossings, self.ovals = {}, {}
         for k, comp in enumerate(curve.components):
+            count, quadrants = [0] * (r + 1), 0
             for u in comp.walk:
-                crossing[edge_class[u // T3 * E + tab.slots[u % T3]]] = k
+                q, s = divmod(u, T3)
+                e = slots[s]
+                crossing[edge_class[q * E + e]] = k
+                count[broken[e]] += 1  # the last entry: off the boundary
+                quadrants |= 1 << q
+            if count[r] < len(comp.walk):
+                self.crossings[comp] = tuple(count[:r])
+            else:
+                check(quadrants & quadrants - 1 == 0,
+                      "an interior component stays in one quadrant")
+                self.ovals[comp] = QUADRANTS[quadrants.bit_length() - 1]
         crossed = []
         for q in range(4):
             for e, (i, j) in enumerate(tab.edge_ends):
@@ -361,31 +329,27 @@ class Regions:
         form a tree below the start; an oval's depth is the BFS depth of
         its outer region, its sign the one point sign of its inner one."""
         curve, region, sides = self.curve, self.region_of, self.sides
-        ovals = [(q, comp) for q, group in curve.in_quadrant_ovals().items()
-                 for comp in group]
+        ovals = list(self.ovals)
         at_region: dict = {}
-        for o, (_, comp) in enumerate(ovals):
+        for o, comp in enumerate(ovals):
             check(len(sides[comp]) == 2, "an oval joins two regions")
             for r in sides[comp]:
                 at_region.setdefault(r, []).append(o)
-        frontier = list(dict.fromkeys(
+        queue = list(dict.fromkeys(
             region[x] for x, f in enumerate(self.first_copy) if f != x))
-        region_depth = dict.fromkeys(frontier, 0)
+        region_depth = dict.fromkeys(queue, 0)
         depth: list = [None] * len(ovals)
         inner: dict = {}
-        while frontier:
-            later = []
-            for r in frontier:
-                for o in at_region.get(r, ()):
-                    if depth[o] is None:
-                        a, b = sides[ovals[o][1]]
-                        g = b if a == r else a
-                        if g in region_depth:
-                            raise InvariantError("regions and ovals form no tree")
-                        region_depth[g] = region_depth[r] + 1
-                        depth[o], inner[g] = region_depth[r], o
-                        later.append(g)
-            frontier = later
+        for r in queue:  # breadth first: the loop reads what it appends
+            for o in at_region.get(r, ()):
+                if depth[o] is None:
+                    a, b = sides[ovals[o]]
+                    g = b if a == r else a
+                    if g in region_depth:
+                        raise InvariantError("regions and ovals form no tree")
+                    region_depth[g] = region_depth[r] + 1
+                    depth[o], inner[g] = region_depth[r], o
+                    queue.append(g)
         check(len(region_depth) == self.count and None not in depth,
               "every region and oval is reached from the boundary")
         pts, V = curve.surface.polygon.lattice_points, curve.tables.V
@@ -396,8 +360,8 @@ class Regions:
                     curve.ext.value(QUADRANTS[x // V], pts[x % V]))
         check(all(len(s) == 1 for s in signs.values()),
               "the sign of an oval is well defined")
-        return {comp: ComponentClass("oval", q, min(signs[o]), depth[o])
-                for o, (q, comp) in enumerate(ovals)}
+        return {comp: ComponentClass("oval", self.ovals[comp], min(signs[o]), depth[o])
+                for o, comp in enumerate(ovals)}
 
     @cached_property
     def euler(self) -> list:
@@ -463,8 +427,7 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
             (pred.total, pred.quadrant_ovals, 1):
         return False
     o = boundary_comps[0]
-    odd_crossings = any(curve.crossing_count(o, j) % 2
-                        for j in range(curve.surface.r))
+    odd_crossings = any(c % 2 for c in curve.regions.crossings[o])
     if pred.o_kind == "nontrivial":
         return odd_crossings
     if odd_crossings:

@@ -85,7 +85,7 @@ def test_criterion_3_harnack_census_degree_5():
         assert all(sd == (want, 0) for sd in v), "empty ovals with the right signs"
     assert curve.census.boundary_kinds == ("nontrivial_rp2",)
     o = next(c for c, k in curve.classification.items() if k.kind != "oval")
-    assert curve.crossing_parities(o) == (1,)
+    assert curve.classification[o].crossing_vector == (1,)
     assert verify_harnack_census(curve, (1, 0, 0))
     report(3, "degree-5 census 7 = 6 empty ovals (1,3,1,1) + 1 odd-crossing nontrivial")
 

@@ -217,3 +217,89 @@ def test_misglued_lift_raises():
                      "except InvariantError as exc:\n"
                      "    print(exc)\n", "-O")
     assert "2 on the boundary" in out
+
+
+def oval_walks(curve) -> list:
+    """The walks of the components whose lifted triangles all lie in one
+    quadrant, read off their nodes: the in-quadrant ovals."""
+    return [comp.walk for comp in curve.components
+            if len({b[1] for b in comp.nodes[::2]}) == 1]
+
+
+def move_a_visit(curve):
+    """One visit moves from the first oval's walk to the second's: its
+    midpoint stays crossed, so the second oval now borders the first's
+    regions there and its own elsewhere."""
+    a, b = oval_walks(curve)[:2]
+    b.append(a.pop())
+
+
+def drop_a_visit(curve):
+    """One visit leaves an oval's walk: the lifted edge there is no longer
+    crossed, so the regions inside and outside the oval merge."""
+    oval_walks(curve)[0].pop()
+
+
+def move_a_visit_up_a_quadrant(curve):
+    """One visit of an oval of quadrant (0,0) enters the same prong in
+    quadrant (0,1); it still crosses no boundary edge."""
+    walk = next(w for w in oval_walks(curve) if w[0] < 3 * curve.tables.T)
+    walk[-1] += 3 * curve.tables.T
+
+
+def glue_the_center(curve):
+    """The regions claim that the center (4, 4) is a glued boundary point,
+    so the search for depths also starts inside the innermost oval and
+    meets itself between the ovals."""
+    curve.regions.first_copy[curve.surface.polygon.lattice_points.index((4, 4))] = 0
+
+
+def glue_nothing(curve):
+    """The regions claim that no point is glued, so the search for depths
+    has nowhere to start."""
+    first_copy = curve.regions.first_copy
+    first_copy[:] = range(len(first_copy))
+
+
+# message of the check that each fault trips -> the fault, planted in the
+# classes of ``nested_squares`` after the trace
+CLASSIFICATION_FAULTS = {
+    "borders the same regions": move_a_visit,
+    "an oval joins two regions": drop_a_visit,
+    "stays in one quadrant": move_a_visit_up_a_quadrant,
+    "regions and ovals form no tree": glue_the_center,
+    "every region and oval is reached": glue_nothing,
+}
+
+
+@pytest.mark.parametrize("message", CLASSIFICATION_FAULTS)
+def test_planted_fault_trips_its_check(message):
+    curve = nested_squares()
+    CLASSIFICATION_FAULTS[message](curve)
+    with pytest.raises(InvariantError, match=message):
+        curve.classification
+    out = run_python("from tcurve_lab.errors import InvariantError\n"
+                     "from test_classify import CLASSIFICATION_FAULTS, nested_squares\n"
+                     "curve = nested_squares()\n"
+                     f"CLASSIFICATION_FAULTS[{message!r}](curve)\n"
+                     "try:\n"
+                     "    curve.classification\n"
+                     "except InvariantError as exc:\n"
+                     "    print(exc)\n", "-O")
+    assert message in out
+
+
+def test_planted_crossing_count_fails_the_oracle():
+    """The oracle counts crossings on its own: one more crossing of the
+    basis circle makes the nontrivial component of T_5 look trivial to
+    the classification only."""
+    t5 = standard_triangle(5)
+    _, _, curve = pipeline(t5, harnack_distribution(t5, (1, 0, 0)))
+    assert_matches_oracle(curve)
+    _, _, curve = pipeline(t5, harnack_distribution(t5, (1, 0, 0)))
+    crossings = curve.regions.crossings
+    (o,) = crossings  # the one component that crosses a broken edge
+    crossings[o] = crossings[o][:2] + (crossings[o][2] + 1,)
+    assert curve.classification[o].kind == "oval_rp2"
+    with pytest.raises(AssertionError):
+        assert_matches_oracle(curve)

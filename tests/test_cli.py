@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcurve_lab.cli import (Problem, main, parse_problem, problem_from_data,
-                            yaml_loader)
+from tcurve_lab.cli import (MAX_NESTING, Problem, main, nesting_depth,
+                            parse_problem, problem_from_data, yaml_loader)
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
                                ValidationError)
 
-from helpers import run_python
+from helpers import PYTHONPATH, run_python
 
 
 def write(tmp_path, name, text):
@@ -278,6 +280,49 @@ def test_file_over_the_size_limit_refused_before_reading(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == (f"error: {path}: larger than the size limit of "
                        f"{MAX_FILE_BYTES} bytes\n")
+
+
+# nested 50,000 deep: libyaml's loader used to overflow the C stack
+# (SIGSEGV, exit 139), and PyYAML's own loader to end in a RecursionError
+# traceback from 5,000 levels on
+DEEP = {
+    "brackets": "polygon: " + "[" * 50_000 + "]" * 50_000 + "\n",
+    "mappings": "polygon: " + "{a: " * 50_000 + "1" + "}" * 50_000 + "\n",
+    "entries": "polygon:\n" + "- " * 50_000 + "1\n",
+    "indentation": "".join(" " * k + "a:\n" for k in range(2_000)),
+}
+
+
+@pytest.mark.parametrize("loader", ["SafeLoader", "yaml_loader()"])
+@pytest.mark.parametrize("kind", DEEP)
+def test_deep_nesting_refused_with_one_line(tmp_path, kind, loader):
+    # in a fresh interpreter under python -O, which a crash cannot take down
+    path = write(tmp_path, "deep.yaml", DEEP[kind])
+    code = ("import sys, yaml\n"
+            "import tcurve_lab.cli as cli\n"
+            "loader = yaml.SafeLoader if sys.argv[2] == 'SafeLoader' "
+            "else cli.yaml_loader()\n"
+            "cli.yaml_loader = lambda: loader\n"
+            "sys.exit(cli.main(['surface', '--input', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, path, loader],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", f"error: {path}: nested deeper than {MAX_NESTING} levels\n")
+
+
+def test_valid_problems_nest_shallow(tmp_path):
+    import yaml
+    for text in PROBLEMS:
+        block = yaml.safe_dump(yaml.safe_load(text), default_flow_style=False)
+        for t in (text, block):
+            assert nesting_depth(t) <= 4
+            assert parse_problem(write(tmp_path, "p.yaml", t)).data() == \
+                parse_problem(write(tmp_path, "q.yaml", text)).data()
+    # as deep as allowed: PyYAML reads it, and validation refuses it
+    path = write(tmp_path, "p.yaml", "polygon: " + "[" * 15 + "]" * 15 + "\n")
+    with pytest.raises(ValidationError, match="polygon: expected a list"):
+        parse_problem(path)
 
 
 # ---------------------------------------------------------------------------

@@ -91,7 +91,7 @@ def test_all_plus_unit_triangle_has_one_hexagon():
     _, _, curve = pipeline(t1, all_plus(t1))
     assert len(curve.components) == 1
     assert len(curve.components[0].nodes) == 6
-    assert (0, 0) not in curve.components[0].quadrants
+    assert (0, 0) not in {b[1] for b in curve.components[0].nodes[::2]}
     assert degree_parity_check(curve) is curve.components[0]
 
 
@@ -143,7 +143,9 @@ def test_oval_crossing_vector_is_zero():
     _, _, curve = pipeline(t3, harnack_distribution(t3, (1, 0, 0)))
     for comp, cls in curve.classification.items():
         if cls.kind == "oval":
-            assert curve.crossing_parities(comp) == (0,)
+            assert curve.regions.ovals[comp] == cls.quadrant
+            assert comp not in curve.regions.crossings
+            assert cls.crossing_vector is None
 
 
 def test_harnack_t5_census():
@@ -157,7 +159,7 @@ def test_harnack_t5_census():
     assert census.quadrant_ovals[(0, 1)] == ((1, 0),)
     assert census.boundary_kinds == ("nontrivial_rp2",)
     o = next(c for c, k in curve.classification.items() if k.kind != "oval")
-    assert curve.crossing_parities(o) == (1,)
+    assert curve.classification[o].crossing_vector == (1,)
     assert verify_harnack_census(curve, (1, 0, 0))
 
 

@@ -282,6 +282,19 @@ def test_lift_table_matches_oracle(t_polygons, square22, diamond):
         assert incidence_graphs(surface, tri) == oracle_lifts(surface, tri)
 
 
+def test_broken_edge_of_matches_the_segments(t_polygons, diamond):
+    """Per edge id, the broken edge whose primitive segments hold it."""
+    rng = random.Random(29)
+    polygons = [*t_polygons.values(), diamond,
+                *(random_polygon(rng, box=7) for _ in range(60))]
+    for poly in polygons:
+        tri = primitive_triangulation(poly)
+        on = {edge_key(*seg): k for k, b in enumerate(poly.broken_edges)
+              for seg in b.primitive_segments}
+        assert tri.broken_edge_of == [on.get(e, -1) for e in tri.edges]
+        assert {k for k in tri.broken_edge_of if k >= 0} == set(range(poly.r))
+
+
 DROP_BOUNDARY_SEGMENT = """\
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.lattice import validate_polygon
@@ -307,6 +320,36 @@ def test_unglued_boundary_segment_raises():
         incidence_graphs(surface, generate_grid_triangulation(t3))
     out = run_python(DROP_BOUNDARY_SEGMENT, "-O")
     assert "has degree 1" in out
+
+
+GLUE_TWO_SHEETS = """\
+from tcurve_lab.errors import InvariantError
+from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.surface import build_ambient_surface
+from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
+t3 = validate_polygon([(0, 0), (3, 0), (0, 3)])
+surface = build_ambient_surface(t3)
+offsets = surface.boundary_segment_offset
+offsets.update(dict.fromkeys(offsets, (0, 1)))
+try:
+    incidence_graphs(surface, generate_grid_triangulation(t3))
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_gs_in_two_sheets_raises():
+    # every boundary segment of T_3 (r = 3) glued by the offset (0,1), as
+    # on the two spheres: each midpoint still joins two prongs, but the
+    # copies (0,0), (0,1) and (1,0), (1,1) form two sheets
+    t3 = standard_triangle(3)
+    surface = build_ambient_surface(t3)
+    offsets = surface.boundary_segment_offset
+    offsets.update(dict.fromkeys(offsets, (0, 1)))
+    with pytest.raises(InvariantError, match=r"G\(S\) must be connected when S is"):
+        incidence_graphs(surface, generate_grid_triangulation(t3))
+    assert run_python(GLUE_TWO_SHEETS, "-O").strip() == \
+        "G(S) must be connected when S is"
 
 
 def tuple_construction(triangles) -> SimpleNamespace:
