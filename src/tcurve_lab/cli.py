@@ -178,43 +178,32 @@ def yaml_loader():
     return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 
-# how deep a problem file may nest, as ``nesting_depth`` counts; a valid
-# problem counts at most 4 (a block-style vertex `  - [0, 0]` under
-# `polygon:`).  libyaml overflows the C stack tens of thousands of levels
-# down and PyYAML's own loader the recursion limit some hundreds down, so
-# deeper text is refused before either runs.
+# how deep a problem file may nest; a valid problem nests 3 deep (a
+# mapping of lists of lists, or of mappings of mappings).  libyaml's loader
+# overflows the C stack tens of thousands of levels down and PyYAML's own
+# the recursion limit some hundreds down, so deeper text is refused before
+# either composes it.
 MAX_NESTING = 16
-# the indentation of a line, then the block entries it opens (`- `, `? `
-# and `: `, each followed by spaces or the end of the line)
-_BLOCK_OPENERS = re.compile(r"( *)((?:[-?:](?: +|$))*)")
-_BRACKETS = re.compile(r"[][{}]")
 
 
 def nesting_depth(text: str) -> int:
-    """An upper bound on how deep YAML ``text`` nests, counted until it
-    passes ``MAX_NESTING``.  Blank lines and comment lines count for nothing.
-    Outside flow collections, a line is one deeper than the lines above it
-    with less indentation that are still open, and one deeper for each
-    block entry it opens; each open flow bracket adds one."""
-    deepest, block, flow, indents = 0, 0, 0, []
-    for line in text.split("\n"):
-        opened = _BLOCK_OPENERS.match(line)
-        rest = line[opened.end():]
-        if not opened[2] and rest[:1] in ("", "#"):
-            continue
-        if flow == 0:
-            while indents and indents[-1] >= len(opened[1]):
-                indents.pop()
-            indents.append(len(opened[1]))
-            block = len(indents) + len(opened[2].split())
-        deepest = max(deepest, block)
-        for bracket in _BRACKETS.finditer(rest):
-            if deepest > MAX_NESTING:
-                break
-            flow = max(flow + (1 if bracket[0] in "[{" else -1), 0)
-            deepest = max(deepest, block + flow)
-        if deepest > MAX_NESTING:
-            break
+    """How deep YAML ``text`` nests, counted from the parser's events until
+    it passes ``MAX_NESTING`` or the text stops parsing (where the loader
+    stops too).  The parser keeps its own stack, so unlike the loader it
+    reads any depth without recursing."""
+    import yaml
+    depth = deepest = 0
+    try:
+        for event in yaml.parse(io.StringIO(text), Loader=yaml_loader()):
+            if isinstance(event, yaml.CollectionStartEvent):
+                depth += 1
+                deepest = max(deepest, depth)
+                if deepest > MAX_NESTING:
+                    break
+            elif isinstance(event, yaml.CollectionEndEvent):
+                depth -= 1
+    except yaml.YAMLError:
+        pass  # the loader reports it
     return deepest
 
 

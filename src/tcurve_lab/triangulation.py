@@ -137,17 +137,12 @@ class PrimitiveTriangulation:
     @cached_property
     def broken_edge_of(self) -> list:
         """Per edge id, the index of the broken edge it lies on, -1 off the
-        boundary.  Boundary segment s runs counterclockwise from the s-th of
-        ``polygon.boundary_points`` to the next."""
-        polygon, out = self.polygon, [-1] * self.E
-        at = {p: s for s, p in enumerate(polygon.boundary_points)}
-        on = [0] * len(at)
-        for k, b in enumerate(polygon.broken_edges):
-            for p, _ in b.primitive_segments:
-                on[at[p]] = k
+        boundary."""
+        on = {edge_key(*seg): k for k, b in enumerate(self.polygon.broken_edges)
+              for seg in b.primitive_segments}
+        out, edges = [-1] * self.E, self.edges
         for e in self.boundary:
-            a, b = sorted(at[polygon.lattice_points[i]] for i in self.edge_ends[e])
-            out[e] = on[b if b - a > 1 else a]  # segment L - 1 ends at point 0
+            out[e] = on[edges[e]]
         return out
 
     @cached_property

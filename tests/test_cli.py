@@ -290,6 +290,10 @@ DEEP = {
     "mappings": "polygon: " + "{a: " * 50_000 + "1" + "}" * 50_000 + "\n",
     "entries": "polygon:\n" + "- " * 50_000 + "1\n",
     "indentation": "".join(" " * k + "a:\n" for k in range(2_000)),
+    # NEL, LS and PS break YAML lines: the comment ends at them
+    **{f"brackets after {name}": f"#{br}polygon: " + "[" * 50_000 + "]" * 50_000
+       for name, br in (("NEL", "\x85"), ("LS", "\u2028"), ("PS", "\u2029"))},
+    "entries after NEL": "polygon:\x85" + "- " * 50_000 + "1\n",
 }
 
 
@@ -316,9 +320,11 @@ def test_valid_problems_nest_shallow(tmp_path):
     for text in PROBLEMS:
         block = yaml.safe_dump(yaml.safe_load(text), default_flow_style=False)
         for t in (text, block):
-            assert nesting_depth(t) <= 4
+            assert nesting_depth(t) <= 3
             assert parse_problem(write(tmp_path, "p.yaml", t)).data() == \
                 parse_problem(write(tmp_path, "q.yaml", text)).data()
+    # each `- key:` opens a sequence and a mapping
+    assert nesting_depth("- a:\n  - b:\n    - c: [1]\n") == 7
     # as deep as allowed: PyYAML reads it, and validation refuses it
     path = write(tmp_path, "p.yaml", "polygon: " + "[" * 15 + "]" * 15 + "\n")
     with pytest.raises(ValidationError, match="polygon: expected a list"):

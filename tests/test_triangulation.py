@@ -292,7 +292,8 @@ def test_broken_edge_of_matches_the_segments(t_polygons, diamond):
         on = {edge_key(*seg): k for k, b in enumerate(poly.broken_edges)
               for seg in b.primitive_segments}
         assert tri.broken_edge_of == [on.get(e, -1) for e in tri.edges]
-        assert {k for k in tri.broken_edge_of if k >= 0} == set(range(poly.r))
+        assert [tri.broken_edge_of.count(k) for k in range(poly.r)] == \
+            [b.integral_length for b in poly.broken_edges]
 
 
 DROP_BOUNDARY_SEGMENT = """\
