@@ -26,7 +26,7 @@ box against the ring (``lattice_points_by_box``), where
 Tests demand exact agreement with the fast paths on every instance.
 """
 
-from .lattice import Point, Polygon
+from .lattice import Point, Polygon, segment_parity
 from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
                       _surface_name, glue_offset, quad_add, reflect)
 from .filling import TFilling
@@ -507,9 +507,8 @@ def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
     """The midpoint node ("m", q', e) of G(S) on the lift of edge e to
     quadrant q: the two copies of a boundary segment that the gluing
     identifies share one, labelled by the smaller quadrant."""
-    off = surface.boundary_segment_offset.get(e)
-    if off is not None and e in tri.boundary_edges:
-        q = min(q, quad_add(q, off))
+    if e in tri.boundary_edges:
+        q = min(q, quad_add(q, glue_offset(segment_parity(*e))))
     return ("m", q, e)
 
 

@@ -113,22 +113,6 @@ class AmbientSurface:
         return self.polygon.r
 
     # ------------------------------------------------------------------
-    # boundary identification
-
-    @cached_property
-    def boundary_segment_offset(self) -> dict:
-        """Map primitive boundary segment (as a sorted point pair) to its
-        gluing offset: the one statement of the gluing, which the lift
-        table (``triangulation.incidence_graphs``) carries to every
-        reader."""
-        out = {}
-        for b in self.broken_edges:
-            off = glue_offset(b.segment_parity)
-            for p, q in b.primitive_segments:
-                out[tuple(sorted((p, q)))] = off
-        return out
-
-    # ------------------------------------------------------------------
     # canonical atlas
 
     @cached_property

@@ -227,18 +227,19 @@ class PredictedCensus(NamedTuple):
 
 def predicted_harnack_census(polygon: Polygon, htype: HarnackType) -> PredictedCensus:
     c, a, b = htype
-    g = polygon.census().by_parity
+    census = polygon.census()
+    g = census.by_parity
     ovals = {q: [] for q in QUADRANTS}
     ovals[(a % 2, b % 2)].extend([((-1) ** c, 0)] * g[(0, 0)])
     for s, t in ((0, 1), (1, 0), (1, 1)):
         q = ((t + a) % 2, (s + b) % 2)
         ovals[q].extend([((-1) ** (c + 1), 0)] * g[(s, t)])
-    odd_length = any(l % 2 for l in polygon.census().broken_edge_lengths)
+    odd_length = any(l % 2 for l in census.broken_edge_lengths)
     return PredictedCensus(
         quadrant_ovals={q: tuple(sorted(v)) for q, v in ovals.items()},
         o_kind="nontrivial" if odd_length else "oval",
         o_inside_quadrant=(a % 2, b % 2),
-        total=polygon.census().interior_points + 1)
+        total=census.interior_points + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
                      NonPrimitiveTriangle, Overlap, UnsupportedShape,
                      ValidationError, check)
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
-from .surface import QUADRANTS, AmbientSurface
+from .surface import QUADRANTS, AmbientSurface, glue_offset
 
 Tri = tuple[Point, Point, Point]          # canonical: sorted
 Edge = tuple[Point, Point]                # canonical: sorted
@@ -37,7 +37,9 @@ class PrimitiveTriangulation:
     integer lists hold it, ``slot_edges`` (the edge id of each slot) and
     ``edge_ends`` (the point indices of each edge, smaller first); the
     tuple forms (``triangles``, ``edges``, ``slots``, ...) are views
-    derived from them.  ``boundary`` lists the edge ids on the boundary.
+    derived from them.  ``boundary`` lists the edge ids on the boundary
+    and ``broken_edge_of`` gives, per edge id, the index of the broken edge
+    it lies on (-1 off the boundary), both from the validating pass.
     """
 
     def __init__(self, polygon: Polygon, triples):
@@ -84,11 +86,17 @@ class PrimitiveTriangulation:
             raise Overlap(f"directed edge {(p, q)} used twice")
         single = {k >> 1 for k in directed.difference([k ^ 1 for k in keys])}
         point_id = dict(zip(pts, range(V)))
-        segments = {edge_key(p, q) for b in polygon.broken_edges
-                    for p, q in b.primitive_segments}
-        if single != {point_id[p] * V + point_id[q] for p, q in segments}:
+        # each boundary segment i-j (i < j) as i * V + j -> its broken edge
+        on: dict = {}
+        for n, b in enumerate(polygon.broken_edges):
+            for p, q in b.primitive_segments:
+                i, j = sorted((point_id[p], point_id[q]))
+                on[i * V + j] = n
+        if single != on.keys():
             # the first edge used once off the boundary, in order of first
             # use, else a boundary segment not used exactly once
+            segments = {edge_key(p, q) for b in polygon.broken_edges
+                        for p, q in b.primitive_segments}
             for u, cnt in Counter(k >> 1 for k in keys).items():
                 e = (pts[u // V], pts[u % V])
                 if cnt > 2:
@@ -108,6 +116,7 @@ class PrimitiveTriangulation:
         self.slot_edges: list = list(map(edge_id.__getitem__, ukeys))
         self.edge_ends: list = [divmod(u, V) for u in order]
         self.boundary: list = sorted(map(edge_id.__getitem__, single))
+        self.broken_edge_of: list = [on.get(u, -1) for u in order]
         # Euler relations, guaranteed by the checks above
         check(self.T - self.E + self.V == 1, "T - E + V = 1 on a disk")
         check(3 * self.T == 2 * self.E - self.L, "3T = 2E - L")
@@ -133,17 +142,6 @@ class PrimitiveTriangulation:
     @cached_property
     def boundary_edges(self) -> frozenset:
         return frozenset(map(self.edges.__getitem__, self.boundary))
-
-    @cached_property
-    def broken_edge_of(self) -> list:
-        """Per edge id, the index of the broken edge it lies on, -1 off the
-        boundary."""
-        on = {edge_key(*seg): k for k, b in enumerate(self.polygon.broken_edges)
-              for seg in b.primitive_segments}
-        out, edges = [-1] * self.E, self.edges
-        for e in self.boundary:
-            out[e] = on[edges[e]]
-        return out
 
     @cached_property
     def slots(self) -> dict:
@@ -222,18 +220,18 @@ def incidence_graphs(surface: AmbientSurface,
                      tri: PrimitiveTriangulation) -> Lifts:
     """The lift table, once G(S) is checked on it: every midpoint joins
     exactly two lifted-triangle prongs, and G(S) is connected when S is
-    (r >= 2)."""
+    (r >= 2).  The gluing is read once per broken edge of ``surface``, the
+    ``glue_offset`` of its segment parity, and reaches each boundary edge
+    through ``tri.broken_edge_of``."""
     E, T, n = tri.E, tri.T, 12 * tri.T
     ids = list(range(n))  # one int object per id (4E <= 12T)
     edge_class = ids[:4 * E]
-    pts, offsets = tri.polygon.lattice_points, surface.boundary_segment_offset
+    offsets = [glue_offset(b.segment_parity) for b in surface.broken_edges]
     for e in tri.boundary:
-        i, j = tri.edge_ends[e]
-        off = offsets.get((pts[i], pts[j]))
-        if off is not None:
-            o = 2 * off[0] + off[1]  # quadrant index k moves to k ^ o
-            for k in range(4):
-                edge_class[k * E + e] = ids[min(k, k ^ o) * E + e]
+        a, b = offsets[tri.broken_edge_of[e]]
+        o = 2 * a + b  # quadrant index k moves to k ^ o
+        for k in range(4):
+            edge_class[k * E + e] = ids[min(k, k ^ o) * E + e]
     # per slot lift, its midpoint; per midpoint, its first prong until the
     # second one pairs with it, then 12T
     by_slot = itemgetter(*tri.slot_edges)  # 3 or more indices: a tuple

@@ -14,8 +14,8 @@ from tcurve_lab.triangulation import generate_grid_triangulation
 
 from conftest import pipeline, standard_triangle
 from helpers import (LeavesNonnegativeQuadrant, WrongPolygon, comparable,
-                     degree_parity_check, random_distribution, theta_action,
-                     transform_curve)
+                     degree_parity_check, random_distribution, run_python,
+                     theta_action, transform_curve)
 
 
 def all_plus(poly):
@@ -70,14 +70,35 @@ def test_edge_sign_reflection_law():
                     base * (-1) ** pairing(par, q)
 
 
+WRONG_GLUING = """\
+from tcurve_lab.errors import InvariantError
+from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.surface import build_ambient_surface
+from tcurve_lab.tcurve import extract_curve
+from tcurve_lab.triangulation import generate_grid_triangulation
+t2 = validate_polygon([(0, 0), (2, 0), (0, 2)])
+surface = build_ambient_surface(t2)
+first, *rest = surface.broken_edges
+surface.broken_edges = (first._replace(segment_parity=(0, 1)), *rest)
+try:
+    extract_curve(surface, generate_grid_triangulation(t2),
+                  {p: 1 for p in t2.lattice_points})
+except InvariantError as exc:
+    print(exc)
+"""
+
+
 def test_edge_sign_must_descend():
-    # glue the segment (0,0)-(1,0), of parity (1,0), across (1,0) instead
-    # of (0,1): the two lifts that then share a midpoint differ in sign
+    # give broken edge 0, of parity (1,0), the parity (0,1): its segments
+    # are glued across (1,0) instead of (0,1), and the two lifts that then
+    # share a midpoint differ in sign
     t2 = standard_triangle(2)
     surface = build_ambient_surface(t2)
-    surface.boundary_segment_offset[((0, 0), (1, 0))] = (1, 0)
+    first, *rest = surface.broken_edges
+    surface.broken_edges = (first._replace(segment_parity=(0, 1)), *rest)
     with pytest.raises(InvariantError, match="descend"):
         extract_curve(surface, generate_grid_triangulation(t2), all_plus(t2))
+    assert "descend" in run_python(WRONG_GLUING, "-O")
 
 
 # ---------------------------------------------------------------------------

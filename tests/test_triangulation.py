@@ -8,10 +8,10 @@ from tcurve_lab.errors import (DanglingEdge, Gap, InvariantError,
                                MissingLatticeVertex, NonPrimitiveTriangle,
                                Overlap, UnsupportedShape)
 from tcurve_lab.geometry import cross
-from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.lattice import segment_parity, validate_polygon
 from tcurve_lab.oracles import edge_triangles, midpoint_node
 from tcurve_lab.surface import (QUADRANTS, AmbientSurface, build_ambient_surface,
-                                quad_add)
+                                glue_offset, quad_add)
 from tcurve_lab.triangulation import (edge_key, generate_grid_triangulation,
                                       incidence_graphs)
 
@@ -227,7 +227,7 @@ def test_lift_multiplicity():
         if e not in tri.boundary_edges:
             assert all(m == ("m", q, e) for q, m in nodes.items())
             continue
-        off = surface.boundary_segment_offset[e]
+        off = glue_offset(segment_parity(*e))
         for q, m in nodes.items():
             assert m == nodes[quad_add(q, off)] == ("m", min(q, quad_add(q, off)), e)
 
@@ -282,13 +282,33 @@ def test_lift_table_matches_oracle(t_polygons, square22, diamond):
         assert incidence_graphs(surface, tri) == oracle_lifts(surface, tri)
 
 
-def test_broken_edge_of_matches_the_segments(t_polygons, diamond):
-    """Per edge id, the broken edge whose primitive segments hold it."""
+def test_wrong_broken_edge_parity_leaves_the_oracle(t_polygons):
+    """The oracle glues each boundary edge by its own parity, so a wrong
+    parity on one broken edge of the surface changes the lift table and
+    not the oracle."""
+    for d in (2, 3, 4):
+        poly = t_polygons[d]
+        tri = generate_grid_triangulation(poly)
+        surface = build_ambient_surface(poly)
+        # broken edge 0 has parity (1,0); (0,1) glues it across (1,0)
+        first, *rest = surface.broken_edges
+        surface.broken_edges = (first._replace(segment_parity=(0, 1)), *rest)
+        assert incidence_graphs(surface, tri) != oracle_lifts(surface, tri)
+
+
+def test_broken_edge_of_matches_the_segments(t_polygons, diamond, square22):
+    """Per edge id, the broken edge whose primitive segments hold it, on
+    grid, general and flipped triangulations."""
     rng = random.Random(29)
-    polygons = [*t_polygons.values(), diamond,
-                *(random_polygon(rng, box=7) for _ in range(60))]
-    for poly in polygons:
-        tri = primitive_triangulation(poly)
+    rect32 = validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
+    cases = [generate_grid_triangulation(p)
+             for p in (*t_polygons.values(), square22, rect32)]
+    for poly in (*t_polygons.values(), diamond,
+                 *(random_polygon(rng, box=7) for _ in range(60))):
+        cases.append(primitive_triangulation(poly))
+        cases.append(random_flips(rng, cases[-1], 8))
+    for tri in cases:
+        poly = tri.polygon
         on = {edge_key(*seg): k for k, b in enumerate(poly.broken_edges)
               for seg in b.primitive_segments}
         assert tri.broken_edge_of == [on.get(e, -1) for e in tri.edges]
@@ -298,15 +318,14 @@ def test_broken_edge_of_matches_the_segments(t_polygons, diamond):
 
 DROP_BOUNDARY_SEGMENT = """\
 from tcurve_lab.errors import InvariantError
-from tcurve_lab.lattice import validate_polygon
-from tcurve_lab.oracles import midpoint_node
+from tcurve_lab.lattice import segment_parity, validate_polygon
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
 t3 = validate_polygon([(0, 0), (3, 0), (0, 3)])
-surface = build_ambient_surface(t3)
-del surface.boundary_segment_offset[((0, 0), (1, 0))]
+tri = generate_grid_triangulation(t3)
+tri.boundary.remove(tri.edges.index(((0, 0), (1, 0))))
 try:
-    incidence_graphs(surface, generate_grid_triangulation(t3))
+    incidence_graphs(build_ambient_surface(t3), tri)
 except InvariantError as exc:
     print(exc)
 """
@@ -315,23 +334,23 @@ except InvariantError as exc:
 def test_unglued_boundary_segment_raises():
     # the lifts of (0,0)-(1,0) keep four midpoints, each on one prong
     t3 = standard_triangle(3)
-    surface = build_ambient_surface(t3)
-    del surface.boundary_segment_offset[((0, 0), (1, 0))]
+    tri = generate_grid_triangulation(t3)
+    tri.boundary.remove(tri.edges.index(((0, 0), (1, 0))))
     with pytest.raises(InvariantError, match="has degree 1"):
-        incidence_graphs(surface, generate_grid_triangulation(t3))
+        incidence_graphs(build_ambient_surface(t3), tri)
     out = run_python(DROP_BOUNDARY_SEGMENT, "-O")
     assert "has degree 1" in out
 
 
 GLUE_TWO_SHEETS = """\
 from tcurve_lab.errors import InvariantError
-from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.lattice import segment_parity, validate_polygon
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
 t3 = validate_polygon([(0, 0), (3, 0), (0, 3)])
 surface = build_ambient_surface(t3)
-offsets = surface.boundary_segment_offset
-offsets.update(dict.fromkeys(offsets, (0, 1)))
+surface.broken_edges = tuple(b._replace(segment_parity=(1, 0))
+                             for b in surface.broken_edges)
 try:
     incidence_graphs(surface, generate_grid_triangulation(t3))
 except InvariantError as exc:
@@ -340,13 +359,14 @@ except InvariantError as exc:
 
 
 def test_gs_in_two_sheets_raises():
-    # every boundary segment of T_3 (r = 3) glued by the offset (0,1), as
-    # on the two spheres: each midpoint still joins two prongs, but the
-    # copies (0,0), (0,1) and (1,0), (1,1) form two sheets
+    # every broken edge of T_3 (r = 3) given the parity (1,0), so glued by
+    # the offset (0,1), as on the two spheres: each midpoint still joins
+    # two prongs, but the copies (0,0), (0,1) and (1,0), (1,1) form two
+    # sheets
     t3 = standard_triangle(3)
     surface = build_ambient_surface(t3)
-    offsets = surface.boundary_segment_offset
-    offsets.update(dict.fromkeys(offsets, (0, 1)))
+    surface.broken_edges = tuple(b._replace(segment_parity=(1, 0))
+                                 for b in surface.broken_edges)
     with pytest.raises(InvariantError, match=r"G\(S\) must be connected when S is"):
         incidence_graphs(surface, generate_grid_triangulation(t3))
     assert run_python(GLUE_TWO_SHEETS, "-O").strip() == \
