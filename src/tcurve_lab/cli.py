@@ -21,14 +21,13 @@ import time
 
 from .errors import (CapExceeded, InputError, InvariantError, ParseError,
                      TCurveLabError, TooLarge, ValidationError)
-from .filling import build_filling, classify_filling, harnack_check
+from .filling import TFilling, build_filling, classify_filling, harnack_check
 from .lattice import Polygon, validate_polygon
 from .surface import AmbientSurface, build_ambient_surface
 from .svg import render_svg
-from .sweep import sweep
+from .sweep import compile_sweep, run_sweep
 from .tcurve import (TCurve, extract_curve, harnack_distribution,
                      predicted_harnack_census, verify_harnack_census)
-# incidence_graphs stays importable from here: bench/tracing.py wraps it
 from .triangulation import (PrimitiveTriangulation,
                             generate_grid_triangulation, incidence_graphs)
 
@@ -361,9 +360,9 @@ def curve_report(curve: TCurve) -> dict:
     }
 
 
-def filling_report(curve: TCurve, filling) -> dict:
+def filling_report(filling: TFilling) -> dict:
     cls = classify_filling(filling)
-    verdict = harnack_check(curve, filling)
+    verdict = harnack_check(filling)
     return {
         "chi_filling": filling.chi,
         "boundary_components": filling.boundary_count,
@@ -413,7 +412,7 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         report["curve"] = curve_report(curve)
         if name in ("filling", "harnack"):
             filling = build_filling(curve)
-            report["filling"] = filling_report(curve, filling)
+            report["filling"] = filling_report(filling)
         if name == "harnack":
             if htype is None:
                 if problem.signs[0] != "harnack":
@@ -438,7 +437,8 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         i_count = polygon.census().interior_points
         # per curve type (I when the filling is orientable): D -> vectors
         by_type: dict = {"I": {}, "II": {}}
-        for _, d, orientable in sweep(surface, tri):
+        tables = compile_sweep(tri, incidence_graphs(surface, tri))
+        for _, d, orientable in run_sweep(tables):
             per = by_type["I" if orientable else "II"]
             per[d] = per.get(d, 0) + 1
         dist: dict = {}

@@ -66,10 +66,7 @@ def build_filling(curve: TCurve) -> TFilling:
 # classification
 
 class CappedSurface(NamedTuple):
-    chi_filling: int
-    boundary_count: int
     chi: int
-    connected: bool
     orientable: bool
     genus: int | None
     crosscaps: int | None
@@ -81,16 +78,15 @@ class FillingClass(NamedTuple):
 
 
 def classify_filling(filling: TFilling) -> FillingClass:
-    """The capped surface.  D and orientability come from the strand
-    kernel, which has checked both Euler characteristic computations,
-    D <= i + 1 and that G(Pi), hence the filling, is connected."""
+    """The capped surface, connected because G(Pi) is (``incidence_graphs``
+    checks it).  D and orientability come from the strand kernel, which
+    has checked both Euler characteristic computations and D <= i + 1."""
     d = filling.boundary_count
     chi_sigma = filling.chi + d
     orientable = filling.orientable
     genus = (2 - chi_sigma) // 2 if orientable else None
     crosscaps = 2 - chi_sigma if not orientable else None
-    capped = CappedSurface(filling.chi, d, chi_sigma, True, orientable,
-                           genus, crosscaps)
+    capped = CappedSurface(chi_sigma, orientable, genus, crosscaps)
     return FillingClass(capped, "I" if orientable else "II")
 
 
@@ -99,18 +95,17 @@ class HarnackVerdict(NamedTuple):
     interior_points: int
     bound_holds: bool
     maximal: bool
-    chi_sigma: int
     identity_holds: bool
 
 
-def harnack_check(curve: TCurve, filling: TFilling) -> HarnackVerdict:
+def harnack_check(filling: TFilling) -> HarnackVerdict:
     tri = filling.tri
     d = filling.boundary_count
-    i = curve.surface.polygon.census().interior_points
+    i = tri.V - tri.L
     chi_sigma = filling.chi + d
-    # D = (V - L) + 1 - (2 - chi(Sigma))
-    identity = d == (tri.V - tri.L) + 1 - (2 - chi_sigma)
-    return HarnackVerdict(d, i, d <= i + 1, d == i + 1, chi_sigma, identity)
+    # D = i + 1 - (2 - chi(Sigma))
+    identity = d == i + 1 - (2 - chi_sigma)
+    return HarnackVerdict(d, i, d <= i + 1, d == i + 1, identity)
 
 
 # ---------------------------------------------------------------------------

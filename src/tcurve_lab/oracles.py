@@ -23,6 +23,9 @@ states, each component a tuple of nodes.
 The lattice points are listed by locating every point of the bounding
 box against the ring (``lattice_points_by_box``), where
 ``Polygon.lattice_points`` scans columns.
+G(Pi) and G(S) are found connected by walking the lifted triangles
+(``lifted_triangle_components``), where ``incidence_graphs`` joins the
+triangles of one copy and then the four copies over the gluing.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
@@ -510,6 +513,28 @@ def midpoint_node(surface: AmbientSurface, tri: PrimitiveTriangulation,
     if e in tri.boundary_edges:
         q = min(q, quad_add(q, glue_offset(segment_parity(*e))))
     return ("m", q, e)
+
+
+def lifted_triangle_components(across: list, n: int) -> int:
+    """The components of the graph on lifted triangles 0..n-1 that joins
+    x to w // 3 for each prong w = across[3x + k] below 3n, found by a
+    walk from each unreached triangle.  With n = 4T and the ``across`` of
+    a lift table this is G(S); with n = T it is G(Pi), the copy in
+    quadrant 0, whose prongs across a boundary midpoint leave it."""
+    seen = bytearray(n)
+    count = 0
+    for x0 in range(n):
+        if seen[x0]:
+            continue
+        count += 1
+        seen[x0], stack = 1, [x0]
+        while stack:
+            x = stack.pop()
+            for w in across[3 * x:3 * x + 3]:
+                if w < 3 * n and not seen[w // 3]:
+                    seen[w // 3] = 1
+                    stack.append(w // 3)
+    return count
 
 
 def midpoint_nodes(surface: AmbientSurface, tri: PrimitiveTriangulation) -> dict:

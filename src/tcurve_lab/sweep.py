@@ -36,7 +36,7 @@ Every failure raises ``InvariantError``.
 One representation serves two drivers, with the same checks and the
 same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
 (``kernel_state``) for ``TCurve``, and it alone records the walks
-(``TFilling`` reads that run).  ``run_sweep`` (``sweep(surface, tri)``)
+(``TFilling`` reads that run).  ``run_sweep`` (behind ``enumerate``)
 visits the 2^V masks in Gray-code order, ``mask = g ^ g >> 1``, and
 memoises the trace per twist vector.  Each step flips one point sign j;
 the state is affine in the mask over GF(2), so the step XORs it with the
@@ -59,8 +59,7 @@ from operator import itemgetter, xor
 from typing import NamedTuple
 
 from .errors import InconsistentArcPairing, InvariantError, check
-from .surface import AmbientSurface
-from .triangulation import Lifts, PrimitiveTriangulation, incidence_graphs
+from .triangulation import Lifts, PrimitiveTriangulation
 from .uf import find
 
 
@@ -100,7 +99,7 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     """The tables ``trace_vector`` reads, sharing the edge ends and the edge
     of each slot with ``tri``, and the midpoint of each lift and the prong
     across each midpoint with the lift table ``lifts`` of
-    ``incidence_graphs``; G(Pi) must be connected."""
+    ``incidence_graphs``, which has checked that G(Pi) is connected."""
     T, E, T3 = tri.T, tri.E, 3 * tri.T
     edge_class, across = lifts.edge_class, lifts.across
     # one int object per value below 12T, shared by every table of lift
@@ -131,13 +130,6 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     for u in range(0, 12 * T, 3):
         nxt += (ids[u + 1], ids[u + 2], ids[u])
         prv += (ids[u + 2], ids[u], ids[u + 1])
-
-    # G(Pi) is connected, so every filling is
-    parent = list(range(T))
-    for _, s_a, s_b in interior:
-        parent[find(parent, s_a // 3)] = find(parent, s_b // 3)
-    check(sum(t == p for t, p in enumerate(parent)) == 1,
-          "G(Pi) is connected, so the filling is")
 
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
@@ -429,9 +421,3 @@ def run_sweep(tab: SweepTables):
         except InvariantError as exc:
             raise type(exc)(f"mask {mask}: {exc}") from None
         yield mask, run.d, run.orientable
-
-
-def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
-    """Yield (mask, D, orientable) for each of the 2^V sign vectors, in
-    Gray-code order."""
-    yield from run_sweep(compile_sweep(tri, incidence_graphs(surface, tri)))

@@ -11,7 +11,7 @@ and the prong across each midpoint.
 
 from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
@@ -19,6 +19,7 @@ from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
                      ValidationError, check)
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
 from .surface import QUADRANTS, AmbientSurface, glue_offset
+from .uf import find
 
 Tri = tuple[Point, Point, Point]          # canonical: sorted
 Edge = tuple[Point, Point]                # canonical: sorted
@@ -219,10 +220,12 @@ class Lifts(NamedTuple):
 def incidence_graphs(surface: AmbientSurface,
                      tri: PrimitiveTriangulation) -> Lifts:
     """The lift table, once G(S) is checked on it: every midpoint joins
-    exactly two lifted-triangle prongs, and G(S) is connected when S is
-    (r >= 2).  The gluing is read once per broken edge of ``surface``, the
-    ``glue_offset`` of its segment parity, and reaches each boundary edge
-    through ``tri.broken_edge_of``."""
+    exactly two lifted-triangle prongs, G(Pi) is connected, and G(S) is
+    connected when S is (r >= 2).  G(S) is four copies of G(Pi) joined
+    only at the glued boundary midpoints, so the last check is a union of
+    the four quadrants over the gluing.  The gluing is read once per
+    broken edge of ``surface``, the ``glue_offset`` of its segment parity,
+    and reaches each boundary edge through ``tri.broken_edge_of``."""
     E, T, n = tri.E, tri.T, 12 * tri.T
     ids = list(range(n))  # one int object per id (4E <= 12T)
     edge_class = ids[:4 * E]
@@ -252,15 +255,21 @@ def incidence_graphs(surface: AmbientSurface,
         c = next(c for c, x in enumerate(edge_class) if c == x and degree[c] != 2)
         m = ("m", QUADRANTS[c // E], tri.edges[c % E])
         raise InvariantError(f"upstairs midpoint {m} has degree {degree[c]}")
+    # quadrant 0 holds one copy of G(Pi): its prongs across an interior
+    # midpoint stay in it, those across a boundary one leave it
+    T3 = 3 * T
+    parent = ids[:T]  # shared ints: a root is joined by its own entry
+    for u, w in zip(ids, across[:T3]):
+        if u < w < T3:
+            parent[find(parent, u // 3)] = parent[find(parent, w // 3)]
+    check(sum(map(eq, parent, ids)) == 1, "G(Pi) is connected, so the filling is")
     if surface.r >= 2:
-        # every lifted triangle q*T + t is reached from the first one
-        seen = bytearray(4 * T)
-        seen[0], stack = 1, [0]
-        while stack:
-            x = stack.pop()
-            for w in across[3 * x:3 * x + 3]:
-                if not seen[w // 3]:
-                    seen[w // 3] = 1
-                    stack.append(w // 3)
-        check(all(seen), "G(S) must be connected when S is")
+        # so G(S) is connected exactly when the gluing joins its copies:
+        # the copy of a boundary edge in quadrant k shares its midpoint
+        # with the copy in quadrant edge_class[k*E + e] // E
+        quads = [0, 1, 2, 3]
+        for k, q in {(k, c // E) for e in tri.boundary
+                     for k, c in enumerate(edge_class[e::E])}:
+            quads[find(quads, k)] = quads[find(quads, q)]
+        check(sum(map(eq, quads, range(4))) == 1, "G(S) must be connected when S is")
     return Lifts(edge_class, across)

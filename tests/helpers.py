@@ -1,10 +1,11 @@
 """Shared test machinery: random polygons, a general primitive
 triangulator (ear clipping plus refinement to area 1/2), random diagonal
-flips, the comparison of a curve and its filling with the tuple oracles,
-the Z2 matrix algebra of the atlas, the (Z2)^3 action on sign
-distributions, the degree parity law, and translated or unimodularly
-transformed curves with their census comparison.  These are test-side
-oracles and generators, not part of the library surface.
+flips, the full sweep of a triangulation, the comparison of a curve and
+its filling with the tuple oracles, the Z2 matrix algebra of the atlas,
+the (Z2)^3 action on sign distributions, the degree parity law, and
+translated or unimodularly transformed curves with their census
+comparison.  These are test-side oracles and generators, not part of the
+library surface.
 """
 
 import os
@@ -24,9 +25,12 @@ from tcurve_lab.lattice import (Point, Polygon, is_standard_triangle, pairing,
 from tcurve_lab.oracles import (components_by_adjacency, locate_in_polygon,
                                 midpoint_nodes, strands_by_tuples,
                                 twists_by_arc_pairing)
-from tcurve_lab.surface import Atlas, Mat2, Quadrant, build_ambient_surface
+from tcurve_lab.surface import (AmbientSurface, Atlas, Mat2, Quadrant,
+                                build_ambient_surface)
+from tcurve_lab.sweep import compile_sweep, run_sweep
 from tcurve_lab.tcurve import CurveCensus, HarnackType, TCurve
-from tcurve_lab.triangulation import PrimitiveTriangulation, edge_key
+from tcurve_lab.triangulation import (PrimitiveTriangulation, edge_key,
+                                      incidence_graphs)
 
 
 # the package and this directory, importable in a fresh interpreter
@@ -214,6 +218,12 @@ def random_flips(rng: random.Random, tri: PrimitiveTriangulation,
 
 def random_distribution(rng: random.Random, polygon: Polygon) -> dict:
     return {p: rng.choice((1, -1)) for p in polygon.lattice_points}
+
+
+def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
+    """Yield (mask, D, orientable) for each of the 2^V sign vectors, in
+    Gray-code order, as ``enumerate`` runs them."""
+    yield from run_sweep(compile_sweep(tri, incidence_graphs(surface, tri)))
 
 
 def tuple_state(tri: PrimitiveTriangulation, x: int) -> tuple:

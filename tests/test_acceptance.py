@@ -17,7 +17,7 @@ from tcurve_lab.oracles import (classify_components_by_nesting,
                                 classify_filling_by_cells,
                                 classify_surface_by_cells)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
-from tcurve_lab.sweep import compile_sweep, sweep
+from tcurve_lab.sweep import compile_sweep
 from tcurve_lab.tcurve import (TCurve, extract_curve, harnack_distribution,
                                predicted_harnack_census, verify_harnack_census)
 from tcurve_lab.triangulation import generate_grid_triangulation, incidence_graphs
@@ -26,7 +26,7 @@ from conftest import pipeline, standard_triangle
 from helpers import (IDENTITY, comparable, degree_parity_check, mat_mul,
                      match_oracles, primitive_triangulation,
                      random_distribution, random_flips, random_polygon,
-                     transform_curve)
+                     sweep, transform_curve)
 
 
 def report(n, text):
@@ -178,7 +178,7 @@ def test_criterion_6_filling_arithmetic():
     assert cls.capped.chi == 2
     assert cls.capped.orientable and cls.capped.genus == 0
     assert cls.curve_type == "I"
-    assert harnack_check(curve, filling).maximal
+    assert harnack_check(filling).maximal
     assert 2 * filling.chi == 0 == 2 - 2 * 1  # doubled surface has genus 1
     report(6, "degree-3 Harnack: chi(F)=0, D=2, chi(Sigma)=2, sphere, type I, maximal")
 

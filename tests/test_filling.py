@@ -40,7 +40,7 @@ def test_t3_harnack_arithmetic():
     assert cls.capped.chi == 2
     assert cls.capped.orientable and cls.capped.genus == 0
     assert cls.curve_type == "I"
-    verdict = harnack_check(curve, filling)
+    verdict = harnack_check(filling)
     assert verdict.maximal and verdict.bound_holds and verdict.identity_holds
     # the double of the filling has genus (d-1)(d-2)/2 = 1
     assert 2 * filling.chi == 2 - 2 * 1
@@ -143,7 +143,7 @@ def test_oracle_agreement_random_instances():
 def test_harnack_check_t5():
     t5 = standard_triangle(5)
     _, _, curve = pipeline(t5, harnack_distribution(t5, (1, 0, 0)))
-    verdict = harnack_check(curve, build_filling(curve))
+    verdict = harnack_check(build_filling(curve))
     assert verdict.boundary_count == 7 == verdict.interior_points + 1
     assert verdict.maximal
 
@@ -156,7 +156,7 @@ def test_maximal_implies_type_one():
         for _ in range(40):
             _, _, curve = pipeline(poly, random_distribution(rng, poly))
             filling = build_filling(curve)
-            verdict = harnack_check(curve, filling)
+            verdict = harnack_check(filling)
             if verdict.maximal:
                 found += 1
                 assert classify_filling(filling).curve_type == "I"

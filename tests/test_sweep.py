@@ -5,7 +5,6 @@ the oracles, and its invariant checks under corrupted tables through
 both."""
 
 import random
-from types import SimpleNamespace
 
 import pytest
 
@@ -15,15 +14,14 @@ from tcurve_lab.filling import build_filling
 from tcurve_lab.oracles import ParityUnionFind
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.sweep import (compile_sweep, gray_states, kernel_state,
-                              run_sweep, sweep, thick_y_spins, trace_vector)
+                              run_sweep, thick_y_spins, trace_vector)
 from tcurve_lab.tcurve import TCurve
-from tcurve_lab.triangulation import (Lifts, edge_key,
-                                      generate_grid_triangulation,
+from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs)
 
 from conftest import standard_triangle
 from helpers import (match_oracles, primitive_triangulation, random_flips,
-                     random_polygon, run_python)
+                     random_polygon, run_python, sweep)
 
 
 def mask_signs(tri, mask):
@@ -210,25 +208,6 @@ def test_thick_y_spins_match_parity_union_find():
     assert min(counts) > 300
 
 
-def two_islands():
-    """A stub triangulation of two triangles that share no edge, with an
-    identity lift table: its G(Pi) has two components."""
-    t1, t2 = ((0, 0), (1, 0), (0, 1)), ((2, 0), (3, 0), (2, 1))
-    slots = [edge_key(t[k], t[(k + 1) % 3]) for t in (t1, t2) for k in range(3)]
-    pts, edges = sorted(t1 + t2), sorted(slots)
-    tri = SimpleNamespace(polygon=SimpleNamespace(lattice_points=pts),
-                          slot_edges=[edges.index(e) for e in slots],
-                          edge_ends=[(pts.index(p), pts.index(q)) for p, q in edges],
-                          T=2, E=6, V=6, L=6)
-    return tri, Lifts(list(range(4 * tri.E)), list(range(12 * tri.T)))
-
-
-def test_disconnected_g_pi_raises():
-    tri, lifts = two_islands()
-    with pytest.raises(InvariantError, match=r"G\(Pi\) is connected"):
-        compile_sweep(tri, lifts)
-
-
 # ---------------------------------------------------------------------------
 # corrupted tables
 
@@ -317,8 +296,7 @@ def test_corrupted_table_raises(corrupt, driver):
 
 
 def test_checks_survive_python_O():
-    """Both drivers and the G(Pi) connectivity check, in one interpreter
-    under -O."""
+    """Both drivers, in one interpreter under -O."""
     code = ("import test_sweep\n"
             "from tcurve_lab.errors import InvariantError\n"
             "from tcurve_lab.lattice import validate_polygon\n"
@@ -333,11 +311,6 @@ def test_checks_survive_python_O():
             "    try:\n"
             "        driver(surface, tri, tab)\n"
             "    except InvariantError:\n"
-            "        print(driver.__name__, 'raised')\n"
-            "try:\n"
-            "    test_sweep.compile_sweep(*test_sweep.two_islands())\n"
-            "except InvariantError as exc:\n"
-            "    print(exc)\n")
+            "        print(driver.__name__, 'raised')\n")
     out = run_python(code, "-O")
-    assert out.split("\n") == [f"{d.__name__} raised" for d in DRIVERS] + \
-        ["G(Pi) is connected, so the filling is", ""]
+    assert out.split("\n") == [f"{d.__name__} raised" for d in DRIVERS] + [""]

@@ -9,7 +9,8 @@ from tcurve_lab.errors import (DanglingEdge, Gap, InvariantError,
                                Overlap, UnsupportedShape)
 from tcurve_lab.geometry import cross
 from tcurve_lab.lattice import segment_parity, validate_polygon
-from tcurve_lab.oracles import edge_triangles, midpoint_node
+from tcurve_lab.oracles import (edge_triangles, lifted_triangle_components,
+                                midpoint_node)
 from tcurve_lab.surface import (QUADRANTS, AmbientSurface, build_ambient_surface,
                                 glue_offset, quad_add)
 from tcurve_lab.triangulation import (edge_key, generate_grid_triangulation,
@@ -371,6 +372,80 @@ def test_gs_in_two_sheets_raises():
         incidence_graphs(surface, generate_grid_triangulation(t3))
     assert run_python(GLUE_TWO_SHEETS, "-O").strip() == \
         "G(S) must be connected when S is"
+
+
+def two_islands():
+    """A stub triangulation of two triangles that share no edge, on a
+    surface stub with one broken edge: every midpoint joins two prongs,
+    and G(Pi) has two components."""
+    t1, t2 = ((0, 0), (1, 0), (0, 1)), ((2, 0), (3, 0), (2, 1))
+    slots = [edge_key(t[k], t[(k + 1) % 3]) for t in (t1, t2) for k in range(3)]
+    edges = sorted(slots)
+    tri = SimpleNamespace(slot_edges=[edges.index(e) for e in slots], edges=edges,
+                          boundary=list(range(6)), broken_edge_of=[0] * 6,
+                          T=2, E=6)
+    surface = SimpleNamespace(broken_edges=(SimpleNamespace(segment_parity=(1, 0)),),
+                              r=1)
+    return surface, tri
+
+
+TWO_ISLANDS = """\
+import test_triangulation
+from tcurve_lab.errors import InvariantError
+from tcurve_lab.triangulation import incidence_graphs
+try:
+    incidence_graphs(*test_triangulation.two_islands())
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_disconnected_g_pi_raises():
+    with pytest.raises(InvariantError, match=r"^G\(Pi\) is connected, so the filling is$"):
+        incidence_graphs(*two_islands())
+    assert run_python(TWO_ISLANDS, "-O").strip() == \
+        "G(Pi) is connected, so the filling is"
+
+
+PARITIES = ((1, 0), (0, 1), (1, 1))
+
+
+def test_connectivity_checks_match_the_walk(diamond, square22):
+    """``incidence_graphs`` passes exactly the lift tables on which the
+    walk of ``oracles.lifted_triangle_components`` finds G(Pi) connected,
+    and G(S) too when r >= 2: on grid, general and flipped triangulations,
+    under each surface's own gluing and under regluings of its broken
+    edges by one parity (two sheets) or by random ones."""
+    rng = random.Random(37)
+    rect32 = validate_polygon([(0, 0), (3, 0), (3, 2), (0, 2)])
+    cases = [generate_grid_triangulation(p) for p in (
+        *(standard_triangle(d) for d in range(1, 9)), square22, rect32)]
+    cases.append(primitive_triangulation(diamond))
+    for _ in range(60):
+        poly = random_polygon(rng)
+        cases.append(random_flips(rng, primitive_triangulation(poly), 8))
+    for tri in cases:
+        surface = build_ambient_surface(tri.polygon)
+        lifts = incidence_graphs(surface, tri)
+        assert lifted_triangle_components(lifts.across, tri.T) == 1
+        assert lifted_triangle_components(lifts.across, 4 * tri.T) == \
+            (1 if surface.r >= 2 else 2)
+        own = surface.broken_edges
+        for pars in ([b.segment_parity for b in own], [(1, 0)] * len(own),
+                     [rng.choice(PARITIES) for _ in own]):
+            broken_edges = tuple(b._replace(segment_parity=p) for b, p in zip(own, pars))
+            # with r = 1 the table is built without the G(S) check
+            lifts = incidence_graphs(SimpleNamespace(broken_edges=broken_edges, r=1), tri)
+            assert lifted_triangle_components(lifts.across, tri.T) == 1
+            sheets = lifted_triangle_components(lifts.across, 4 * tri.T)
+            assert sheets == (1 if len(set(pars)) >= 2 else 2)
+            claims_r2 = SimpleNamespace(broken_edges=broken_edges, r=2)
+            if sheets == 1:
+                assert incidence_graphs(claims_r2, tri) == lifts
+            else:
+                with pytest.raises(InvariantError,
+                                   match=r"^G\(S\) must be connected when S is$"):
+                    incidence_graphs(claims_r2, tri)
 
 
 def tuple_construction(triangles) -> SimpleNamespace:
