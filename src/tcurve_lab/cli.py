@@ -11,7 +11,6 @@ Problem files are YAML with these three fields and no other:
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad input.
 """
 
-import argparse
 import io
 import json
 import os
@@ -462,33 +461,74 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
     return report
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="tcurve-lab",
-        description="Patchwork curves on glued lattice-polygon surfaces")
-    parser.add_argument("subcommand",
-                        choices=["surface", "curve", "filling", "harnack",
-                                 "enumerate", "render"])
-    parser.add_argument("--input", required=True, help="problem file (YAML)")
-    parser.add_argument("--out", help="output file (default stdout)")
-    parser.add_argument("--type", dest="htype",
-                        help="Harnack type c,a,b overriding the signs field")
-    parser.add_argument("--cap", type=int, default=16,
-                        help="max lattice points for enumerate (default 16)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="recorded in the report for reproducibility")
-    args = parser.parse_args(argv)
+SUBCOMMANDS = ("surface", "curve", "filling", "harnack", "enumerate", "render")
+# README's synopsis, which -h and --help print
+SYNOPSIS = """\
+tcurve-lab <surface|curve|filling|harnack|enumerate|render> --input FILE
+           [--out FILE] [--type c,a,b] [--cap N] [--seed N]
+"""
+# option -> what reads its value
+OPTIONS = {"--input": str, "--out": str, "--type": str, "--cap": int,
+           "--seed": int}
+# a separate value that may start with '-' (besides '-' itself), as in argparse
+_NEGATIVE = re.compile(r"-[0-9]*\.?[0-9]+")
 
+
+def parse_args(argv: list) -> dict | None:
+    """The subcommand (key ``"subcommand"``) and the options (keys
+    ``"--input"`` and so on) of a command line; None when it asks for help.
+    An option takes ``--name value`` or ``--name=value``, anywhere on the
+    line, and a repeated one keeps its last value.  Prefixes of option
+    names are not options.  Raises ValidationError, with one line, for any
+    other command line."""
+    args = {"subcommand": None, **dict.fromkeys(OPTIONS), "--cap": 16}
+    rest = iter(argv)
+    for arg in rest:
+        if arg in ("-h", "--help"):
+            return None
+        if arg[:1] != "-" or arg == "-":
+            if args["subcommand"] is not None:
+                raise ValidationError(f"unexpected argument {arg!r}")
+            if arg not in SUBCOMMANDS:
+                raise ValidationError(f"unknown subcommand {arg!r}; expected "
+                                      f"one of {', '.join(SUBCOMMANDS)}")
+            args["subcommand"] = arg
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in OPTIONS:
+            raise ValidationError(f"unknown option {name!r}")
+        if not eq:
+            value = next(rest, None)
+            if value is None or (value[:1] == "-" and value != "-"
+                                 and not _NEGATIVE.fullmatch(value)):
+                raise ValidationError(f"{name} expects a value")
+        try:
+            args[name] = OPTIONS[name](value)
+        except ValueError:
+            raise ValidationError(f"{name} expects an integer, got {value!r}")
+    if args["subcommand"] is None:
+        raise ValidationError("no subcommand; expected one of "
+                              f"{', '.join(SUBCOMMANDS)}")
+    if args["--input"] is None:
+        raise ValidationError("--input FILE is required")
+    return args
+
+
+def main(argv=None) -> int:
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(SYNOPSIS)
+            return 0
         htype = None
-        if args.htype is not None:
-            parts = args.htype.split(",")
+        if args["--type"] is not None:
+            parts = args["--type"].split(",")
             if len(parts) != 3 or any(p.strip() not in ("0", "1") for p in parts):
                 raise ValidationError("--type expects bits c,a,b")
             htype = tuple(int(p) for p in parts)
-        problem = parse_problem(args.input)
-        result = run_subcommand(args.subcommand, problem, htype=htype,
-                                cap=args.cap, seed=args.seed)
+        problem = parse_problem(args["--input"])
+        result = run_subcommand(args["subcommand"], problem, htype=htype,
+                                cap=args["--cap"], seed=args["--seed"])
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
@@ -498,12 +538,12 @@ def main(argv=None) -> int:
 
     text = result if isinstance(result, str) else json.dumps(result, indent=2)
     text = text if text.endswith("\n") else text + "\n"
-    if args.out:
+    if args["--out"]:
         try:
-            with open(args.out, "w") as fh:
+            with open(args["--out"], "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {args['--out']}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

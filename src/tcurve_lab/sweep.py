@@ -107,9 +107,6 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     # times the memory): ``across`` is an involution, so these are its own
     ids = [across[w] for w in across]
 
-    def shared(values):
-        return [ids[v] for v in values]
-
     # the segment parity of a primitive edge, 2x + y, is the sum of the
     # parities of its ends
     par = [2 * (x & 1) + (y & 1) for x, y in tri.polygon.lattice_points]
@@ -126,10 +123,11 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     for e, ss in enumerate(edge_slots):
         (interior if len(ss) == 2 else boundary).append((ids[e], *ss))
 
-    nxt, prv = [], []
-    for u in range(0, 12 * T, 3):
-        nxt += (ids[u + 1], ids[u + 2], ids[u])
-        prv += (ids[u + 2], ids[u], ids[u + 1])
+    # in a run of 3 slot lifts per lifted triangle, prong k's is entry k
+    nxt, prv = list(ids), list(ids)
+    for k in range(3):
+        nxt[k::3] = ids[(k + 1) % 3::3]
+        prv[k::3] = ids[(k - 1) % 3::3]
 
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
@@ -149,20 +147,18 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
 
     # strand transitions: 'in' turns to the neighboring prong of the same
     # thick-Y; 'out' crosses the prong's end, folding back at a boundary
-    # edge, onto the other triangle's prong otherwise
-    plain = [0] * (12 * T)
-    for s in range(T3):
-        t, k = divmod(s, 3)
-        plain[4 * s + 1] = 4 * (3 * t + (k + 1) % 3) + 2
-        plain[4 * s + 3] = 4 * (3 * t + (k - 1) % 3)
-        plain[4 * s] = 4 * s + 3
-        plain[4 * s + 2] = 4 * s + 1
+    # edge, onto the other triangle's prong otherwise.  In the run of 12
+    # states of a triangle, prong k's are entries 4k..4k+3.
+    plain = list(ids)
+    plain[0::4], plain[2::4] = ids[3::4], ids[1::4]
+    for k in range(3):
+        plain[4 * k + 1::12] = ids[4 * ((k + 1) % 3) + 2::12]
+        plain[4 * k + 3::12] = ids[4 * ((k - 1) % 3)::12]
     twisted = list(plain)
     for _, s_a, s_b in interior:
         for s, s2 in ((s_a, s_b), (s_b, s_a)):
-            plain[4 * s], plain[4 * s + 2] = 4 * s2 + 3, 4 * s2 + 1
-            twisted[4 * s], twisted[4 * s + 2] = 4 * s2 + 1, 4 * s2 + 3
-    plain, twisted = shared(plain), shared(twisted)
+            plain[4 * s], plain[4 * s + 2] = ids[4 * s2 + 3], ids[4 * s2 + 1]
+            twisted[4 * s], twisted[4 * s + 2] = ids[4 * s2 + 1], ids[4 * s2 + 3]
 
     return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, tri.edge_ends,
                        seg_par, edge_class, merged,

@@ -563,3 +563,105 @@ def test_reports_build_no_nodes(monkeypatch):
         for name in ("curve", "filling", "harnack"):
             rep = cli.run_subcommand(name, prob)
             assert rep["curve"]["component_count"] >= 2
+
+
+# ---------------------------------------------------------------------------
+# the command line itself
+
+# every malformed command line; "{path}" stands for a valid problem file
+BAD_COMMAND_LINES = {
+    "nothing": [],
+    "no subcommand": ["--input", "{path}"],
+    "unknown subcommand": ["bogus", "--input", "{path}"],
+    "two positionals": ["curve", "surface", "--input", "{path}"],
+    "unknown option": ["curve", "--input", "{path}", "--bogus", "1"],
+    "abbreviated option": ["curve", "--inp", "{path}"],
+    "unknown short option": ["curve", "-i", "{path}"],
+    "missing value at the end": ["curve", "--input"],
+    "missing value before an option": ["curve", "--out", "--input", "{path}"],
+    "non-integer --cap": ["enumerate", "--input", "{path}", "--cap", "abc"],
+    "empty --cap": ["enumerate", "--input={path}", "--cap="],
+    "non-integer --seed": ["curve", "--input", "{path}", "--seed=1.5"],
+    "no --input": ["curve"],
+    "no --input among options": ["curve", "--out", "x.json", "--cap", "3"],
+}
+
+
+def command_line(tmp_path, kind):
+    path = write(tmp_path, "t3.yaml", T3_HARNACK)
+    return [arg.replace("{path}", path) for arg in BAD_COMMAND_LINES[kind]]
+
+
+@pytest.mark.parametrize("kind", BAD_COMMAND_LINES)
+def test_bad_command_line_exits_2_with_one_line(tmp_path, capsys, kind):
+    assert main(command_line(tmp_path, kind)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("kind", BAD_COMMAND_LINES)
+def test_bad_command_line_exits_2_with_one_line_under_python_O(tmp_path, kind):
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "tcurve_lab.cli",
+         *command_line(tmp_path, kind)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, \
+        proc.stderr
+
+
+def readme_synopsis() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1]
+    return section.split("```sh\n", 1)[1].split("```", 1)[0]
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_readme_synopsis(capsys, flag):
+    assert main([flag]) == 0
+    out, err = capsys.readouterr()
+    assert (out, err) == (readme_synopsis(), "")
+    assert main(["curve", "--input", "missing.yaml", flag]) == 0
+    assert capsys.readouterr().out == readme_synopsis()
+
+
+def test_help_exits_0_in_a_process():
+    proc = subprocess.run([sys.executable, "-O", "-m", "tcurve_lab.cli", "--help"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, readme_synopsis(), "")
+
+
+def test_accepted_option_forms(tmp_path, capsys):
+    # either form, in any order, the last of a repeated option winning; a
+    # separate value may be a negative number
+    path = write(tmp_path, "t3.yaml", T3_HARNACK)
+    out = tmp_path / "out.json"
+    code = main(["--seed=7", f"--input={path}", "--type", "1,1,1", "harnack",
+                 "--out", str(tmp_path / "first.json"), "--seed", "-5",
+                 "--type=0,1,1", "--out", str(out)])
+    assert code == 0 and capsys.readouterr() == ("", "")
+    rep = json.loads(out.read_text())
+    assert rep["seed"] == -5
+    assert rep["harnack_census"]["type"] == [0, 1, 1]
+    assert not (tmp_path / "first.json").exists()
+    # --cap takes the same forms; 10 lattice points exceed --cap=9
+    t3 = write(tmp_path, "t3e.yaml", "polygon: [[0,0],[3,0],[0,3]]\nsigns: enumerate\n")
+    assert main(["enumerate", "--input", t3, "--cap=9"]) == 2
+    assert "cap 9" in capsys.readouterr().err
+    assert main(["enumerate", "--cap", "9", "--input", t3, "--cap", "10"]) == 0
+    assert json.loads(capsys.readouterr().out)["enumerate"]["runs"] == 1024
+
+
+def test_cli_process_loads_neither_argparse_gettext_nor_yaml(tmp_path):
+    # what a `tcurve-lab` process on a flow-style problem file imports
+    path = write(tmp_path, "t3.yaml", T3_HARNACK)
+    code = ("import sys\n"
+            "import tcurve_lab.cli\n"
+            f"code = tcurve_lab.cli.main(['filling', '--input', {path!r}, "
+            f"'--out', {str(tmp_path / 'out.json')!r}])\n"
+            "print(code, sorted({'argparse', 'gettext', 'yaml'} "
+            "& set(sys.modules)))\n")
+    assert run_python(code).strip() == "0 []"

@@ -162,6 +162,55 @@ def test_failure_names_its_mask_in_gray_order():
 
 
 # ---------------------------------------------------------------------------
+# compiled successor tables
+
+def successor_definitions(tri):
+    """``nxt``, ``prv`` and the untwisted and twisted strand successors as
+    ``SweepTables`` defines them, one entry at a time."""
+    nxt = [u - u % 3 + (u + 1) % 3 for u in range(12 * tri.T)]
+    prv = [u - u % 3 + (u - 1) % 3 for u in range(12 * tri.T)]
+    by_edge: dict = {}
+    for s, e in enumerate(tri.slot_edges):
+        by_edge.setdefault(e, []).append(s)
+    other = {}
+    for ss in by_edge.values():
+        if len(ss) == 2:
+            other[ss[0]], other[ss[1]] = ss[1], ss[0]
+    plain, twisted = [], []
+    for s in range(3 * tri.T):
+        for sb in (0, 1):
+            for db in (0, 1):  # state 4*s + 2*sb + db
+                if db:  # in: on to the next prong (sb = 0) or the previous
+                    x = 4 * (nxt[s] if sb == 0 else prv[s]) + 2 * (1 - sb)
+                    plain.append(x)
+                    twisted.append(x)
+                elif s not in other:  # out at a boundary edge: fold back
+                    plain.append(4 * s + 2 * (1 - sb) + 1)
+                    twisted.append(4 * s + 2 * (1 - sb) + 1)
+                else:  # out across an interior edge
+                    plain.append(4 * other[s] + 2 * (1 - sb) + 1)
+                    twisted.append(4 * other[s] + 2 * sb + 1)
+    return nxt, prv, plain, twisted
+
+
+def test_successor_tables_match_their_definitions():
+    """Grid T_1..T_8 and 60 seeded random polygons with flips; every
+    entry is one of the 12T shared int objects."""
+    instances = [(standard_triangle(d), None) for d in range(1, 9)]
+    rng = random.Random(19)
+    while len(instances) < 68:
+        poly = random_polygon(rng, box=6)
+        instances.append((poly, random_flips(rng, primitive_triangulation(poly), 12)))
+    for poly, tri in instances:
+        tri = tri or generate_grid_triangulation(poly)
+        tab = compiled(build_ambient_surface(poly), tri)
+        assert [tab.nxt, tab.prv, *tab.succ] == list(successor_definitions(tri))
+        entries = {id(v) for table in (tab.nxt, tab.prv, *tab.succ)
+                   for v in table}
+        assert len(entries) <= 12 * tri.T, poly
+
+
+# ---------------------------------------------------------------------------
 # thick-Y spins
 
 def spin_instances():
