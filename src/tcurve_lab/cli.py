@@ -103,24 +103,37 @@ class Problem:
             "(or pass --type)")
 
 
+# the characters at which str.splitlines breaks a line, each mapped to its
+# escape in a Python string literal
+_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode()
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+
+def one_line(path: str) -> str:
+    """``path`` as messages name it: with its line breaks escaped, so that
+    every error stays on one line."""
+    return path.translate(_LINE_BREAKS)
+
+
 def parse_problem(path: str) -> Problem:
+    name = one_line(path)
     try:
         with open(path, encoding="utf-8") as fh:
             size = os.fstat(fh.fileno()).st_size
             # st_size reads 0 for a pipe, hence the bounded read
             text = "" if size > MAX_FILE_BYTES else fh.read(MAX_FILE_BYTES + 1)
     except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}")
+        raise ParseError(f"cannot read {name}: {exc}")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}")
+        raise ParseError(f"{name}: {exc}")
     if max(size, len(text)) > MAX_FILE_BYTES:
-        raise TooLarge(f"{path}: larger than the size limit of "
+        raise TooLarge(f"{name}: larger than the size limit of "
                        f"{MAX_FILE_BYTES} bytes")
     raw = read_flow_problem(text)
     if raw is None:
-        raw = load_yaml(text, path)
+        raw = load_yaml(text, name)
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: expected a mapping at the top level")
+        raise ParseError(f"{name}: expected a mapping at the top level")
     return problem_from_data(raw)
 
 
@@ -205,20 +218,21 @@ def nesting_depth(text: str) -> int:
     return deepest
 
 
-def load_yaml(text: str, path: str):
+def load_yaml(text: str, name: str):
     """PyYAML's reading of a problem file, for text the flow reader
-    declines; imported here so that flow-style files never pay for it."""
+    declines; imported here so that flow-style files never pay for it.
+    Messages name the file ``name``."""
     if nesting_depth(text) > MAX_NESTING:
-        raise ParseError(f"{path}: nested deeper than {MAX_NESTING} levels")
+        raise ParseError(f"{name}: nested deeper than {MAX_NESTING} levels")
     import yaml
     stream = io.StringIO(text)
-    stream.name = path  # PyYAML's messages name the file
+    stream.name = name  # PyYAML's messages name the file
     try:
         return yaml.load(stream, Loader=yaml_loader())
     # ValueError: an int of more digits than int() converts, or a date
     # such as 2020-13-01
     except (yaml.YAMLError, ValueError) as exc:
-        raise ParseError(f"{path}: {' '.join(str(exc).split())}")
+        raise ParseError(f"{name}: {' '.join(str(exc).split())}")
 
 
 _NO_VALUE = object()  # cannot come out of YAML, unlike None
@@ -433,10 +447,10 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
                 raise InvariantError("extracted census differs from prediction")
     elif name == "enumerate":
         tri = problem.build_triangulation()
-        i_count = polygon.census().interior_points
+        tables = compile_sweep(tri, incidence_graphs(surface, tri))
+        i_count = tables.interior_points
         # per curve type (I when the filling is orientable): D -> vectors
         by_type: dict = {"I": {}, "II": {}}
-        tables = compile_sweep(tri, incidence_graphs(surface, tri))
         for _, d, orientable in run_sweep(tables):
             per = by_type["I" if orientable else "II"]
             per[d] = per.get(d, 0) + 1
@@ -543,7 +557,8 @@ def main(argv=None) -> int:
             with open(args["--out"], "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write {args['--out']}: {exc}", file=sys.stderr)
+            print(f"error: cannot write {one_line(args['--out'])}: {exc}",
+                  file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

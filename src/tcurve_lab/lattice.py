@@ -3,10 +3,11 @@
 Parities live in (Z2)^2: a point (x, y) has parity (x mod 2, y mod 2), a
 segment the sum of the two parity values its lattice points attain (this
 equals the parity of its primitive direction vector and is never (0,0)).
-A polygon vertex adds the parities of its two incident edge segments, a
-polygon edge the parities of its two endpoint vertices.  Odd-parity
-vertices cut the boundary into broken edges; all segments of one broken
-edge share a single parity.
+A polygon vertex adds the parities of its two incident edge segments.
+Odd-parity vertices cut the boundary into broken edges; all segments of
+one broken edge share a single parity.  The broken parity of a broken
+edge, the sum over its polygon edges of their two end vertex parities,
+telescopes to the sum of the parities of its two ends.
 """
 
 from functools import cached_property
@@ -58,10 +59,9 @@ class BrokenEdge(NamedTuple):
     """A maximal boundary arc between consecutive odd-parity vertices.
 
     ``start``/``end`` are None exactly when the polygon has no odd
-    vertex, in which case the single broken edge is the whole boundary.
+    vertex, in which case the single broken edge is the whole boundary
+    and its broken parity is EVEN.
     """
-    index: int
-    edge_indices: tuple[int, ...]
     segment_parity: Parity
     broken_parity: Parity
     start: Point | None
@@ -155,13 +155,6 @@ class Polygon:
         return tuple(parity_sum(par[i - 1], par[i]) for i in range(self.n))
 
     @cached_property
-    def edge_polygon_parities(self) -> tuple[Parity, ...]:
-        # edge i runs from vertex i to vertex i+1
-        vp = self.vertex_parities
-        return tuple(parity_sum(vp[i], vp[(i + 1) % self.n])
-                     for i in range(self.n))
-
-    @cached_property
     def odd_vertex_indices(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n) if is_odd(self.vertex_parities[i]))
 
@@ -170,54 +163,29 @@ class Polygon:
 
     @cached_property
     def broken_edges(self) -> tuple[BrokenEdge, ...]:
-        n = self.n
-        odd = list(self.odd_vertex_indices)
+        """The boundary cut at its odd vertices, counterclockwise from the
+        lexicographically smallest one; with none, the whole boundary from
+        ``vertices[0]``."""
+        vs, n = self.vertices, self.n
+        vp, seg_pars = self.vertex_parities, self.edge_segment_parities
+        odd = self.odd_vertex_indices
         check(len(odd) != 1, "a polygon cannot have exactly one odd vertex")
-        if not odd:
-            segs = []
-            for p, q in self.edges:
-                pts = segment_lattice_points(p, q)
-                segs.extend(zip(pts, pts[1:]))
-            par = self.edge_segment_parities[0]
-            check(all(par == ep for ep in self.edge_segment_parities),
-                  "without odd vertices all edges share a segment parity")
-            bp = EVEN
-            for ep in self.edge_polygon_parities:
-                bp = parity_sum(bp, ep)
-            return (BrokenEdge(0, tuple(range(n)), par, bp, None, None,
-                               len(segs), tuple(segs)),)
-        # anchor the cyclic indexing at the lexicographically smallest
-        # odd vertex, then walk counterclockwise
-        anchor = min(odd, key=lambda i: self.vertices[i])
-        odd.sort(key=lambda i: ((i - anchor) % n))
-        r = len(odd)
+        anchor = min(odd, key=vs.__getitem__, default=0)
+        cuts = sorted(odd, key=lambda i: (i - anchor) % n) or [0]
         out = []
-        for k in range(r):
-            i0, i1 = odd[k], odd[(k + 1) % r]
-            idxs = []
-            i = i0
-            while True:
-                idxs.append(i)
-                i = (i + 1) % n
-                if i == i1:
-                    break
-            seg_par = self.edge_segment_parities[idxs[0]]
-            check(all(self.edge_segment_parities[i] == seg_par for i in idxs),
+        for k, i0 in enumerate(cuts):
+            i1 = cuts[(k + 1) % len(cuts)]
+            # the edges i0, i0 + 1, ..., i1 - 1 (all n of them when i1 == i0)
+            idxs = [(i0 + j) % n for j in range((i1 - i0 - 1) % n + 1)]
+            check(all(seg_pars[i] == seg_pars[i0] for i in idxs),
                   "segments of one broken edge must share a parity")
-            bp = EVEN
-            for i in idxs:
-                bp = parity_sum(bp, self.edge_polygon_parities[i])
-            # equivalent formula: sum of the endpoint vertex parities
-            check(bp == parity_sum(self.vertex_parities[i0],
-                                   self.vertex_parities[i1]),
-                  "the broken parity is the sum of the end vertex parities")
             segs = []
             for i in idxs:
                 pts = segment_lattice_points(*self.edges[i])
                 segs.extend(zip(pts, pts[1:]))
-            out.append(BrokenEdge(k, tuple(idxs), seg_par, bp,
-                                  self.vertices[i0], self.vertices[i1],
-                                  len(segs), tuple(segs)))
+            ends = (vs[i0], vs[i1]) if odd else (None, None)
+            out.append(BrokenEdge(seg_pars[i0], parity_sum(vp[i0], vp[i1]),
+                                  *ends, len(segs), tuple(segs)))
         return tuple(out)
 
     @property
@@ -228,17 +196,11 @@ class Polygon:
     # lattice point census
 
     @cached_property
-    def boundary_points(self) -> tuple[Point, ...]:
-        """All boundary lattice points, counterclockwise, starting at
-        ``vertices[0]``.  Its length is the integral boundary length L."""
-        out = []
-        for p, q in self.edges:
-            out.extend(segment_lattice_points(p, q)[:-1])
-        return tuple(out)
-
-    @cached_property
-    def boundary_point_set(self) -> frozenset:
-        return frozenset(self.boundary_points)
+    def boundary_points(self) -> frozenset:
+        """All boundary lattice points, read off the broken edges' segments:
+        L of them."""
+        return frozenset(p for b in self.broken_edges
+                         for p, _ in b.primitive_segments)
 
     @cached_property
     def lattice_points(self) -> tuple[Point, ...]:
@@ -266,7 +228,7 @@ class Polygon:
 
     @cached_property
     def interior_points(self) -> tuple[Point, ...]:
-        bd = self.boundary_point_set
+        bd = self.boundary_points
         return tuple(p for p in self.lattice_points if p not in bd)
 
     def census(self) -> LatticeCensus:
@@ -295,25 +257,12 @@ def lattice_census(polygon: Polygon) -> LatticeCensus:
 
 def is_standard_triangle(polygon: Polygon) -> int | None:
     """Return d when the polygon is the triangle (0,0), (d,0), (0,d)."""
-    vs = set(polygon.vertices)
-    if len(vs) != 3 or (0, 0) not in vs:
-        return None
-    rest = sorted(vs - {(0, 0)})
-    d = rest[1][0] if rest[1][1] == 0 else None
-    if d and rest == [(0, d), (d, 0)]:
-        return d
-    return None
+    d = max(polygon.vertices)[0]
+    return d if sorted(polygon.vertices) == [(0, 0), (0, d), (d, 0)] else None
 
 
 def is_axis_rectangle(polygon: Polygon) -> tuple[Point, Point] | None:
     """Return (lower-left, upper-right) for an axis-aligned rectangle."""
-    if polygon.n != 4:
-        return None
-    xs = sorted({v[0] for v in polygon.vertices})
-    ys = sorted({v[1] for v in polygon.vertices})
-    if len(xs) != 2 or len(ys) != 2:
-        return None
-    want = {(x, y) for x in xs for y in ys}
-    if set(polygon.vertices) == want:
-        return ((xs[0], ys[0]), (xs[1], ys[1]))
-    return None
+    lo, hi = min(polygon.vertices), max(polygon.vertices)
+    corners = {lo, (lo[0], hi[1]), (hi[0], lo[1]), hi}
+    return (lo, hi) if set(polygon.vertices) == corners and polygon.n == 4 else None

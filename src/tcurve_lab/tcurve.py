@@ -276,7 +276,7 @@ class Regions:
         for f in self.first_copy:
             copies[f] += 1
         odd = {polygon.vertices[k] for k in polygon.odd_vertex_indices}
-        bd = polygon.boundary_point_set
+        bd = polygon.boundary_points
         want = [4 if p in odd else 2 if p in bd else 1
                 for p in polygon.lattice_points]
         check(all(copies[f] == want[x % V] for x, f in enumerate(self.first_copy)),

@@ -167,7 +167,7 @@ class PrimitiveTriangulation:
 
     @property
     def L(self) -> int:
-        return len(self.polygon.boundary_points)
+        return self.polygon.boundary_length
 
     def __repr__(self):
         return f"PrimitiveTriangulation({self.polygon!r}, T={self.T})"

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tcurve_lab.cli import (MAX_NESTING, Problem, main, nesting_depth,
-                            parse_problem, problem_from_data, yaml_loader)
+                            one_line, parse_problem, problem_from_data,
+                            yaml_loader)
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
                                ValidationError)
 
@@ -665,3 +666,71 @@ def test_cli_process_loads_neither_argparse_gettext_nor_yaml(tmp_path):
             "print(code, sorted({'argparse', 'gettext', 'yaml'} "
             "& set(sys.modules)))\n")
     assert run_python(code).strip() == "0 []"
+
+
+# line breaks a file name may hold, and how an error message shows them
+LINE_BREAKS = {"LF": ("\n", "\\n"), "CR": ("\r", "\\r"), "LS": ("\u2028", "\\u2028")}
+PATH_ERRORS = ("cannot read", "size limit", "nesting limit", "not a mapping",
+               "PyYAML", "cannot write")
+
+
+def path_error_command_line(tmp_path, kind, br):
+    """A command line whose error message names a path in a directory
+    whose name holds the line break ``br``, and that directory."""
+    folder = tmp_path / f"a{br}b"
+    folder.mkdir()
+    if kind == "cannot write":
+        return ["curve", "--input", write(folder, "t3.yaml", T3_HARNACK),
+                "--out", str(folder / "missing" / "x.json")], str(folder)
+    if kind == "size limit":
+        from tcurve_lab.cli import MAX_FILE_BYTES
+        path = folder / "sparse.yaml"
+        with open(path, "wb") as fh:
+            fh.truncate(MAX_FILE_BYTES + 1)
+    else:
+        path = folder / "p.yaml"
+        if kind != "cannot read":
+            path.write_text({
+                "nesting limit": "polygon:\n" + "- " * 50 + "1\n",
+                "not a mapping": "- 1\n",
+                "PyYAML": "polygon: [[0,0\n"}[kind])
+    return ["surface", "--input", str(path)], str(folder)
+
+
+def test_one_line_escapes_every_line_break():
+    breaks = [c for c in map(chr, range(0x110000))
+              if len(f"a{c}b".splitlines()) == 2]
+    shown = one_line("/a" + "".join(breaks) + "b c.yaml")
+    assert shown == "/a" + "".join(
+        c.encode("unicode_escape").decode() for c in breaks) + "b c.yaml"
+    assert len(shown.splitlines()) == 1
+
+
+def assert_one_line_naming(err: str, folder: str, br: str, shown: str):
+    assert err.startswith("error: ") and err.endswith("\n"), err
+    assert len(err.splitlines()) == 1, err
+    assert folder.replace(br, shown) in err, err
+
+
+@pytest.mark.parametrize("name", LINE_BREAKS)
+@pytest.mark.parametrize("kind", PATH_ERRORS)
+def test_path_with_a_line_break_named_on_one_line(tmp_path, capsys, kind, name):
+    br, shown = LINE_BREAKS[name]
+    argv, folder = path_error_command_line(tmp_path, kind, br)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert_one_line_naming(err, folder, br, shown)
+
+
+@pytest.mark.parametrize("name", LINE_BREAKS)
+@pytest.mark.parametrize("kind", PATH_ERRORS)
+def test_path_with_a_line_break_named_on_one_line_under_python_O(tmp_path, kind, name):
+    br, shown = LINE_BREAKS[name]
+    argv, folder = path_error_command_line(tmp_path, kind, br)
+    # bytes: text mode would read a lone CR as a line break of its own
+    proc = subprocess.run([sys.executable, "-O", "-m", "tcurve_lab.cli", *argv],
+                          capture_output=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert_one_line_naming(proc.stderr.decode(), folder, br, shown)

@@ -124,6 +124,54 @@ def test_broken_edge_diamond():
     assert all(vp == (0, 0) for vp in poly.vertex_parities)
 
 
+def test_broken_edges_match_their_definitions():
+    rng = random.Random(20)
+    polys = [standard_triangle(d) for d in range(1, 9)]
+    polys += [validate_polygon(v) for v in (
+        [(1, 0), (2, 1), (1, 2), (0, 1)], [(0, 0), (2, 0), (2, 2), (0, 2)],
+        [(0, 0), (3, 0), (3, 2), (0, 2)],
+        [(0, 0), (4, 0), (4, 2), (3, 1), (2, 2), (1, 1), (0, 2)])]  # CI's comb
+    polys += [random_polygon(rng, box=rng.choice((3, 6, 9, 14)))
+              for _ in range(120)]
+    for poly in polys:
+        vs, n = poly.vertices, poly.n
+        seg_par = [parity_by_enumeration(vs[i], vs[(i + 1) % n]) for i in range(n)]
+        vp = [parity_sum(seg_par[i - 1], seg_par[i]) for i in range(n)]
+        odd = [i for i in range(n) if vp[i] != (0, 0)]
+        listed = []  # the primitive segments, edge by edge
+        for i in range(n):
+            pts = segment_lattice_points(vs[i], vs[(i + 1) % n])
+            listed += zip(pts, pts[1:])
+        bes = poly.broken_edges
+        assert len(bes) == max(len(odd), 1), poly
+        assert {b.start for b in bes} == ({vs[i] for i in odd} or {None}), poly
+        # broken edge 0 starts at the smallest odd vertex, or at vertices[0]
+        assert bes[0].start == (min(vs[i] for i in odd) if odd else None), poly
+        for k, b in enumerate(bes):
+            segs = b.primitive_segments
+            # the segments chain from start to end, which are the odd
+            # vertices in counterclockwise order
+            assert all(s[1] == t[0] for s, t in zip(segs, segs[1:])), poly
+            ends = (b.start, b.end) if odd else (vs[0], vs[0])
+            assert (segs[0][0], segs[-1][1]) == ends, poly
+            assert b.end == bes[(k + 1) % len(bes)].start, poly
+            assert b.integral_length == len(segs)
+            # its polygon edges: from start counterclockwise to end
+            i0 = vs.index(segs[0][0])
+            i1 = vs.index(segs[-1][1])
+            edges = [(i0 + j) % n for j in range((i1 - i0 - 1) % n + 1)]
+            assert all(seg_par[i] == b.segment_parity for i in edges), poly
+            broken = (0, 0)
+            for i in edges:
+                broken = parity_sum(broken, parity_sum(vp[i], vp[(i + 1) % n]))
+            assert b.broken_parity == broken, poly
+        # together they cover each boundary segment exactly once
+        walked = [seg for b in bes for seg in b.primitive_segments]
+        assert sorted(walked) == sorted(listed)
+        assert set(poly.boundary_points) == {p for p, _ in listed}
+        assert len(poly.boundary_points) == poly.boundary_length
+
+
 # ---------------------------------------------------------------------------
 # census
 

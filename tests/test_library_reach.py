@@ -34,7 +34,7 @@ READERS = {
     "Component.nodes": "filling:orient_curve",
     "Polygon.boundary_length": "cli:check_size",
     "Polygon.broken_edges": "triangulation:PrimitiveTriangulation.__init__",
-    "Polygon.census": "cli:run_subcommand",
+    "Polygon.census": "tcurve:predicted_harnack_census",
     "Polygon.edges": "lattice:Polygon.boundary_length",
     "Polygon.interior_points": "lattice:Polygon.census",
     "Polygon.r": "surface:AmbientSurface.r",
