@@ -19,7 +19,7 @@ import sys
 import time
 
 from .errors import (CapExceeded, InputError, InvariantError, ParseError,
-                     TCurveLabError, TooLarge, ValidationError)
+                     TCurveLabError, TooLarge, ValidationError, check)
 from .filling import TFilling, build_filling, classify_filling, harnack_check
 from .lattice import Polygon, validate_polygon
 from .surface import AmbientSurface, build_ambient_surface
@@ -458,8 +458,10 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         for per in by_type.values():
             for d, count in per.items():
                 dist[d] = dist.get(d, 0) + count
+        runs = sum(dist.values())
+        check(runs == 1 << tri.V, f"{runs} sign vectors swept, not 2^{tri.V}")
         report["enumerate"] = {
-            "runs": 1 << tri.V,
+            "runs": runs,
             "interior_points": i_count,
             "max_components": max(dist),
             "distribution": {str(k): v for k, v in sorted(dist.items())},

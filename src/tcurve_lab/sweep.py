@@ -37,11 +37,11 @@ One representation serves two drivers, with the same checks and the
 same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
 (``kernel_state``) for ``TCurve``, and it alone records the walks
 (``TFilling`` reads that run).  ``run_sweep`` (behind ``enumerate``)
-visits the 2^V masks in Gray-code order, ``mask = g ^ g >> 1``, and
-memoises the trace per twist vector.  Each step flips one point sign j;
-the state is affine in the mask over GF(2), so the step XORs it with the
-change that flipping j alone makes to the state of mask 0
-(``gray_states``).
+runs the masks with bit V-1 clear in Gray-code order, ``g ^ g >> 1``,
+memoising the trace per twist vector; the complement of a mask (-delta)
+has the same edge signs and so the same state, run and checks.  Each
+step flips one point sign j, which XORs the state (affine in the mask
+over GF(2)) with the change flipping j makes to mask 0's (``gray_states``).
 
 Indices: lattice point i is the i-th sorted lattice point, edge e the e-th
 of ``tri.edges``, triangle t the t-th of ``tri.triangles``.  Quadrant q is
@@ -391,15 +391,15 @@ def trace_vector(tab: SweepTables, mask: int) -> VectorTrace:
 
 
 def gray_states(tab: SweepTables):
-    """Yield (mask, kernel state) for all 2^V masks in Gray-code order.
-    Step g flips the sign of point j, the lowest set bit of g; as the
-    state is affine in the mask, that XORs it with the state of mask 0
-    plus that of mask 1 << j."""
+    """Yield (mask, kernel state) for the 2^(V-1) masks with bit V-1 clear,
+    the first half of the Gray-code order.  Step g flips the sign of point
+    j, the lowest set bit of g; as the state is affine in the mask, that
+    XORs it with the state of mask 0 plus that of mask 1 << j."""
     state = kernel_state(tab, 0)
     flips = [list(map(xor, kernel_state(tab, 1 << j), state))
-             for j in range(tab.V)]
+             for j in range(tab.V - 1)]
     yield 0, state
-    for g in range(1, 1 << tab.V):
+    for g in range(1, 1 << (tab.V - 1)):
         # a list: tuple() of a map grows by resizing, and each size-11
         # tuple it frees would stay on the interpreter's free list
         state = list(map(xor, state, flips[(g & -g).bit_length() - 1]))
@@ -407,13 +407,16 @@ def gray_states(tab: SweepTables):
 
 
 def run_sweep(tab: SweepTables):
-    """Yield (mask, D, orientable) for every mask, in Gray-code order; an
-    invariant that fails names its mask."""
+    """Yield (mask, D, orientable) for every mask: each state of
+    ``gray_states`` serves its mask and the complement.  A failure names
+    the first failing mask in Gray-code order, the one with bit V-1 clear."""
     identities = _identities(tab)
     memo: dict = {}
+    full = (1 << tab.V) - 1
     for mask, state in gray_states(tab):
         try:
             run = _run(tab, identities, state, memo, False)
         except InvariantError as exc:
             raise type(exc)(f"mask {mask}: {exc}") from None
         yield mask, run.d, run.orientable
+        yield mask ^ full, run.d, run.orientable

@@ -47,10 +47,13 @@ def run_python(code: str, *flags: str) -> str:
 
 
 def random_polygon(rng: random.Random, *, box=9, min_r=0, max_tries=500) -> Polygon:
-    """A random simple lattice polygon (star-shaped construction),
-    optionally with at least ``min_r`` broken edges."""
+    """A random simple lattice polygon (star-shaped construction) with
+    vertices in [0, box]^2, optionally with at least ``min_r`` broken
+    edges.  Raises ValueError when the box holds fewer than 3 points."""
+    if box < 1:
+        raise ValueError(f"the box [0, {box}]^2 holds fewer than 3 lattice points")
     for _ in range(max_tries):
-        n = rng.randint(4, 9)
+        n = min(rng.randint(4, 9), (box + 1) ** 2)
         pts = set()
         while len(pts) < n:
             pts.add((rng.randint(0, box), rng.randint(0, box)))
@@ -221,8 +224,8 @@ def random_distribution(rng: random.Random, polygon: Polygon) -> dict:
 
 
 def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
-    """Yield (mask, D, orientable) for each of the 2^V sign vectors, in
-    Gray-code order, as ``enumerate`` runs them."""
+    """Yield (mask, D, orientable) for each of the 2^V sign vectors, in the
+    order in which ``enumerate`` tallies them."""
     yield from run_sweep(compile_sweep(tri, incidence_graphs(surface, tri)))
 
 

@@ -205,6 +205,34 @@ def test_exit_code_invariant_violation(tmp_path, capsys, monkeypatch):
     assert code == 1
 
 
+def test_enumerate_counts_its_runs(tmp_path, capsys, monkeypatch):
+    """A sweep that drops the complement of each mask it runs leaves half
+    the 2^V vectors untallied: exit 1 with one line, also under -O."""
+    import tcurve_lab.cli as cli
+    from tcurve_lab.sweep import run_sweep
+
+    def half(tab):
+        return (r for r in run_sweep(tab) if not r[0] >> (tab.V - 1) & 1)
+
+    monkeypatch.setattr(cli, "run_sweep", half)
+    path = write(tmp_path, "t3.yaml",
+                 "polygon: [[0,0],[3,0],[0,3]]\nsigns: enumerate\n")
+    assert main(["enumerate", "--input", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "invariant violation: 512 sign vectors swept, not 2^10"]
+    code = ("import contextlib, io\n"
+            "import tcurve_lab.cli as cli\n"
+            "run_sweep = cli.run_sweep\n"
+            "cli.run_sweep = lambda tab: (r for r in run_sweep(tab)\n"
+            "                             if not r[0] >> (tab.V - 1) & 1)\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = cli.main(['enumerate', '--input', {path!r}])\n"
+            "print(code, len(err.getvalue().splitlines()))\n")
+    assert run_python(code, "-O").split() == ["1", "1"]
+
+
 def test_reports_deterministic_up_to_timing(tmp_path, capsys):
     path = write(tmp_path, "t3.yaml", T3_HARNACK)
     _, out1 = run_main(capsys, ["curve", "--input", path])

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -12,7 +15,7 @@ from tcurve_lab.lattice import (parity_sum, point_parity, segment_parity,
 from tcurve_lab.oracles import lattice_points_by_box
 
 from conftest import standard_triangle
-from helpers import random_polygon
+from helpers import PYTHONPATH, random_polygon
 
 
 def parity_by_enumeration(p, q):
@@ -212,6 +215,27 @@ def test_random_polygon_lemmas():
         assert c.boundary_length == len(poly.boundary_points)
         assert c.interior_points == len(poly.interior_points)
         assert sum(c.by_parity.values()) == c.interior_points
+
+
+def test_random_polygon_in_the_smallest_boxes():
+    """Box 1 holds 4 points, so the sampler returns the unit square; box 0
+    holds 1 and raises.  In a fresh interpreter with a time limit: the
+    sampler once drew more distinct points than a small box holds, and
+    never returned."""
+    code = ("import random\n"
+            "from helpers import random_polygon\n"
+            "rng = random.Random(5)\n"
+            "print({tuple(sorted(random_polygon(rng, box=1).vertices))\n"
+            "       for _ in range(20)})\n"
+            "try:\n"
+            "    random_polygon(rng, box=0)\n"
+            "except ValueError:\n"
+            "    print('ValueError')\n")
+    out = subprocess.run([sys.executable, "-c", code], check=True, timeout=5,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": PYTHONPATH}).stdout
+    assert out.splitlines() == ["{((0, 0), (0, 1), (1, 0), (1, 1))}",
+                                 "ValueError"]
 
 
 def test_pick_point_count_matches_scan():

@@ -114,8 +114,11 @@ def test_memo_runs_once_per_twist_vector(monkeypatch):
 # Gray-code steps
 
 def test_gray_steps_match_scratch_states():
-    """Every mask once, each with the state built from scratch: T_3 and 20
-    seeded random polygons under random primitive triangulations."""
+    """T_3 and 20 seeded random polygons under random primitive
+    triangulations: the Gray steps visit the masks with bit V-1 clear
+    once each, in Gray-code order, with the state built from scratch;
+    every mask has the state of its complement; and the sweep yields
+    each of the 2^V masks once."""
     t3 = standard_triangle(3)
     instances = [(t3, generate_grid_triangulation(t3))]
     rng = random.Random(13)
@@ -126,11 +129,17 @@ def test_gray_steps_match_scratch_states():
                 (poly, random_flips(rng, primitive_triangulation(poly), 8)))
     for poly, tri in instances:
         tab = compiled(build_ambient_surface(poly), tri)
+        full = (1 << tab.V) - 1
         masks = []
         for mask, state in gray_states(tab):
             assert state == kernel_state(tab, mask), (poly, mask)
             masks.append(mask)
-        assert sorted(masks) == list(range(1 << tab.V))
+        assert masks == [g ^ g >> 1 for g in range(1 << (tab.V - 1))]
+        for mask in range(full + 1):
+            assert kernel_state(tab, mask) == kernel_state(tab, mask ^ full), \
+                (poly, mask)
+        assert sorted(mask for mask, _, _ in run_sweep(tab)) == \
+            list(range(full + 1))
 
 
 def test_failure_names_its_mask_in_gray_order():
@@ -155,6 +164,7 @@ def test_failure_names_its_mask_in_gray_order():
         for _ in run_sweep(tab):
             pass
     assert first[0] not in (0, first[1])
+    assert not first[0] >> (tab.V - 1) & 1
     assert str(swept.value) == f"mask {first[0]}: {message}"
     with pytest.raises(InvariantError) as single:
         trace_vector(tab, first[0])
