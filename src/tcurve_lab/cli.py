@@ -397,6 +397,88 @@ def filling_report(filling: TFilling) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# report text: json.dumps(report, indent=2), written directly.  CPython
+# 3.10 and 3.11 run their pure-Python encoder whenever ``indent`` is set,
+# which yields every key, separator and value as a chunk of its own.
+
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar(value) -> str:
+    """The JSON text of a str, int, float, bool or None, as json writes it;
+    TypeError for any other type."""
+    t = type(value)
+    if t is str:
+        return _ESCAPE(value)
+    if t is int:
+        return int.__repr__(value)
+    if t is float:
+        return ("NaN" if value != value else "Infinity" if value == _INF
+                else "-Infinity" if value == -_INF else float.__repr__(value))
+    if value is None:
+        return "null"
+    if t is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _write(value, out: list, head: str, indent: str):
+    """Append the text of the dict, list or tuple ``value``, whose lines
+    start with ``indent``, to ``out``: ``head`` (what precedes it) and each
+    separator and key fused to the chunk of the value after it, and one
+    chunk per closing bracket.  The common values, str and int in a dict,
+    int in a list and null, are written inline."""
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if type(value) is dict:
+        if not value:
+            out.append(head + "{}")
+            return
+        head += "{\n" + inner
+        for key, item in value.items():
+            t = type(item)  # _ESCAPE raises TypeError for a key not a str
+            if t is str:
+                out.append(f"{head}{_ESCAPE(key)}: {_ESCAPE(item)}")
+            elif t is int:
+                out.append(f"{head}{_ESCAPE(key)}: {int.__repr__(item)}")
+            elif item is None:
+                out.append(f"{head}{_ESCAPE(key)}: null")
+            elif t is dict or t is list or t is tuple:
+                _write(item, out, f"{head}{_ESCAPE(key)}: ", inner)
+            else:
+                out.append(f"{head}{_ESCAPE(key)}: {_scalar(item)}")
+            head = sep
+        out.append(f"\n{indent}}}")
+    else:
+        if not value:
+            out.append(head + "[]")
+            return
+        head += "[\n" + inner
+        for item in value:
+            t = type(item)
+            if t is int:
+                out.append(head + int.__repr__(item))
+            elif t is dict or t is list or t is tuple:
+                _write(item, out, head, inner)
+            else:
+                out.append(head + _scalar(item))
+            head = sep
+        out.append(f"\n{indent}]")
+
+
+def report_text(report) -> str:
+    """``json.dumps(report, indent=2)``, byte for byte, for values built of
+    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    TypeError for any other key or value."""
+    if type(report) not in (dict, list, tuple):
+        return _scalar(report)
+    out: list = []
+    _write(report, out, "", "")
+    return "".join(out)
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 
 def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
@@ -552,7 +634,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = result if isinstance(result, str) else json.dumps(result, indent=2)
+    text = result if isinstance(result, str) else report_text(result)
     text = text if text.endswith("\n") else text + "\n"
     if args["--out"]:
         try:

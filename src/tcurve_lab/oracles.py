@@ -29,12 +29,15 @@ triangles of one copy and then the four copies over the gluing.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
+from typing import NamedTuple
+
 from .lattice import Point, Polygon, segment_parity
 from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
                       _surface_name, glue_offset, quad_add, reflect)
 from .filling import TFilling
 from .geometry import on_segment, segment_lattice_points
 from .errors import check
+from .sweep import SweepTables
 from .tcurve import Component, ComponentClass, ExtendedSigns, TCurve
 from .triangulation import Edge, PrimitiveTriangulation
 
@@ -708,3 +711,120 @@ def strands_by_tuples(tri: PrimitiveTriangulation, twists: dict, folds,
     orientable = all(spin.union(*on_edge[e], 1 if twisted else 0)
                      for e, twisted in sorted(twists.items()))
     return count // 2, orientable, shadows
+
+
+# ---------------------------------------------------------------------------
+# the regions and the strand trace, one lookup at a time
+
+def _find(parent: list, x: int) -> int:
+    """The root of ``x`` in the integer forest ``parent``, halving its path."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+class RegionsByFind(NamedTuple):
+    first_copy: list
+    region_of: list
+    count: int
+    sides: dict
+    crossings: dict
+    ovals: dict
+
+
+def regions_by_find(curve: TCurve) -> RegionsByFind:
+    """What ``TCurve.regions`` computes, with a ``find`` for each end of
+    each merged lift and of each lifted edge in turn, where ``Regions``
+    joins them in two batches (``uf.join``): the copies glued by the lift
+    table, then the ends of every lifted edge whose midpoint no component
+    crosses.  Regions are numbered by their first copy; a component's side
+    pair is the sorted set of the regions at the ends of each edge it
+    crosses."""
+    polygon, tab = curve.surface.polygon, curve.tables
+    V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
+    first = list(range(4 * V))
+    for x, c in zip(tab.merged, tab.canonical):
+        for i, j in zip(tab.edge_ends[x % E], tab.edge_ends[c % E]):
+            a, b = _find(first, x // E * V + i), _find(first, c // E * V + j)
+            first[max(a, b)] = min(a, b)  # the smallest copy is the root
+    first_copy = [_find(first, x) for x in range(4 * V)]
+    copies = [0] * (4 * V)
+    for f in first_copy:
+        copies[f] += 1
+    odd = {polygon.vertices[k] for k in polygon.odd_vertex_indices}
+    bd = polygon.boundary_points
+    want = [4 if p in odd else 2 if p in bd else 1
+            for p in polygon.lattice_points]
+    check(all(copies[f] == want[x % V] for x, f in enumerate(first_copy)),
+          "a surface point has 1 copy inside, 2 on the boundary and 4 "
+          "at an odd vertex")
+    parent = list(first_copy)
+    # per midpoint: the component that crosses it, if any
+    crossing = [None] * (4 * E)
+    slots, broken, r = tab.slots, curve.tri.broken_edge_of, curve.surface.r
+    crossings, ovals = {}, {}
+    for k, comp in enumerate(curve.components):
+        count, quadrants = [0] * (r + 1), 0
+        for u in comp.walk:
+            q, s = divmod(u, T3)
+            e = slots[s]
+            crossing[edge_class[q * E + e]] = k
+            count[broken[e]] += 1  # the last entry: off the boundary
+            quadrants |= 1 << q
+        if count[r] < len(comp.walk):
+            crossings[comp] = tuple(count[:r])
+        else:
+            check(quadrants & quadrants - 1 == 0,
+                  "an interior component stays in one quadrant")
+            ovals[comp] = QUADRANTS[quadrants.bit_length() - 1]
+    crossed = []
+    for q in range(4):
+        for e, (i, j) in enumerate(tab.edge_ends):
+            x, y = q * V + i, q * V + j
+            k = crossing[edge_class[q * E + e]]
+            if k is None:
+                parent[_find(parent, x)] = _find(parent, y)
+            else:
+                crossed.append((k, x, y))
+    label: dict = {}
+    region = [label.setdefault(_find(parent, x), len(label))
+              for x in range(len(parent))]
+    pairs: list = [None] * len(curve.components)
+    for k, x, y in crossed:
+        pair = tuple(sorted({region[x], region[y]}))
+        check(pairs[k] in (None, pair),
+              "a component borders the same regions on every edge it crosses")
+        pairs[k] = pair
+    return RegionsByFind(first_copy, region, len(label),
+                         dict(zip(curve.components, pairs)), crossings, ovals)
+
+
+def trace_by_comprehension(tab: SweepTables, tw) -> int:
+    """What ``sweep._trace`` returns, 2 D + 1 when orientable, with the
+    strand permutation built by choosing, for every state, the twisted or
+    the untwisted successor by the twist bit of its slot's edge, where
+    ``_trace`` copies the untwisted table and overwrites the entries that
+    differ; orientability from a ``ParityUnionFind`` over the triangles,
+    where ``_trace`` reads ``thick_y_spins``."""
+    plain, twisted = tab.succ
+    slots = tab.slots
+    n = 12 * tab.T
+    perm = [twisted[x] if tw[slots[x >> 2]] else plain[x] for x in range(n)]
+    orbit = [-1] * n
+    count = 0
+    for x in range(n):
+        if orbit[x] >= 0:
+            continue
+        y = x
+        while orbit[y] < 0:
+            orbit[y] = count
+            y = perm[y]
+        check(y == x, "boundary transitions must permute the states")
+        count += 1
+    check(all(orbit[x] != orbit[x + 1] for x in range(0, n, 2)),
+          "a boundary circle cannot reverse onto itself")
+    check(count % 2 == 0, "boundary circles come in orbit pairs")
+    spins = ParityUnionFind()
+    return count + all(spins.union(s_a // 3, s_b // 3, tw[e])
+                       for e, s_a, s_b in tab.interior)

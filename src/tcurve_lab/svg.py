@@ -5,6 +5,8 @@ sixth-integral barycenter and midpoint coordinates land on multiples of
 5 px.  Rendering the same problem twice yields identical bytes.
 """
 
+from operator import add, itemgetter
+
 from .surface import QUADRANTS
 from .tcurve import TCurve
 
@@ -13,11 +15,16 @@ SUB = UNIT // 6    # px per sixth
 
 SIGNS = ((1, 1), (1, -1), (-1, 1), (-1, -1))  # per quadrant, as ``reflect``
 
+FILLS = ("white", "black")  # of a lattice point, by whether its sign is +
+
 PALETTE = ("#c62828", "#1565c0", "#2e7d32", "#6a1b9a", "#ef6c00",
            "#00838f", "#ad1457", "#4e342e")
 
 
 def render_svg(curve: TCurve) -> str:
+    """The picture as SVG text.  Each group's lines are joined as soon as
+    the group is done, so the line strings of the whole picture are never
+    held at once."""
     polygon, tri, tab = curve.surface.polygon, curve.tri, curve.tables
     pts = polygon.lattice_points
     xs = [v[0] for v in polygon.vertices]
@@ -26,10 +33,10 @@ def render_svg(curve: TCurve) -> str:
     pad = UNIT
     w = 2 * span_x * UNIT + 2 * pad
     h = 2 * span_y * UNIT + 2 * pad
-    out = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
-        f'viewBox="{-span_x * UNIT - pad} {-span_y * UNIT - pad} {w} {h}">',
+        f'viewBox="{-span_x * UNIT - pad} {-span_y * UNIT - pad} {w} {h}">\n'
         f'<rect x="{-span_x * UNIT - pad}" y="{-span_y * UNIT - pad}" '
         f'width="{w}" height="{h}" fill="white"/>',
     ]
@@ -37,21 +44,28 @@ def render_svg(curve: TCurve) -> str:
     # the signs SIGNS[q], which the y axis turns downward
     X, Y = [UNIT * x for x, _ in pts], [-UNIT * y for _, y in pts]
 
-    # triangulation edges, all four copies
-    out.append('<g stroke="#c8c8c8" stroke-width="1">')
+    # triangulation edges, all four copies: per quadrant, the text of each
+    # point as the first and as the second end of a line
+    firsts = itemgetter(*[i for i, _ in tri.edge_ends])  # 3 or more: a tuple
+    seconds = itemgetter(*[j for _, j in tri.edge_ends])
+    lines = ['<g stroke="#c8c8c8" stroke-width="1">']
     for sx, sy in SIGNS:
-        for i, j in tri.edge_ends:
-            out.append(f'<line x1="{sx * X[i]}" y1="{sy * Y[i]}" '
-                       f'x2="{sx * X[j]}" y2="{sy * Y[j]}"/>')
-    out.append('</g>')
+        lines += map(add,
+                     firsts([f'<line x1="{sx * x}" y1="{sy * y}" '
+                             for x, y in zip(X, Y)]),
+                     seconds([f'x2="{sx * x}" y2="{sy * y}"/>'
+                              for x, y in zip(X, Y)]))
+    lines.append('</g>')
+    parts.append("\n".join(lines))
 
     # quadrant outlines
-    out.append('<g fill="none" stroke="#555555" stroke-width="2">')
+    lines = ['<g fill="none" stroke="#555555" stroke-width="2">']
     for sx, sy in SIGNS:
         corners = " ".join(f"{sx * UNIT * x},{-sy * UNIT * y}"
                            for x, y in polygon.vertices)
-        out.append(f'<polygon points="{corners}"/>')
-    out.append('</g>')
+        lines.append(f'<polygon points="{corners}"/>')
+    lines.append('</g>')
+    parts.append("\n".join(lines))
 
     # curve cycles: bold polylines through barycenters and midpoints.  A
     # visit runs from the barycenter of its lifted triangle to the midpoint
@@ -68,25 +82,28 @@ def render_svg(curve: TCurve) -> str:
     by = [-SUB * (ey[a] + ey[b] + ey[c]) for a, b, c in by_t]
     for idx, comp in enumerate(curve.components):
         color = PALETTE[idx % len(PALETTE)]
-        out.append(f'<g fill="none" stroke="{color}" stroke-width="4" '
-                   'stroke-linecap="round">')
+        lines = [f'<g fill="none" stroke="{color}" stroke-width="4" '
+                 'stroke-linecap="round">']
         walk = comp.walk
         for u, u_next in zip(walk, walk[1:] + walk[:1]):
             (sx, sy), t = SIGNS[u // T3], u % T3 // 3
             (nx, ny), s = SIGNS[u_next // T3], u_next % T3
-            e = slots[s]
-            out.append(f'<line x1="{sx * bx[t]}" y1="{sy * by[t]}" '
-                       f'x2="{sx * mx[e]}" y2="{sy * my[e]}"/>')
-            out.append(f'<line x1="{nx * mx[e]}" y1="{ny * my[e]}" '
-                       f'x2="{nx * bx[s // 3]}" y2="{ny * by[s // 3]}"/>')
-        out.append('</g>')
+            e, t_next = slots[s], s // 3
+            lines.append(f'<line x1="{sx * bx[t]}" y1="{sy * by[t]}" '
+                         f'x2="{sx * mx[e]}" y2="{sy * my[e]}"/>\n'
+                         f'<line x1="{nx * mx[e]}" y1="{ny * my[e]}" '
+                         f'x2="{nx * bx[t_next]}" y2="{ny * by[t_next]}"/>')
+        lines.append('</g>')
+        parts.append("\n".join(lines))
 
-    # lattice point signs: filled disc is +, open circle is -
-    out.append('<g stroke="black" stroke-width="1">')
-    for q, (sx, sy) in zip(QUADRANTS, SIGNS):
-        for i, p in enumerate(pts):
-            fill = "black" if curve.ext.value(q, p) > 0 else "white"
-            out.append(f'<circle cx="{sx * X[i]}" cy="{sy * Y[i]}" r="4" '
-                       f'fill="{fill}"/>')
-    out += ('</g>', '</svg>', '')
-    return "\n".join(out)
+    # lattice point signs: filled disc is +, open circle is -.  A point p
+    # of quadrant (a,b) has the sign of p times (-1)^<(a,b), parity of p>
+    plus = [curve.ext.delta[p] > 0 for p in pts]
+    lines = ['<g stroke="black" stroke-width="1">']
+    for (a, b), (sx, sy) in zip(QUADRANTS, SIGNS):
+        lines += [f'<circle cx="{sx * x}" cy="{sy * y}" r="4" '
+                  f'fill="{FILLS[up ^ a & px ^ b & py]}"/>'
+                  for x, y, up, (px, py) in zip(X, Y, plus, pts)]
+    lines += ('</g>', '</svg>', '')
+    parts.append("\n".join(lines))
+    return "\n".join(parts)

@@ -54,13 +54,13 @@ db`` walks prong k of triangle t on strand +1 (sb = 1) or -1 (sb = 0),
 heading in (db = 1) or out (db = 0); flipping bit 0 reverses it.
 """
 
-from itertools import compress
-from operator import itemgetter, xor
+from itertools import compress, repeat
+from operator import eq, itemgetter, ne, xor
 from typing import NamedTuple
 
 from .errors import InconsistentArcPairing, InvariantError, check
 from .triangulation import Lifts, PrimitiveTriangulation
-from .uf import find
+from .uf import join
 
 
 class SweepTables(NamedTuple):
@@ -146,19 +146,24 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
                for e, s in boundary]
 
     # strand transitions: 'in' turns to the neighboring prong of the same
-    # thick-Y; 'out' crosses the prong's end, folding back at a boundary
-    # edge, onto the other triangle's prong otherwise.  In the run of 12
-    # states of a triangle, prong k's are entries 4k..4k+3.
+    # thick-Y; 'out' crosses the prong's end onto the prong of the other
+    # slot of its edge, its partner, or folds back at a boundary edge, whose
+    # slot is its own partner.  In the run of 12 states of a triangle,
+    # prong k's are entries 4k..4k+3.
+    partner = ids[:T3]
+    for _, s_a, s_b in interior:
+        partner[s_a], partner[s_b] = s_b, s_a
     plain = list(ids)
-    plain[0::4], plain[2::4] = ids[3::4], ids[1::4]
+    plain[0::4] = [ids[4 * p + 3] for p in partner]
+    plain[2::4] = [ids[4 * p + 1] for p in partner]
     for k in range(3):
         plain[4 * k + 1::12] = ids[4 * ((k + 1) % 3) + 2::12]
         plain[4 * k + 3::12] = ids[4 * ((k - 1) % 3)::12]
+    # a twist swaps the landings of the two 'out' states; a fold has none
     twisted = list(plain)
-    for _, s_a, s_b in interior:
-        for s, s2 in ((s_a, s_b), (s_b, s_a)):
-            plain[4 * s], plain[4 * s + 2] = ids[4 * s2 + 3], ids[4 * s2 + 1]
-            twisted[4 * s], twisted[4 * s + 2] = ids[4 * s2 + 1], ids[4 * s2 + 3]
+    twisted[0::4], twisted[2::4] = plain[2::4], plain[0::4]
+    for _, s in boundary:
+        twisted[4 * s], twisted[4 * s + 2] = plain[4 * s], plain[4 * s + 2]
 
     return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, tri.edge_ends,
                        seg_par, edge_class, merged,
@@ -174,37 +179,43 @@ def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     double cover of G(Pi), where node 2t + o is triangle t with relative
     orientation o.  None when some 2t and 2t + 1 meet, that is when the
     filling is not orientable."""
-    parent = list(range(2 * tab.T))
-    for e, s_a, s_b in tab.interior:
-        a, b = s_a // 3 * 2, s_b // 3 * 2 + tw[e]
-        parent[find(parent, a)] = find(parent, b)
-        parent[find(parent, a + 1)] = find(parent, b ^ 1)
-    root = [find(parent, x) for x in range(2 * tab.T)]
-    if any(r == r1 for r, r1 in zip(root[::2], root[1::2])):
+    ends = [(s_a // 3 * 2, s_b // 3 * 2 + tw[e]) for e, s_a, s_b in tab.interior]
+    root = join(list(range(2 * tab.T)), ends + [(a + 1, b ^ 1) for a, b in ends])
+    if any(map(eq, root[::2], root[1::2])):
         return None
-    return bytes(r != root[0] for r in root[::2])
+    return bytes(map(ne, root[::2], repeat(root[0])))
+
+
+def successors(tab: SweepTables, tw) -> list:
+    """The successor of every strand state under twist bits ``tw``: the
+    untwisted table, with the twisted one's entries 4s and 4s + 2 for every
+    slot s whose edge is twisted, the only entries where the two differ."""
+    plain, twisted = tab.succ
+    perm = list(plain)
+    for x in compress(range(0, len(plain), 4), map(tw.__getitem__, tab.slots)):
+        perm[x], perm[x + 2] = twisted[x], twisted[x + 2]
+    return perm
 
 
 def _trace(tab: SweepTables, tw: bytes) -> int:
     """2 D + 1 when orientable, for the D boundary circles of the filling
     with twist bits ``tw``: orbits of the strand-state permutation, two per
     circle.  A small int, one shared object, is what a memo keeps."""
-    plain, twisted = tab.succ
-    slots = tab.slots
-    n = 12 * tab.T
-    perm = [twisted[x] if tw[slots[x >> 2]] else plain[x] for x in range(n)]
-    orbit = [-1] * n
-    count = 0
-    for x in range(n):
-        if orbit[x] >= 0:
-            continue
+    perm = successors(tab, tw)
+    orbit = [-1] * len(perm)
+    count = x = 0
+    while True:
+        try:
+            x = orbit.index(-1, x)  # the next state on no orbit yet
+        except ValueError:
+            break
         y = x
         while orbit[y] < 0:
             orbit[y] = count
             y = perm[y]
         check(y == x, "boundary transitions must permute the states")
         count += 1
-    check(all(orbit[x] != orbit[x + 1] for x in range(0, n, 2)),
+    check(not any(map(eq, orbit[::2], orbit[1::2])),
           "a boundary circle cannot reverse onto itself")
     check(count % 2 == 0, "boundary circles come in orbit pairs")
     return count + (thick_y_spins(tab, tw) is not None)
@@ -329,9 +340,9 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
     # +1 out) or the previous one (the reverse); the shadow must follow the
     # transitions of this twist vector, close up with the component and
     # share no strand with another component
-    # a list and a tuple: indexing either is faster than indexing bytes
-    sneg, tws = list(neg.to_bytes(12 * T, "little")), by_slot(tw)
-    across, succ, nxt, prv = tab.across, tab.succ, tab.nxt, tab.prv
+    # a list: indexing it is faster than indexing bytes
+    sneg, perm = list(neg.to_bytes(12 * T, "little")), successors(tab, tw)
+    across, nxt, prv = tab.across, tab.nxt, tab.prv
     walks = []
     count = 0
     seen = [0] * (12 * T)
@@ -346,23 +357,25 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
         while True:
             if not sneg[u]:
                 raise InvariantError("a curve component must cross by negative edges")
-            # the lifted triangle has one more negative edge, by the identity
+            # the lifted triangle has one more negative edge, by the
+            # identity; the shadow enters and leaves by the strand states
+            # of prongs s and s_out beside it, 4s + 3 - 2 turn and 4 s_out +
+            # 2 turn, and uses their strand pairs, the states halved
             w = nxt[u]
-            turn = sneg[w]
-            if not turn:
+            if sneg[w]:
+                x_in, x_out = 4 * (u % T3) + 1, 4 * (w % T3) + 2
+            else:
                 w = prv[u]
-            s, s_out = u % T3, w % T3
-            # the strand pairs beside the visit, and its in and out states
-            p_in, p_out = 2 * s + 1 - turn, 2 * s_out + turn
-            x_in, x_out = 2 * p_in + 1, 2 * p_out
-            if x_in != expected or succ[tws[s]][x_in] != x_out:
+                x_in, x_out = 4 * (u % T3) + 3, 4 * (w % T3)
+            if x_in != expected or perm[x_in] != x_out:
                 raise InvariantError("shadow must follow the boundary transitions")
+            p_in, p_out = x_in >> 1, x_out >> 1
             if used[p_in] or used[p_out]:
                 raise InvariantError("one boundary circle per component")
             used[p_in] = used[p_out] = seen[u] = seen[w] = 1
             if record:
                 walk.append(u)
-            expected = succ[tws[s_out]][x_out]
+            expected = perm[x_out]
             u = across[w]
             if seen[u]:
                 break

@@ -9,7 +9,10 @@ edge are negative, so the negative dual edges upstairs form disjoint
 cycles covering every downstairs incidence-graph edge twice: the curve.
 """
 
+from collections import Counter
 from functools import cached_property
+from itertools import accumulate, chain, compress
+from operator import eq, not_
 from typing import NamedTuple
 
 from .errors import IncompleteDistribution, InvariantError, check
@@ -17,7 +20,7 @@ from .lattice import Point, Polygon, pairing, point_parity
 from .surface import QUADRANTS, AmbientSurface, Quadrant
 from .sweep import SweepTables, compile_sweep, trace_vector
 from .triangulation import PrimitiveTriangulation, incidence_graphs
-from .uf import find
+from .uf import join
 
 Sign = int  # +1 or -1
 HarnackType = tuple[int, int, int]  # (c, a, b)
@@ -266,25 +269,22 @@ class Regions:
         self.curve = curve
         polygon, tab = curve.surface.polygon, curve.tables
         V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
-        first = list(range(4 * V))
-        for x, c in zip(tab.merged, tab.canonical):
-            for i, j in zip(tab.edge_ends[x % E], tab.edge_ends[c % E]):
-                a, b = find(first, x // E * V + i), find(first, c // E * V + j)
-                first[max(a, b)] = min(a, b)  # the smallest copy is the root
-        self.first_copy = [find(first, x) for x in range(4 * V)]
-        copies = [0] * (4 * V)
-        for f in self.first_copy:
-            copies[f] += 1
+        # per lift id: the copies of the two ends of its lifted edge
+        ends_a = [q + i for q in range(0, 4 * V, V) for i, _ in tab.edge_ends]
+        ends_b = [q + j for q in range(0, 4 * V, V) for _, j in tab.edge_ends]
+        self.first_copy = join(list(range(4 * V)), chain.from_iterable(
+            zip(map(end, tab.merged), map(end, tab.canonical))
+            for end in (ends_a.__getitem__, ends_b.__getitem__)))
+        copies = Counter(self.first_copy)
         odd = {polygon.vertices[k] for k in polygon.odd_vertex_indices}
         bd = polygon.boundary_points
         want = [4 if p in odd else 2 if p in bd else 1
                 for p in polygon.lattice_points]
-        check(all(copies[f] == want[x % V] for x, f in enumerate(self.first_copy)),
+        check(list(map(copies.__getitem__, self.first_copy)) == want * 4,
               "a surface point has 1 copy inside, 2 on the boundary and 4 "
               "at an odd vertex")
-        parent = list(self.first_copy)
-        # per midpoint: the component that crosses it, if any
-        crossing = [None] * (4 * E)
+        # per midpoint: the component that crosses it, else -1
+        crossing = [-1] * (4 * E)
         slots, broken, r = tab.slots, curve.tri.broken_edge_of, curve.surface.r
         self.crossings, self.ovals = {}, {}
         for k, comp in enumerate(curve.components):
@@ -301,25 +301,27 @@ class Regions:
                 check(quadrants & quadrants - 1 == 0,
                       "an interior component stays in one quadrant")
                 self.ovals[comp] = QUADRANTS[quadrants.bit_length() - 1]
-        crossed = []
-        for q in range(4):
-            for e, (i, j) in enumerate(tab.edge_ends):
-                x, y = q * V + i, q * V + j
-                k = crossing[edge_class[q * E + e]]
-                if k is None:
-                    parent[find(parent, x)] = find(parent, y)
-                else:
-                    crossed.append((k, x, y))
-        label: dict = {}
-        self.region_of = region = [label.setdefault(find(parent, x), len(label))
-                                   for x in range(len(parent))]
-        self.count = len(label)
+        # per lift id: the component that crosses it, else -1; the ends of
+        # every lifted edge that none crosses are joined
+        by_lift = list(map(crossing.__getitem__, edge_class))
+        crossed = [k >= 0 for k in by_lift]
+        uncrossed = list(map(not_, crossed))
+        self.uncrossed = bytes(uncrossed)  # per lift id: 1 when no component crosses it
+        parent = join(list(self.first_copy), zip(compress(ends_a, uncrossed),
+                                                 compress(ends_b, uncrossed)))
+        # regions numbered in order of their roots, the smallest copies
+        rank = list(accumulate(map(eq, parent, range(4 * V))))
+        self.region_of = region = [rank[x] - 1 for x in parent]
+        self.count = rank[-1]
         pairs: list = [None] * len(curve.components)
-        for k, x, y in crossed:
-            pair = tuple(sorted({region[x], region[y]}))
-            check(pairs[k] in (None, pair),
-                  "a component borders the same regions on every edge it crosses")
-            pairs[k] = pair
+        for k, x, y in zip(compress(by_lift, crossed), compress(ends_a, crossed),
+                           compress(ends_b, crossed)):
+            a, b = region[x], region[y]
+            pair = (a, b) if a < b else (b, a) if b < a else (a,)
+            if pair != pairs[k]:
+                check(pairs[k] is None, "a component borders the same regions "
+                      "on every edge it crosses")
+                pairs[k] = pair
         self.sides = dict(zip(curve.components, pairs))
 
     @cached_property
@@ -367,31 +369,24 @@ class Regions:
     @cached_property
     def euler(self) -> list:
         """Euler characteristic of the closure of each region: point
-        classes - uncrossed surface edges + uncrossed lifted triangles, as
+        classes - uncrossed surface edges + unvisited lifted triangles, as
         the half-edge and midpoint copy, piece and arc copy that a side
-        gets of each crossed edge and triangle cancel.  Edges and triangles
-        count at the region of their first vertex (a triangle's is that of
-        its first edge); the curve's midpoints and barycenters take the
-        crossed ones back out."""
+        gets of each crossed edge and visited triangle cancel.  Edges and
+        triangles count at the region of their first vertex (a triangle's
+        is that of its first edge)."""
         curve, region, tab = self.curve, self.region_of, self.curve.tables
-        V, E, T, edge_ends = tab.V, tab.E, tab.T, tab.edge_ends
-        firsts = [edge_ends[e][0] for e in tab.slots[::3]]
-        chi = [0] * self.count
-        for x, f in enumerate(self.first_copy):
-            if f == x:  # once per class
-                chi[region[x]] += 1
-        for x, c in enumerate(tab.edge_class):
-            if c == x:  # a surface edge
-                chi[region[x // E * V + edge_ends[x % E][0]]] -= 1
-        for q in range(4):
-            for i in firsts:
-                chi[region[q * V + i]] += 1
-        for comp in curve.components:
-            for u in comp.walk:  # its midpoint, then its lifted triangle
-                q, s = divmod(u, 3 * T)
-                c = tab.edge_class[q * E + tab.slots[s]]
-                chi[region[c // E * V + edge_ends[c % E][0]]] += 1
-                chi[region[q * V + firsts[s // 3]]] -= 1
+        V, T, edge_ends = tab.V, tab.T, tab.edge_ends
+        ends = [q + i for q in range(0, 4 * V, V) for i, _ in edge_ends]
+        firsts = [q + edge_ends[e][0] for q in range(0, 4 * V, V)
+                  for e in tab.slots[::3]]
+        visited = {u // 3 for comp in curve.components for u in comp.walk}
+        plus = Counter(compress(region, map(eq, self.first_copy, range(4 * V))))
+        plus.update(map(region.__getitem__, compress(firsts, map(
+            not_, map(visited.__contains__, range(4 * T))))))
+        # every uncrossed lifted edge, less those merged into another
+        minus = Counter(map(region.__getitem__, compress(ends, self.uncrossed)))
+        minus.subtract(region[ends[x]] for x in tab.merged if self.uncrossed[x])
+        chi = [plus[r] - minus[r] for r in range(self.count)]
         check(sum(chi) == curve.surface.classify_topology().euler,
               "the Euler characteristics of the regions sum to chi(S)")
         return chi
@@ -400,11 +395,9 @@ class Regions:
         """The sides of S cut along ``comp`` alone, as frozensets of
         regions: the regions across every other component merge.  One
         side when ``comp`` does not separate, else two."""
-        parent = list(range(self.count))
-        for other, pair in self.sides.items():
-            if len(pair) == 2 and other != comp:
-                parent[find(parent, pair[1])] = find(parent, pair[0])
-        root = [find(parent, r) for r in range(self.count)]
+        root = join(list(range(self.count)),
+                    (pair for other, pair in self.sides.items()
+                     if len(pair) == 2 and other != comp))
         return [frozenset(r for r, g in enumerate(root) if g == side)
                 for side in dict.fromkeys(root[r] for r in self.sides[comp])]
 

@@ -11,7 +11,8 @@ and the prong across each midpoint.
 
 from collections import Counter
 from functools import cached_property
-from operator import eq, itemgetter
+from itertools import repeat
+from operator import eq, itemgetter, rshift, xor
 from typing import NamedTuple
 
 from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
@@ -19,7 +20,7 @@ from .errors import (DanglingEdge, Gap, InvariantError, MissingLatticeVertex,
                      ValidationError, check)
 from .lattice import (Point, Polygon, is_axis_rectangle, is_standard_triangle)
 from .surface import QUADRANTS, AmbientSurface, glue_offset
-from .uf import find
+from .uf import join
 
 Tri = tuple[Point, Point, Point]          # canonical: sorted
 Edge = tuple[Point, Point]                # canonical: sorted
@@ -49,12 +50,13 @@ class PrimitiveTriangulation:
         self.polygon = polygon
         pts = polygon.lattice_points
         V = len(pts)
-        if triples and not 0 <= min(map(min, triples)) <= max(map(max, triples)) < V:
+        tris = sorted(map(tuple, map(sorted, triples)))
+        # the smallest index starts the first sorted triple
+        if tris and not 0 <= tris[0][0] <= max(map(itemgetter(2), tris)) < V:
             k, bad = next((k, i) for k, t in enumerate(triples)
                           for i in t if not 0 <= i < V)
             raise ValidationError(f"triangulation[{k}]: index {bad} out of range "
                                   f"(have {V} lattice points)")
-        tris = sorted(map(tuple, map(sorted, triples)))
         if len(set(tris)) != len(tris):
             raise Overlap("repeated triangle")
         # per slot, its edge i-j (i < j) as 2 * (i * V + j), plus 1 when
@@ -85,7 +87,7 @@ class PrimitiveTriangulation:
             i, j = divmod(k >> 1, V)
             p, q = (pts[j], pts[i]) if k & 1 else (pts[i], pts[j])
             raise Overlap(f"directed edge {(p, q)} used twice")
-        single = {k >> 1 for k in directed.difference([k ^ 1 for k in keys])}
+        single = {k >> 1 for k in directed.difference(map(xor, keys, repeat(1)))}
         point_id = dict(zip(pts, range(V)))
         # each boundary segment i-j (i < j) as i * V + j -> its broken edge
         on: dict = {}
@@ -111,13 +113,13 @@ class PrimitiveTriangulation:
         if len(tris) != polygon.double_area:
             raise Gap("triangle areas do not sum to the polygon area")
 
-        ukeys = [k >> 1 for k in keys]
+        ukeys = list(map(rshift, keys, repeat(1)))
         order = sorted(set(ukeys))
         edge_id = dict(zip(order, range(len(order))))
         self.slot_edges: list = list(map(edge_id.__getitem__, ukeys))
-        self.edge_ends: list = [divmod(u, V) for u in order]
+        self.edge_ends: list = list(map(divmod, order, repeat(V)))
         self.boundary: list = sorted(map(edge_id.__getitem__, single))
-        self.broken_edge_of: list = [on.get(u, -1) for u in order]
+        self.broken_edge_of: list = list(map(on.get, order, repeat(-1)))
         # Euler relations, guaranteed by the checks above
         check(self.T - self.E + self.V == 1, "T - E + V = 1 on a disk")
         check(3 * self.T == 2 * self.E - self.L, "3T = 2E - L")
@@ -258,18 +260,14 @@ def incidence_graphs(surface: AmbientSurface,
     # quadrant 0 holds one copy of G(Pi): its prongs across an interior
     # midpoint stay in it, those across a boundary one leave it
     T3 = 3 * T
-    parent = ids[:T]  # shared ints: a root is joined by its own entry
-    for u, w in zip(ids, across[:T3]):
-        if u < w < T3:
-            parent[find(parent, u // 3)] = parent[find(parent, w // 3)]
+    parent = join(ids[:T], ((u // 3, w // 3)  # ids[:T]: shared ints
+                            for u, w in zip(ids, across[:T3]) if u < w < T3))
     check(sum(map(eq, parent, ids)) == 1, "G(Pi) is connected, so the filling is")
     if surface.r >= 2:
         # so G(S) is connected exactly when the gluing joins its copies:
         # the copy of a boundary edge in quadrant k shares its midpoint
         # with the copy in quadrant edge_class[k*E + e] // E
-        quads = [0, 1, 2, 3]
-        for k, q in {(k, c // E) for e in tri.boundary
-                     for k, c in enumerate(edge_class[e::E])}:
-            quads[find(quads, k)] = quads[find(quads, q)]
+        quads = join([0, 1, 2, 3], {(k, c // E) for e in tri.boundary
+                                    for k, c in enumerate(edge_class[e::E])})
         check(sum(map(eq, quads, range(4))) == 1, "G(S) must be connected when S is")
     return Lifts(edge_class, across)

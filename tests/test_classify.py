@@ -15,7 +15,7 @@ import tcurve_lab.tcurve as tcurve_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.lattice import validate_polygon
 from tcurve_lab.oracles import (boundary_offset, classify_components_by_nesting,
-                                point_class, sides_by_split)
+                                point_class, regions_by_find, sides_by_split)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
 from tcurve_lab.tcurve import (extract_curve, harnack_distribution,
                                verify_harnack_census)
@@ -72,6 +72,40 @@ def assert_matches_oracle(curve):
     for comp, c in curve.classification.items():
         if c.kind != "oval":
             assert region_sides(curve, comp) == sides_by_split(curve, comp)
+
+
+def assert_regions_match_find(curve):
+    """The batched regions equal the one-find-at-a-time ones: the same
+    point gluing, ``region_of`` the same partition (its labels correspond
+    one to one), and under that correspondence the same sides, crossings
+    and ovals."""
+    fast, ref = curve.regions, regions_by_find(curve)
+    assert fast.first_copy == ref.first_copy
+    relabel = dict(zip(fast.region_of, ref.region_of))
+    assert len(relabel) == len(set(relabel.values())) == fast.count == ref.count
+    assert [relabel[r] for r in fast.region_of] == ref.region_of
+    assert {comp: tuple(sorted(relabel[r] for r in pair))
+            for comp, pair in fast.sides.items()} == ref.sides
+    assert fast.crossings == ref.crossings and fast.ovals == ref.ovals
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_regions_match_find_on_harnack_curves(d):
+    poly = standard_triangle(d)
+    surface = build_ambient_surface(poly)
+    tri = generate_grid_triangulation(poly)
+    for htype in HARNACK_TYPES:
+        assert_regions_match_find(
+            extract_curve(surface, tri, harnack_distribution(poly, htype)))
+
+
+def test_regions_match_find_on_random_instances():
+    rng = random.Random(2206)
+    for _ in range(60):
+        poly = random_polygon(rng, box=6)
+        tri = random_flips(rng, primitive_triangulation(poly), poly.point_count)
+        assert_regions_match_find(extract_curve(
+            build_ambient_surface(poly), tri, random_distribution(rng, poly)))
 
 
 @pytest.mark.parametrize("d", range(1, 16))

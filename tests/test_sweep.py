@@ -1,9 +1,10 @@
 """The strand kernel against the tuple oracles, through the sweep and the
 single-shot TCurve -> TFilling, its Gray-code steps against its
 from-scratch state, its thick-Y spins against the parity union-find of
-the oracles, and its invariant checks under corrupted tables through
-both."""
+the oracles, its strand trace against the per-state choice of the
+oracles, and its invariant checks under corrupted tables through both."""
 
+import itertools
 import random
 
 import pytest
@@ -11,17 +12,18 @@ import pytest
 import tcurve_lab.sweep as sweep_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.filling import build_filling
-from tcurve_lab.oracles import ParityUnionFind
+from tcurve_lab.oracles import ParityUnionFind, trace_by_comprehension
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.sweep import (compile_sweep, gray_states, kernel_state,
                               run_sweep, thick_y_spins, trace_vector)
-from tcurve_lab.tcurve import TCurve
+from tcurve_lab.tcurve import TCurve, harnack_distribution
 from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs)
 
 from conftest import standard_triangle
-from helpers import (match_oracles, primitive_triangulation, random_flips,
-                     random_polygon, run_python, sweep)
+from helpers import (match_oracles, primitive_triangulation,
+                     random_distribution, random_flips, random_polygon,
+                     run_python, sweep)
 
 
 def mask_signs(tri, mask):
@@ -268,6 +270,73 @@ def test_thick_y_spins_match_parity_union_find():
 
 
 # ---------------------------------------------------------------------------
+# the strand trace
+
+def trace_outcome(trace, tab, tw):
+    """The code ``trace`` returns for twist bits ``tw``, or the message of
+    the InvariantError it raises."""
+    try:
+        return trace(tab, tw)
+    except InvariantError as exc:
+        return str(exc)
+
+
+def assert_trace_matches(tab, vectors):
+    for tw in vectors:
+        assert trace_outcome(sweep_module._trace, tab, tw) == \
+            trace_outcome(trace_by_comprehension, tab, tw), tw
+
+
+HARNACK_TYPES = list(itertools.product((0, 1), repeat=3))
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_trace_matches_comprehension_on_harnack_curves(d):
+    poly = standard_triangle(d)
+    surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
+    tab = compiled(surface, tri)
+    assert_trace_matches(tab, [
+        TCurve(surface, tri, harnack_distribution(poly, htype), tab).trace.tw
+        for htype in HARNACK_TYPES])
+
+
+def test_trace_matches_comprehension_on_random_instances():
+    """The twist vectors of random signs, and random bits on every edge."""
+    rng = random.Random(2207)
+    for _ in range(60):
+        poly = random_polygon(rng, box=6)
+        tri = random_flips(rng, primitive_triangulation(poly), poly.point_count)
+        surface = build_ambient_surface(poly)
+        tab = compiled(surface, tri)
+        curve = TCurve(surface, tri, random_distribution(rng, poly), tab)
+        assert_trace_matches(tab, [curve.trace.tw] + [
+            bytes(rng.getrandbits(1) for _ in range(tab.E)) for _ in range(3)])
+
+
+@pytest.mark.parametrize("d", (3, 4))
+def test_trace_matches_comprehension_on_every_twist_vector(d):
+    """Every twist vector that a sign vector of grid T_d gives (the keys of
+    the sweep's memo: 2^(V-3)), and on T_3 every vector of bits on its
+    interior edges."""
+    poly = standard_triangle(d)
+    surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
+    tab = compiled(surface, tri)
+    identities, memo = sweep_module._identities(tab), {}
+    for _, state in gray_states(tab):
+        sweep_module._run(tab, identities, state, memo, False)
+    assert len(memo) == 1 << (tab.V - 3)
+    vectors = list(memo)
+    if d == 3:
+        interior = [e for e, _, _ in tab.interior]
+        for bits in itertools.product((0, 1), repeat=len(interior)):
+            tw = bytearray(tab.E)
+            for e, b in zip(interior, bits):
+                tw[e] = b
+            vectors.append(bytes(tw))
+    assert_trace_matches(tab, vectors)
+
+
+# ---------------------------------------------------------------------------
 # corrupted tables
 
 def _corrupt_seg_par(tab):
@@ -324,6 +393,31 @@ def _corrupt_slots(tab):
 CORRUPTIONS = [_corrupt_seg_par, _corrupt_edge_class, _corrupt_edge_ends,
                _corrupt_across, _corrupt_across_interior, _corrupt_succ,
                _corrupt_succ_pair, _corrupt_twisted_succ, _corrupt_slots]
+# on grid T_3, per corruption: the message of the sweep (which names the
+# first failing mask) and of the single-shot driver
+CORRUPTION_MESSAGES = {
+    _corrupt_seg_par: ("mask 0: edge sign must descend to the surface",
+                       "edge sign must descend to the surface"),
+    _corrupt_edge_class: ("mask 0: boundary edge 0 must U-turn in one class",
+                          "boundary edge 0 must U-turn in one class"),
+    _corrupt_edge_ends: (
+        "mask 1: a lifted triangle has an odd number of negative edges",
+        "a lifted triangle has an odd number of negative edges"),
+    _corrupt_across: ("mask 1: boundary edge 1 must U-turn in one class",
+                      "boundary edge 1 must U-turn in one class"),
+    _corrupt_across_interior: (
+        "mask 3: shadow must follow the boundary transitions",
+        "a curve component must close up with its shadow"),
+    _corrupt_succ: ("mask 0: a boundary circle cannot reverse onto itself",
+                    "a boundary circle cannot reverse onto itself"),
+    _corrupt_succ_pair: ("mask 0: boundary circles come in orbit pairs",
+                         "boundary circles come in orbit pairs"),
+    _corrupt_twisted_succ: (
+        "mask 0: boundary transitions must permute the states",
+        "boundary transitions must permute the states"),
+    _corrupt_slots: ("mask 0: a boundary circle cannot reverse onto itself",
+                     "a boundary circle cannot reverse onto itself"),
+}
 
 
 def sweep_driver(surface, tri, tab):
@@ -340,18 +434,38 @@ def single_shot_driver(surface, tri, tab):
 DRIVERS = [sweep_driver, single_shot_driver]
 
 
+def corrupted_message(corrupt, driver) -> str:
+    """The message with which ``driver`` fails on grid T_3 after
+    ``corrupt``; "no failure" when it runs through."""
+    t3 = standard_triangle(3)
+    surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
+    tab = compiled(surface, tri)
+    corrupt(tab)
+    try:
+        driver(surface, tri, tab)
+    except InvariantError as exc:
+        return str(exc)
+    return "no failure"
+
+
 # the sweep keeps the bare ids
 @pytest.mark.parametrize("corrupt, driver", [
     pytest.param(corrupt, driver, id=corrupt.__name__[9:] + suffix)
     for corrupt in CORRUPTIONS
     for driver, suffix in zip(DRIVERS, ("", "-single-shot"))])
 def test_corrupted_table_raises(corrupt, driver):
-    t3 = standard_triangle(3)
-    surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
-    tab = compiled(surface, tri)
-    corrupt(tab)
-    with pytest.raises(InvariantError):
-        driver(surface, tri, tab)
+    assert corrupted_message(corrupt, driver) == \
+        CORRUPTION_MESSAGES[corrupt][DRIVERS.index(driver)]
+
+
+def test_corrupted_table_messages_under_python_O():
+    code = ("import test_sweep as t\n"
+            "for c in t.CORRUPTIONS:\n"
+            "    for d in t.DRIVERS:\n"
+            "        print(t.corrupted_message(c, d))\n")
+    out = run_python(code, "-O")
+    assert out.split("\n")[:-1] == [m for c in CORRUPTIONS
+                                    for m in CORRUPTION_MESSAGES[c]]
 
 
 def test_checks_survive_python_O():
