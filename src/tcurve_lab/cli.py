@@ -11,6 +11,7 @@ Problem files are YAML with these three fields and no other:
 Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad input.
 """
 
+import gc
 import io
 import json
 import os
@@ -613,6 +614,20 @@ def parse_args(argv: list) -> dict | None:
 
 
 def main(argv=None) -> int:
+    """Run one command line; the exit code.  A run makes no reference
+    cycles (``tests/test_cli.py`` checks it): reference counts free every
+    object, so the cyclic collector, which would only traverse the live
+    ones, is off until the run ends."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
         if args is None:

@@ -22,9 +22,12 @@ PALETTE = ("#c62828", "#1565c0", "#2e7d32", "#6a1b9a", "#ef6c00",
 
 
 def render_svg(curve: TCurve) -> str:
-    """The picture as SVG text.  Each group's lines are joined as soon as
-    the group is done, so the line strings of the whole picture are never
-    held at once."""
+    """The picture as SVG text, in four sections: triangulation edges,
+    quadrant outlines, one group per curve component, lattice point signs.
+    The lines of each section are joined as soon as it is done, so the line
+    strings of the whole picture are never held at once.  (Joining each
+    component's group on its own would leave hundreds of mid-sized strings
+    to the C allocator, which holds more memory than the lines did.)"""
     polygon, tri, tab = curve.surface.polygon, curve.tri, curve.tables
     pts = polygon.lattice_points
     xs = [v[0] for v in polygon.vertices]
@@ -80,10 +83,11 @@ def render_svg(curve: TCurve) -> str:
     by_t = list(zip(slots[::3], slots[1::3], slots[2::3]))
     bx = [SUB * (ex[a] + ex[b] + ex[c]) for a, b, c in by_t]
     by = [-SUB * (ey[a] + ey[b] + ey[c]) for a, b, c in by_t]
+    lines = []
     for idx, comp in enumerate(curve.components):
         color = PALETTE[idx % len(PALETTE)]
-        lines = [f'<g fill="none" stroke="{color}" stroke-width="4" '
-                 'stroke-linecap="round">']
+        lines.append(f'<g fill="none" stroke="{color}" stroke-width="4" '
+                     'stroke-linecap="round">')
         walk = comp.walk
         for u, u_next in zip(walk, walk[1:] + walk[:1]):
             (sx, sy), t = SIGNS[u // T3], u % T3 // 3
@@ -94,7 +98,7 @@ def render_svg(curve: TCurve) -> str:
                          f'<line x1="{nx * mx[e]}" y1="{ny * my[e]}" '
                          f'x2="{nx * bx[t_next]}" y2="{ny * by[t_next]}"/>')
         lines.append('</g>')
-        parts.append("\n".join(lines))
+    parts.append("\n".join(lines))
 
     # lattice point signs: filled disc is +, open circle is -.  A point p
     # of quadrant (a,b) has the sign of p times (-1)^<(a,b), parity of p>

@@ -266,7 +266,11 @@ class Regions:
     """
 
     def __init__(self, curve: TCurve):
-        self.curve = curve
+        # what the lazy passes read of the curve, which caches its regions:
+        # holding the curve itself would make a cycle that only the cyclic
+        # collector frees
+        self.tables, self.components = curve.tables, curve.components
+        self.surface, self.ext = curve.surface, curve.ext
         polygon, tab = curve.surface.polygon, curve.tables
         V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
         # per lift id: the copies of the two ends of its lifted edge
@@ -331,7 +335,7 @@ class Regions:
         crosses ovals only.  An oval bounds a disk, so regions and ovals
         form a tree below the start; an oval's depth is the BFS depth of
         its outer region, its sign the one point sign of its inner one."""
-        curve, region, sides = self.curve, self.region_of, self.sides
+        region, sides = self.region_of, self.sides
         ovals = list(self.ovals)
         at_region: dict = {}
         for o, comp in enumerate(ovals):
@@ -355,12 +359,13 @@ class Regions:
                     queue.append(g)
         check(len(region_depth) == self.count and None not in depth,
               "every region and oval is reached from the boundary")
-        pts, V = curve.surface.polygon.lattice_points, curve.tables.V
+        pts, V = self.surface.polygon.lattice_points, self.tables.V
+        value = self.ext.value
         signs: dict = {}
         for x, r in enumerate(region):
             if r in inner:
                 signs.setdefault(inner[r], set()).add(
-                    curve.ext.value(QUADRANTS[x // V], pts[x % V]))
+                    value(QUADRANTS[x // V], pts[x % V]))
         check(all(len(s) == 1 for s in signs.values()),
               "the sign of an oval is well defined")
         return {comp: ComponentClass("oval", self.ovals[comp], min(signs[o]), depth[o])
@@ -374,12 +379,12 @@ class Regions:
         gets of each crossed edge and visited triangle cancel.  Edges and
         triangles count at the region of their first vertex (a triangle's
         is that of its first edge)."""
-        curve, region, tab = self.curve, self.region_of, self.curve.tables
+        region, tab = self.region_of, self.tables
         V, T, edge_ends = tab.V, tab.T, tab.edge_ends
         ends = [q + i for q in range(0, 4 * V, V) for i, _ in edge_ends]
         firsts = [q + edge_ends[e][0] for q in range(0, 4 * V, V)
                   for e in tab.slots[::3]]
-        visited = {u // 3 for comp in curve.components for u in comp.walk}
+        visited = {u // 3 for comp in self.components for u in comp.walk}
         plus = Counter(compress(region, map(eq, self.first_copy, range(4 * V))))
         plus.update(map(region.__getitem__, compress(firsts, map(
             not_, map(visited.__contains__, range(4 * T))))))
@@ -387,7 +392,7 @@ class Regions:
         minus = Counter(map(region.__getitem__, compress(ends, self.uncrossed)))
         minus.subtract(region[ends[x]] for x in tab.merged if self.uncrossed[x])
         chi = [plus[r] - minus[r] for r in range(self.count)]
-        check(sum(chi) == curve.surface.classify_topology().euler,
+        check(sum(chi) == self.surface.classify_topology().euler,
               "the Euler characteristics of the regions sum to chi(S)")
         return chi
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -762,3 +763,32 @@ def test_path_with_a_line_break_named_on_one_line_under_python_O(tmp_path, kind,
                           env={**os.environ, "PYTHONPATH": PYTHONPATH})
     assert (proc.returncode, proc.stdout) == (2, b"")
     assert_one_line_naming(proc.stderr.decode(), folder, br, shown)
+
+
+BLOCK_T4 = "polygon:\n  - [0, 0]\n  - [4, 0]\n  - [0, 4]\nsigns:\n  harnack: [0, 1, 1]\n"
+
+
+@pytest.mark.parametrize("name", ["surface", "curve", "filling", "harnack",
+                                  "enumerate", "render", "missing file"])
+def test_a_run_leaves_no_reference_cycles(tmp_path, name):
+    """``main`` keeps the cyclic collector off during a run, so every
+    object of a run must be freed by its reference count: with the
+    collector off, nothing is left for it to find, on a flow-style file, a
+    block-style one (read by PyYAML) and a missing one; and the collector
+    is on again after the run."""
+    flow = write(tmp_path, "t4.yaml", "polygon: [[0,0],[4,0],[0,4]]\n"
+                 "signs: {harnack: [1,0,0]}\n")
+    block = write(tmp_path, "block.yaml", BLOCK_T4)
+    out = str(tmp_path / "out")
+    runs = ([["surface", "--input", str(tmp_path / "none.yaml")]]
+            if name == "missing file" else
+            [[name, "--input", path, "--out", out] for path in (flow, block)])
+    gc.collect()
+    gc.disable()
+    try:
+        for argv in runs:
+            assert main(argv) == (2 if name == "missing file" else 0)
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert main(runs[0]) in (0, 2) and gc.isenabled()
