@@ -403,25 +403,15 @@ def filling_report(filling: TFilling) -> dict:
 # which yields every key, separator and value as a chunk of its own.
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 def _scalar(value) -> str:
-    """The JSON text of a str, int, float, bool or None, as json writes it;
-    TypeError for any other type."""
-    t = type(value)
-    if t is str:
-        return _ESCAPE(value)
-    if t is int:
-        return int.__repr__(value)
-    if t is float:
-        return ("NaN" if value != value else "Infinity" if value == _INF
-                else "-Infinity" if value == -_INF else float.__repr__(value))
-    if value is None:
-        return "null"
-    if t is bool:
-        return "true" if value else "false"
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+    """The JSON text of a value other than a dict, list or tuple, by json
+    itself; TypeError for a value json cannot write, or would write without
+    indentation (a subclass of dict, list or tuple)."""
+    if isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"cannot indent a {type(value).__name__}")
+    return json.dumps(value)
 
 
 def _write(value, out: list, head: str, indent: str):
@@ -470,7 +460,7 @@ def _write(value, out: list, head: str, indent: str):
 
 def report_text(report) -> str:
     """``json.dumps(report, indent=2)``, byte for byte, for values built of
-    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    dicts with str keys, lists, tuples and the scalars json writes;
     TypeError for any other key or value."""
     if type(report) not in (dict, list, tuple):
         return _scalar(report)

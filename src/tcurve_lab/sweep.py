@@ -192,8 +192,10 @@ def successors(tab: SweepTables, tw) -> list:
     slot s whose edge is twisted, the only entries where the two differ."""
     plain, twisted = tab.succ
     perm = list(plain)
-    for x in compress(range(0, len(plain), 4), map(tw.__getitem__, tab.slots)):
-        perm[x], perm[x + 2] = twisted[x], twisted[x + 2]
+    if any(tw):
+        by_slot = map(tw.__getitem__, tab.slots)
+        for x in compress(range(0, len(plain), 4), by_slot):
+            perm[x], perm[x + 2] = twisted[x], twisted[x + 2]
     return perm
 
 

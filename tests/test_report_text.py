@@ -4,6 +4,7 @@ other tests, on generated values and through ``main``, also under
 ``python -O``.  A key or value that json would write otherwise (or that
 it refuses) raises TypeError."""
 
+import enum
 import itertools
 import json
 import random
@@ -101,6 +102,22 @@ VALUES = st.recursive(
 @given(VALUES)
 @settings(max_examples=400, deadline=None)
 def test_generated_values_match_json(value):
+    assert report_text(value) == json.dumps(value, indent=2)
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+
+
+class Name(str):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    Level.LOW, [Level.LOW, True, 1.5], {"a": Name("x"), Name("k"): [None]},
+    {"nan": float("nan"), "inf": [float("inf"), -float("inf")]}, "é\u2028"],
+    ids=repr)
+def test_subclasses_and_special_floats_match_json(value):
     assert report_text(value) == json.dumps(value, indent=2)
 
 
