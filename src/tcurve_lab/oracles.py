@@ -26,6 +26,12 @@ box against the ring (``lattice_points_by_box``), where
 G(Pi) and G(S) are found connected by walking the lifted triangles
 (``lifted_triangle_components``), where ``incidence_graphs`` joins the
 triangles of one copy and then the four copies over the gluing.
+The regions are also found with one ``find`` per lookup
+(``regions_by_find``), where ``TCurve.regions`` joins in two batches, and
+the strand trace with a successor chosen per state
+(``trace_by_comprehension``), where ``sweep._trace`` copies one table and
+overwrites the entries of the twisted slots.  The picture is also drawn
+one line string at a time (``svg_by_lines``).
 Tests demand exact agreement with the fast paths on every instance.
 """
 
@@ -37,6 +43,7 @@ from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
 from .filling import TFilling
 from .geometry import on_segment, segment_lattice_points
 from .errors import check
+from .svg import PALETTE, SIGNS, SUB, UNIT
 from .sweep import SweepTables
 from .tcurve import Component, ComponentClass, ExtendedSigns, TCurve
 from .triangulation import Edge, PrimitiveTriangulation
@@ -828,3 +835,85 @@ def trace_by_comprehension(tab: SweepTables, tw) -> int:
     spins = ParityUnionFind()
     return count + all(spins.union(s_a // 3, s_b // 3, tw[e])
                        for e, s_a, s_b in tab.interior)
+
+
+# ---------------------------------------------------------------------------
+# the picture, one line at a time
+
+def svg_by_lines(curve: TCurve) -> str:
+    """What ``svg.render_svg`` writes, one line string at a time, all of
+    them joined at the end, each point sign from ``ExtendedSigns.value``,
+    where ``render_svg`` joins each section when it is done and reads the
+    point signs off the parities."""
+    polygon, tri, tab = curve.surface.polygon, curve.tri, curve.tables
+    pts = polygon.lattice_points
+    xs = [v[0] for v in polygon.vertices]
+    ys = [v[1] for v in polygon.vertices]
+    span_x, span_y = max(xs), max(ys)
+    pad = UNIT
+    w = 2 * span_x * UNIT + 2 * pad
+    h = 2 * span_y * UNIT + 2 * pad
+    out = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
+        f'viewBox="{-span_x * UNIT - pad} {-span_y * UNIT - pad} {w} {h}">',
+        f'<rect x="{-span_x * UNIT - pad}" y="{-span_y * UNIT - pad}" '
+        f'width="{w}" height="{h}" fill="white"/>',
+    ]
+    # pixel coordinates in quadrant (0,0); quadrant q multiplies them by
+    # the signs SIGNS[q], which the y axis turns downward
+    X, Y = [UNIT * x for x, _ in pts], [-UNIT * y for _, y in pts]
+
+    # triangulation edges, all four copies
+    out.append('<g stroke="#c8c8c8" stroke-width="1">')
+    for sx, sy in SIGNS:
+        for i, j in tri.edge_ends:
+            out.append(f'<line x1="{sx * X[i]}" y1="{sy * Y[i]}" '
+                       f'x2="{sx * X[j]}" y2="{sy * Y[j]}"/>')
+    out.append('</g>')
+
+    # quadrant outlines
+    out.append('<g fill="none" stroke="#555555" stroke-width="2">')
+    for sx, sy in SIGNS:
+        corners = " ".join(f"{sx * UNIT * x},{-sy * UNIT * y}"
+                           for x, y in polygon.vertices)
+        out.append(f'<polygon points="{corners}"/>')
+    out.append('</g>')
+
+    # curve cycles: bold polylines through barycenters and midpoints.  A
+    # visit runs from the barycenter of its lifted triangle to the midpoint
+    # that the next visit enters by, and that visit on from there, each in
+    # the frame of its own quadrant.  In sixths of a unit, a midpoint is 3
+    # times the sum of its edge's ends, a barycenter that sum over its
+    # triangle's three edges
+    ex = [pts[i][0] + pts[j][0] for i, j in tri.edge_ends]
+    ey = [pts[i][1] + pts[j][1] for i, j in tri.edge_ends]
+    mx, my = [3 * SUB * x for x in ex], [-3 * SUB * y for y in ey]
+    slots, T3 = tab.slots, 3 * tab.T
+    by_t = list(zip(slots[::3], slots[1::3], slots[2::3]))
+    bx = [SUB * (ex[a] + ex[b] + ex[c]) for a, b, c in by_t]
+    by = [-SUB * (ey[a] + ey[b] + ey[c]) for a, b, c in by_t]
+    for idx, comp in enumerate(curve.components):
+        color = PALETTE[idx % len(PALETTE)]
+        out.append(f'<g fill="none" stroke="{color}" stroke-width="4" '
+                   'stroke-linecap="round">')
+        walk = comp.walk
+        for u, u_next in zip(walk, walk[1:] + walk[:1]):
+            (sx, sy), t = SIGNS[u // T3], u % T3 // 3
+            (nx, ny), s = SIGNS[u_next // T3], u_next % T3
+            e = slots[s]
+            out.append(f'<line x1="{sx * bx[t]}" y1="{sy * by[t]}" '
+                       f'x2="{sx * mx[e]}" y2="{sy * my[e]}"/>')
+            out.append(f'<line x1="{nx * mx[e]}" y1="{ny * my[e]}" '
+                       f'x2="{nx * bx[s // 3]}" y2="{ny * by[s // 3]}"/>')
+        out.append('</g>')
+
+    # lattice point signs: filled disc is +, open circle is -
+    out.append('<g stroke="black" stroke-width="1">')
+    for q, (sx, sy) in zip(QUADRANTS, SIGNS):
+        for i, p in enumerate(pts):
+            fill = "black" if curve.ext.value(q, p) > 0 else "white"
+            out.append(f'<circle cx="{sx * X[i]}" cy="{sy * Y[i]}" r="4" '
+                       f'fill="{fill}"/>')
+    out += ('</g>', '</svg>', '')
+    return "\n".join(out)

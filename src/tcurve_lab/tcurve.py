@@ -249,20 +249,23 @@ def predicted_harnack_census(polygon: Polygon, htype: HarnackType) -> PredictedC
 # regions of S minus the curve: oval classes, sides, what O surrounds
 
 class Regions:
-    """The regions of S minus the curve, from one union-find pass.
+    """The regions of S minus the curve, from two batches of one
+    union-find (``uf.join``).
 
     The four copies of the lattice points are numbered ``quadrant_index *
     V + point_index``, and ``first_copy`` gives the first copy of each one's
     surface point (another copy only at boundary points).  The lift table
-    is the only gluing read: the ends of each lifted boundary edge that it
-    merges into another are joined with that one's, which must leave 1 copy
-    per interior point, 2 per boundary point and 4 per odd vertex.  Then the
-    two ends of every lifted edge that no component crosses are joined: each
-    set is one region.  A component borders one region or two (``sides``),
-    the same on every edge it crosses.  Lifted edges and midpoints are the
-    lift ids of the curve's tables.  The one pass over each component's
-    walk also sorts it into ``crossings``, how often it crosses each broken
-    edge when it crosses one, or else ``ovals``, its one quadrant.
+    is the only gluing read: the first batch joins the ends of each lifted
+    boundary edge that it merges into another with that one's, which must
+    leave 1 copy per interior point, 2 per boundary point and 4 per odd
+    vertex.  The second joins the two ends of every lifted edge that no
+    component crosses (``uncrossed``, per lift id): each set is one region,
+    numbered in the order of its smallest copy.  A component borders one
+    region or two (``sides``), the same on every edge it crosses.  Lifted
+    edges and midpoints are the lift ids of the curve's tables.  The one
+    pass over each component's walk marks the midpoints it crosses and
+    sorts it into ``crossings``, how often it crosses each broken edge when
+    it crosses one, or else ``ovals``, its one quadrant.
     """
 
     def __init__(self, curve: TCurve):
@@ -309,8 +312,7 @@ class Regions:
         # every lifted edge that none crosses are joined
         by_lift = list(map(crossing.__getitem__, edge_class))
         crossed = [k >= 0 for k in by_lift]
-        uncrossed = list(map(not_, crossed))
-        self.uncrossed = bytes(uncrossed)  # per lift id: 1 when no component crosses it
+        self.uncrossed = uncrossed = bytes(map(not_, crossed))
         parent = join(list(self.first_copy), zip(compress(ends_a, uncrossed),
                                                  compress(ends_b, uncrossed)))
         # regions numbered in order of their roots, the smallest copies
