@@ -114,7 +114,7 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     if 0 in spar:
         raise InvariantError(f"edge {spar.index(0)}: 0 negative lifts")
     seg_par = [PAIRING[q][p] for q in range(4) for p in spar]
-    merged = [x for x, c in enumerate(edge_class) if c != x]
+    merged = list(compress(ids, map(ne, edge_class, ids)))
     slots = tri.slot_edges
     edge_slots: list = [[] for _ in range(E)]  # in triangle order
     for s, e in enumerate(slots):
@@ -276,9 +276,8 @@ def _identities(tab: SweepTables) -> tuple:
     """The constants the kernel state is checked against, derived from the
     tables when a run starts, one byte per entry as in the state: per
     quadrant, seg_par over the edges; 1 per edge; 1 per interior edge; 1
-    on the first slot lift of each lifted triangle; per edge sign bit, 1
-    per boundary edge that does not U-turn in one class under it; and the
-    gather of per-edge values to per-slot ones."""
+    on the first slot lift of each lifted triangle; and per edge sign bit,
+    1 per boundary edge that does not U-turn in one class under it."""
     E, seg_par, edge_class, across = tab.E, tab.seg_par, tab.edge_class, tab.across
     interior, bad = bytearray(E), (bytearray(E), bytearray(E))
     for e, _, _ in tab.interior:
@@ -289,8 +288,7 @@ def _identities(tab: SweepTables) -> tuple:
         for b, (l1, l2, u1, u2) in enumerate(by_sign):
             bad[b][e] = edge_class[l1] != edge_class[l2] or across[u1] != u2
     return (_ints(*(bytes(seg_par[q * E:q * E + E]) for q in range(4))),
-            *_ints(b"\1" * E, interior, b"\1\0\0" * (4 * tab.T)), _ints(*bad),
-            itemgetter(*tab.slots))  # 3 or more indices: gathers a tuple
+            *_ints(b"\1" * E, interior, b"\1\0\0" * (4 * tab.T)), _ints(*bad))
 
 
 def _first_byte(x: int) -> int:
@@ -304,7 +302,7 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
     curve; the walks are recorded only with ``record``.  See the module
     docstring for the checks."""
     n, defect, neg, r00, r01, r02, r03, r10, r11, r12, r13 = state
-    quads, edges, interior, triangles, (bad0, bad1), by_slot = identities
+    quads, edges, interior, triangles, (bad0, bad1) = identities
     if defect:
         raise InvariantError("edge sign must descend to the surface")
     a, b, c, d = [n ^ q for q in quads]

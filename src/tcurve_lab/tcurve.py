@@ -381,18 +381,21 @@ class Regions:
         gets of each crossed edge and visited triangle cancel.  Edges and
         triangles count at the region of their first vertex (a triangle's
         is that of its first edge)."""
-        region, tab = self.region_of, self.tables
-        V, T, edge_ends = tab.V, tab.T, tab.edge_ends
-        ends = [q + i for q in range(0, 4 * V, V) for i, _ in edge_ends]
-        firsts = [q + edge_ends[e][0] for q in range(0, 4 * V, V)
-                  for e in tab.slots[::3]]
+        region, tab, uncrossed = self.region_of, self.tables, self.uncrossed
+        V, E, T, edge_ends = tab.V, tab.E, tab.T, tab.edge_ends
+        ends = [i for i, _ in edge_ends]
+        firsts = [edge_ends[e][0] for e in tab.slots[::3]]
         visited = {u // 3 for comp in self.components for u in comp.walk}
         plus = Counter(compress(region, map(eq, self.first_copy, range(4 * V))))
-        plus.update(map(region.__getitem__, compress(firsts, map(
-            not_, map(visited.__contains__, range(4 * T))))))
-        # every uncrossed lifted edge, less those merged into another
-        minus = Counter(map(region.__getitem__, compress(ends, self.uncrossed)))
-        minus.subtract(region[ends[x]] for x in tab.merged if self.uncrossed[x])
+        minus: Counter = Counter()
+        for q in range(4):  # lifted triangle q*T + t, lifted edge q*E + e
+            at = region[q * V:q * V + V].__getitem__
+            plus.update(map(at, compress(firsts, map(
+                not_, map(visited.__contains__, range(q * T, q * T + T))))))
+            minus.update(map(at, compress(ends, uncrossed[q * E:q * E + E])))
+        # a lifted edge merged into another is no surface edge of its own
+        minus.subtract(region[x // E * V + ends[x % E]] for x in tab.merged
+                       if uncrossed[x])
         chi = [plus[r] - minus[r] for r in range(self.count)]
         check(sum(chi) == self.surface.classify_topology().euler,
               "the Euler characteristics of the regions sum to chi(S)")
