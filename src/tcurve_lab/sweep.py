@@ -186,7 +186,7 @@ def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     return bytes(map(ne, root[::2], repeat(root[0])))
 
 
-def successors(tab: SweepTables, tw) -> list:
+def _successors(tab: SweepTables, tw) -> list:
     """The successor of every strand state under twist bits ``tw``: the
     untwisted table, with the twisted one's entries 4s and 4s + 2 for every
     slot s whose edge is twisted, the only entries where the two differ."""
@@ -203,7 +203,7 @@ def _trace(tab: SweepTables, tw: bytes) -> int:
     """2 D + 1 when orientable, for the D boundary circles of the filling
     with twist bits ``tw``: orbits of the strand-state permutation, two per
     circle.  A small int, one shared object, is what a memo keeps."""
-    perm = successors(tab, tw)
+    perm = _successors(tab, tw)
     orbit = [-1] * len(perm)
     count = x = 0
     while True:
@@ -341,7 +341,7 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
     # transitions of this twist vector, close up with the component and
     # share no strand with another component
     # a list: indexing it is faster than indexing bytes
-    sneg, perm = list(neg.to_bytes(12 * T, "little")), successors(tab, tw)
+    sneg, perm = list(neg.to_bytes(12 * T, "little")), _successors(tab, tw)
     across, nxt, prv = tab.across, tab.nxt, tab.prv
     walks = []
     count = 0

@@ -1,6 +1,7 @@
 """Component classification and component sides from the regions of S
 minus the curve, against the planar nesting oracle and the per-component
-split, and their invariant checks."""
+split, the batched regions against the one-find-at-a-time ones, and their
+invariant checks."""
 
 import itertools
 import os
