@@ -140,14 +140,15 @@ def parse_problem(path: str) -> Problem:
 
 # one column-0 line `field: value` of a flow-style problem file
 _FIELD = re.compile(r"(polygon|triangulation|signs): ")
+_POINT_KEY = r"-?[0-9]+,-?[0-9]+"  # "x,y", the key of an explicit sign
 # a value of such a line, token by token, each after optional spaces: a
 # flow indicator, a key's colon (right after the key, a space after it), a
-# decimal int, one of the words, or a double-quoted "x,y" key.  The
+# decimal int, one of the words, or a double-quoted point key.  The
 # lookaheads end ints and words where PyYAML's plain scalars end, so that
 # `010`, `1:20`, `1_0`, `0x1` or `true` match nothing.
 _FLOW_VALUE = re.compile(
     r'(?::(?= )| *(?:[][{},]|-?(?:0|[1-9][0-9]*)(?![0-9])'
-    r'|(?:grid|enumerate|harnack|explicit)(?![a-z])|"-?[0-9]+,-?[0-9]+"))*')
+    r'|(?:grid|enumerate|harnack|explicit)(?![a-z])|"' + _POINT_KEY + '"))*')
 _WORD = re.compile(r"[a-z]+")
 
 
@@ -293,9 +294,11 @@ def problem_from_data(raw: dict) -> Problem:
             raise ValidationError("signs.explicit: expected a mapping 'x,y' -> sign")
         parsed = {}
         for key, v in mapping.items():
-            try:
-                x, y = (int(s) for s in str(key).split(","))
-            except ValueError:
+            try:  # int() alone reads "+1", " 1", "1_0" and non-ASCII digits too
+                if not re.fullmatch(_POINT_KEY, str(key)):
+                    raise ValueError
+                x, y = map(int, str(key).split(","))
+            except ValueError:  # also for more digits than int() converts
                 raise ValidationError(f"signs.explicit: bad point key {key!r}")
             if (x, y) in parsed:
                 raise ValidationError(f"signs.explicit: point {(x, y)} given twice")
@@ -405,68 +408,32 @@ def filling_report(filling: TFilling) -> dict:
 _ESCAPE = json.encoder.encode_basestring_ascii
 
 
-def _scalar(value) -> str:
-    """The JSON text of a value other than a dict, list or tuple, by json
-    itself; TypeError for a value json cannot write, or would write without
-    indentation (a subclass of dict, list or tuple)."""
-    if isinstance(value, (dict, list, tuple)):
-        raise TypeError(f"cannot indent a {type(value).__name__}")
-    return json.dumps(value)
-
-
-def _write(value, out: list, head: str, indent: str):
-    """Append the text of the dict, list or tuple ``value``, whose lines
-    start with ``indent``, to ``out``: ``head`` (what precedes it) and each
-    separator and key fused to the chunk of the value after it, and one
-    chunk per closing bracket.  The common values, str and int in a dict,
-    int in a list and null, are written inline."""
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if type(value) is dict:
-        if not value:
-            out.append(head + "{}")
-            return
-        head += "{\n" + inner
-        for key, item in value.items():
-            t = type(item)  # _ESCAPE raises TypeError for a key not a str
-            if t is str:
-                out.append(f"{head}{_ESCAPE(key)}: {_ESCAPE(item)}")
-            elif t is int:
-                out.append(f"{head}{_ESCAPE(key)}: {int.__repr__(item)}")
-            elif item is None:
-                out.append(f"{head}{_ESCAPE(key)}: null")
-            elif t is dict or t is list or t is tuple:
-                _write(item, out, f"{head}{_ESCAPE(key)}: ", inner)
-            else:
-                out.append(f"{head}{_ESCAPE(key)}: {_scalar(item)}")
-            head = sep
-        out.append(f"\n{indent}}}")
-    else:
-        if not value:
-            out.append(head + "[]")
-            return
-        head += "[\n" + inner
-        for item in value:
-            t = type(item)
-            if t is int:
-                out.append(head + int.__repr__(item))
-            elif t is dict or t is list or t is tuple:
-                _write(item, out, head, inner)
-            else:
-                out.append(head + _scalar(item))
-            head = sep
-        out.append(f"\n{indent}]")
-
-
 def report_text(report) -> str:
     """``json.dumps(report, indent=2)``, byte for byte, for values built of
     dicts with str keys, lists, tuples and the scalars json writes;
     TypeError for any other key or value."""
-    if type(report) not in (dict, list, tuple):
-        return _scalar(report)
-    out: list = []
-    _write(report, out, "", "")
-    return "".join(out)
+    return _text(report, "\n")
+
+
+def _text(value, newline: str) -> str:
+    """The text of ``value``, its lines after the first started by
+    ``newline``.  The common scalars, str, int and null in a dict and int
+    in a list, are written inline; json writes every other scalar."""
+    t, inner, items = type(value), newline + "  ", []
+    if t is dict and value:
+        for key, item in value.items():
+            t = type(item)  # _ESCAPE raises TypeError for a key not a str
+            items.append(f"{_ESCAPE(key)}: " + (
+                _ESCAPE(item) if t is str else f"{item}" if t is int
+                else "null" if item is None else _text(item, inner)))
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    if (t is list or t is tuple) and value:
+        for item in value:
+            items.append(f"{item}" if type(item) is int else _text(item, inner))
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if t not in (dict, list, tuple) and isinstance(value, (dict, list, tuple)):
+        raise TypeError(f"cannot indent a {t.__name__}")  # json.dumps would not indent it
+    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------

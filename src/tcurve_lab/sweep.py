@@ -80,7 +80,6 @@ class SweepTables(NamedTuple):
     boundary: list       # per boundary edge: (e, its slot id)
     across: list         # per slot lift: the other prong on its midpoint (``Lifts``)
     nxt: list            # per slot lift: the next prong of its triangle
-    prv: list            # per slot lift: the previous prong of its triangle
     readings: tuple      # per edge sign bit b and reading prong p, at 4*b + p:
                          # per edge id, the slot lift read (-1 at a boundary edge)
     u_turns: list        # per boundary edge, per sign bit: 2 lift ids, 2 slot lifts
@@ -124,10 +123,9 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
         (interior if len(ss) == 2 else boundary).append((ids[e], *ss))
 
     # in a run of 3 slot lifts per lifted triangle, prong k's is entry k
-    nxt, prv = list(ids), list(ids)
+    nxt = list(ids)
     for k in range(3):
         nxt[k::3] = ids[(k + 1) % 3::3]
-        prv[k::3] = ids[(k - 1) % 3::3]
 
     # per edge sign bit and interior edge: in the two quadrants where its
     # lift is negative, the slot lifts of the next prong in t_a and in t_b
@@ -168,7 +166,7 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, tri.edge_ends,
                        seg_par, edge_class, merged,
                        [edge_class[x] for x in merged], slots, interior,
-                       boundary, across, nxt, prv, readings, u_turns,
+                       boundary, across, nxt, readings, u_turns,
                        (plain, twisted))
 
 
@@ -342,7 +340,7 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
     # share no strand with another component
     # a list: indexing it is faster than indexing bytes
     sneg, perm = list(neg.to_bytes(12 * T, "little")), _successors(tab, tw)
-    across, nxt, prv = tab.across, tab.nxt, tab.prv
+    across, nxt = tab.across, tab.nxt
     walks = []
     count = 0
     seen = [0] * (12 * T)
@@ -365,7 +363,7 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
             if sneg[w]:
                 x_in, x_out = 4 * (u % T3) + 1, 4 * (w % T3) + 2
             else:
-                w = prv[u]
+                w = nxt[w]  # the previous prong, after the next
                 x_in, x_out = 4 * (u % T3) + 3, 4 * (w % T3)
             if x_in != expected or perm[x_in] != x_out:
                 raise InvariantError("shadow must follow the boundary transitions")

@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ from tcurve_lab.cli import (MAX_NESTING, Problem, main, nesting_depth,
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
                                ValidationError)
 
-from helpers import PYTHONPATH, run_python
+from helpers import PYTHONPATH, random_polygon, run_python
 
 
 def write(tmp_path, name, text):
@@ -370,6 +371,27 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
     return code, capsys.readouterr().err
 
 
+# a point key that int() reads but the flow reader's grammar refuses used
+# to pass: "+1,0" and " 0,1" as (1, 0) and (0, 1), "1_0,0" as (10, 0) and
+# an Arabic-Indic one as (1, 0).  Each respells one key of a complete
+# mapping, written in flow and in block style.
+RESPELLED_KEYS = {"plus": ("+1,0", "1,0"), "space": (" 0,1", "0,1"),
+                  "underscore": ("1_0,0", "1,0"),
+                  "arabic-indic": ("\u0661,0", "1,0")}
+
+
+def respelled_problem(key, respells, block):
+    """T_1 with a sign on every lattice point, ``key`` in place of the key
+    ``respells``, in flow or in block style."""
+    items = [f"{json.dumps(k)}: 1" for k in [key] + [
+        k for k in ("0,0", "1,0", "0,1") if k != respells]]
+    if block:
+        signs = "signs:\n  explicit:\n" + "".join(f"    {i}\n" for i in items)
+    else:
+        signs = "signs: {explicit: {" + ", ".join(items) + "}}\n"
+    return "polygon: [[0,0],[1,0],[0,1]]\n" + signs
+
+
 @pytest.mark.parametrize("text, words", [
     # a negative index used to wrap around to the last lattice point
     ("polygon: [[0,0],[1,0],[0,1]]\ntriangulation: [[1,2,-3]]\n"
@@ -411,10 +433,19 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
     # used to end in a ValueError traceback from PyYAML's constructor
     ("polygon: [[0,0],[1,0],[0," + "1" * 5000 + "]]\n", "Exceeds the limit"),
     ("polygon: 2020-13-01\n", "month must be in 1..12"),
-], ids=["negative-index", "string", "float", "bool", "bool-sign",
-        "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8",
-        "duplicate-point", "misspelled-field", "misspelled-signs",
-        "two-kinds-of-signs", "long-int", "bad-date"])
+    # a key of more digits than int() converts (in flow style: YAML's
+    # block keys end at 1024 characters)
+    (respelled_problem("1" * 5000 + ",0", None, False),
+     "signs.explicit: bad point key '111"),
+] + [(respelled_problem(key, respells, block),
+      f"signs.explicit: bad point key {key!r}\n")
+     for key, respells in RESPELLED_KEYS.values() for block in (False, True)],
+    ids=["negative-index", "string", "float", "bool", "bool-sign",
+         "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8",
+         "duplicate-point", "misspelled-field", "misspelled-signs",
+         "two-kinds-of-signs", "long-int", "bad-date", "long-key"]
+    + [f"{name}-key-{style}" for name in RESPELLED_KEYS
+       for style in ("flow", "block")])
 def test_strict_input(tmp_path, capsys, text, words):
     code, err = exit_and_stderr(tmp_path, capsys, text)
     assert code == 2
@@ -463,6 +494,39 @@ def test_problem_from_data_fuzz(raw):
             step()
         except InputError:
             pass
+
+
+# one key "x,y" respelled: in the digits of another script, which int()
+# reads as ASCII ones, with an underscore, a plus sign or a space, which
+# int() reads too, or with a full-width comma
+DIGITS = ["\u0660", "\u06f0", "\u0966", "\uff10", "\U0001d7ce"]  # zeros
+RESPELLINGS = [
+    lambda x, y, zero: f"{x},{y}".translate(
+        {ord("0") + d: ord(zero) + d for d in range(10)}),
+    lambda x, y, zero: f"0_{x},{y}",
+    lambda x, y, zero: f"{x},+{y}",
+    lambda x, y, zero: f" {x},{y}",
+    lambda x, y, zero: f"{x}, {y}",
+    lambda x, y, zero: f"{x}\uff0c{y}",
+]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2 ** 32), st.sampled_from(RESPELLINGS),
+       st.sampled_from(DIGITS))
+def test_respelled_point_keys_refused(seed, respell, zero):
+    rng = random.Random(seed)
+    poly = random_polygon(rng, box=3)
+    signs = {f"{x},{y}": rng.choice((1, -1)) for x, y in poly.lattice_points}
+    data = {"polygon": [list(v) for v in poly.vertices],
+            "signs": {"explicit": signs}}
+    problem_from_data(data)  # complete as written
+    x, y = rng.choice(poly.lattice_points)
+    key = respell(x, y, zero)
+    signs[key] = signs.pop(f"{x},{y}")
+    with pytest.raises(ValidationError) as refused:
+        problem_from_data(data)
+    assert str(refused.value) == f"signs.explicit: bad point key {key!r}"
 
 
 def test_strict_triangulation_indices():

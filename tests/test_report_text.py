@@ -123,7 +123,8 @@ def test_subclasses_and_special_floats_match_json(value):
 
 @pytest.mark.parametrize("value", [
     {1: 2}, {None: 1}, {True: 0}, {1.5: 0}, {(1, 2): 3}, {"a": {2: "b"}},
-    [b"x"], [{1, 2}], [object()], {"a": 1j}, [Fraction(1, 2)],
+    [b"x"], [{1, 2}], pytest.param([object()], id="[object()]"),
+    {"a": 1j}, [Fraction(1, 2)],
     OrderedDict(a=1), [OrderedDict(a=1)], {"a": [frozenset()]}],
     ids=repr)
 def test_refuses_what_json_writes_otherwise(value):

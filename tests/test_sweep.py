@@ -177,7 +177,8 @@ def test_failure_names_its_mask_in_gray_order():
 # compiled successor tables
 
 def successor_definitions(tri):
-    """``nxt``, ``prv`` and the untwisted and twisted strand successors as
+    """``nxt``, the previous prong of each slot lift (which the walk reads
+    as ``nxt[nxt[u]]``) and the untwisted and twisted strand successors as
     ``SweepTables`` defines them, one entry at a time."""
     nxt = [u - u % 3 + (u + 1) % 3 for u in range(12 * tri.T)]
     prv = [u - u % 3 + (u - 1) % 3 for u in range(12 * tri.T)]
@@ -216,9 +217,10 @@ def test_successor_tables_match_their_definitions():
     for poly, tri in instances:
         tri = tri or generate_grid_triangulation(poly)
         tab = compiled(build_ambient_surface(poly), tri)
-        assert [tab.nxt, tab.prv, *tab.succ] == list(successor_definitions(tri))
-        entries = {id(v) for table in (tab.nxt, tab.prv, *tab.succ)
-                   for v in table}
+        nxt, prv, plain, twisted = successor_definitions(tri)
+        assert [tab.nxt, *tab.succ] == [nxt, plain, twisted]
+        assert [tab.nxt[u] for u in tab.nxt] == prv
+        entries = {id(v) for table in (tab.nxt, *tab.succ) for v in table}
         assert len(entries) <= 12 * tri.T, poly
 
 
