@@ -12,9 +12,10 @@ telescopes to the sum of the parities of its two ends.
 
 from functools import cached_property
 from math import gcd
+from operator import index
 from typing import NamedTuple
 
-from .errors import (CollinearConsecutiveEdges, DegenerateSegment,
+from .errors import (CollinearConsecutiveEdges, DegenerateSegment, InputError,
                      NegativeCoordinate, NotSimple, TooFewVertices, check)
 from .geometry import (cross, polygon_double_area, segment_integral_length,
                        segment_lattice_points, segments_intersect)
@@ -90,7 +91,12 @@ class Polygon:
     """
 
     def __init__(self, vertices):
-        verts = tuple((int(x), int(y)) for x, y in vertices)
+        verts = tuple(map(tuple, vertices))
+        for v in verts:  # two of what operator.index takes, but no bool
+            if len(v) != 2 or any(isinstance(c, bool)
+                                  or not hasattr(type(c), "__index__") for c in v):
+                raise InputError(f"vertex {v!r}: expected two integer coordinates")
+        verts = tuple((index(x), index(y)) for x, y in verts)
         if len(verts) < 3:
             raise TooFewVertices(f"need at least 3 vertices, got {len(verts)}")
         for v in verts:

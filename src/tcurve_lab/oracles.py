@@ -45,7 +45,7 @@ from .geometry import on_segment, segment_lattice_points
 from .errors import check
 from .svg import PALETTE, SIGNS, SUB, UNIT
 from .sweep import SweepTables
-from .tcurve import Component, ComponentClass, ExtendedSigns, TCurve
+from .tcurve import Component, ComponentClass, TCurve
 from .triangulation import Edge, PrimitiveTriangulation
 
 
@@ -396,7 +396,7 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
                         not any(point_in_ring(sp, rings[c]) for c in contains[comp]):
                     inner.append(p)
             assert inner, "an oval surrounds at least one lattice point"
-            signs = {curve.ext.value(q, p) for p in inner}
+            signs = {copy_sign(curve.delta, q, p) for p in inner}
             assert len(signs) == 1, "the sign of an oval is well defined"
             result[comp] = ComponentClass("oval", quadrant=q,
                                           sign=signs.pop(), depth=depth)
@@ -553,23 +553,30 @@ def midpoint_nodes(surface: AmbientSurface, tri: PrimitiveTriangulation) -> dict
             for q in QUADRANTS for e in tri.edges}
 
 
-def edge_signs(mid: dict, ext: ExtendedSigns) -> dict:
+def copy_sign(delta: dict, q: Quadrant, p: Point) -> int:
+    """The sign of the copy of ``p`` in quadrant ``q``: delta(p), negated
+    when <q, parity of p> is odd.  ``TCurve.copy_signs`` states it apart."""
+    (a, b), (x, y) = q, p
+    return -delta[p] if (a * x + b * y) % 2 else delta[p]
+
+
+def edge_signs(mid: dict, delta: dict) -> dict:
     """Signs of the edges of the lifted triangulation, keyed by midpoint
     node (``mid`` is ``midpoint_nodes``): the sign of lift (q, e) is the
     product of its endpoint signs in quadrant q."""
     out: dict = {}
     for (q, (p, r)), m in mid.items():
-        s = ext.value(q, p) * ext.value(q, r)
+        s = copy_sign(delta, q, p) * copy_sign(delta, q, r)
         # identified boundary copies carry equal signs
         check(out.setdefault(m, s) == s, "edge sign must descend to the surface")
     return out
 
 
 def components_by_adjacency(tri: PrimitiveTriangulation, mid: dict,
-                            ext: ExtendedSigns) -> tuple:
+                            delta: dict) -> tuple:
     """The curve's components, sorted, by walking the adjacency of the
     negative dual edges on G(S); ``mid`` is ``midpoint_nodes``."""
-    sign = edge_signs(mid, ext)
+    sign = edge_signs(mid, delta)
     adj: dict = {}
     neg_per_downstairs: dict = {}
     for q in QUADRANTS:
@@ -842,9 +849,9 @@ def trace_by_comprehension(tab: SweepTables, tw) -> int:
 
 def svg_by_lines(curve: TCurve) -> str:
     """What ``svg.render_svg`` writes, one line string at a time, all of
-    them joined at the end, each point sign from ``ExtendedSigns.value``,
-    where ``render_svg`` joins each section when it is done and reads the
-    point signs off the parities."""
+    them joined at the end, each point sign from ``copy_sign``, where
+    ``render_svg`` joins each section when it is done and reads the point
+    signs off ``TCurve.copy_signs``."""
     polygon, tri, tab = curve.surface.polygon, curve.tri, curve.tables
     pts = polygon.lattice_points
     xs = [v[0] for v in polygon.vertices]
@@ -912,7 +919,7 @@ def svg_by_lines(curve: TCurve) -> str:
     out.append('<g stroke="black" stroke-width="1">')
     for q, (sx, sy) in zip(QUADRANTS, SIGNS):
         for i, p in enumerate(pts):
-            fill = "black" if curve.ext.value(q, p) > 0 else "white"
+            fill = "black" if copy_sign(curve.delta, q, p) > 0 else "white"
             out.append(f'<circle cx="{sx * X[i]}" cy="{sy * Y[i]}" r="4" '
                        f'fill="{fill}"/>')
     out += ('</g>', '</svg>', '')

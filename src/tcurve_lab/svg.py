@@ -7,7 +7,6 @@ sixth-integral barycenter and midpoint coordinates land on multiples of
 
 from operator import add, itemgetter
 
-from .surface import QUADRANTS
 from .tcurve import TCurve
 
 UNIT = 30          # px per lattice unit
@@ -100,14 +99,14 @@ def render_svg(curve: TCurve) -> str:
         lines.append('</g>')
     parts.append("\n".join(lines))
 
-    # lattice point signs: filled disc is +, open circle is -.  A point p
-    # of quadrant (a,b) has the sign of p times (-1)^<(a,b), parity of p>
-    plus = [curve.ext.delta[p] > 0 for p in pts]
+    # lattice point signs, read off the curve's per-copy table: filled
+    # disc is +, open circle is -
+    plus, V = curve.copy_signs, len(pts)
     lines = ['<g stroke="black" stroke-width="1">']
-    for (a, b), (sx, sy) in zip(QUADRANTS, SIGNS):
+    for q, (sx, sy) in enumerate(SIGNS):
         lines += [f'<circle cx="{sx * x}" cy="{sy * y}" r="4" '
-                  f'fill="{FILLS[up ^ a & px ^ b & py]}"/>'
-                  for x, y, up, (px, py) in zip(X, Y, plus, pts)]
+                  f'fill="{FILLS[up]}"/>'
+                  for x, y, up in zip(X, Y, plus[q * V:q * V + V])]
     lines += ('</g>', '</svg>', '')
     parts.append("\n".join(lines))
     return "\n".join(parts)

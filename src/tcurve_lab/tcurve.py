@@ -16,7 +16,7 @@ from operator import eq, not_
 from typing import NamedTuple
 
 from .errors import IncompleteDistribution, InvariantError, check
-from .lattice import Point, Polygon, pairing, point_parity
+from .lattice import Polygon, pairing, point_parity
 from .surface import QUADRANTS, AmbientSurface, Quadrant
 from .sweep import SweepTables, compile_sweep, trace_vector
 from .triangulation import PrimitiveTriangulation, incidence_graphs
@@ -28,30 +28,17 @@ HarnackType = tuple[int, int, int]  # (c, a, b)
 
 def check_distribution(polygon: Polygon, delta: dict) -> dict:
     pts = set(polygon.lattice_points)
-    d = {tuple(p): int(v) for p, v in delta.items()}
+    d = {tuple(p): v for p, v in delta.items()}
     missing = pts - set(d)
     if missing:
         raise IncompleteDistribution(f"no sign for {sorted(missing)[0]}")
     extra = set(d) - pts
     if extra:
         raise IncompleteDistribution(f"sign given for non-lattice point {sorted(extra)[0]}")
-    if any(v not in (1, -1) for v in d.values()):
+    if any(not isinstance(v, int) or isinstance(v, bool) or v not in (1, -1)
+           for v in d.values()):
         raise IncompleteDistribution("signs must be +1 or -1")
     return d
-
-
-class ExtendedSigns:
-    """Signs on all four quadrant copies of the lattice points, on demand.
-
-    The values live on the disjoint union of the copies; only edge signs
-    descend to the glued surface.
-    """
-
-    def __init__(self, delta: dict, surface: AmbientSurface):
-        self.delta = check_distribution(surface.polygon, delta)
-
-    def value(self, q: Quadrant, p: Point) -> Sign:
-        return self.delta[p] * (-1) ** pairing(q, point_parity(p))
 
 
 class Component:
@@ -111,8 +98,7 @@ class TCurve:
         if tables is None:
             tables = compile_sweep(tri, incidence_graphs(surface, tri))
         self.tables = tables
-        self.ext = ExtendedSigns(delta, surface)
-        self.delta = self.ext.delta
+        self.delta = check_distribution(surface.polygon, delta)
         mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
                    if self.delta[p] > 0)
         self.trace = trace_vector(tables, mask)
@@ -136,6 +122,15 @@ class TCurve:
             out.append(Component(walk, tab, self.tri))
         out.sort(key=lambda comp: comp.walk[0])
         return tuple(out)
+
+    @cached_property
+    def copy_signs(self) -> bytes:
+        """Byte q*V + k is 1 when the copy of lattice point k in quadrant
+        ``QUADRANTS[q]`` is positive, by the rule of the module docstring."""
+        pts = self.surface.polygon.lattice_points
+        plus = [self.delta[p] > 0 for p in pts]
+        return bytes(up ^ a & x ^ b & y for a, b in QUADRANTS
+                     for up, (x, y) in zip(plus, pts))
 
     # ------------------------------------------------------------------
     # classification
@@ -273,7 +268,7 @@ class Regions:
         # holding the curve itself would make a cycle that only the cyclic
         # collector frees
         self.tables, self.components = curve.tables, curve.components
-        self.surface, self.ext = curve.surface, curve.ext
+        self.surface, self.copy_signs = curve.surface, curve.copy_signs
         polygon, tab = curve.surface.polygon, curve.tables
         V, E, T3, edge_class = tab.V, tab.E, 3 * tab.T, tab.edge_class
         # per lift id: the copies of the two ends of its lifted edge
@@ -361,16 +356,14 @@ class Regions:
                     queue.append(g)
         check(len(region_depth) == self.count and None not in depth,
               "every region and oval is reached from the boundary")
-        pts, V = self.surface.polygon.lattice_points, self.tables.V
-        value = self.ext.value
         signs: dict = {}
         for x, r in enumerate(region):
             if r in inner:
-                signs.setdefault(inner[r], set()).add(
-                    value(QUADRANTS[x // V], pts[x % V]))
+                signs.setdefault(inner[r], set()).add(self.copy_signs[x])
         check(all(len(s) == 1 for s in signs.values()),
               "the sign of an oval is well defined")
-        return {comp: ComponentClass("oval", self.ovals[comp], min(signs[o]), depth[o])
+        return {comp: ComponentClass("oval", self.ovals[comp],
+                                     2 * min(signs[o]) - 1, depth[o])
                 for o, comp in enumerate(ovals)}
 
     @cached_property

@@ -242,7 +242,7 @@ def match_oracles(curve, filling) -> tuple[int, bool]:
     oracles' on the same signs; return the oracles' (D, orientable)."""
     tri = curve.tri
     mid = midpoint_nodes(curve.surface, tri)
-    components = components_by_adjacency(tri, mid, curve.ext)
+    components = components_by_adjacency(tri, mid, curve.delta)
     assert list(components) == [c.nodes for c in curve.components]
     twists, folds = twists_by_arc_pairing(tri, mid, components)
     assert (twists, folds) == (filling.twists, filling.folds)

@@ -176,7 +176,7 @@ def test_sign_flip_inside_an_oval_raises():
     # unchanged and only the sign check can see it (the other quadrants
     # hold no oval)
     curve = nested_squares()
-    curve.ext.delta[(3, 3)] *= -1
+    curve.delta[(3, 3)] *= -1
     with pytest.raises(InvariantError, match="sign of an oval"):
         curve.classification
 
@@ -185,7 +185,7 @@ def test_sign_check_survives_python_O():
     code = ("from tcurve_lab.errors import InvariantError\n"
             "from test_classify import nested_squares\n"
             "curve = nested_squares()\n"
-            "curve.ext.delta[(3, 3)] *= -1\n"
+            "curve.delta[(3, 3)] *= -1\n"
             "try:\n"
             "    curve.classification\n"
             "except InvariantError:\n"

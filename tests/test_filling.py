@@ -86,7 +86,7 @@ def test_walks_run_with_their_nodes():
             return ("m", QUADRANTS[m_q], tri.edges[e])
 
         oracle = components_by_adjacency(tri, midpoint_nodes(curve.surface, tri),
-                                          curve.ext)
+                                          curve.delta)
         assert len(oracle) == len(curve.components)
         for comp, want in zip(curve.components, oracle):
             walk, nodes = comp.walk, []

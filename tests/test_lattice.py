@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tcurve_lab.errors import (CollinearConsecutiveEdges, DegenerateSegment,
-                               NegativeCoordinate, NotSimple, TooFewVertices)
+                               InputError, NegativeCoordinate, NotSimple,
+                               TooFewVertices)
 from tcurve_lab.geometry import segment_lattice_points
 from tcurve_lab.lattice import (parity_sum, point_parity, segment_parity,
                                 validate_polygon)
@@ -83,6 +84,49 @@ def test_validation_errors():
         validate_polygon([(0, 0), (1, 0)])
     with pytest.raises(NotSimple):
         validate_polygon([(0, 0), (2, 2), (2, 0), (0, 2)])  # bowtie
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, False, True, "2", None, 2 + 0j])
+def test_non_integer_coordinates_refused(bad):
+    # int() used to truncate 2.7 to 2 and to read False as 0 and "0" as 0
+    for k in range(3):
+        verts = [[0, 0], [2, 0], [0, 2]]
+        verts[k][k % 2] = bad
+        with pytest.raises(InputError) as refused:
+            validate_polygon(verts)
+        assert str(refused.value) == \
+            f"vertex {tuple(verts[k])!r}: expected two integer coordinates"
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 0, 0), ()])
+def test_vertices_of_other_lengths_refused(bad):
+    # unpacking used to raise ValueError
+    with pytest.raises(InputError, match="expected two integer coordinates"):
+        validate_polygon([(0, 0), bad, (0, 2)])
+
+
+class Index:
+    """An integer type other than int, as NumPy's are."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+def test_integer_types_other_than_int_accepted():
+    poly = validate_polygon([(Index(0), 0), (2, Index(0)), (0, Index(2))])
+    assert poly.vertices == ((0, 0), (2, 0), (0, 2))
+    assert all(type(c) is int for v in poly.vertices for c in v)
+
+
+def test_numpy_integers_accepted():
+    np = pytest.importorskip("numpy")
+    poly = validate_polygon(np.array([[0, 0], [2, 0], [0, 2]], dtype=np.int64))
+    assert poly.vertices == ((0, 0), (2, 0), (0, 2))
+    with pytest.raises(InputError, match="expected two integer coordinates"):
+        validate_polygon(np.array([[0, 0], [2.5, 0], [0, 2]]))
 
 
 def test_clockwise_input_is_canonicalized():

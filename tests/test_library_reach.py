@@ -47,6 +47,7 @@ READERS = {
     "Regions.euler": "tcurve:Regions.disks",
     "Regions.split": "tcurve:Regions.disks",
     "TCurve.census": "cli:curve_report",
+    "TCurve.copy_signs": "tcurve:Regions.__init__",
     "TFilling.chi": "cli:filling_report",
 }
 BUILTIN_ATTRIBUTES = {name for t in (object, int, str, bytes, bytearray, list,

@@ -1,6 +1,6 @@
 """``render_svg``, which joins its lines one section at a time and reads
-the point signs off the parities, against the picture drawn one line at
-a time (``oracles.svg_by_lines``), and the structure of its SVG."""
+the point signs off ``TCurve.copy_signs``, against the picture drawn one
+line at a time (``oracles.svg_by_lines``), and the structure of its SVG."""
 
 import itertools
 import random

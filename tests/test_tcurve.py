@@ -4,10 +4,12 @@ import pytest
 
 from tcurve_lab.errors import IncompleteDistribution, InvariantError
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
-from tcurve_lab.oracles import (edge_signs, midpoint_node, midpoint_nodes,
+from tcurve_lab.oracles import (classify_components_by_nesting, edge_signs,
+                                midpoint_node, midpoint_nodes, svg_by_lines,
                                 translated_components, visits)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
-from tcurve_lab.tcurve import (ExtendedSigns, extract_curve,
+from tcurve_lab.svg import render_svg
+from tcurve_lab.tcurve import (check_distribution, extract_curve,
                                harnack_distribution, predicted_harnack_census,
                                verify_harnack_census)
 from tcurve_lab.triangulation import generate_grid_triangulation
@@ -25,33 +27,82 @@ def all_plus(poly):
 # ---------------------------------------------------------------------------
 # sign extension
 
+def copy_sign(curve, q, p):
+    """The sign of the copy of ``p`` in quadrant ``q``, read off the table."""
+    V = len(curve.surface.polygon.lattice_points)
+    k = curve.surface.polygon.lattice_points.index(p)
+    return 1 if curve.copy_signs[QUADRANTS.index(q) * V + k] else -1
+
+
 def test_extension_formula():
     t2 = standard_triangle(2)
-    s = build_ambient_surface(t2)
-    ext = ExtendedSigns(all_plus(t2), s)
+    curve = pipeline(t2, all_plus(t2))[2]
     # odd point in a reflecting quadrant flips
-    assert ext.value((1, 0), (1, 1)) == -1
+    assert copy_sign(curve, (1, 0), (1, 1)) == -1
     # even points keep their sign in all four quadrants
-    assert all(ext.value(q, (2, 0)) == 1 for q in QUADRANTS)
+    assert all(copy_sign(curve, q, (2, 0)) == 1 for q in QUADRANTS)
+    # every copy: delta(p) times (-1)^<q, parity of p>
+    rng = random.Random(1)
+    for d in (1, 2, 3):
+        poly = standard_triangle(d)
+        delta = random_distribution(rng, poly)
+        curve = pipeline(poly, delta)[2]
+        assert len(curve.copy_signs) == 4 * len(poly.lattice_points)
+        for q in QUADRANTS:
+            for p in poly.lattice_points:
+                assert copy_sign(curve, q, p) == \
+                    delta[p] * (-1) ** pairing(q, point_parity(p))
 
 
 def test_extension_agrees_on_identified_t2_edge_point():
     # the point (1,0) on the bottom edge: quadrants (0,0) and (0,1) are
     # identified and <(0,1),(1,0)> = 0, so both candidate values agree
     t2 = standard_triangle(2)
-    s = build_ambient_surface(t2)
     rng = random.Random(0)
     for _ in range(8):
-        ext = ExtendedSigns(random_distribution(rng, t2), s)
-        assert ext.value((0, 0), (1, 0)) == ext.value((0, 1), (1, 0))
-        assert ext.value((1, 0), (1, 0)) == ext.value((1, 1), (1, 0))
+        curve = pipeline(t2, random_distribution(rng, t2))[2]
+        assert copy_sign(curve, (0, 0), (1, 0)) == copy_sign(curve, (0, 1), (1, 0))
+        assert copy_sign(curve, (1, 0), (1, 0)) == copy_sign(curve, (1, 1), (1, 0))
 
 
 def test_incomplete_distribution():
     t1 = standard_triangle(1)
-    s = build_ambient_surface(t1)
     with pytest.raises(IncompleteDistribution):
-        ExtendedSigns({(0, 0): 1, (1, 0): 1}, s)
+        check_distribution(t1, {(0, 0): 1, (1, 0): 1})
+
+
+@pytest.mark.parametrize("sign", [1.9, 1.5, -1.2, 1.0, True, False, "1", None, 2, 0])
+def test_signs_are_plus_or_minus_one(sign):
+    # int() used to truncate 1.9 and 1.5 to +1, -1.2 to -1 and read True as +1
+    t1 = standard_triangle(1)
+    delta = {(0, 0): 1, (1, 0): -1, (0, 1): sign}
+    with pytest.raises(IncompleteDistribution, match="signs must be \\+1 or -1"):
+        check_distribution(t1, delta)
+    with pytest.raises(IncompleteDistribution, match="signs must be \\+1 or -1"):
+        pipeline(t1, delta)
+
+
+@pytest.mark.parametrize("q", range(4))
+def test_a_planted_quadrant_flip_is_seen_by_the_oracles(q):
+    # the nesting oracle and the line-by-line picture state the sign rule
+    # on their own, so a flipped quadrant of the table cannot pass them:
+    # every oval of that quadrant changes sign, every disc of it its fill
+    poly = standard_triangle(6)
+    curve = pipeline(poly, harnack_distribution(poly, (1, 0, 0)))[2]
+    V = len(poly.lattice_points)
+    signs = bytearray(curve.copy_signs)
+    signs[q * V:q * V + V] = bytes(1 - s for s in signs[q * V:q * V + V])
+    curve.copy_signs = bytes(signs)
+    ovals = {c: k for c, k in curve.classification.items() if k.kind == "oval"}
+    assert any(k.quadrant == QUADRANTS[q] for k in ovals.values())
+    oracle = classify_components_by_nesting(curve)
+    for comp, got in ovals.items():
+        assert (got.sign != oracle[comp].sign) == (got.quadrant == QUADRANTS[q])
+    assert render_svg(curve) != svg_by_lines(curve)
+    # and without the flip, both agree
+    fresh = pipeline(poly, harnack_distribution(poly, (1, 0, 0)))[2]
+    assert classify_components_by_nesting(fresh) == fresh.classification
+    assert render_svg(fresh) == svg_by_lines(fresh)
 
 
 def test_edge_sign_reflection_law():
@@ -61,7 +112,7 @@ def test_edge_sign_reflection_law():
     for d in (2, 3):
         poly = standard_triangle(d)
         surface, tri, curve = pipeline(poly, random_distribution(rng, poly))
-        sign = edge_signs(midpoint_nodes(surface, tri), curve.ext)
+        sign = edge_signs(midpoint_nodes(surface, tri), curve.delta)
         for e in tri.edges:
             base = sign[midpoint_node(surface, tri, (0, 0), e)]
             par = segment_parity(*e)
