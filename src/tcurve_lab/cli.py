@@ -18,6 +18,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 
 from .errors import (CapExceeded, InputError, InvariantError, ParseError,
                      TCurveLabError, TooLarge, ValidationError, check)
@@ -369,12 +370,14 @@ def curve_report(curve: TCurve) -> dict:
     return {
         "components": comps,
         "component_count": len(curve.components),
-        "quadrant_ovals": {
-            f"{q[0]},{q[1]}": [list(sd) for sd in v]
-            for q, v in sorted(census.quadrant_ovals.items())
-        },
+        "quadrant_ovals": quadrant_table(census.quadrant_ovals),
         "boundary_kinds": list(census.boundary_kinds),
     }
+
+
+def quadrant_table(quadrant_ovals: dict) -> dict:
+    return {f"{a},{b}": [list(sd) for sd in v]
+            for (a, b), v in sorted(quadrant_ovals.items())}
 
 
 def filling_report(filling: TFilling) -> dict:
@@ -476,10 +479,7 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
             report["harnack_census"] = {
                 "type": list(htype),
                 "predicted_total": pred.total,
-                "predicted_quadrant_ovals": {
-                    f"{q[0]},{q[1]}": [list(sd) for sd in v]
-                    for q, v in sorted(pred.quadrant_ovals.items())
-                },
+                "predicted_quadrant_ovals": quadrant_table(pred.quadrant_ovals),
                 "predicted_boundary": pred.o_kind,
                 "match": verify_harnack_census(curve, htype),
             }
@@ -490,14 +490,10 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         tables = compile_sweep(tri, incidence_graphs(surface, tri))
         i_count = tables.interior_points
         # per curve type (I when the filling is orientable): D -> vectors
-        by_type: dict = {"I": {}, "II": {}}
+        by_type = {"I": Counter(), "II": Counter()}
         for _, d, orientable in run_sweep(tables):
-            per = by_type["I" if orientable else "II"]
-            per[d] = per.get(d, 0) + 1
-        dist: dict = {}
-        for per in by_type.values():
-            for d, count in per.items():
-                dist[d] = dist.get(d, 0) + count
+            by_type["I" if orientable else "II"][d] += 1
+        dist = by_type["I"] + by_type["II"]
         runs = sum(dist.values())
         check(runs == 1 << tri.V, f"{runs} sign vectors swept, not 2^{tri.V}")
         report["enumerate"] = {

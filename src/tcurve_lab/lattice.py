@@ -91,7 +91,10 @@ class Polygon:
     """
 
     def __init__(self, vertices):
-        verts = tuple(map(tuple, vertices))
+        try:
+            verts = tuple(map(tuple, vertices))
+        except TypeError:  # not a sequence of sequences
+            raise InputError("vertices must be a sequence of integer pairs") from None
         for v in verts:  # two of what operator.index takes, but no bool
             if len(v) != 2 or any(isinstance(c, bool)
                                   or not hasattr(type(c), "__index__") for c in v):

@@ -98,7 +98,10 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     """The tables ``trace_vector`` reads, sharing the edge ends and the edge
     of each slot with ``tri``, and the midpoint of each lift and the prong
     across each midpoint with the lift table ``lifts`` of
-    ``incidence_graphs``, which has checked that G(Pi) is connected."""
+    ``incidence_graphs``, which has checked that G(Pi) is connected.
+    ``interior``, ``boundary`` and each slot's partner are read from
+    ``across`` in quadrant 0, where an interior edge's two slots are across
+    each other and a boundary edge's slot faces another quadrant."""
     T, E, T3 = tri.T, tri.E, 3 * tri.T
     edge_class, across = lifts.edge_class, lifts.across
     # one int object per value below 12T, shared by every table of lift
@@ -115,12 +118,9 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     seg_par = [PAIRING[q][p] for q in range(4) for p in spar]
     merged = list(compress(ids, map(ne, edge_class, ids)))
     slots = tri.slot_edges
-    edge_slots: list = [[] for _ in range(E)]  # in triangle order
-    for s, e in enumerate(slots):
-        edge_slots[e].append(ids[s])
-    interior, boundary = [], []
-    for e, ss in enumerate(edge_slots):
-        (interior if len(ss) == 2 else boundary).append((ids[e], *ss))
+    partner = [w if w < T3 else s for s, w in zip(ids, across[:T3])]
+    interior = sorted((ids[slots[s]], s, w) for s, w in zip(ids, partner) if s < w)
+    boundary = sorted((ids[slots[s]], s) for s, w in zip(ids, partner) if s == w)
 
     # in a run of 3 slot lifts per lifted triangle, prong k's is entry k
     nxt = list(ids)
@@ -148,9 +148,6 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
     # slot of its edge, its partner, or folds back at a boundary edge, whose
     # slot is its own partner.  In the run of 12 states of a triangle,
     # prong k's are entries 4k..4k+3.
-    partner = ids[:T3]
-    for _, s_a, s_b in interior:
-        partner[s_a], partner[s_b] = s_b, s_a
     plain = list(ids)
     plain[0::4] = [ids[4 * p + 3] for p in partner]
     plain[2::4] = [ids[4 * p + 1] for p in partner]
@@ -224,8 +221,8 @@ def _trace(tab: SweepTables, tw: bytes) -> int:
 class VectorTrace(NamedTuple):
     """What the kernel reads off one sign vector."""
     tw: bytes       # per edge id: 1 when the edge is glued with a twist
-    walks: list     # per curve component: the slot lift by which it enters
-                    # each lifted triangle, in order
+    walks: list     # per curve component, from its smallest slot lift and in
+                    # that order: the slot lift entering each lifted triangle
     d: int          # boundary circles of the filling
     orientable: bool
 

@@ -28,7 +28,10 @@ HarnackType = tuple[int, int, int]  # (c, a, b)
 
 def check_distribution(polygon: Polygon, delta: dict) -> dict:
     pts = set(polygon.lattice_points)
-    d = {tuple(p): v for p, v in delta.items()}
+    try:
+        d = {tuple(p): v for p, v in delta.items()}
+    except (AttributeError, TypeError):  # not a mapping, or a key not a point
+        raise IncompleteDistribution("signs must map points to +1 or -1") from None
     missing = pts - set(d)
     if missing:
         raise IncompleteDistribution(f"no sign for {sorted(missing)[0]}")
@@ -87,8 +90,8 @@ class TCurve:
     The strand kernel (``sweep.trace_vector``) runs once on the compiled
     tables of the problem: ``tables`` when given (one compilation serves
     any number of sign vectors), else compiled from a fresh lift table.
-    Each of its walks, turned in place, is a ``Component``; the strands
-    beside it belong to the filling (``TFilling.shadows``).
+    Each of its walks is a ``Component``; the strands beside it belong to
+    the filling (``TFilling.shadows``).
     """
 
     def __init__(self, surface: AmbientSurface, tri: PrimitiveTriangulation,
@@ -107,20 +110,17 @@ class TCurve:
     # ------------------------------------------------------------------
 
     def _components(self) -> tuple[Component, ...]:
-        """The kernel's walks as ``Component``s, in the order of their
-        nodes.  A lifted triangle is visited at most once, so a walk's
-        smallest slot lift is its smallest barycenter; midpoint ids order
-        as their nodes do, and the first slot lift orders the components."""
+        """The kernel's walks as ``Component``s, in the order of their nodes:
+        the kernel yields them in order of their first slot lift, the
+        smallest of each walk and so its smallest barycenter; midpoint ids
+        order as their nodes do, so only the direction is chosen here."""
         tab, across = self.tables, self.tables.across
         out = []
         for walk in self.trace.walks:
-            v = walk.index(min(walk))
-            walk[:] = walk[v:] + walk[:v]
             if _midpoint(tab, walk[0]) < _midpoint(tab, walk[1]):
                 # run backward: each visit enters by its old exit
                 walk[:] = [across[u] for u in walk[1::-1] + walk[:1:-1]]
             out.append(Component(walk, tab, self.tri))
-        out.sort(key=lambda comp: comp.walk[0])
         return tuple(out)
 
     @cached_property

@@ -177,34 +177,24 @@ class PrimitiveTriangulation:
 
 def generate_grid_triangulation(polygon: Polygon) -> PrimitiveTriangulation:
     """Staircase triangulation of the standard triangle (0,0),(d,0),(0,d)
-    or of an axis-aligned rectangle: every unit cell is split along its
-    NW-SE diagonal.  Other polygons must supply triangulations explicitly.
-    The index triples go through the same checks as any other."""
-    d = is_standard_triangle(polygon)
+    or of an axis-aligned rectangle: lattice point p gives p, p+(1,0),
+    p+(0,1) when both are lattice points, then p+(1,0), p+(1,1), p+(0,1)
+    when p+(1,1) is one.  Other polygons must supply triangulations
+    explicitly.  The index triples go through the same checks as any other."""
+    if is_standard_triangle(polygon) is None and is_axis_rectangle(polygon) is None:
+        raise UnsupportedShape(
+            "built-in generator covers the standard triangle and axis-aligned "
+            "rectangles; supply the triangulation explicitly")
+    index = {p: i for i, p in enumerate(polygon.lattice_points)}
     tris = []
-    if d is not None:
-        # column x holds the d - x + 1 points (x, 0), ..., (x, d - x)
-        col = [x * (2 * d + 3 - x) // 2 for x in range(d + 1)]
-        for x in range(d):
-            for y in range(d - x):
-                i, j = col[x] + y, col[x + 1] + y
-                tris.append((i, j, i + 1))
-                if x + y <= d - 2:
-                    tris.append((j, j + 1, i + 1))
-        return PrimitiveTriangulation(polygon, tris)
-    rect = is_axis_rectangle(polygon)
-    if rect is not None:
-        (x0, y0), (x1, y1) = rect
-        h = y1 - y0 + 1
-        for x in range(x1 - x0):
-            for y in range(y1 - y0):
-                i, j = x * h + y, (x + 1) * h + y
-                tris.append((i, j, i + 1))
-                tris.append((j, j + 1, i + 1))
-        return PrimitiveTriangulation(polygon, tris)
-    raise UnsupportedShape(
-        "built-in generator covers the standard triangle and axis-aligned "
-        "rectangles; supply the triangulation explicitly")
+    for (x, y), i in index.items():
+        right, up = index.get((x + 1, y)), index.get((x, y + 1))
+        if right is not None and up is not None:
+            tris.append((i, right, up))
+            corner = index.get((x + 1, y + 1))
+            if corner is not None:
+                tris.append((right, corner, up))
+    return PrimitiveTriangulation(polygon, tris)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,14 @@ def test_vertices_of_other_lengths_refused(bad):
         validate_polygon([(0, 0), bad, (0, 2)])
 
 
+@pytest.mark.parametrize("verts", [5, [5, (1, 0), (0, 1)], [(0, 0), (1, 0), None]],
+                         ids=["int", "int vertex", "None vertex"])
+def test_vertices_not_sequences_refused(verts):
+    # iterating them used to raise TypeError
+    with pytest.raises(InputError, match="^vertices must be a sequence of integer pairs$"):
+        validate_polygon(verts)
+
+
 class Index:
     """An integer type other than int, as NumPy's are."""
 

@@ -76,6 +76,39 @@ def test_random_instances_match_reference():
     assert vectors > 200 * 64
 
 
+def test_walks_come_in_order_of_their_smallest_slot_lift():
+    """The kernel starts each walk at the smallest slot lift it enters or
+    leaves by and yields the walks in increasing order of that start, and
+    ``TCurve`` keeps the order: its components come in increasing order of
+    their first lifted triangle.  On T_1..T_6 and seeded random polygons
+    under random primitive triangulations, with random signs."""
+    rng = random.Random(41)
+    instances = [(t, generate_grid_triangulation(t))
+                 for t in map(standard_triangle, range(1, 7))]
+    while len(instances) < 36:
+        poly = random_polygon(rng, box=5)
+        instances.append((poly, random_flips(rng, primitive_triangulation(poly), 10)))
+    walks_seen = 0
+    for poly, tri in instances:
+        surface = build_ambient_surface(poly)
+        tab = compiled(surface, tri)
+        for _ in range(6):
+            delta = random_distribution(rng, poly)
+            mask = sum(1 << k for k, p in enumerate(poly.lattice_points)
+                       if delta[p] > 0)
+            walks = trace_vector(tab, mask).walks
+            for walk in walks:
+                exits = [tab.across[u] for u in walk[1:] + walk[:1]]
+                assert walk[0] == min(walk + exits), (poly, mask)
+            starts = [walk[0] for walk in walks]
+            assert starts == sorted(set(starts)), (poly, mask)
+            comps = TCurve(surface, tri, delta, tab).components
+            lifted = [c.walk[0] // 3 for c in comps]
+            assert lifted == sorted(set(lifted)) == [u // 3 for u in starts]
+            walks_seen += len(walks)
+    assert walks_seen > 500
+
+
 def test_t4_distribution():
     t4 = standard_triangle(4)
     surface = build_ambient_surface(t4)

@@ -82,6 +82,16 @@ def test_signs_are_plus_or_minus_one(sign):
         pipeline(t1, delta)
 
 
+@pytest.mark.parametrize("delta", [{(0, 0): 1, (1, 0): 1, (0, 1): 1, 5: 1},
+                                   {(0, 0): 1, (1, 0): 1, (0, 1): 1, None: 1},
+                                   [((0, 0), 1), ((1, 0), 1), ((0, 1), 1)]],
+                         ids=["int key", "None key", "list of pairs"])
+def test_signs_not_a_mapping_of_points_refused(delta):
+    # reading the keys used to raise TypeError or AttributeError
+    with pytest.raises(IncompleteDistribution, match="^signs must map points to"):
+        check_distribution(standard_triangle(1), delta)
+
+
 @pytest.mark.parametrize("q", range(4))
 def test_a_planted_quadrant_flip_is_seen_by_the_oracles(q):
     # the nesting oracle and the line-by-line picture state the sign rule

@@ -40,9 +40,16 @@ def test_grid_sizes():
 
 
 def test_unsupported_shape():
-    pent = validate_polygon([(0, 0), (2, 0), (3, 1), (1, 3), (0, 2)])
-    with pytest.raises(UnsupportedShape):
-        generate_grid_triangulation(pent)
+    """A pentagon, a translated triangle, a trapezoid and a comb."""
+    for verts in ([(0, 0), (2, 0), (3, 1), (1, 3), (0, 2)],
+                  [(1, 0), (4, 0), (1, 3)],
+                  [(0, 0), (4, 0), (1, 3), (0, 3)],
+                  [(0, 0), (4, 0), (4, 2), (3, 1), (2, 2), (1, 1), (0, 2)]):
+        with pytest.raises(UnsupportedShape) as refused:
+            generate_grid_triangulation(validate_polygon(verts))
+        assert str(refused.value) == (
+            "built-in generator covers the standard triangle and axis-aligned "
+            "rectangles; supply the triangulation explicitly")
 
 
 def test_non_primitive_triangle_rejected():
@@ -486,9 +493,13 @@ def test_numbering_matches_tuple_construction():
 
 
 def test_grid_is_the_staircase():
-    """The grid's index triples name the cells' NW-SE halves."""
-    for poly in [standard_triangle(d) for d in range(1, 8)] + [
-            validate_polygon([(1, 2), (4, 2), (4, 4), (1, 4)])]:
+    """The grid's index triples name the cells' NW-SE halves: on T_1..T_30
+    and on rectangles 1 wide, 1 high, square and translated."""
+    rects = [[(0, 0), (1, 0), (1, 5), (0, 5)], [(2, 3), (7, 3), (7, 4), (2, 4)],
+             [(0, 0), (4, 0), (4, 4), (0, 4)], [(1, 1), (3, 1), (3, 3), (1, 3)],
+             [(1, 2), (4, 2), (4, 4), (1, 4)], [(0, 0), (1, 0), (1, 1), (0, 1)]]
+    for poly in [standard_triangle(d) for d in range(1, 31)] + [
+            validate_polygon(r) for r in rects]:
         pts = set(poly.lattice_points)
         want = [t for x, y in pts
                 for t in (((x, y), (x + 1, y), (x, y + 1)),
