@@ -27,8 +27,8 @@ class TFilling:
 
     ``shadows`` holds, per curve component, the ribbon-boundary strand
     states that run beside it (``tcurve_lab.sweep`` numbering), two per
-    barycenter passage, in the direction of the component's nodes,
-    derived from its walk (``sweep.walk_states``) when first read.
+    barycenter passage, in the direction of the component's walk, from
+    which ``sweep.walk_states`` derives them when first read.
     """
 
     def __init__(self, curve: TCurve):
@@ -111,16 +111,6 @@ def harnack_check(filling: TFilling) -> HarnackVerdict:
 # ---------------------------------------------------------------------------
 # orientation of type-I curves
 
-class OrientedComponent(NamedTuple):
-    nodes: tuple            # directed cyclic node sequence on G(S)
-    directed_projection: tuple  # downstairs directed segments (node pairs)
-
-
-class OrientedCurve(NamedTuple):
-    components: tuple
-    flipped: bool
-
-
 def _surface_left(x: int) -> int:
     """1 when strand state ``x`` walks with the thick-Y's own planar
     orientation on its left (out on strand +1 or in on strand -1)."""
@@ -128,8 +118,9 @@ def _surface_left(x: int) -> int:
 
 
 def orient_curve(curve: TCurve, filling: TFilling,
-                 flip: bool = False) -> OrientedCurve:
-    """A coherent orientation of a type-I curve.
+                 flip: bool = False) -> bytes:
+    """A coherent orientation of a type-I curve: byte k is 1 when it runs
+    component k along its walk (``Component``), else 0.
 
     Choose compatible orientations of the thick-Ys, take the induced
     boundary orientation of each circle, push it to the projected cycles
@@ -142,23 +133,11 @@ def orient_curve(curve: TCurve, filling: TFilling,
     spins = thick_y_spins(curve.tables, curve.trace.tw)
     if spins is None:
         raise NotTypeI("the filling is not orientable")
-    out = []
-    for comp, shadow in zip(curve.components, filling.shadows):
+    out = bytearray()
+    for shadow in filling.shadows:
         # induced boundary direction: along the shadow when the global
         # orientation agrees with the local planar reference there
         along = {_surface_left(x) ^ spins[x // 12] ^ flip for x in shadow}
         check(len(along) == 1, "induced orientation must be constant along a circle")
-        nodes = comp.nodes if along.pop() else comp.nodes[:1] + comp.nodes[:0:-1]
-        out.append(OrientedComponent(nodes, _directed_projection(nodes)))
-    return OrientedCurve(tuple(out), flip)
-
-
-def _directed_projection(nodes: tuple) -> tuple:
-    """Directed downstairs half-edges (barycenter/midpoint pairs) in the
-    traversal order of the oriented cycle."""
-    n = len(nodes)
-    segs = []
-    for i in range(n):
-        a, b = nodes[i], nodes[(i + 1) % n]
-        segs.append((a[:1] + a[2:], b[:1] + b[2:]))
-    return tuple(segs)
+        out.append(along.pop())
+    return bytes(out)

@@ -32,6 +32,8 @@ the strand trace with a successor chosen per state
 (``trace_by_comprehension``), where ``sweep._trace`` copies one table and
 overwrites the entries of the twisted slots.  The picture is also drawn
 one line string at a time (``svg_by_lines``).
+Only ``component_nodes`` turns a walk into G(S) nodes; ``oriented_nodes``
+and ``directed_projection`` read an ``orient_curve`` bit through them.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
@@ -45,7 +47,7 @@ from .geometry import on_segment, segment_lattice_points
 from .errors import check
 from .svg import PALETTE, SIGNS, SUB, UNIT
 from .sweep import SweepTables
-from .tcurve import Component, ComponentClass, TCurve
+from .tcurve import Component, ComponentClass, TCurve, _midpoint
 from .triangulation import Edge, PrimitiveTriangulation
 
 
@@ -341,6 +343,34 @@ def classify_filling_by_cells(filling: TFilling):
 
 # ---------------------------------------------------------------------------
 
+def component_nodes(curve: TCurve, comp: Component) -> tuple:
+    """The G(S) nodes of ``comp``, ("b", quadrant, triangle) and ("m",
+    quadrant, edge), from its smallest node, smaller neighbor first: visit
+    v of its walk at node 2v."""
+    tab, tri, walk = curve.tables, curve.tri, comp.walk
+    T3, E = 3 * tab.T, tab.E
+    out = []
+    for u, u_next in zip(walk, walk[1:] + walk[:1]):
+        m_q, e = divmod(_midpoint(tab, u_next), E)
+        out += (("b", QUADRANTS[u // T3], tri.triangles[u % T3 // 3]),
+                ("m", QUADRANTS[m_q], tri.edges[e]))
+    return tuple(out)
+
+
+def oriented_nodes(curve: TCurve, comp: Component, along: int) -> tuple:
+    """The nodes of ``comp`` in the direction of its ``orient_curve`` bit:
+    along its walk, or else backward from the same first node."""
+    nodes = component_nodes(curve, comp)
+    return nodes if along else nodes[:1] + nodes[:0:-1]
+
+
+def directed_projection(nodes: tuple) -> tuple:
+    """Directed downstairs half-edges (barycenter/midpoint pairs) in the
+    traversal order of the oriented cycle ``nodes``."""
+    return tuple((a[:1] + a[2:], b[:1] + b[2:])
+                 for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+
+
 def node_coords6(q, node) -> tuple:
     """Planar coordinates of a G(S) node scaled by 6, in the frame of
     quadrant q (a boundary midpoint's label may name the other side)."""
@@ -369,19 +399,20 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
     basis = surface.homology_basis() if surface.r >= 3 else None
     by_quadrant: dict = {}
     result = {}
+    nodes = {comp: component_nodes(curve, comp) for comp in curve.components}
     for comp in curve.components:
-        mids = [m[2] for m in comp.nodes[1::2]]
+        mids = [m[2] for m in nodes[comp][1::2]]
         vector = None if basis is None else \
             tuple(sum(m in segments[j] for m in mids) % 2 for j in basis)
         if not any(m in segs for segs in segments for m in mids):
-            (q,) = {n[1] for n in comp.nodes}  # it stays in one quadrant
+            (q,) = {n[1] for n in nodes[comp]}  # it stays in one quadrant
             by_quadrant.setdefault(q, []).append(comp)
         elif topo.components == 1 and topo.crosscaps == 1:
             kind = "nontrivial_rp2" if vector == (1,) else "oval_rp2"
             result[comp] = ComponentClass(kind, crossing_vector=vector)
         else:
             result[comp] = ComponentClass("boundary", crossing_vector=vector)
-    rings = {comp: tuple(node_coords6(n[1], n) for n in comp.nodes)
+    rings = {comp: tuple(node_coords6(n[1], n) for n in nodes[comp])
              for ovals in by_quadrant.values() for comp in ovals}
     for q, ovals in by_quadrant.items():
         contains = {a: {b for b in ovals
@@ -440,7 +471,8 @@ def sides_by_split(curve: TCurve, comp: Component) -> dict:
     edge that ``comp`` does not cross; the sets touching ``comp`` are its
     sides, one when it does not separate and two when it does."""
     surface, tri = curve.surface, curve.tri
-    crossed = {(m[1], m[2]) for m in comp.nodes[1::2]}  # its midpoints
+    # its midpoints
+    crossed = {(m[1], m[2]) for m in component_nodes(curve, comp)[1::2]}
     offsets = boundary_offset(surface)
 
     def mid(q, e):
@@ -503,7 +535,8 @@ def translated_components(curve: TCurve, vec) -> list:
     keeps the order of points: the translated problem's components."""
     s, t = vec
     return [tuple(n[:2] + (tuple((x + s, y + t) for x, y in n[2]),)
-                  for n in comp.nodes) for comp in curve.components]
+                  for n in component_nodes(curve, comp))
+            for comp in curve.components]
 
 
 def edge_triangles(tri: PrimitiveTriangulation) -> dict:

@@ -37,7 +37,11 @@ def check_distribution(polygon: Polygon, delta: dict) -> dict:
         raise IncompleteDistribution(f"no sign for {sorted(missing)[0]}")
     extra = set(d) - pts
     if extra:
-        raise IncompleteDistribution(f"sign given for non-lattice point {sorted(extra)[0]}")
+        try:
+            first = sorted(extra)[0]
+        except TypeError:  # keys that do not order, such as "ab" and (None, 0)
+            first = min(extra, key=repr)
+        raise IncompleteDistribution(f"sign given for non-lattice point {first}")
     if any(not isinstance(v, int) or isinstance(v, bool) or v not in (1, -1)
            for v in d.values()):
         raise IncompleteDistribution("signs must be +1 or -1")
@@ -48,26 +52,13 @@ class Component:
     """One cycle of the curve on G(S), a view over its walk: the slot lift
     by which it enters each lifted triangle (``sweep`` numbering), from its
     smallest lifted triangle toward the smaller of that visit's two
-    midpoints.  Its nodes, derived only when read, start at the smallest
-    node, smaller neighbor first: visit v at node 2v.  Components hash and
-    compare by identity; compare ``nodes`` across curves."""
+    midpoints.  Components hash and compare by identity; compare their
+    nodes (``oracles.component_nodes``) across curves."""
 
-    __slots__ = ("walk", "tables", "tri")
+    __slots__ = ("walk",)
 
-    def __init__(self, walk: list, tables: SweepTables,
-                 tri: PrimitiveTriangulation):
-        self.walk, self.tables, self.tri = walk, tables, tri
-
-    @property
-    def nodes(self) -> tuple:
-        tab, tri, walk = self.tables, self.tri, self.walk
-        T3, E = 3 * tab.T, tab.E
-        out = []
-        for u, u_next in zip(walk, walk[1:] + walk[:1]):
-            m_q, e = divmod(_midpoint(tab, u_next), E)
-            out += (("b", QUADRANTS[u // T3], tri.triangles[u % T3 // 3]),
-                    ("m", QUADRANTS[m_q], tri.edges[e]))
-        return tuple(out)
+    def __init__(self, walk: list):
+        self.walk = walk
 
 
 def _midpoint(tab: SweepTables, u: int) -> int:
@@ -120,7 +111,7 @@ class TCurve:
             if _midpoint(tab, walk[0]) < _midpoint(tab, walk[1]):
                 # run backward: each visit enters by its old exit
                 walk[:] = [across[u] for u in walk[1::-1] + walk[:1:-1]]
-            out.append(Component(walk, tab, self.tri))
+            out.append(Component(walk))
         return tuple(out)
 
     @cached_property

@@ -18,13 +18,12 @@ from pathlib import Path
 import tcurve_lab
 from tcurve_lab.errors import (InputError, MissingLatticeVertex,
                                NonPrimitiveTriangle, Overlap, check)
-from tcurve_lab.filling import OrientedComponent, OrientedCurve
 from tcurve_lab.geometry import cross, on_segment
 from tcurve_lab.lattice import (Point, Polygon, is_standard_triangle, pairing,
                                 point_parity, validate_polygon)
-from tcurve_lab.oracles import (components_by_adjacency, locate_in_polygon,
-                                midpoint_nodes, strands_by_tuples,
-                                twists_by_arc_pairing)
+from tcurve_lab.oracles import (component_nodes, components_by_adjacency,
+                                locate_in_polygon, midpoint_nodes,
+                                strands_by_tuples, twists_by_arc_pairing)
 from tcurve_lab.surface import (AmbientSurface, Atlas, Mat2, Quadrant,
                                 build_ambient_surface)
 from tcurve_lab.sweep import compile_sweep, run_sweep
@@ -236,6 +235,11 @@ def tuple_state(tri: PrimitiveTriangulation, x: int) -> tuple:
             "in" if x & 1 else "out")
 
 
+def all_nodes(curve: TCurve) -> list:
+    """The G(S) nodes of every component, which compare across curves."""
+    return [component_nodes(curve, c) for c in curve.components]
+
+
 def match_oracles(curve, filling) -> tuple[int, bool]:
     """Assert that the components, twist bits, folds, boundary circles,
     orientability and shadows of ``curve`` and ``filling`` equal the tuple
@@ -243,7 +247,7 @@ def match_oracles(curve, filling) -> tuple[int, bool]:
     tri = curve.tri
     mid = midpoint_nodes(curve.surface, tri)
     components = components_by_adjacency(tri, mid, curve.delta)
-    assert list(components) == [c.nodes for c in curve.components]
+    assert list(components) == all_nodes(curve)
     twists, folds = twists_by_arc_pairing(tri, mid, components)
     assert (twists, folds) == (filling.twists, filling.folds)
     d, orientable, shadows = strands_by_tuples(tri, twists, folds, components)
@@ -365,13 +369,3 @@ def transform_curve(curve: TCurve, *, translate: Point | None = None,
         return curve2, (lambda q: q), (lambda q: (-1) ** pairing(q, shift_par))
     a2 = tuple(tuple(x & 1 for x in row) for row in matrix)
     return curve2, (lambda q: vec_mat(q, a2)), (lambda q: 1)
-
-
-def reversed_curve(oc: OrientedCurve) -> OrientedCurve:
-    """The other coherent orientation of an oriented curve: every cycle
-    and its directed projection run backward."""
-    comps = tuple(
-        OrientedComponent(c.nodes[:1] + c.nodes[:0:-1],
-                          tuple((b, a) for a, b in c.directed_projection[::-1]))
-        for c in oc.components)
-    return OrientedCurve(comps, not oc.flipped)

@@ -16,7 +16,8 @@ import tcurve_lab.tcurve as tcurve_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.lattice import validate_polygon
 from tcurve_lab.oracles import (boundary_offset, classify_components_by_nesting,
-                                point_class, regions_by_find, sides_by_split)
+                                component_nodes, point_class, regions_by_find,
+                                sides_by_split)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
 from tcurve_lab.tcurve import (extract_curve, harnack_distribution,
                                verify_harnack_census)
@@ -258,7 +259,7 @@ def oval_walks(curve) -> list:
     """The walks of the components whose lifted triangles all lie in one
     quadrant, read off their nodes: the in-quadrant ovals."""
     return [comp.walk for comp in curve.components
-            if len({b[1] for b in comp.nodes[::2]}) == 1]
+            if len({b[1] for b in component_nodes(curve, comp)[::2]}) == 1]
 
 
 def move_a_visit(curve):

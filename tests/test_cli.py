@@ -638,25 +638,28 @@ def torus_problem():
                               "signs": {"harnack": [1, 0, 0]}})
 
 
-def test_reports_build_no_nodes(monkeypatch):
-    # `curve`, `filling` and `harnack` read component walks only; nodes
-    # are for rendering, orientation and the oracles
-    import tcurve_lab.cli as cli
+def test_reports_build_no_nodes():
+    # `curve`, `filling`, `harnack` and `render` read component walks only:
+    # a component holds nothing else, and the G(S) node view is in
+    # `oracles`, which no subcommand imports
     from tcurve_lab.tcurve import Component
-
-    def nodes(self):
-        raise AssertionError("a report built component nodes")
-
-    monkeypatch.setattr(Component, "nodes", property(nodes))
+    assert Component.__slots__ == ("walk",)
+    sphere = Path(__file__).parent / "data" / "harnack_sphere.yaml"
     problems = [
-        problem_from_data({"polygon": triangle(7), "signs": {"harnack": [1, 0, 0]}}),
-        parse_problem(str(Path(__file__).parent / "data" / "harnack_sphere.yaml")),
-        torus_problem(),
+        {"polygon": triangle(7), "signs": {"harnack": [1, 0, 0]}},
+        parse_problem(str(sphere)).data(),
+        torus_problem().data(),
     ]
-    for prob in problems:
-        for name in ("curve", "filling", "harnack"):
-            rep = cli.run_subcommand(name, prob)
-            assert rep["curve"]["component_count"] >= 2
+    code = ("import sys\n"
+            "from tcurve_lab.cli import problem_from_data, run_subcommand\n"
+            f"for raw in {problems!r}:\n"
+            "    prob = problem_from_data(raw)\n"
+            "    for name in ('curve', 'filling', 'harnack'):\n"
+            "        rep = run_subcommand(name, prob)\n"
+            "        print(rep['curve']['component_count'] >= 2)\n"
+            "    print(run_subcommand('render', prob).endswith('</svg>\\n'))\n"
+            "print('tcurve_lab.oracles' in sys.modules)\n")
+    assert run_python(code).split() == ["True"] * 12 + ["False"]
 
 
 # ---------------------------------------------------------------------------

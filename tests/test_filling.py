@@ -3,18 +3,20 @@ import random
 
 import pytest
 
-from tcurve_lab.errors import EmptyCurve, NotTypeI
+from tcurve_lab.errors import EmptyCurve, InvariantError, NotTypeI
 from tcurve_lab.filling import (_surface_left, build_filling,
                                 classify_filling, harnack_check, orient_curve)
-from tcurve_lab.oracles import (classify_filling_by_cells,
-                                components_by_adjacency, midpoint_nodes)
+from tcurve_lab.oracles import (classify_filling_by_cells, component_nodes,
+                                components_by_adjacency, directed_projection,
+                                midpoint_nodes, oriented_nodes)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
+from tcurve_lab.sweep import thick_y_spins
 from tcurve_lab.tcurve import extract_curve, harnack_distribution
 
 from conftest import pipeline, standard_triangle
 from helpers import (match_oracles, primitive_triangulation,
                      random_distribution, random_flips, random_polygon,
-                     reversed_curve)
+                     run_python)
 
 
 def test_single_thick_y():
@@ -174,20 +176,11 @@ def test_empty_curve_guard():
 # orientation
 
 def test_orientation_reversal():
-    t2 = standard_triangle(2)
-    _, _, curve = pipeline(t2, harnack_distribution(t2, (1, 0, 0)))
-    filling = build_filling(curve)
-    assert classify_filling(filling).curve_type == "I"
-    oc = orient_curve(curve, filling)
-    assert len(oc.components) == 1
-    flipped = orient_curve(curve, filling, flip=True)
-    assert flipped.components == reversed_curve(oc).components
-    # a directed cycle: each segment ends where the next starts
-    comp = oc.components[0]
-    for i in range(len(comp.directed_projection)):
-        a = comp.directed_projection[i]
-        b = comp.directed_projection[(i + 1) % len(comp.directed_projection)]
-        assert a[1] == b[0]
+    # one bit per component; flip=True reverses every component
+    for curve, filling in type_one_curves():
+        bits = orient_curve(curve, filling)
+        assert len(bits) == len(curve.components)
+        assert orient_curve(curve, filling, flip=True) == bytes(b ^ 1 for b in bits)
 
 
 def type_one_curves():
@@ -219,29 +212,68 @@ def test_orientation_pins_triangle_zero():
     # each circle runs along its shadow exactly where that shadow passes
     # triangle 0 with the planar orientation on its left
     for curve, filling in type_one_curves():
-        oc = orient_curve(curve, filling)
+        bits = orient_curve(curve, filling)
         passes = 0
-        for comp, shadow, oriented in zip(curve.components, filling.shadows,
-                                          oc.components):
+        for comp, shadow, bit in zip(curve.components, filling.shadows, bits):
             along = {_surface_left(x) for x in shadow if x // 12 == 0}
-            assert along <= {oriented.nodes == comp.nodes}
+            nodes = component_nodes(curve, comp)
+            assert along <= {oriented_nodes(curve, comp, bit) == nodes}
             passes += len(along)
         assert passes > 0
 
 
 def test_orientation_lift_rule():
     # the lifted direction of each projected segment is its reflection:
-    # nodes of the oriented cycle project in traversal order
+    # nodes of the oriented cycle project in traversal order, and each
+    # projected segment ends where the next starts
     t3 = standard_triangle(3)
     _, _, curve = pipeline(t3, harnack_distribution(t3, (1, 0, 0)))
     filling = build_filling(curve)
-    oc = orient_curve(curve, filling)
-    for comp in oc.components:
-        n = len(comp.nodes)
+    for comp, bit in zip(curve.components, orient_curve(curve, filling)):
+        nodes = oriented_nodes(curve, comp, bit)
+        projection = directed_projection(nodes)
+        n = len(nodes)
         for i in range(n):
-            lifted = (comp.nodes[i], comp.nodes[(i + 1) % n])
-            projected = comp.directed_projection[i]
-            assert projected == tuple(x[:1] + x[2:] for x in lifted)
+            lifted = (nodes[i], nodes[(i + 1) % n])
+            assert projection[i] == tuple(x[:1] + x[2:] for x in lifted)
+            assert projection[i][1] == projection[(i + 1) % n][0]
+
+
+def t4_with_a_flipped_spin():
+    """Harnack T_4 of type (1,0,0), its filling, and ``thick_y_spins`` with
+    the spin flipped of the first triangle that the first circle passes;
+    that circle passes other triangles too."""
+    t4 = standard_triangle(4)
+    _, _, curve = pipeline(t4, harnack_distribution(t4, (1, 0, 0)))
+    filling = build_filling(curve)
+    shadow = filling.shadows[0]
+    t = shadow[0] // 12
+    assert {x // 12 for x in shadow} != {t}
+
+    def flipped_spins(tab, tw):
+        spins = bytearray(thick_y_spins(tab, tw))
+        spins[t] ^= 1
+        return bytes(spins)
+    return curve, filling, flipped_spins
+
+
+def test_flipped_spin_raises(monkeypatch):
+    # the induced orientation then turns within the circle, in process and
+    # under python -O
+    message = "induced orientation must be constant along a circle"
+    curve, filling, flipped_spins = t4_with_a_flipped_spin()
+    monkeypatch.setattr("tcurve_lab.filling.thick_y_spins", flipped_spins)
+    with pytest.raises(InvariantError, match=f"^{message}$"):
+        orient_curve(curve, filling)
+    out = run_python("import tcurve_lab.filling as fill\n"
+                     "from tcurve_lab.errors import InvariantError\n"
+                     "from test_filling import t4_with_a_flipped_spin\n"
+                     "curve, filling, fill.thick_y_spins = t4_with_a_flipped_spin()\n"
+                     "try:\n"
+                     "    fill.orient_curve(curve, filling)\n"
+                     "except InvariantError as exc:\n"
+                     "    print(exc)\n", "-O")
+    assert out.strip() == message
 
 
 def test_not_type_one_rejected():

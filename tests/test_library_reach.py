@@ -31,7 +31,6 @@ READERS = {
     "AmbientSurface.eta": "cli:surface_report",
     "AmbientSurface.r": "cli:surface_report",
     "BrokenEdge.is_odd": "surface:AmbientSurface.tubular_type",
-    "Component.nodes": "filling:orient_curve",
     "Polygon.boundary_length": "cli:check_size",
     "Polygon.broken_edges": "triangulation:PrimitiveTriangulation.__init__",
     "Polygon.census": "tcurve:predicted_harnack_census",

@@ -15,9 +15,9 @@ from tcurve_lab.tcurve import (check_distribution, extract_curve,
 from tcurve_lab.triangulation import generate_grid_triangulation
 
 from conftest import pipeline, standard_triangle
-from helpers import (LeavesNonnegativeQuadrant, WrongPolygon, comparable,
-                     degree_parity_check, random_distribution, run_python,
-                     theta_action, transform_curve)
+from helpers import (LeavesNonnegativeQuadrant, WrongPolygon, all_nodes,
+                     comparable, degree_parity_check, random_distribution,
+                     run_python, theta_action, transform_curve)
 
 
 def all_plus(poly):
@@ -90,6 +90,19 @@ def test_signs_not_a_mapping_of_points_refused(delta):
     # reading the keys used to raise TypeError or AttributeError
     with pytest.raises(IncompleteDistribution, match="^signs must map points to"):
         check_distribution(standard_triangle(1), delta)
+
+
+@pytest.mark.parametrize("extra, named", [
+    ({(2, 0): 1, (0, 5): 1}, "(0, 5)"),
+    ({"ab": 1, (None, 0): 1}, "('a', 'b')"),
+    ({(5, "x"): 1, (None, 0): 1}, "(5, 'x')"),
+], ids=["orderable", "str and None", "int and None"])
+def test_extra_points_refused(extra, named):
+    # naming the first of keys that do not order used to raise TypeError
+    delta = {(0, 0): 1, (1, 0): 1, (0, 1): 1, **extra}
+    with pytest.raises(IncompleteDistribution) as err:
+        check_distribution(standard_triangle(1), delta)
+    assert str(err.value) == f"sign given for non-lattice point {named}"
 
 
 @pytest.mark.parametrize("q", range(4))
@@ -172,8 +185,9 @@ def test_all_plus_unit_triangle_has_one_hexagon():
     t1 = standard_triangle(1)
     _, _, curve = pipeline(t1, all_plus(t1))
     assert len(curve.components) == 1
-    assert len(curve.components[0].nodes) == 6
-    assert (0, 0) not in {b[1] for b in curve.components[0].nodes[::2]}
+    (nodes,) = all_nodes(curve)
+    assert len(nodes) == 6
+    assert (0, 0) not in {b[1] for b in nodes[::2]}
     assert degree_parity_check(curve) is curve.components[0]
 
 
@@ -186,14 +200,14 @@ def test_every_downstairs_edge_used_twice():
         for _ in range(20):
             _, tri, curve = pipeline(poly, random_distribution(rng, poly))
             usage = {}
-            for comp in curve.components:
-                for m in comp.nodes[1::2]:  # its midpoints
+            for nodes in all_nodes(curve):
+                for m in nodes[1::2]:  # its midpoints
                     usage[m[2]] = usage.get(m[2], 0) + 1
             assert usage == {e: 1 if e in tri.boundary_edges else 2
                              for e in tri.edges}
             lifted_uses = {}
-            for comp in curve.components:
-                for q, t, e_in, e_out in visits(comp.nodes):
+            for nodes in all_nodes(curve):
+                for q, t, e_in, e_out in visits(nodes):
                     for e in (e_in, e_out):
                         lifted_uses[(t, e)] = lifted_uses.get((t, e), 0) + 1
             for t in tri.triangles:
@@ -207,7 +221,7 @@ def test_minus_delta_gives_same_curve():
     delta = random_distribution(rng, poly)
     _, _, c1 = pipeline(poly, delta)
     _, _, c2 = pipeline(poly, {p: -v for p, v in delta.items()})
-    assert [c.nodes for c in c1.components] == [c.nodes for c in c2.components]
+    assert all_nodes(c1) == all_nodes(c2)
 
 
 def test_harnack_component_counts():
@@ -311,7 +325,7 @@ def test_type_000_is_negated_type_100():
     assert d0 == {p: -v for p, v in d1.items()}
     _, _, c0 = pipeline(t3, d0)
     _, _, c1 = pipeline(t3, d1)
-    assert [c.nodes for c in c0.components] == [c.nodes for c in c1.components]
+    assert all_nodes(c0) == all_nodes(c1)
 
 
 def test_theta_action_laws():
@@ -385,8 +399,7 @@ def test_translation_gives_identical_curve():
     _, _, curve = pipeline(t2, harnack_distribution(t2, (1, 0, 0)))
     moved, relabel, flip = transform_curve(curve, translate=(1, 1))
     assert comparable(moved.census, relabel, flip) == comparable(curve.census)
-    assert translated_components(curve, (1, 1)) == \
-        [c.nodes for c in moved.components]
+    assert translated_components(curve, (1, 1)) == all_nodes(moved)
 
 
 def test_translation_flips_oval_signs_by_shift_parity():
@@ -399,15 +412,14 @@ def test_translation_flips_oval_signs_by_shift_parity():
         moved, relabel, flip = transform_curve(curve, translate=(1, 0))
         assert [flip(q) for q in QUADRANTS] == [1, 1, -1, -1]
         assert comparable(moved.census, relabel, flip) == comparable(curve.census)
-        assert translated_components(curve, (1, 0)) == \
-            [c.nodes for c in moved.components]
+        assert translated_components(curve, (1, 0)) == all_nodes(moved)
 
 
 def test_identity_transform():
     t2 = standard_triangle(2)
     _, _, curve = pipeline(t2, harnack_distribution(t2, (1, 0, 0)))
     same, relabel, _ = transform_curve(curve, unimodular=((1, 0), (0, 1)))
-    assert [c.nodes for c in same.components] == [c.nodes for c in curve.components]
+    assert all_nodes(same) == all_nodes(curve)
     assert [relabel(q) for q in QUADRANTS] == list(QUADRANTS)
 
 
