@@ -481,6 +481,7 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
                 "predicted_total": pred.total,
                 "predicted_quadrant_ovals": quadrant_table(pred.quadrant_ovals),
                 "predicted_boundary": pred.o_kind,
+                "predicted_o_disks": [list(q) for q in pred.o_disks] or None,
                 "match": verify_harnack_census(curve, htype),
             }
             if not report["harnack_census"]["match"]:

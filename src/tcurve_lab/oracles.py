@@ -41,7 +41,7 @@ from typing import NamedTuple
 
 from .lattice import Point, Polygon, segment_parity
 from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
-                      _surface_name, glue_offset, quad_add, reflect)
+                      _surface_name, glue_offset)
 from .filling import TFilling
 from .geometry import on_segment, segment_lattice_points
 from .errors import check
@@ -49,6 +49,14 @@ from .svg import PALETTE, SIGNS, SUB, UNIT
 from .sweep import SweepTables
 from .tcurve import Component, ComponentClass, TCurve, _midpoint
 from .triangulation import Edge, PrimitiveTriangulation
+
+
+def reflect(q: Quadrant, p: Point) -> Point:
+    return (-p[0] if q[0] else p[0], -p[1] if q[1] else p[1])
+
+
+def quad_add(a: Quadrant, b: Quadrant) -> Quadrant:
+    return ((a[0] + b[0]) & 1, (a[1] + b[1]) & 1)
 
 
 def point_on_ring(pt: Point, ring: tuple[Point, ...]) -> bool:

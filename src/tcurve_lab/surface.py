@@ -29,14 +29,6 @@ def columns_matrix(col1: Parity, col2: Parity) -> Mat2:
     return ((col1[0], col2[0]), (col1[1], col2[1]))
 
 
-def reflect(q: Quadrant, p: Point) -> Point:
-    return (-p[0] if q[0] else p[0], -p[1] if q[1] else p[1])
-
-
-def quad_add(a: Quadrant, b: Quadrant) -> Quadrant:
-    return ((a[0] + b[0]) & 1, (a[1] + b[1]) & 1)
-
-
 def glue_offset(seg_par: Parity) -> Quadrant:
     """The unique nonzero (a,b) with <(a,b), seg_par> = 0: the swap."""
     check(seg_par != (0, 0), "a primitive segment has nonzero parity")

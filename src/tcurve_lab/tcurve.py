@@ -210,7 +210,7 @@ def harnack_distribution(polygon: Polygon, htype: HarnackType) -> dict:
 class PredictedCensus(NamedTuple):
     quadrant_ovals: dict
     o_kind: str                    # 'nontrivial' | 'oval'
-    o_inside_quadrant: Quadrant    # which quadrant's ovals O surrounds (oval case)
+    o_disks: tuple                 # the quadrants whose ovals fill disk sides of O
     total: int
 
 
@@ -224,10 +224,15 @@ def predicted_harnack_census(polygon: Polygon, htype: HarnackType) -> PredictedC
         q = ((t + a) % 2, (s + b) % 2)
         ovals[q].extend([((-1) ** (c + 1), 0)] * g[(s, t)])
     odd_length = any(l % 2 for l in census.broken_edge_lengths)
+    # the parity P of the odd vertices, or the two of the boundary points
+    # when there is no odd vertex; each gives the quadrant (a,b) + swap(P)
+    odd = [polygon.vertices[k] for k in polygon.odd_vertex_indices]
+    parities = {point_parity(p) for p in odd or polygon.boundary_points}
     return PredictedCensus(
         quadrant_ovals={q: tuple(sorted(v)) for q, v in ovals.items()},
         o_kind="nontrivial" if odd_length else "oval",
-        o_inside_quadrant=(a % 2, b % 2),
+        o_disks=() if odd_length else tuple(sorted(
+            ((a + y) % 2, (b + x) % 2) for x, y in parities)),
         total=census.interior_points + 1)
 
 
@@ -322,7 +327,8 @@ class Regions:
         starts at every region holding a polygon-boundary point and
         crosses ovals only.  An oval bounds a disk, so regions and ovals
         form a tree below the start; an oval's depth is the BFS depth of
-        its outer region, its sign the one point sign of its inner one."""
+        its outer region, its sign the one point sign of its inner one.
+        ``top`` gives the start that each region hangs below."""
         region, sides = self.region_of, self.sides
         ovals = list(self.ovals)
         at_region: dict = {}
@@ -333,6 +339,7 @@ class Regions:
         queue = list(dict.fromkeys(
             region[x] for x, f in enumerate(self.first_copy) if f != x))
         region_depth = dict.fromkeys(queue, 0)
+        self.top = top = list(range(self.count))
         depth: list = [None] * len(ovals)
         inner: dict = {}
         for r in queue:  # breadth first: the loop reads what it appends
@@ -342,7 +349,7 @@ class Regions:
                     g = b if a == r else a
                     if g in region_depth:
                         raise InvariantError("regions and ovals form no tree")
-                    region_depth[g] = region_depth[r] + 1
+                    region_depth[g], top[g] = region_depth[r] + 1, top[r]
                     depth[o], inner[g] = region_depth[r], o
                     queue.append(g)
         check(len(region_depth) == self.count and None not in depth,
@@ -385,23 +392,19 @@ class Regions:
               "the Euler characteristics of the regions sum to chi(S)")
         return chi
 
-    def split(self, comp: Component) -> list:
-        """The sides of S cut along ``comp`` alone, as frozensets of
-        regions: the regions across every other component merge.  One
-        side when ``comp`` does not separate, else two."""
-        root = join(list(range(self.count)),
-                    (pair for other, pair in self.sides.items()
-                     if len(pair) == 2 and other != comp))
-        return [frozenset(r for r, g in enumerate(root) if g == side)
-                for side in dict.fromkeys(root[r] for r in self.sides[comp])]
-
     def disks(self, comp: Component) -> list:
-        """For each side of ``comp`` whose closure is a disk, the ovals
-        other than ``comp`` on it; none unless ``comp`` separates."""
-        sides = self.split(comp)
-        return [[o for o in self.oval_classes if o != comp and self.sides[o][0] in s]
-                for s in sides
-                if len(sides) == 2 and sum(self.euler[r] for r in s) == 1]
+        """For each side of ``comp`` whose closure is a disk, the ovals on
+        it; none unless ``comp`` separates.  Every other component must be
+        an in-quadrant oval: then the sides of ``comp`` are the trees of
+        ``oval_classes`` below its side regions, which are starts, as
+        ``comp`` crosses the boundary."""
+        check(list(self.crossings) == [comp],
+              "every other component is an in-quadrant oval")
+        ovals, top, sides = self.oval_classes, self.top, self.sides[comp]
+        if len(sides) == 1:
+            return []
+        return [[o for o in ovals if top[self.sides[o][0]] == s] for s in sides
+                if sum(chi for r, chi in enumerate(self.euler) if top[r] == s) == 1]
 
 
 def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
@@ -420,7 +423,9 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
         return odd_crossings
     if odd_crossings:
         return False
-    # on the sphere both sides of O are disks: either may hold the ovals
-    want = {comp for comp, c in curve.classification.items()
-            if c.kind == "oval" and c.quadrant == pred.o_inside_quadrant}
-    return any(set(inside) == want for inside in curve.regions.disks(o))
+    # each predicted quadrant's ovals fill one disk side of O; on the
+    # sphere both sides are disks, and either may be the one
+    fills = Counter(frozenset(comp for comp, c in curve.classification.items()
+                              if c.kind == "oval" and c.quadrant == q)
+                    for q in pred.o_disks)
+    return not fills - Counter(map(frozenset, curve.regions.disks(o)))

@@ -1,7 +1,7 @@
-"""Component classification and component sides from the regions of S
-minus the curve, against the planar nesting oracle and the per-component
-split, the batched regions against the one-find-at-a-time ones, and their
-invariant checks."""
+"""Component classification and the sides of the one non-oval from the
+regions of S minus the curve, against the planar nesting oracle and the
+per-component split, the batched regions against the one-find-at-a-time
+ones, and their invariant checks."""
 
 import itertools
 import os
@@ -41,18 +41,21 @@ def nested_squares():
     return pipeline(sq, delta)[2]
 
 
-def region_sides(curve, comp):
-    """``Regions.split`` along one component: side as a set of surface
-    point classes -> Euler characteristic of its closure."""
+def forest_sides(curve, comp):
+    """The sides of ``comp``, the one non-oval, from the oval forest: the
+    regions below each side region of ``comp``, as a set of surface point
+    classes -> Euler characteristic of its closure."""
     regions = curve.regions
+    regions.oval_classes  # the search that fills ``top``
     pts = curve.surface.polygon.lattice_points
     offsets = boundary_offset(curve.surface)
     out = {}
-    for side in regions.split(comp):
+    for side in regions.sides[comp]:
+        below = {r for r, s in enumerate(regions.top) if s == side}
         classes = frozenset(
             point_class(offsets, QUADRANTS[x // len(pts)], pts[x % len(pts)])
-            for x, r in enumerate(regions.region_of) if r in side)
-        out[classes] = sum(regions.euler[r] for r in side)
+            for x, r in enumerate(regions.region_of) if r in below)
+        out[classes] = sum(regions.euler[r] for r in below)
     return out
 
 
@@ -67,13 +70,16 @@ def oracle_first_copy(surface) -> list:
 
 def assert_matches_oracle(curve):
     """The point gluing of the regions and the oval classes equal the
-    oracles'; the sides of every other component, and so its disk sides,
-    equal the per-component split's."""
+    oracles'."""
     assert curve.regions.first_copy == oracle_first_copy(curve.surface)
     assert curve.classification == classify_components_by_nesting(curve)
-    for comp, c in curve.classification.items():
-        if c.kind != "oval":
-            assert region_sides(curve, comp) == sides_by_split(curve, comp)
+
+
+def assert_o_sides_match_oracle(curve):
+    """The curve has one non-oval O, and its sides from the oval forest,
+    and so its disk sides, equal the per-component split's."""
+    (o,) = [comp for comp, c in curve.classification.items() if c.kind != "oval"]
+    assert forest_sides(curve, o) == sides_by_split(curve, o)
 
 
 def assert_regions_match_find(curve):
@@ -116,8 +122,9 @@ def test_harnack_types_match_oracle(d):
     surface = build_ambient_surface(poly)
     tri = generate_grid_triangulation(poly)
     for htype in HARNACK_TYPES:
-        assert_matches_oracle(
-            extract_curve(surface, tri, harnack_distribution(poly, htype)))
+        curve = extract_curve(surface, tri, harnack_distribution(poly, htype))
+        assert_matches_oracle(curve)
+        assert_o_sides_match_oracle(curve)
 
 
 @pytest.mark.parametrize("d", (20, 25, 30))
@@ -125,6 +132,7 @@ def test_large_harnack_curves_match_oracle(d):
     poly = standard_triangle(d)
     _, _, curve = pipeline(poly, harnack_distribution(poly, (1, 0, 1)))
     assert_matches_oracle(curve)
+    assert_o_sides_match_oracle(curve)
 
 
 def test_rectangles_match_oracle():
@@ -132,8 +140,9 @@ def test_rectangles_match_oracle():
                            (0, 1, 3, 3), (2, 3, 4, 6), (0, 0, 5, 4)):
         poly = validate_polygon([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
         for htype in HARNACK_TYPES:
-            assert_matches_oracle(
-                pipeline(poly, harnack_distribution(poly, htype))[2])
+            curve = pipeline(poly, harnack_distribution(poly, htype))[2]
+            assert_matches_oracle(curve)
+            assert_o_sides_match_oracle(curve)
 
 
 def test_random_instances_match_oracle():
@@ -165,10 +174,28 @@ def test_nested_ovals():
         ((-1, 0), (-1, 2), (1, 1), (1, 3))
 
 
-def test_nested_ovals_sides_match_split():
+def test_disks_need_the_only_non_oval():
+    """``disks`` reads the sides of a component off the oval forest, which
+    holds only when every other component is an in-quadrant oval: on each
+    of the 8 boundary components of the nested squares it raises, also
+    under ``python -O``."""
     curve = nested_squares()
     assert_matches_oracle(curve)
-    assert sum(1 for c in curve.classification.values() if c.kind != "oval") == 8
+    others = [comp for comp, c in curve.classification.items() if c.kind != "oval"]
+    assert len(others) == 8
+    for comp in others:
+        with pytest.raises(InvariantError, match="in-quadrant oval"):
+            curve.regions.disks(comp)
+    out = run_python("from tcurve_lab.errors import InvariantError\n"
+                     "from test_classify import nested_squares\n"
+                     "curve = nested_squares()\n"
+                     "for comp, c in curve.classification.items():\n"
+                     "    if c.kind != 'oval':\n"
+                     "        try:\n"
+                     "            curve.regions.disks(comp)\n"
+                     "        except InvariantError as exc:\n"
+                     "            print(exc)\n", "-O")
+    assert out.splitlines() == ["every other component is an in-quadrant oval"] * 8
 
 
 def test_sign_flip_inside_an_oval_raises():

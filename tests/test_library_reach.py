@@ -44,7 +44,6 @@ READERS = {
     "PrimitiveTriangulation.edges": "filling:TFilling.__init__",
     "PrimitiveTriangulation.slots": "oracles:edge_triangles",
     "Regions.euler": "tcurve:Regions.disks",
-    "Regions.split": "tcurve:Regions.disks",
     "TCurve.census": "cli:curve_report",
     "TCurve.copy_signs": "tcurve:Regions.__init__",
     "TFilling.chi": "cli:filling_report",

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -5,9 +6,9 @@ import pytest
 from tcurve_lab.errors import IncompleteDistribution, InvariantError
 from tcurve_lab.lattice import pairing, point_parity, segment_parity, validate_polygon
 from tcurve_lab.oracles import (classify_components_by_nesting, edge_signs,
-                                midpoint_node, midpoint_nodes, svg_by_lines,
-                                translated_components, visits)
-from tcurve_lab.surface import QUADRANTS, build_ambient_surface, quad_add
+                                midpoint_node, midpoint_nodes, quad_add,
+                                svg_by_lines, translated_components, visits)
+from tcurve_lab.surface import QUADRANTS, build_ambient_surface
 from tcurve_lab.svg import render_svg
 from tcurve_lab.tcurve import (check_distribution, extract_curve,
                                harnack_distribution, predicted_harnack_census,
@@ -16,8 +17,9 @@ from tcurve_lab.triangulation import generate_grid_triangulation
 
 from conftest import pipeline, standard_triangle
 from helpers import (LeavesNonnegativeQuadrant, WrongPolygon, all_nodes,
-                     comparable, degree_parity_check, random_distribution,
-                     run_python, theta_action, transform_curve)
+                     comparable, degree_parity_check, primitive_triangulation,
+                     random_distribution, random_flips, run_python,
+                     theta_action, transform_curve)
 
 
 def all_plus(poly):
@@ -366,13 +368,65 @@ def test_predicted_census_t6():
     pred = predicted_harnack_census(standard_triangle(6), (1, 0, 0))
     assert pred.total == 11
     assert pred.o_kind == "oval"
-    assert pred.o_inside_quadrant == (0, 0)
+    assert pred.o_disks == ((0, 0),)
 
 
 def test_predicted_census_t2():
     pred = predicted_harnack_census(standard_triangle(2), (1, 0, 0))
     assert pred.total == 1
     assert pred.o_kind == "oval"
+
+
+# one polygon of each surface class on which O is predicted an oval, each
+# with its odd vertices' parity P, or the two parities of the boundary
+# points when there is no odd vertex (two spheres)
+OVAL_O_POLYGONS = {
+    "two spheres": ([(3, 5), (2, 0), (3, 1), (4, 0)], {(0, 0), (1, 1)}),
+    "sphere": ([(3, 5), (1, 5), (5, 0), (5, 2)], {(1, 1)}),
+    "torus": ([(4, 4), (1, 5), (0, 1), (1, 1), (2, 0), (3, 1), (5, 1)], {(1, 1)}),
+    "projective plane": ([(3, 5), (3, 4), (2, 5), (1, 4), (4, 0), (5, 0), (5, 2)],
+                         {(1, 0)}),
+    "Klein bottle": ([(3, 4), (1, 4), (0, 5), (1, 0), (3, 0)], {(1, 0)}),
+    "nonorientable surface with 3 crosscaps":
+        ([(3, 4), (0, 5), (0, 3), (2, 1), (2, 3), (4, 3)], {(0, 1)}),
+}
+
+
+def assert_o_disks_law(poly, tri, parities):
+    """Under every type (c,a,b), O is predicted an oval whose disk sides
+    hold the ovals of the quadrants (a,b) + swap(P), one per parity P, and
+    the extracted curve agrees."""
+    surface = build_ambient_surface(poly)
+    for htype in itertools.product((0, 1), repeat=3):
+        _, a, b = htype
+        pred = predicted_harnack_census(poly, htype)
+        assert pred.o_kind == "oval"
+        assert set(pred.o_disks) == {((a + y) % 2, (b + x) % 2) for x, y in parities}
+        curve = extract_curve(surface, tri, harnack_distribution(poly, htype))
+        assert verify_harnack_census(curve, htype), (poly, htype)
+
+
+def test_o_disks_on_every_surface_class():
+    rng = random.Random(2027)
+    for name, (verts, parities) in OVAL_O_POLYGONS.items():
+        poly = validate_polygon(verts)
+        assert build_ambient_surface(poly).classify_topology().name == name
+        assert (poly.odd_vertex_indices == ()) == (name == "two spheres")
+        tri = random_flips(rng, primitive_triangulation(poly), poly.point_count)
+        assert_o_disks_law(poly, tri, parities)
+
+
+@pytest.mark.parametrize("v", [(0, 0), (1, 0), (0, 1), (1, 1)], ids="{0[0]}{0[1]}".format)
+def test_o_disks_move_with_translation(v):
+    """Translating T_4 by v moves P from (0,0) to parity(v), and so the
+    predicted quadrant from (a,b) by swap(parity(v))."""
+    poly = validate_polygon([(x + v[0], y + v[1]) for x, y in ((0, 0), (4, 0), (0, 4))])
+    assert_o_disks_law(poly, primitive_triangulation(poly), {point_parity(v)})
+
+
+def test_o_disks_on_the_translated_square():
+    poly = validate_polygon([(1, 1), (3, 1), (3, 3), (1, 3)])
+    assert_o_disks_law(poly, generate_grid_triangulation(poly), {(1, 1)})
 
 
 def test_harnack_census_independent_of_triangulation():

@@ -10,9 +10,9 @@ from tcurve_lab.errors import (DanglingEdge, Gap, InvariantError,
 from tcurve_lab.geometry import cross
 from tcurve_lab.lattice import segment_parity, validate_polygon
 from tcurve_lab.oracles import (edge_triangles, lifted_triangle_components,
-                                midpoint_node)
+                                midpoint_node, quad_add)
 from tcurve_lab.surface import (QUADRANTS, AmbientSurface, build_ambient_surface,
-                                glue_offset, quad_add)
+                                glue_offset)
 from tcurve_lab.triangulation import (edge_key, generate_grid_triangulation,
                                       incidence_graphs)
 
