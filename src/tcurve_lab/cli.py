@@ -46,6 +46,12 @@ MAX_POINTS = 10_000
 # bytes on one (`"9999,9999": -1, `, `[9998,9999,10000],`); 64 bytes per
 # item leave room for block style, indentation and a comment on each line.
 MAX_FILE_BYTES = 4 * 64 * MAX_POINTS
+# the most lattice points `enumerate` takes, whatever --cap says.  Its sweep
+# keeps V - 1 kernel states before the first vector: 2.7 kB each for the
+# 64 points of the 7 x 7 square, but 36.7 kB on T_40 and 435 kB on T_139
+# (about 4 GB in all), by sys.getsizeof.  2^63 kernel runs could never
+# finish anyway.
+MAX_SWEEP_POINTS = 64
 
 
 def check_size(polygon: Polygon, triangulates: bool = True):
@@ -451,7 +457,11 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         report["seed"] = seed
 
     # refuse before any lattice point or triangle is built
-    if name == "enumerate" and polygon.point_count > cap:
+    if name == "enumerate" and polygon.point_count > min(cap, MAX_SWEEP_POINTS):
+        if cap > MAX_SWEEP_POINTS:
+            raise TooLarge(f"{polygon.point_count} lattice points exceed the "
+                           f"enumerate limit {MAX_SWEEP_POINTS}, whatever "
+                           "--cap says")
         raise CapExceeded(f"{polygon.point_count} lattice points exceed the "
                           f"cap {cap}; raise it with --cap")
     check_size(polygon, triangulates=name != "surface")

@@ -87,10 +87,6 @@ class IncompleteDistribution(InputError):
 
 # --- filling ---------------------------------------------------------------
 
-class EmptyCurve(InputError):
-    pass
-
-
 class InconsistentArcPairing(InvariantError):
     """The arc pairings at the two negative lifts of an edge disagree.
 

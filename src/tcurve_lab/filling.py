@@ -16,7 +16,7 @@ from array import array
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import EmptyCurve, NotTypeI, check
+from .errors import NotTypeI, check
 from .sweep import thick_y_spins, walk_states
 from .tcurve import TCurve
 
@@ -32,8 +32,6 @@ class TFilling:
     """
 
     def __init__(self, curve: TCurve):
-        if not curve.components:
-            raise EmptyCurve("cannot fill a curve with no components")
         self.curve = curve
         self.tri = tri = curve.tri
         run = curve.trace

@@ -28,10 +28,10 @@ G(Pi) and G(S) are found connected by walking the lifted triangles
 triangles of one copy and then the four copies over the gluing.
 The regions are also found with one ``find`` per lookup
 (``regions_by_find``), where ``TCurve.regions`` joins in two batches, and
-the strand trace with a successor chosen per state
-(``trace_by_comprehension``), where ``sweep._trace`` copies one table and
-overwrites the entries of the twisted slots.  The picture is also drawn
-one line string at a time (``svg_by_lines``).
+D and orientability by the orbits of all 12T strand states, a successor
+chosen per state (``trace_by_comprehension``), where the kernel counts
+its walks.  The picture is also drawn one line string at a time
+(``svg_by_lines``).
 Only ``component_nodes`` turns a walk into G(S) nodes; ``oriented_nodes``
 and ``directed_projection`` read an ``orient_curve`` bit through them.
 Tests demand exact agreement with the fast paths on every instance.
@@ -856,12 +856,12 @@ def regions_by_find(curve: TCurve) -> RegionsByFind:
 
 
 def trace_by_comprehension(tab: SweepTables, tw) -> int:
-    """What ``sweep._trace`` returns, 2 D + 1 when orientable, with the
-    strand permutation built by choosing, for every state, the twisted or
-    the untwisted successor by the twist bit of its slot's edge, where
-    ``_trace`` copies the untwisted table and overwrites the entries that
-    differ; orientability from a ``ParityUnionFind`` over the triangles,
-    where ``_trace`` reads ``thick_y_spins``."""
+    """2 D + 1 when orientable, for the kernel run's (D, orientable) under
+    twist bits ``tw``: D as half the orbits of the strand permutation,
+    built by choosing, for every state, the twisted or the untwisted
+    successor by the twist bit of its slot's edge, where the kernel counts
+    its walks; orientability from a ``ParityUnionFind`` over the triangles,
+    where the kernel reads ``thick_y_spins``."""
     plain, twisted = tab.succ
     slots = tab.slots
     n = 12 * tab.T

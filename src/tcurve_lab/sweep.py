@@ -27,10 +27,11 @@ triangle (``sneg ^ sneg >> 8 ^ sneg >> 16`` clear on the first byte of
 each); arc pairings that agree at both negative lifts of an interior edge,
 whose twist bits come from the same readings; and a U-turn at each
 boundary edge.  The curve walk then follows every component together with
-its shadow strand on the ribbon boundary, and checks the transitions, one
-boundary circle per component, closure, both Euler characteristics and
-D <= i + 1.  D and orientability depend on the twist vector alone; the
-trace of the 12T strand states that gives them can be memoised on it.
+its shadow strand on the ribbon boundary, and checks the transitions,
+closure and that no two shadows share a strand; the shadows are then all
+the boundary circles, so D is the number of walks (see ``_run``).  It
+checks both Euler characteristics and D <= i + 1.  Orientability depends
+on the twist vector alone and can be memoised on it, one bool per vector.
 Every failure raises ``InvariantError``.
 
 One representation serves two drivers, with the same checks and the
@@ -38,7 +39,7 @@ same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
 (``kernel_state``) for ``TCurve``, and it alone records the walks
 (``TFilling`` reads that run).  ``run_sweep`` (behind ``enumerate``)
 runs the masks with bit V-1 clear in Gray-code order, ``g ^ g >> 1``,
-memoising the trace per twist vector; the complement of a mask (-delta)
+memoising orientability per twist vector; the complement of a mask (-delta)
 has the same edge signs and so the same state, run and checks.  Each
 step flips one point sign j, which XORs the state (affine in the mask
 over GF(2)) with the change flipping j makes to mask 0's (``gray_states``).
@@ -58,7 +59,7 @@ from itertools import compress, repeat
 from operator import eq, itemgetter, ne, xor
 from typing import NamedTuple
 
-from .errors import InconsistentArcPairing, InvariantError, check
+from .errors import InconsistentArcPairing, InvariantError
 from .triangulation import Lifts, PrimitiveTriangulation
 from .uf import join
 
@@ -194,30 +195,6 @@ def _successors(tab: SweepTables, tw) -> list:
     return perm
 
 
-def _trace(tab: SweepTables, tw: bytes) -> int:
-    """2 D + 1 when orientable, for the D boundary circles of the filling
-    with twist bits ``tw``: orbits of the strand-state permutation, two per
-    circle.  A small int, one shared object, is what a memo keeps."""
-    perm = _successors(tab, tw)
-    orbit = [-1] * len(perm)
-    count = x = 0
-    while True:
-        try:
-            x = orbit.index(-1, x)  # the next state on no orbit yet
-        except ValueError:
-            break
-        y = x
-        while orbit[y] < 0:
-            orbit[y] = count
-            y = perm[y]
-        check(y == x, "boundary transitions must permute the states")
-        count += 1
-    check(not any(map(eq, orbit[::2], orbit[1::2])),
-          "a boundary circle cannot reverse onto itself")
-    check(count % 2 == 0, "boundary circles come in orbit pairs")
-    return count + (thick_y_spins(tab, tw) is not None)
-
-
 class VectorTrace(NamedTuple):
     """What the kernel reads off one sign vector."""
     tw: bytes       # per edge id: 1 when the edge is glued with a twist
@@ -324,22 +301,25 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
 
     T, E, T3 = tab.T, tab.E, 3 * tab.T
     tw = (i1 ^ j1 ^ interior).to_bytes(E, "little")
-    code = memo.get(tw)
-    if code is None:
-        code = memo[tw] = _trace(tab, tw)
-    d, orientable = code >> 1, bool(code & 1)
+    orientable = memo.get(tw)
+    if orientable is None:
+        orientable = memo[tw] = thick_y_spins(tab, tw) is not None
 
     # walk each curve component through its lifted triangles, with the
     # shadow strand beside it: every lifted triangle it enters has exactly
     # one more negative edge to leave by, at the next prong (strand -1 in,
-    # +1 out) or the previous one (the reverse); the shadow must follow the
-    # transitions of this twist vector, close up with the component and
-    # share no strand with another component
+    # +1 out) or the previous one (the reverse).  The shadow must follow the
+    # transitions of this twist vector and close up with the component, so
+    # it is a whole orbit, and share no strand pair with another shadow.
+    # Each edge has two negative lifts, so each triangle has exactly three
+    # lifts with two negative edges, and each visit uses two of its six
+    # strand pairs: the shadows use all 6T pairs.  They are all the
+    # boundary circles, one per component, and D is the number of walks
     # a list: indexing it is faster than indexing bytes
     sneg, perm = list(neg.to_bytes(12 * T, "little")), _successors(tab, tw)
     across, nxt = tab.across, tab.nxt
     walks = []
-    count = 0
+    d = 0
     seen = [0] * (12 * T)
     used = [0] * (6 * T)
     for u0 in compress(range(12 * T), sneg):
@@ -376,11 +356,9 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
                 break
         if u != u0 or expected != first:
             raise InvariantError("a curve component must close up with its shadow")
-        count += 1
+        d += 1
         if record:
             walks.append(walk)
-    if count != d:
-        raise InvariantError(f"{count} curve components but {d} boundary circles")
 
     chi_sigma = E - 2 * T + d
     if chi_sigma != d + 1 - tab.V + tab.L or chi_sigma > 2:

@@ -4,10 +4,11 @@ flips, the full sweep of a triangulation, the comparison of a curve and
 its filling with the tuple oracles, the Z2 matrix algebra of the atlas,
 the (Z2)^3 action on sign distributions, the degree parity law, and
 translated or unimodularly transformed curves with their census
-comparison.  These are test-side oracles and generators, not part of the
-library surface.
+comparison, and every simple polygon of a small box.  These are test-side
+oracles and generators, not part of the library surface.
 """
 
+import itertools
 import os
 import random
 import subprocess
@@ -98,6 +99,24 @@ def random_polygon(rng: random.Random, *, box=9, min_r=0, max_tries=500) -> Poly
 
 # ---------------------------------------------------------------------------
 # triangulations given by point triples
+
+def box_polygons(size: int, max_vertices: int) -> list[Polygon]:
+    """Every simple lattice polygon with at most ``max_vertices`` vertices
+    in [0, size]^2, one per vertex cycle: each vertex set is tried in every
+    cyclic order from its smallest vertex, one direction per cycle, and
+    kept when ``Polygon`` accepts it."""
+    points = list(itertools.product(range(size + 1), repeat=2))
+    polygons = []
+    for k in range(3, max_vertices + 1):
+        for first, *rest in itertools.combinations(points, k):
+            for order in itertools.permutations(rest):
+                if order[0] < order[-1]:
+                    try:
+                        polygons.append(Polygon((first, *order)))
+                    except InputError:
+                        pass
+    return polygons
+
 
 def tri_key(a: Point, b: Point, c: Point) -> tuple:
     return tuple(sorted((a, b, c)))

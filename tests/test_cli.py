@@ -143,6 +143,35 @@ def test_enumerate_cap(tmp_path, capsys):
     assert code == 2  # 21 lattice points exceed the default cap
 
 
+# T_139 (9870 lattice points) under a cap far above MAX_SWEEP_POINTS:
+# refused before the sweep tables are compiled
+T139_LIMIT_ERROR = ("error: 9870 lattice points exceed the enumerate limit "
+                    "64, whatever --cap says\n")
+
+
+def refuse_to_compile(*args):
+    raise RuntimeError("compile_sweep called")
+
+
+def test_enumerate_limit_holds_whatever_the_cap(tmp_path, capsys, monkeypatch):
+    import tcurve_lab.cli as cli
+    path = write(tmp_path, "t139.yaml",
+                 "polygon: [[0,0],[139,0],[0,139]]\nsigns: enumerate\n")
+    argv = ["enumerate", "--cap", "100000", "--input", path]
+    monkeypatch.setattr(cli, "compile_sweep", refuse_to_compile)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == T139_LIMIT_ERROR
+    code = ("import sys\n"
+            "import tcurve_lab.cli as cli\n"
+            "from test_cli import refuse_to_compile\n"
+            "cli.compile_sweep = refuse_to_compile\n"
+            f"sys.exit(cli.main({argv!r}))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", T139_LIMIT_ERROR)
+
+
 def test_harnack_subcommand_with_type_flag(tmp_path, capsys):
     path = write(tmp_path, "t4.yaml",
                  "polygon: [[0,0],[4,0],[0,4]]\nsigns: enumerate\n")

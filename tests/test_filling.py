@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from tcurve_lab.errors import EmptyCurve, InvariantError, NotTypeI
+from tcurve_lab.errors import InvariantError, NotTypeI
 from tcurve_lab.filling import (_surface_left, build_filling,
                                 classify_filling, harnack_check, orient_curve)
 from tcurve_lab.oracles import (classify_filling_by_cells, component_nodes,
@@ -163,13 +163,6 @@ def test_maximal_implies_type_one():
                 found += 1
                 assert classify_filling(filling).curve_type == "I"
     assert found > 0
-
-
-def test_empty_curve_guard():
-    class Stub:
-        components = ()
-    with pytest.raises(EmptyCurve):
-        build_filling(Stub())
 
 
 # ---------------------------------------------------------------------------

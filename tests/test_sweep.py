@@ -1,9 +1,11 @@
 """The strand kernel against the tuple oracles, through the sweep and the
 single-shot TCurve -> TFilling, its Gray-code steps against its
 from-scratch state, its thick-Y spins against the parity union-find of
-the oracles, its strand trace against the per-state choice of the
-oracles, and its invariant checks under corrupted tables through both."""
+the oracles, its D and orientability against the strand-state orbits of
+the oracles, its shadows as a partition of the strand pairs, and its
+invariant checks under corrupted tables through both."""
 
+import functools
 import itertools
 import random
 
@@ -15,7 +17,8 @@ from tcurve_lab.filling import build_filling
 from tcurve_lab.oracles import ParityUnionFind, trace_by_comprehension
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.sweep import (compile_sweep, gray_states, kernel_state,
-                              run_sweep, thick_y_spins, trace_vector)
+                              run_sweep, thick_y_spins, trace_vector,
+                              walk_states)
 from tcurve_lab.tcurve import TCurve, harnack_distribution
 from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs)
@@ -134,13 +137,13 @@ def test_memo_runs_once_per_twist_vector(monkeypatch):
     surface = build_ambient_surface(t3)
     tri = generate_grid_triangulation(t3)
     keys = []
-    trace = sweep_module._trace
+    spins = sweep_module.thick_y_spins
 
     def counted(tab, tw):
         keys.append(bytes(tw))
-        return trace(tab, tw)
+        return spins(tab, tw)
 
-    monkeypatch.setattr(sweep_module, "_trace", counted)
+    monkeypatch.setattr(sweep_module, "thick_y_spins", counted)
     assert sum(1 for _ in sweep(surface, tri)) == 1024
     assert len(keys) == len(set(keys)) == 1 << (10 - 3)
 
@@ -305,70 +308,89 @@ def test_thick_y_spins_match_parity_union_find():
 
 
 # ---------------------------------------------------------------------------
-# the strand trace
-
-def trace_outcome(trace, tab, tw):
-    """The code ``trace`` returns for twist bits ``tw``, or the message of
-    the InvariantError it raises."""
-    try:
-        return trace(tab, tw)
-    except InvariantError as exc:
-        return str(exc)
-
-
-def assert_trace_matches(tab, vectors):
-    for tw in vectors:
-        assert trace_outcome(sweep_module._trace, tab, tw) == \
-            trace_outcome(trace_by_comprehension, tab, tw), tw
-
+# D and orientability of the kernel runs
 
 HARNACK_TYPES = list(itertools.product((0, 1), repeat=3))
 
 
-@pytest.mark.parametrize("d", range(1, 13))
-def test_trace_matches_comprehension_on_harnack_curves(d):
+@functools.cache
+def harnack_runs(d):
+    """[(tables, runs)]: the Harnack curves of grid T_d under all 8 types."""
     poly = standard_triangle(d)
     surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
     tab = compiled(surface, tri)
-    assert_trace_matches(tab, [
-        TCurve(surface, tri, harnack_distribution(poly, htype), tab).trace.tw
-        for htype in HARNACK_TYPES])
+    return [(tab, [TCurve(surface, tri, harnack_distribution(poly, htype), tab).trace
+                   for htype in HARNACK_TYPES])]
 
 
-def test_trace_matches_comprehension_on_random_instances():
-    """The twist vectors of random signs, and random bits on every edge."""
+@functools.cache
+def random_runs():
+    """60 seeded polygons with flips, each with four random sign vectors."""
     rng = random.Random(2207)
+    instances = []
     for _ in range(60):
         poly = random_polygon(rng, box=6)
         tri = random_flips(rng, primitive_triangulation(poly), poly.point_count)
         surface = build_ambient_surface(poly)
         tab = compiled(surface, tri)
         curve = TCurve(surface, tri, random_distribution(rng, poly), tab)
-        assert_trace_matches(tab, [curve.trace.tw] + [
-            bytes(rng.getrandbits(1) for _ in range(tab.E)) for _ in range(3)])
+        instances.append((tab, [curve.trace] + [
+            trace_vector(tab, rng.getrandbits(tab.V)) for _ in range(3)]))
+    return instances
+
+
+@functools.cache
+def every_twist_vector_runs(d):
+    """Every twist vector that a sign vector of grid T_d gives (the keys of
+    the sweep's memo: 2^(V-3)), each run from the first mask that gives it
+    in Gray-code order."""
+    poly = standard_triangle(d)
+    surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
+    tab = compiled(surface, tri)
+    identities, memo, masks = sweep_module._identities(tab), {}, {}
+    for mask, state in gray_states(tab):
+        masks.setdefault(sweep_module._run(tab, identities, state, memo, False).tw, mask)
+    assert list(masks) == list(memo) and len(memo) == 1 << (tab.V - 3)
+    assert set(memo.values()) <= {False, True}
+    return [(tab, [trace_vector(tab, mask) for mask in masks.values()])]
+
+
+def assert_trace_matches(instances):
+    for tab, runs in instances:
+        for run in runs:
+            assert 2 * run.d + run.orientable == \
+                trace_by_comprehension(tab, run.tw), run.tw
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_trace_matches_comprehension_on_harnack_curves(d):
+    assert_trace_matches(harnack_runs(d))
+
+
+def test_trace_matches_comprehension_on_random_instances():
+    assert_trace_matches(random_runs())
 
 
 @pytest.mark.parametrize("d", (3, 4))
 def test_trace_matches_comprehension_on_every_twist_vector(d):
-    """Every twist vector that a sign vector of grid T_d gives (the keys of
-    the sweep's memo: 2^(V-3)), and on T_3 every vector of bits on its
-    interior edges."""
-    poly = standard_triangle(d)
-    surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
-    tab = compiled(surface, tri)
-    identities, memo = sweep_module._identities(tab), {}
-    for _, state in gray_states(tab):
-        sweep_module._run(tab, identities, state, memo, False)
-    assert len(memo) == 1 << (tab.V - 3)
-    vectors = list(memo)
-    if d == 3:
-        interior = [e for e, _, _ in tab.interior]
-        for bits in itertools.product((0, 1), repeat=len(interior)):
-            tw = bytearray(tab.E)
-            for e, b in zip(interior, bits):
-                tw[e] = b
-            vectors.append(bytes(tw))
-    assert_trace_matches(tab, vectors)
+    assert_trace_matches(every_twist_vector_runs(d))
+
+
+@pytest.mark.parametrize("runs", [
+    *(pytest.param(functools.partial(harnack_runs, d), id=f"harnack-T{d}")
+      for d in range(1, 13)),
+    pytest.param(random_runs, id="random"),
+    *(pytest.param(functools.partial(every_twist_vector_runs, d),
+                   id=f"every-twist-vector-T{d}") for d in (3, 4))])
+def test_shadows_partition_the_strand_pairs(runs):
+    """The shadows of the walks, as the kernel counts D, use each of the 6T
+    strand pairs (a state and its reverse, the state halved) exactly once:
+    so they are all the boundary circles."""
+    for tab, kernel_runs in runs():
+        for run in kernel_runs:
+            pairs = sorted(x >> 1 for walk in run.walks
+                           for x in walk_states(tab, walk))
+            assert pairs == list(range(6 * tab.T)), run.tw
 
 
 # ---------------------------------------------------------------------------
@@ -443,15 +465,15 @@ CORRUPTION_MESSAGES = {
     _corrupt_across_interior: (
         "mask 3: shadow must follow the boundary transitions",
         "a curve component must close up with its shadow"),
-    _corrupt_succ: ("mask 0: a boundary circle cannot reverse onto itself",
-                    "a boundary circle cannot reverse onto itself"),
-    _corrupt_succ_pair: ("mask 0: boundary circles come in orbit pairs",
-                         "boundary circles come in orbit pairs"),
+    _corrupt_succ: ("mask 0: shadow must follow the boundary transitions",
+                    "shadow must follow the boundary transitions"),
+    _corrupt_succ_pair: ("mask 1: shadow must follow the boundary transitions",
+                         "shadow must follow the boundary transitions"),
     _corrupt_twisted_succ: (
-        "mask 0: boundary transitions must permute the states",
-        "boundary transitions must permute the states"),
-    _corrupt_slots: ("mask 0: a boundary circle cannot reverse onto itself",
-                     "a boundary circle cannot reverse onto itself"),
+        "mask 4: shadow must follow the boundary transitions",
+        "shadow must follow the boundary transitions"),
+    _corrupt_slots: ("mask 0: a curve component must cross by negative edges",
+                     "a curve component must cross by negative edges"),
 }
 
 
