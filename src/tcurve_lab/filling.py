@@ -9,15 +9,15 @@ boundary edge the projected curve makes a U-turn, realized by folding
 the end-segment onto itself by x -> -x.  Boundary circles of the result
 correspond one-to-one to components of the curve; capping them with
 disks gives a closed surface whose Euler characteristic proves the
-interior-point bound on the number of components.
+interior-point bound on the number of components.  The spins of the
+thick-Ys, found once per filling, decide orientability and orient a
+type-I curve.
 """
 
-from array import array
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotTypeI, check
-from .sweep import thick_y_spins, walk_states
+from .sweep import thick_y_spins
 from .tcurve import TCurve
 
 
@@ -25,26 +25,20 @@ class TFilling:
     """Ribbon graph of the curve: twist bits and folds over G(Pi), read
     off the strand kernel run of the curve (``TCurve.trace``).
 
-    ``shadows`` holds, per curve component, the ribbon-boundary strand
-    states that run beside it (``tcurve_lab.sweep`` numbering), two per
-    barycenter passage, in the direction of the component's walk, from
-    which ``sweep.walk_states`` derives them when first read.
+    ``spins`` holds, per triangle, 1 when its thick-Y's planar orientation
+    is reversed relative to triangle 0's in a coherent orientation of the
+    filling, and is None when the filling is not orientable.
     """
 
     def __init__(self, curve: TCurve):
-        self.curve = curve
         self.tri = tri = curve.tri
         run = curve.trace
         self.twists = {tri.edges[e]: bool(run.tw[e])
                        for e, _, _ in curve.tables.interior}
         self.folds = tri.boundary_edges
         self.boundary_count = run.d
-        self.orientable = run.orientable
-
-    @cached_property
-    def shadows(self) -> tuple:  # arrays: no int object per state
-        return tuple(array("i", walk_states(self.curve.tables, comp.walk))
-                     for comp in self.curve.components)
+        self.spins = thick_y_spins(curve.tables, run.tw)
+        self.orientable = self.spins is not None
 
     @property
     def chi(self) -> int:
@@ -77,8 +71,9 @@ class FillingClass(NamedTuple):
 
 def classify_filling(filling: TFilling) -> FillingClass:
     """The capped surface, connected because G(Pi) is (``incidence_graphs``
-    checks it).  D and orientability come from the strand kernel, which
-    has checked both Euler characteristic computations and D <= i + 1."""
+    checks it).  D comes from the strand kernel, which has checked both
+    Euler characteristic computations and D <= i + 1, and orientability
+    from the thick-Y spins."""
     d = filling.boundary_count
     chi_sigma = filling.chi + d
     orientable = filling.orientable
@@ -109,12 +104,6 @@ def harnack_check(filling: TFilling) -> HarnackVerdict:
 # ---------------------------------------------------------------------------
 # orientation of type-I curves
 
-def _surface_left(x: int) -> int:
-    """1 when strand state ``x`` walks with the thick-Y's own planar
-    orientation on its left (out on strand +1 or in on strand -1)."""
-    return (x ^ x >> 1) & 1
-
-
 def orient_curve(curve: TCurve, filling: TFilling,
                  flip: bool = False) -> bytes:
     """A coherent orientation of a type-I curve: byte k is 1 when it runs
@@ -126,16 +115,21 @@ def orient_curve(curve: TCurve, filling: TFilling,
     p -> q in quadrant (a,b) is directed sigma_{a,b} p -> sigma_{a,b} q.
     Of the two global choices, ``flip=False`` keeps the planar orientation
     of the thick-Y of triangle 0 (the first of ``tri.triangles``);
-    ``flip=True`` reverses every component.
+    ``flip=True`` reverses every component.  At each visit of a walk, its
+    shadow (``oracles.walk_states``) has the thick-Y's planar orientation
+    on its left when the walk turns to the next prong; the circle runs
+    along the walk when that turn bit XOR the spin XOR ``flip`` is 1.
     """
-    spins = thick_y_spins(curve.tables, curve.trace.tw)
+    spins = filling.spins
     if spins is None:
         raise NotTypeI("the filling is not orientable")
+    tab = curve.tables
+    across, nxt, T3 = tab.across, tab.nxt, 3 * tab.T
     out = bytearray()
-    for shadow in filling.shadows:
-        # induced boundary direction: along the shadow when the global
-        # orientation agrees with the local planar reference there
-        along = {_surface_left(x) ^ spins[x // 12] ^ flip for x in shadow}
+    for comp in curve.components:
+        walk = comp.walk
+        along = {(across[u_next] == nxt[u]) ^ spins[u % T3 // 3]
+                 for u, u_next in zip(walk, walk[1:] + walk[:1])}
         check(len(along) == 1, "induced orientation must be constant along a circle")
-        out.append(along.pop())
+        out.append(along.pop() ^ flip)
     return bytes(out)

@@ -34,6 +34,9 @@ its walks.  The picture is also drawn one line string at a time
 (``svg_by_lines``).
 Only ``component_nodes`` turns a walk into G(S) nodes; ``oriented_nodes``
 and ``directed_projection`` read an ``orient_curve`` bit through them.
+Only ``walk_states`` turns a walk into its shadow's strand states
+(``shadows`` gives every component's, ``surface_left`` a state's side);
+the kernel and ``orient_curve`` read them as they walk.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
@@ -377,6 +380,34 @@ def directed_projection(nodes: tuple) -> tuple:
     traversal order of the oriented cycle ``nodes``."""
     return tuple((a[:1] + a[2:], b[:1] + b[2:])
                  for a, b in zip(nodes, nodes[1:] + nodes[:1]))
+
+
+def walk_states(tab: SweepTables, walk) -> list:
+    """The strand states beside ``walk``, in and out of each lifted
+    triangle it visits: the exit prong of a visit is the one across the
+    next entry, and the walk turns to the next prong (strand -1 in, +1
+    out) or the previous one (the reverse).  The kernel has checked that
+    they form one orbit of the run's strand transitions."""
+    across, nxt, T3 = tab.across, tab.nxt, 3 * tab.T
+    out = []
+    for u, u_next in zip(walk, walk[1:] + walk[:1]):
+        w = across[u_next]
+        turn = w == nxt[u]
+        out += (4 * (u % T3) + 3 - 2 * turn, 4 * (w % T3) + 2 * turn)
+    return out
+
+
+def shadows(curve: TCurve) -> tuple:
+    """Per component of ``curve``, in order: the ribbon-boundary strand
+    states beside it (``walk_states``), in the direction of its walk."""
+    return tuple(walk_states(curve.tables, comp.walk)
+                 for comp in curve.components)
+
+
+def surface_left(x: int) -> int:
+    """1 when strand state ``x`` walks with the thick-Y's own planar
+    orientation on its left (out on strand +1 or in on strand -1)."""
+    return (x ^ x >> 1) & 1
 
 
 def node_coords6(q, node) -> tuple:
@@ -857,15 +888,15 @@ def regions_by_find(curve: TCurve) -> RegionsByFind:
 
 def trace_by_comprehension(tab: SweepTables, tw) -> int:
     """2 D + 1 when orientable, for the kernel run's (D, orientable) under
-    twist bits ``tw``: D as half the orbits of the strand permutation,
-    built by choosing, for every state, the twisted or the untwisted
-    successor by the twist bit of its slot's edge, where the kernel counts
-    its walks; orientability from a ``ParityUnionFind`` over the triangles,
-    where the kernel reads ``thick_y_spins``."""
-    plain, twisted = tab.succ
-    slots = tab.slots
+    twist bits ``tw``: D as half the orbits of the strand permutation (the
+    untwisted successor, with an 'out' state's landing swapped for its
+    prong's other one where the edge is twisted), where the kernel counts
+    its walks; orientability from a ``ParityUnionFind`` over the
+    triangles, where the filling reads ``thick_y_spins``."""
+    succ, slots = tab.succ, tab.slots
     n = 12 * tab.T
-    perm = [twisted[x] if tw[slots[x >> 2]] else plain[x] for x in range(n)]
+    perm = [succ[x ^ 2] if tw[slots[x >> 2]] and not x & 1 else succ[x]
+            for x in range(n)]
     orbit = [-1] * n
     count = 0
     for x in range(n):

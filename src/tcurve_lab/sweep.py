@@ -30,9 +30,9 @@ boundary edge.  The curve walk then follows every component together with
 its shadow strand on the ribbon boundary, and checks the transitions,
 closure and that no two shadows share a strand; the shadows are then all
 the boundary circles, so D is the number of walks (see ``_run``).  It
-checks both Euler characteristics and D <= i + 1.  Orientability depends
-on the twist vector alone and can be memoised on it, one bool per vector.
-Every failure raises ``InvariantError``.
+checks both Euler characteristics and D <= i + 1; every failure raises
+``InvariantError``.  The walk reads one successor table, the untwisted
+one (``SweepTables.succ``), and a twist swaps a prong's two 'out' states.
 
 One representation serves two drivers, with the same checks and the
 same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
@@ -55,7 +55,7 @@ db`` walks prong k of triangle t on strand +1 (sb = 1) or -1 (sb = 0),
 heading in (db = 1) or out (db = 0); flipping bit 0 reverses it.
 """
 
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import eq, itemgetter, ne, xor
 from typing import NamedTuple
 
@@ -84,7 +84,7 @@ class SweepTables(NamedTuple):
     readings: tuple      # per edge sign bit b and reading prong p, at 4*b + p:
                          # per edge id, the slot lift read (-1 at a boundary edge)
     u_turns: list        # per boundary edge, per sign bit: 2 lift ids, 2 slot lifts
-    succ: tuple          # (untwisted, twisted): successor of every strand state
+    succ: list           # per strand state: its successor when untwisted
 
 
 # <q, p> for quadrant index q = 2a + b and segment parity p = 2c + d; per
@@ -144,28 +144,22 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
                 for q1, q2 in NEG[spar[e]]]
                for e, s in boundary]
 
-    # strand transitions: 'in' turns to the neighboring prong of the same
-    # thick-Y; 'out' crosses the prong's end onto the prong of the other
-    # slot of its edge, its partner, or folds back at a boundary edge, whose
-    # slot is its own partner.  In the run of 12 states of a triangle,
+    # untwisted strand transitions: 'in' turns to the neighboring prong of
+    # the same thick-Y; 'out' crosses the prong's end onto the prong of the
+    # other slot of its edge, its partner, or folds back at a boundary edge,
+    # whose slot is its own partner.  In the run of 12 states of a triangle,
     # prong k's are entries 4k..4k+3.
-    plain = list(ids)
-    plain[0::4] = [ids[4 * p + 3] for p in partner]
-    plain[2::4] = [ids[4 * p + 1] for p in partner]
+    succ = list(ids)
+    succ[0::4] = [ids[4 * p + 3] for p in partner]
+    succ[2::4] = [ids[4 * p + 1] for p in partner]
     for k in range(3):
-        plain[4 * k + 1::12] = ids[4 * ((k + 1) % 3) + 2::12]
-        plain[4 * k + 3::12] = ids[4 * ((k - 1) % 3)::12]
-    # a twist swaps the landings of the two 'out' states; a fold has none
-    twisted = list(plain)
-    twisted[0::4], twisted[2::4] = plain[2::4], plain[0::4]
-    for _, s in boundary:
-        twisted[4 * s], twisted[4 * s + 2] = plain[4 * s], plain[4 * s + 2]
+        succ[4 * k + 1::12] = ids[4 * ((k + 1) % 3) + 2::12]
+        succ[4 * k + 3::12] = ids[4 * ((k - 1) % 3)::12]
 
     return SweepTables(tri.V, T, E, tri.L, tri.V - tri.L, tri.edge_ends,
                        seg_par, edge_class, merged,
                        [edge_class[x] for x in merged], slots, interior,
-                       boundary, across, nxt, readings, u_turns,
-                       (plain, twisted))
+                       boundary, across, nxt, readings, u_turns, succ)
 
 
 def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
@@ -175,24 +169,12 @@ def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     double cover of G(Pi), where node 2t + o is triangle t with relative
     orientation o.  None when some 2t and 2t + 1 meet, that is when the
     filling is not orientable."""
-    ends = [(s_a // 3 * 2, s_b // 3 * 2 + tw[e]) for e, s_a, s_b in tab.interior]
-    root = join(list(range(2 * tab.T)), ends + [(a + 1, b ^ 1) for a, b in ends])
+    ends = ((s_a // 3 * 2, s_b // 3 * 2 + tw[e]) for e, s_a, s_b in tab.interior)
+    root = join(list(range(2 * tab.T)), chain.from_iterable(
+        ((a, b), (a + 1, b ^ 1)) for a, b in ends))
     if any(map(eq, root[::2], root[1::2])):
         return None
     return bytes(map(ne, root[::2], repeat(root[0])))
-
-
-def _successors(tab: SweepTables, tw) -> list:
-    """The successor of every strand state under twist bits ``tw``: the
-    untwisted table, with the twisted one's entries 4s and 4s + 2 for every
-    slot s whose edge is twisted, the only entries where the two differ."""
-    plain, twisted = tab.succ
-    perm = list(plain)
-    if any(tw):
-        by_slot = map(tw.__getitem__, tab.slots)
-        for x in compress(range(0, len(plain), 4), by_slot):
-            perm[x], perm[x + 2] = twisted[x], twisted[x + 2]
-    return perm
 
 
 class VectorTrace(NamedTuple):
@@ -201,22 +183,6 @@ class VectorTrace(NamedTuple):
     walks: list     # per curve component, from its smallest slot lift and in
                     # that order: the slot lift entering each lifted triangle
     d: int          # boundary circles of the filling
-    orientable: bool
-
-
-def walk_states(tab: SweepTables, walk) -> list:
-    """The strand states beside ``walk``, in and out of each lifted
-    triangle it visits: the exit prong of a visit is the one across the
-    next entry, and the walk turns to the next prong (strand -1 in, +1
-    out) or the previous one (the reverse).  The kernel has checked that
-    they form one orbit of the run's strand transitions."""
-    across, nxt, T3 = tab.across, tab.nxt, 3 * tab.T
-    out = []
-    for u, u_next in zip(walk, walk[1:] + walk[:1]):
-        w = across[u_next]
-        turn = w == nxt[u]
-        out += (4 * (u % T3) + 3 - 2 * turn, 4 * (w % T3) + 2 * turn)
-    return out
 
 
 def _ints(*rows) -> list:
@@ -268,7 +234,7 @@ def _first_byte(x: int) -> int:
     return ((x & -x).bit_length() - 1) >> 3
 
 
-def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
+def _run(tab: SweepTables, identities: tuple, state: list,
          record: bool) -> VectorTrace:
     """Check one kernel state against ``_identities(tab)`` and walk its
     curve; the walks are recorded only with ``record``.  See the module
@@ -301,9 +267,6 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
 
     T, E, T3 = tab.T, tab.E, 3 * tab.T
     tw = (i1 ^ j1 ^ interior).to_bytes(E, "little")
-    orientable = memo.get(tw)
-    if orientable is None:
-        orientable = memo[tw] = thick_y_spins(tab, tw) is not None
 
     # walk each curve component through its lifted triangles, with the
     # shadow strand beside it: every lifted triangle it enters has exactly
@@ -316,8 +279,8 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
     # strand pairs: the shadows use all 6T pairs.  They are all the
     # boundary circles, one per component, and D is the number of walks
     # a list: indexing it is faster than indexing bytes
-    sneg, perm = list(neg.to_bytes(12 * T, "little")), _successors(tab, tw)
-    across, nxt = tab.across, tab.nxt
+    sneg = list(neg.to_bytes(12 * T, "little"))
+    across, nxt, succ, slots = tab.across, tab.nxt, tab.succ, tab.slots
     walks = []
     d = 0
     seen = [0] * (12 * T)
@@ -342,7 +305,7 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
             else:
                 w = nxt[w]  # the previous prong, after the next
                 x_in, x_out = 4 * (u % T3) + 3, 4 * (w % T3)
-            if x_in != expected or perm[x_in] != x_out:
+            if x_in != expected or succ[x_in] != x_out:
                 raise InvariantError("shadow must follow the boundary transitions")
             p_in, p_out = x_in >> 1, x_out >> 1
             if used[p_in] or used[p_out]:
@@ -350,7 +313,8 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
             used[p_in] = used[p_out] = seen[u] = seen[w] = 1
             if record:
                 walk.append(u)
-            expected = perm[x_out]
+            # a twist swaps the landings of the prong's two 'out' states
+            expected = succ[x_out ^ 2 * tw[slots[x_out >> 2]]]
             u = across[w]
             if seen[u]:
                 break
@@ -367,13 +331,13 @@ def _run(tab: SweepTables, identities: tuple, state: list, memo: dict,
     if d > tab.interior_points + 1:
         raise InvariantError(
             f"component bound violated: {d} > {tab.interior_points + 1}")
-    return VectorTrace(tw, walks, d, orientable)
+    return VectorTrace(tw, walks, d)
 
 
 def trace_vector(tab: SweepTables, mask: int) -> VectorTrace:
     """Run one sign vector from scratch and record the walk of each curve
     component."""
-    return _run(tab, _identities(tab), kernel_state(tab, mask), {}, True)
+    return _run(tab, _identities(tab), kernel_state(tab, mask), True)
 
 
 def gray_states(tab: SweepTables):
@@ -394,15 +358,19 @@ def gray_states(tab: SweepTables):
 
 def run_sweep(tab: SweepTables):
     """Yield (mask, D, orientable) for every mask: each state of
-    ``gray_states`` serves its mask and the complement.  A failure names
-    the first failing mask in Gray-code order, the one with bit V-1 clear."""
+    ``gray_states`` serves its mask and the complement, and orientability
+    is memoised per twist vector.  A failure names the first failing mask
+    in Gray-code order, the one with bit V-1 clear."""
     identities = _identities(tab)
     memo: dict = {}
     full = (1 << tab.V) - 1
     for mask, state in gray_states(tab):
         try:
-            run = _run(tab, identities, state, memo, False)
+            tw, _, d = _run(tab, identities, state, False)
         except InvariantError as exc:
             raise type(exc)(f"mask {mask}: {exc}") from None
-        yield mask, run.d, run.orientable
-        yield mask ^ full, run.d, run.orientable
+        orientable = memo.get(tw)
+        if orientable is None:
+            orientable = memo[tw] = thick_y_spins(tab, tw) is not None
+        yield mask, d, orientable
+        yield mask ^ full, d, orientable

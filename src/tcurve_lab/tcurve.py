@@ -81,8 +81,9 @@ class TCurve:
     The strand kernel (``sweep.trace_vector``) runs once on the compiled
     tables of the problem: ``tables`` when given (one compilation serves
     any number of sign vectors), else compiled from a fresh lift table.
-    Each of its walks is a ``Component``; the strands beside it belong to
-    the filling (``TFilling.shadows``).
+    Each of its walks is a ``Component``; the strands beside it are its
+    shadow on the boundary of the filling, which the kernel checks as it
+    walks and the oracles list (``oracles.shadows``).
     """
 
     def __init__(self, surface: AmbientSurface, tri: PrimitiveTriangulation,

@@ -23,7 +23,7 @@ from tcurve_lab.geometry import cross, on_segment
 from tcurve_lab.lattice import (Point, Polygon, is_standard_triangle, pairing,
                                 point_parity, validate_polygon)
 from tcurve_lab.oracles import (component_nodes, components_by_adjacency,
-                                locate_in_polygon, midpoint_nodes,
+                                locate_in_polygon, midpoint_nodes, shadows,
                                 strands_by_tuples, twists_by_arc_pairing)
 from tcurve_lab.surface import (AmbientSurface, Atlas, Mat2, Quadrant,
                                 build_ambient_surface)
@@ -260,19 +260,20 @@ def all_nodes(curve: TCurve) -> list:
 
 
 def match_oracles(curve, filling) -> tuple[int, bool]:
-    """Assert that the components, twist bits, folds, boundary circles,
-    orientability and shadows of ``curve`` and ``filling`` equal the tuple
-    oracles' on the same signs; return the oracles' (D, orientable)."""
+    """Assert that the components, twist bits, folds, boundary circles and
+    orientability of ``curve`` and ``filling``, and the shadows of its walks
+    (``oracles.shadows``), equal the tuple oracles' on the same signs;
+    return the oracles' (D, orientable)."""
     tri = curve.tri
     mid = midpoint_nodes(curve.surface, tri)
     components = components_by_adjacency(tri, mid, curve.delta)
     assert list(components) == all_nodes(curve)
     twists, folds = twists_by_arc_pairing(tri, mid, components)
     assert (twists, folds) == (filling.twists, filling.folds)
-    d, orientable, shadows = strands_by_tuples(tri, twists, folds, components)
+    d, orientable, by_tuples = strands_by_tuples(tri, twists, folds, components)
     assert (d, orientable) == (filling.boundary_count, filling.orientable)
-    assert [shadows[c] for c in components] == \
-        [tuple(tuple_state(tri, x) for x in seq) for seq in filling.shadows]
+    assert [by_tuples[c] for c in components] == \
+        [tuple(tuple_state(tri, x) for x in seq) for seq in shadows(curve)]
     return d, orientable
 
 

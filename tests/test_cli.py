@@ -946,6 +946,56 @@ def test_a_run_leaves_no_reference_cycles(tmp_path, name):
     assert main(runs[0]) in (0, 2) and gc.isenabled()
 
 
+def spin_pass_counts(path: str) -> dict:
+    """Per subcommand on the problem at ``path``, the calls of
+    ``thick_y_spins``, looked up through ``sweep`` or through ``filling``;
+    under "orient", the calls that ``orient_curve`` makes, both ways, once
+    ``build_filling`` has run."""
+    import tcurve_lab.filling as fill
+    import tcurve_lab.sweep as sweep
+    from tcurve_lab.lattice import validate_polygon
+    from tcurve_lab.surface import build_ambient_surface
+    from tcurve_lab.tcurve import extract_curve, harnack_distribution
+    from tcurve_lab.triangulation import generate_grid_triangulation
+    calls, spins, counts = [], sweep.thick_y_spins, {}
+
+    def counted(tab, tw):
+        calls.append(tw)
+        return spins(tab, tw)
+    sweep.thick_y_spins = fill.thick_y_spins = counted
+    try:
+        for name in ("curve", "render", "filling", "harnack"):
+            calls.clear()
+            # not inside an assert, which python -O strips
+            code = main([name, "--input", path, "--out", os.devnull])
+            counts[name] = len(calls) if code == 0 else f"exit {code}"
+        t40 = validate_polygon([(0, 0), (40, 0), (0, 40)])
+        curve = extract_curve(build_ambient_surface(t40),
+                              generate_grid_triangulation(t40),
+                              harnack_distribution(t40, (1, 0, 0)))
+        filling = fill.build_filling(curve)
+        calls.clear()
+        fill.orient_curve(curve, filling)
+        fill.orient_curve(curve, filling, flip=True)
+        counts["orient"] = len(calls)
+    finally:
+        sweep.thick_y_spins = fill.thick_y_spins = spins
+    return counts
+
+
+def test_spin_pass_runs_once_per_filling(tmp_path):
+    """On T_40, ``curve`` and ``render`` never decide orientability;
+    ``filling`` and ``harnack`` do once, when the filling is built, and
+    ``orient_curve`` reads the filling's spins.  In process and under
+    python -O."""
+    path = write(tmp_path, "t40.yaml", T40_HARNACK)
+    want = {"curve": 0, "render": 0, "filling": 1, "harnack": 1, "orient": 0}
+    assert spin_pass_counts(path) == want
+    out = run_python(f"from test_cli import spin_pass_counts\n"
+                     f"print(spin_pass_counts({path!r}))\n", "-O")
+    assert out == f"{want}\n"
+
+
 def test_stdout_matches_the_out_file_under_python_O(tmp_path):
     """Frozen at exit, a process still writes its whole output to a pipe:
     the T_40 ``harnack`` report (220,360 bytes, more than the 64 KiB a

@@ -4,13 +4,13 @@ import random
 import pytest
 
 from tcurve_lab.errors import InvariantError, NotTypeI
-from tcurve_lab.filling import (_surface_left, build_filling,
-                                classify_filling, harnack_check, orient_curve)
+from tcurve_lab.filling import (build_filling, classify_filling, harnack_check,
+                                orient_curve)
 from tcurve_lab.oracles import (classify_filling_by_cells, component_nodes,
                                 components_by_adjacency, directed_projection,
-                                midpoint_nodes, oriented_nodes)
+                                midpoint_nodes, oriented_nodes, shadows,
+                                surface_left)
 from tcurve_lab.surface import QUADRANTS, build_ambient_surface
-from tcurve_lab.sweep import thick_y_spins
 from tcurve_lab.tcurve import extract_curve, harnack_distribution
 
 from conftest import pipeline, standard_triangle
@@ -56,7 +56,6 @@ def test_boundary_cycles_match_components():
             _, _, curve = pipeline(poly, random_distribution(rng, poly))
             filling = build_filling(curve)
             assert filling.boundary_count == len(curve.components)
-            assert len(filling.shadows) == len(curve.components)
 
 
 def walked_curves():
@@ -101,15 +100,18 @@ def test_walks_run_with_their_nodes():
 
 def test_shadows_are_closed_orbits():
     # the strand states derived from each walk follow the transitions of
-    # the run's twist bits and come round after two per visit
+    # the run's twist bits and come round after two per visit: the
+    # untwisted successor, or at an 'out' state of a twisted edge the
+    # other 'out' state's
     for curve in walked_curves():
         tab, tw = curve.tables, curve.trace.tw
-        shadows = build_filling(curve).shadows
-        assert len(shadows) == len(curve.components)
-        for shadow, comp in zip(shadows, curve.components):
+        views = shadows(curve)
+        assert len(views) == len(curve.components)
+        for shadow, comp in zip(views, curve.components):
             assert len(shadow) == 2 * len(comp.walk) == len(set(shadow))
             for x, y in zip(shadow, shadow[1:] + shadow[:1]):
-                assert tab.succ[tw[tab.slots[x >> 2]]][x] == y
+                twisted = tw[tab.slots[x >> 2]] and not x & 1
+                assert tab.succ[x ^ 2 * twisted] == y
 
 
 def test_chi_formulas_agree():
@@ -207,8 +209,8 @@ def test_orientation_pins_triangle_zero():
     for curve, filling in type_one_curves():
         bits = orient_curve(curve, filling)
         passes = 0
-        for comp, shadow, bit in zip(curve.components, filling.shadows, bits):
-            along = {_surface_left(x) for x in shadow if x // 12 == 0}
+        for comp, shadow, bit in zip(curve.components, shadows(curve), bits):
+            along = {surface_left(x) for x in shadow if x // 12 == 0}
             nodes = component_nodes(curve, comp)
             assert along <= {oriented_nodes(curve, comp, bit) == nodes}
             passes += len(along)
@@ -233,35 +235,32 @@ def test_orientation_lift_rule():
 
 
 def t4_with_a_flipped_spin():
-    """Harnack T_4 of type (1,0,0), its filling, and ``thick_y_spins`` with
-    the spin flipped of the first triangle that the first circle passes;
-    that circle passes other triangles too."""
+    """Harnack T_4 of type (1,0,0) and its filling, with the spin flipped
+    of the first triangle that the first component visits; that component
+    visits other triangles too."""
     t4 = standard_triangle(4)
     _, _, curve = pipeline(t4, harnack_distribution(t4, (1, 0, 0)))
     filling = build_filling(curve)
-    shadow = filling.shadows[0]
-    t = shadow[0] // 12
-    assert {x // 12 for x in shadow} != {t}
-
-    def flipped_spins(tab, tw):
-        spins = bytearray(thick_y_spins(tab, tw))
-        spins[t] ^= 1
-        return bytes(spins)
-    return curve, filling, flipped_spins
+    walk, T3 = curve.components[0].walk, 3 * curve.tables.T
+    t = walk[0] % T3 // 3
+    assert {u % T3 // 3 for u in walk} != {t}
+    spins = bytearray(filling.spins)
+    spins[t] ^= 1
+    filling.spins = bytes(spins)
+    return curve, filling
 
 
-def test_flipped_spin_raises(monkeypatch):
+def test_flipped_spin_raises():
     # the induced orientation then turns within the circle, in process and
     # under python -O
     message = "induced orientation must be constant along a circle"
-    curve, filling, flipped_spins = t4_with_a_flipped_spin()
-    monkeypatch.setattr("tcurve_lab.filling.thick_y_spins", flipped_spins)
+    curve, filling = t4_with_a_flipped_spin()
     with pytest.raises(InvariantError, match=f"^{message}$"):
         orient_curve(curve, filling)
     out = run_python("import tcurve_lab.filling as fill\n"
                      "from tcurve_lab.errors import InvariantError\n"
                      "from test_filling import t4_with_a_flipped_spin\n"
-                     "curve, filling, fill.thick_y_spins = t4_with_a_flipped_spin()\n"
+                     "curve, filling = t4_with_a_flipped_spin()\n"
                      "try:\n"
                      "    fill.orient_curve(curve, filling)\n"
                      "except InvariantError as exc:\n"

@@ -1,9 +1,11 @@
 """The strand kernel against the tuple oracles, through the sweep and the
 single-shot TCurve -> TFilling, its Gray-code steps against its
 from-scratch state, its thick-Y spins against the parity union-find of
-the oracles, its D and orientability against the strand-state orbits of
-the oracles, its shadows as a partition of the strand pairs, and its
-invariant checks under corrupted tables through both."""
+the oracles, its D and the spins' orientability against the strand-state
+orbits of the oracles, its shadows (``oracles.walk_states``) as a
+partition of the strand pairs, its one successor table against the
+untwisted and twisted definitions, and its invariant checks under
+corrupted tables through both."""
 
 import functools
 import itertools
@@ -14,11 +16,11 @@ import pytest
 import tcurve_lab.sweep as sweep_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.filling import build_filling
-from tcurve_lab.oracles import ParityUnionFind, trace_by_comprehension
+from tcurve_lab.oracles import (ParityUnionFind, trace_by_comprehension,
+                                walk_states)
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.sweep import (compile_sweep, gray_states, kernel_state,
-                              run_sweep, thick_y_spins, trace_vector,
-                              walk_states)
+                              run_sweep, thick_y_spins, trace_vector)
 from tcurve_lab.tcurve import TCurve, harnack_distribution
 from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs)
@@ -214,8 +216,9 @@ def test_failure_names_its_mask_in_gray_order():
 
 def successor_definitions(tri):
     """``nxt``, the previous prong of each slot lift (which the walk reads
-    as ``nxt[nxt[u]]``) and the untwisted and twisted strand successors as
-    ``SweepTables`` defines them, one entry at a time."""
+    as ``nxt[nxt[u]]``) and the untwisted and twisted strand successors,
+    one entry at a time: ``SweepTables.succ`` is the untwisted one, and the
+    walk reads the twisted one through it."""
     nxt = [u - u % 3 + (u + 1) % 3 for u in range(12 * tri.T)]
     prv = [u - u % 3 + (u - 1) % 3 for u in range(12 * tri.T)]
     by_edge: dict = {}
@@ -243,8 +246,12 @@ def successor_definitions(tri):
 
 
 def test_successor_tables_match_their_definitions():
-    """Grid T_1..T_8 and 60 seeded random polygons with flips; every
-    entry is one of the 12T shared int objects."""
+    """Grid T_1..T_8 and 60 seeded random polygons with flips: the one
+    table is the untwisted successor, and the walk's rule, ``succ[x ^ 2]``
+    for an 'out' state x whose edge is twisted, gives the twisted one
+    entry by entry with every interior edge twisted (the kernel's twist
+    bit is 0 at a boundary edge).  Every entry is one of the 12T shared
+    int objects."""
     instances = [(standard_triangle(d), None) for d in range(1, 9)]
     rng = random.Random(19)
     while len(instances) < 68:
@@ -254,9 +261,14 @@ def test_successor_tables_match_their_definitions():
         tri = tri or generate_grid_triangulation(poly)
         tab = compiled(build_ambient_surface(poly), tri)
         nxt, prv, plain, twisted = successor_definitions(tri)
-        assert [tab.nxt, *tab.succ] == [nxt, plain, twisted]
+        assert [tab.nxt, tab.succ] == [nxt, plain]
+        tw = bytearray(tab.E)
+        for e, _, _ in tab.interior:
+            tw[e] = 1
+        assert [tab.succ[x ^ 2 * tw[tab.slots[x >> 2]]] if not x & 1
+                else tab.succ[x] for x in range(12 * tri.T)] == twisted
         assert [tab.nxt[u] for u in tab.nxt] == prv
-        entries = {id(v) for table in (tab.nxt, *tab.succ) for v in table}
+        entries = {id(v) for table in (tab.nxt, tab.succ) for v in table}
         assert len(entries) <= 12 * tri.T, poly
 
 
@@ -347,18 +359,18 @@ def every_twist_vector_runs(d):
     poly = standard_triangle(d)
     surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
     tab = compiled(surface, tri)
-    identities, memo, masks = sweep_module._identities(tab), {}, {}
+    identities, masks = sweep_module._identities(tab), {}
     for mask, state in gray_states(tab):
-        masks.setdefault(sweep_module._run(tab, identities, state, memo, False).tw, mask)
-    assert list(masks) == list(memo) and len(memo) == 1 << (tab.V - 3)
-    assert set(memo.values()) <= {False, True}
+        masks.setdefault(sweep_module._run(tab, identities, state, False).tw, mask)
+    assert len(masks) == 1 << (tab.V - 3)
     return [(tab, [trace_vector(tab, mask) for mask in masks.values()])]
 
 
 def assert_trace_matches(instances):
     for tab, runs in instances:
         for run in runs:
-            assert 2 * run.d + run.orientable == \
+            orientable = thick_y_spins(tab, run.tw) is not None
+            assert 2 * run.d + orientable == \
                 trace_by_comprehension(tab, run.tw), run.tw
 
 
@@ -426,21 +438,20 @@ def _corrupt_across_interior(tab):
 
 
 def _corrupt_succ_pair(tab):
-    # a permutation still, in both tables, but not the ribbon's
+    # a permutation still, but not the ribbon's
     s, s2 = tab.interior[0][1], tab.interior[1][1]
-    for table in tab.succ:
-        table[4 * s], table[4 * s2] = table[4 * s2], table[4 * s]
+    tab.succ[4 * s], tab.succ[4 * s2] = tab.succ[4 * s2], tab.succ[4 * s]
 
 
 def _corrupt_succ(tab):
-    plain, _ = tab.succ
-    plain[0], plain[2] = plain[2], plain[0]
+    tab.succ[0], tab.succ[2] = tab.succ[2], tab.succ[0]
 
 
 def _corrupt_twisted_succ(tab):
-    _, twisted = tab.succ
+    # where 'out' state 4s lands when its edge is twisted: its untwisted
+    # landing instead of the other 'out' state's
     s = tab.interior[0][1]
-    twisted[4 * s] = twisted[4 * s + 2]
+    tab.succ[4 * s + 2] = tab.succ[4 * s]
 
 
 def _corrupt_slots(tab):
@@ -451,7 +462,9 @@ CORRUPTIONS = [_corrupt_seg_par, _corrupt_edge_class, _corrupt_edge_ends,
                _corrupt_across, _corrupt_across_interior, _corrupt_succ,
                _corrupt_succ_pair, _corrupt_twisted_succ, _corrupt_slots]
 # on grid T_3, per corruption: the message of the sweep (which names the
-# first failing mask) and of the single-shot driver
+# first failing mask) and of the single-shot driver.  Every vector reads
+# the one successor table, twisted or not, so a corrupted entry shows at
+# the first mask whose walk reads it.
 CORRUPTION_MESSAGES = {
     _corrupt_seg_par: ("mask 0: edge sign must descend to the surface",
                        "edge sign must descend to the surface"),
@@ -467,10 +480,10 @@ CORRUPTION_MESSAGES = {
         "a curve component must close up with its shadow"),
     _corrupt_succ: ("mask 0: shadow must follow the boundary transitions",
                     "shadow must follow the boundary transitions"),
-    _corrupt_succ_pair: ("mask 1: shadow must follow the boundary transitions",
+    _corrupt_succ_pair: ("mask 0: shadow must follow the boundary transitions",
                          "shadow must follow the boundary transitions"),
     _corrupt_twisted_succ: (
-        "mask 4: shadow must follow the boundary transitions",
+        "mask 2: shadow must follow the boundary transitions",
         "shadow must follow the boundary transitions"),
     _corrupt_slots: ("mask 0: a curve component must cross by negative edges",
                      "a curve component must cross by negative edges"),
