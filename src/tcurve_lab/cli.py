@@ -509,8 +509,8 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         i_count = tables.interior_points
         # per curve type (I when the filling is orientable): D -> vectors
         by_type = {"I": Counter(), "II": Counter()}
-        for _, d, orientable in run_sweep(tables):
-            by_type["I" if orientable else "II"][d] += 1
+        for (d, orientable), vectors in run_sweep(tables).items():
+            by_type["I" if orientable else "II"][d] += vectors
         dist = by_type["I"] + by_type["II"]
         runs = sum(dist.values())
         check(runs == 1 << tri.V, f"{runs} sign vectors swept, not 2^{tri.V}")

@@ -30,7 +30,11 @@ The regions are also found with one ``find`` per lookup
 (``regions_by_find``), where ``TCurve.regions`` joins in two batches, and
 D and orientability by the orbits of all 12T strand states, a successor
 chosen per state (``trace_by_comprehension``), where the kernel counts
-its walks.  The picture is also drawn one line string at a time
+its walks.  The spins come also from a union-find on the double cover
+of G(Pi) (``spins_by_double_cover``), where ``thick_y_spins`` tests the
+twist parity at each interior point, and a sweep's type-I vectors are
+counted by a GF(2) rank (``type_one_count``), where ``run_sweep`` tests
+each run.  The picture is also drawn one line string at a time
 (``svg_by_lines``).
 Only ``component_nodes`` turns a walk into G(S) nodes; ``oriented_nodes``
 and ``directed_projection`` read an ``orient_curve`` bit through them.
@@ -40,6 +44,8 @@ the kernel and ``orient_curve`` read them as they walk.
 Tests demand exact agreement with the fast paths on every instance.
 """
 
+from itertools import chain, repeat
+from operator import eq, ne
 from typing import NamedTuple
 
 from .lattice import Point, Polygon, segment_parity
@@ -49,9 +55,10 @@ from .filling import TFilling
 from .geometry import on_segment, segment_lattice_points
 from .errors import check
 from .svg import PALETTE, SIGNS, SUB, UNIT
-from .sweep import SweepTables
+from .sweep import SweepTables, trace_vector
 from .tcurve import Component, ComponentClass, TCurve, _midpoint
 from .triangulation import Edge, PrimitiveTriangulation
+from .uf import join
 
 
 def reflect(q: Quadrant, p: Point) -> Point:
@@ -914,6 +921,57 @@ def trace_by_comprehension(tab: SweepTables, tw) -> int:
     spins = ParityUnionFind()
     return count + all(spins.union(s_a // 3, s_b // 3, tw[e])
                        for e, s_a, s_b in tab.interior)
+
+
+def spins_by_double_cover(tab: SweepTables, tw) -> bytes | None:
+    """What ``thick_y_spins`` gives, by a union-find on the double cover
+    of G(Pi), where node 2t + o is triangle t with relative orientation o
+    and each interior edge joins its two triangles with or without a swap
+    by its twist bit: None when some 2t and 2t + 1 meet, where
+    ``thick_y_spins`` tests the twist parity at each interior point."""
+    ends = ((s_a // 3 * 2, s_b // 3 * 2 + tw[e]) for e, s_a, s_b in tab.interior)
+    root = join(list(range(2 * tab.T)), chain.from_iterable(
+        ((a, b), (a + 1, b ^ 1)) for a, b in ends))
+    if any(map(eq, root[::2], root[1::2])):
+        return None
+    return bytes(map(ne, root[::2], repeat(root[0])))
+
+
+def type_one_count(tab: SweepTables) -> int:
+    """The number of the 2^V sign vectors whose filling is orientable, by
+    linear algebra over GF(2) (ROADMAP item 11).  The twist vector is
+    affine in the mask, tw(m) = tw(0) + M m, and orientable exactly when
+    it is a coboundary, in C = the span of the T single-triangle
+    coboundaries (each thick-Y's interior edges).  So the type-I masks are
+    empty or a coset of the kernel of M mod C: 2^(V - rank(M mod C)), or 0
+    when tw(0) is not in C + im M.  Rows are ints, one byte per edge as
+    in the kernel; M's columns come from ``trace_vector`` on each mask
+    1 << j."""
+    pivots: dict = {}  # leading bit -> row
+
+    def reduce(row: int) -> int:
+        while row and row.bit_length() in pivots:
+            row ^= pivots[row.bit_length()]
+        return row
+
+    def add(row: int) -> None:
+        row = reduce(row)
+        if row:
+            pivots[row.bit_length()] = row
+
+    coboundary = [0] * tab.T
+    for e, s_a, s_b in tab.interior:
+        coboundary[s_a // 3] ^= 1 << 8 * e
+        coboundary[s_b // 3] ^= 1 << 8 * e
+    for row in coboundary:
+        add(row)
+    rank_c = len(pivots)
+    tw0 = int.from_bytes(trace_vector(tab, 0).tw, "little")
+    for j in range(tab.V):
+        add(int.from_bytes(trace_vector(tab, 1 << j).tw, "little") ^ tw0)
+    if reduce(tw0):
+        return 0
+    return 1 << (tab.V - (len(pivots) - rank_c))
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
 (``kernel_state``) for ``TCurve``, and it alone records the walks
 (``TFilling`` reads that run).  ``run_sweep`` (behind ``enumerate``)
 runs the masks with bit V-1 clear in Gray-code order, ``g ^ g >> 1``,
-memoising orientability per twist vector; the complement of a mask (-delta)
-has the same edge signs and so the same state, run and checks.  Each
+and tallies (D, orientable); the complement of a mask (-delta) has the
+same edge signs and so the same state, run and checks.  Each
 step flips one point sign j, which XORs the state (affine in the mask
 over GF(2)) with the change flipping j makes to mask 0's (``gray_states``).
 
@@ -55,13 +55,12 @@ db`` walks prong k of triangle t on strand +1 (sb = 1) or -1 (sb = 0),
 heading in (db = 1) or out (db = 0); flipping bit 0 reverses it.
 """
 
-from itertools import chain, compress, repeat
-from operator import eq, itemgetter, ne, xor
+from itertools import compress
+from operator import itemgetter, ne, xor
 from typing import NamedTuple
 
 from .errors import InconsistentArcPairing, InvariantError
 from .triangulation import Lifts, PrimitiveTriangulation
-from .uf import join
 
 
 class SweepTables(NamedTuple):
@@ -162,19 +161,36 @@ def compile_sweep(tri: PrimitiveTriangulation, lifts: Lifts) -> SweepTables:
                        boundary, across, nxt, readings, u_turns, succ)
 
 
+def _stars(tab: SweepTables) -> list:
+    """Per interior lattice point, the ids of the edges that end at it.  Their
+    links are a basis of the cycles of G(Pi), so twist bits are orientable
+    iff every star holds an even number of them (README, "sweep")."""
+    stars = [[] for _ in range(tab.V)]
+    for e, (a, b) in enumerate(tab.edge_ends):
+        stars[a].append(e)
+        stars[b].append(e)
+    rim = {p for e, _ in tab.boundary for p in tab.edge_ends[e]}
+    return [star for p, star in enumerate(stars) if p not in rim]
+
+
 def thick_y_spins(tab: SweepTables, tw) -> bytes | None:
     """Per triangle, 1 when its thick-Y's planar orientation is reversed
     relative to that of triangle 0 under twist bits ``tw``: kept across an
-    untwisted edge, reversed across a twisted one.  Union-find on the
-    double cover of G(Pi), where node 2t + o is triangle t with relative
-    orientation o.  None when some 2t and 2t + 1 meet, that is when the
-    filling is not orientable."""
-    ends = ((s_a // 3 * 2, s_b // 3 * 2 + tw[e]) for e, s_a, s_b in tab.interior)
-    root = join(list(range(2 * tab.T)), chain.from_iterable(
-        ((a, b), (a + 1, b ^ 1)) for a, b in ends))
-    if any(map(eq, root[::2], root[1::2])):
+    untwisted edge, reversed across a twisted one, read off one
+    breadth-first pass over G(Pi).  None when the filling is not
+    orientable, by the twist parity of ``_stars``."""
+    if any(sum(map(tw.__getitem__, star)) & 1 for star in _stars(tab)):
         return None
-    return bytes(map(ne, root[::2], repeat(root[0])))
+    T, across, slots = tab.T, tab.across, tab.slots
+    spins = [0] + [2] * (T - 1)  # 2: not reached yet
+    queue = [0]
+    for t in queue:
+        for s in range(3 * t, 3 * t + 3):
+            w = across[s] // 3  # T or more at a boundary edge
+            if w < T and spins[w] == 2:
+                spins[w] = spins[t] ^ tw[slots[s]]
+                queue.append(w)
+    return bytes(spins)
 
 
 class VectorTrace(NamedTuple):
@@ -356,21 +372,21 @@ def gray_states(tab: SweepTables):
         yield g ^ g >> 1, state
 
 
-def run_sweep(tab: SweepTables):
-    """Yield (mask, D, orientable) for every mask: each state of
-    ``gray_states`` serves its mask and the complement, and orientability
-    is memoised per twist vector.  A failure names the first failing mask
-    in Gray-code order, the one with bit V-1 clear."""
+def run_sweep(tab: SweepTables) -> dict:
+    """The tally {(D, orientable): vectors} over all 2^V masks: each state
+    of ``gray_states`` serves its mask and the complement, and is
+    orientable by the twist parity of ``_stars``, one int mask each.  A
+    failure names the first failing mask in Gray-code order, the one with
+    bit V-1 clear."""
     identities = _identities(tab)
-    memo: dict = {}
-    full = (1 << tab.V) - 1
+    stars = [sum(1 << 8 * e for e in star) for star in _stars(tab)]
+    tally: dict = {}
     for mask, state in gray_states(tab):
         try:
             tw, _, d = _run(tab, identities, state, False)
         except InvariantError as exc:
             raise type(exc)(f"mask {mask}: {exc}") from None
-        orientable = memo.get(tw)
-        if orientable is None:
-            orientable = memo[tw] = thick_y_spins(tab, tw) is not None
-        yield mask, d, orientable
-        yield mask ^ full, d, orientable
+        tw = int.from_bytes(tw, "little")
+        key = d, not any((tw & star).bit_count() & 1 for star in stars)
+        tally[key] = tally.get(key, 0) + 2
+    return tally

@@ -1,6 +1,7 @@
 """Shared test machinery: random polygons, a general primitive
 triangulator (ear clipping plus refinement to area 1/2), random diagonal
-flips, the full sweep of a triangulation, the comparison of a curve and
+flips, the full sweep of a triangulation mask by mask and its type-I
+total against the GF(2) count, the comparison of a curve and
 its filling with the tuple oracles, the Z2 matrix algebra of the atlas,
 the (Z2)^3 action on sign distributions, the degree parity law, and
 translated or unimodularly transformed curves with their census
@@ -13,6 +14,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from functools import cmp_to_key
 from pathlib import Path
 
@@ -24,10 +26,12 @@ from tcurve_lab.lattice import (Point, Polygon, is_standard_triangle, pairing,
                                 point_parity, validate_polygon)
 from tcurve_lab.oracles import (component_nodes, components_by_adjacency,
                                 locate_in_polygon, midpoint_nodes, shadows,
-                                strands_by_tuples, twists_by_arc_pairing)
+                                strands_by_tuples, twists_by_arc_pairing,
+                                type_one_count)
 from tcurve_lab.surface import (AmbientSurface, Atlas, Mat2, Quadrant,
                                 build_ambient_surface)
-from tcurve_lab.sweep import compile_sweep, run_sweep
+from tcurve_lab.sweep import (SweepTables, _identities, _run, compile_sweep,
+                              gray_states, run_sweep, thick_y_spins)
 from tcurve_lab.tcurve import CurveCensus, HarnackType, TCurve
 from tcurve_lab.triangulation import (PrimitiveTriangulation, edge_key,
                                       incidence_graphs)
@@ -241,10 +245,37 @@ def random_distribution(rng: random.Random, polygon: Polygon) -> dict:
     return {p: rng.choice((1, -1)) for p in polygon.lattice_points}
 
 
-def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation):
-    """Yield (mask, D, orientable) for each of the 2^V sign vectors, in the
-    order in which ``enumerate`` tallies them."""
-    yield from run_sweep(compile_sweep(tri, incidence_graphs(surface, tri)))
+def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation) -> list:
+    """(mask, D, orientable) for each of the 2^V sign vectors, in the order
+    in which ``enumerate`` runs them: the kernel run of each state of
+    ``gray_states`` serves its mask, then the complement, and the filling is
+    orientable when ``thick_y_spins`` finds spins.  Their tally must be
+    ``run_sweep``'s."""
+    tab = compile_sweep(tri, incidence_graphs(surface, tri))
+    identities, full, out = _identities(tab), (1 << tab.V) - 1, []
+    for mask, state in gray_states(tab):
+        tw, _, d = _run(tab, identities, state, False)
+        orientable = thick_y_spins(tab, tw) is not None
+        out += [(mask, d, orientable), (mask ^ full, d, orientable)]
+    assert dict(Counter((d, o) for _, d, o in out)) == run_sweep(tab)
+    return out
+
+
+def check_type_one_count(tab: SweepTables, tally: dict) -> None:
+    """``oracles.type_one_count`` against the type-I total of a sweep's
+    tally {(D, orientable): vectors}; the tally with one run (a mask and
+    its complement) moved to the other type must fail the comparison."""
+    count = type_one_count(tab)
+    assert type_one_total(tally) == count, (tally, count)
+    (d, orientable), _ = next(iter(tally.items()))
+    flipped = dict(tally)
+    flipped[d, orientable] -= 2
+    flipped[d, not orientable] = flipped.get((d, not orientable), 0) + 2
+    assert type_one_total(flipped) != count
+
+
+def type_one_total(tally: dict) -> int:
+    return sum(v for (_, orientable), v in tally.items() if orientable)
 
 
 def tuple_state(tri: PrimitiveTriangulation, x: int) -> tuple:

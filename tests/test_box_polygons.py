@@ -1,7 +1,8 @@
 """Every simple lattice polygon with at most 5 vertices in [0,3]^2
 (``helpers.box_polygons``), and a seeded sample of them through the
 surface oracle, the Harnack census under all 8 types, and the filling of
-the (1,0,0) curve against the cell oracle."""
+the (1,0,0) curve against the cell oracle, and a sample with V <= 12
+through the sweep, whose type-I total must be the GF(2) count."""
 
 import collections
 import itertools
@@ -13,12 +14,12 @@ from tcurve_lab.filling import build_filling, classify_filling
 from tcurve_lab.oracles import (classify_filling_by_cells,
                                 classify_surface_by_cells)
 from tcurve_lab.surface import build_ambient_surface
-from tcurve_lab.sweep import compile_sweep
+from tcurve_lab.sweep import compile_sweep, run_sweep
 from tcurve_lab.tcurve import (TCurve, harnack_distribution,
                                verify_harnack_census)
 from tcurve_lab.triangulation import incidence_graphs
 
-from helpers import box_polygons, primitive_triangulation
+from helpers import box_polygons, check_type_one_count, primitive_triangulation
 
 HARNACK_TYPES = list(itertools.product((0, 1), repeat=3))
 
@@ -58,3 +59,13 @@ def test_a_sample_of_the_box_list(polygons):
                 assert d == len(poly.interior_points) + 1, poly
                 assert classify_filling_by_cells(filling) == \
                     (filling.chi, d, classify_filling(filling).capped.orientable)
+
+
+def test_type_one_count_on_a_sample_of_the_box_list(polygons):
+    """200 polygons with V <= 12: ``oracles.type_one_count`` is the type-I
+    total of the sweep (ROADMAP item 11)."""
+    small = [poly for poly in polygons if poly.point_count <= 12]
+    for poly in random.Random(31).sample(small, 200):
+        tri = primitive_triangulation(poly)
+        tables = compile_sweep(tri, incidence_graphs(build_ambient_surface(poly), tri))
+        check_type_one_count(tables, run_sweep(tables))

@@ -241,13 +241,14 @@ def test_exit_code_invariant_violation(tmp_path, capsys, monkeypatch):
 
 
 def test_enumerate_counts_its_runs(tmp_path, capsys, monkeypatch):
-    """A sweep that drops the complement of each mask it runs leaves half
-    the 2^V vectors untallied: exit 1 with one line, also under -O."""
+    """A sweep that counts each run for its mask but not the complement
+    leaves half the 2^V vectors untallied: exit 1 with one line, also
+    under -O."""
     import tcurve_lab.cli as cli
     from tcurve_lab.sweep import run_sweep
 
     def half(tab):
-        return (r for r in run_sweep(tab) if not r[0] >> (tab.V - 1) & 1)
+        return {key: vectors // 2 for key, vectors in run_sweep(tab).items()}
 
     monkeypatch.setattr(cli, "run_sweep", half)
     path = write(tmp_path, "t3.yaml",
@@ -259,8 +260,8 @@ def test_enumerate_counts_its_runs(tmp_path, capsys, monkeypatch):
     code = ("import contextlib, io\n"
             "import tcurve_lab.cli as cli\n"
             "run_sweep = cli.run_sweep\n"
-            "cli.run_sweep = lambda tab: (r for r in run_sweep(tab)\n"
-            "                             if not r[0] >> (tab.V - 1) & 1)\n"
+            "cli.run_sweep = lambda tab: {key: vectors // 2 for key, vectors\n"
+            "                             in run_sweep(tab).items()}\n"
             "err = io.StringIO()\n"
             "with contextlib.redirect_stderr(err):\n"
             f"    code = cli.main(['enumerate', '--input', {path!r}])\n"

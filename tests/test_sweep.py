@@ -1,22 +1,26 @@
 """The strand kernel against the tuple oracles, through the sweep and the
 single-shot TCurve -> TFilling, its Gray-code steps against its
-from-scratch state, its thick-Y spins against the parity union-find of
-the oracles, its D and the spins' orientability against the strand-state
+from-scratch state, its thick-Y spins and the sweep's tally against the
+parity union-finds of the oracles, the sweep's type-I total against the
+GF(2) count, its D and the spins' orientability against the strand-state
 orbits of the oracles, its shadows (``oracles.walk_states``) as a
 partition of the strand pairs, its one successor table against the
 untwisted and twisted definitions, and its invariant checks under
 corrupted tables through both."""
 
+import ast
 import functools
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
 import tcurve_lab.sweep as sweep_module
 from tcurve_lab.errors import InvariantError
 from tcurve_lab.filling import build_filling
-from tcurve_lab.oracles import (ParityUnionFind, trace_by_comprehension,
+from tcurve_lab.oracles import (ParityUnionFind, spins_by_double_cover,
+                                trace_by_comprehension, type_one_count,
                                 walk_states)
 from tcurve_lab.surface import build_ambient_surface
 from tcurve_lab.sweep import (compile_sweep, gray_states, kernel_state,
@@ -26,9 +30,9 @@ from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs)
 
 from conftest import standard_triangle
-from helpers import (match_oracles, primitive_triangulation,
-                     random_distribution, random_flips, random_polygon,
-                     run_python, sweep)
+from helpers import (check_type_one_count, match_oracles,
+                     primitive_triangulation, random_distribution,
+                     random_flips, random_polygon, run_python, sweep)
 
 
 def mask_signs(tri, mask):
@@ -55,7 +59,8 @@ def reference(surface, tri, tables, mask):
 
 def test_random_instances_match_reference():
     """200 seeded polygons with V <= 11 under random primitive
-    triangulations: every vector when V <= 9, 64 sampled ones above.
+    triangulations: every vector when V <= 9, 64 sampled ones above; and
+    the type-I total of each sweep against the GF(2) count.
 
     A sign vector and its negation have the same edge signs, so the
     reference builds one curve and one filling for both."""
@@ -74,6 +79,7 @@ def test_random_instances_match_reference():
         half = 1 << (v - 1)
         masks = range(half) if v <= 9 else rng.sample(range(half), 32)
         tables = compiled(surface, tri)
+        check_type_one_count(tables, dict(Counter(got.values())))
         for mask in masks:
             want = reference(surface, tri, tables, mask)
             assert got[mask] == got[~mask % (1 << v)] == want, (poly, mask)
@@ -134,20 +140,36 @@ def test_t4_distribution():
         assert got[mask] == reference(surface, tri, tables, mask)
 
 
-def test_memo_runs_once_per_twist_vector(monkeypatch):
-    t3 = standard_triangle(3)
-    surface = build_ambient_surface(t3)
-    tri = generate_grid_triangulation(t3)
-    keys = []
+def test_run_sweep_never_calls_thick_y_spins(monkeypatch):
+    """The sweep decides orientability by the twist parity at each interior
+    point, on every run, with no spins, memo or union-find."""
+    calls = []
     spins = sweep_module.thick_y_spins
 
     def counted(tab, tw):
-        keys.append(bytes(tw))
+        calls.append(tw)
         return spins(tab, tw)
 
     monkeypatch.setattr(sweep_module, "thick_y_spins", counted)
-    assert sum(1 for _ in sweep(surface, tri)) == 1024
-    assert len(keys) == len(set(keys)) == 1 << (10 - 3)
+    for d in (3, 4):
+        tab = compiled_grid(d)
+        assert sum(run_sweep(tab).values()) == 1 << tab.V
+    assert calls == []
+
+
+@functools.cache
+def compiled_grid(d):
+    poly = standard_triangle(d)
+    return compiled(build_ambient_surface(poly), generate_grid_triangulation(poly))
+
+
+def test_type_one_count_matches_the_grid_sweeps():
+    """``oracles.type_one_count`` is the type-I total of ``run_sweep`` on
+    grid T_2..T_4: 2^L, L = 3d (ROADMAP item 11)."""
+    for d in (2, 3, 4):
+        tab = compiled_grid(d)
+        check_type_one_count(tab, run_sweep(tab))
+        assert type_one_count(tab) == 1 << 3 * d
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +179,8 @@ def test_gray_steps_match_scratch_states():
     """T_3 and 20 seeded random polygons under random primitive
     triangulations: the Gray steps visit the masks with bit V-1 clear
     once each, in Gray-code order, with the state built from scratch;
-    every mask has the state of its complement; and the sweep yields
-    each of the 2^V masks once."""
+    every mask has the state of its complement; and the sweep serves each
+    of the 2^V masks once, its tally that of the runs one by one."""
     t3 = standard_triangle(3)
     instances = [(t3, generate_grid_triangulation(t3))]
     rng = random.Random(13)
@@ -168,7 +190,8 @@ def test_gray_steps_match_scratch_states():
             instances.append(
                 (poly, random_flips(rng, primitive_triangulation(poly), 8)))
     for poly, tri in instances:
-        tab = compiled(build_ambient_surface(poly), tri)
+        surface = build_ambient_surface(poly)
+        tab = compiled(surface, tri)
         full = (1 << tab.V) - 1
         masks = []
         for mask, state in gray_states(tab):
@@ -178,7 +201,7 @@ def test_gray_steps_match_scratch_states():
         for mask in range(full + 1):
             assert kernel_state(tab, mask) == kernel_state(tab, mask ^ full), \
                 (poly, mask)
-        assert sorted(mask for mask, _, _ in run_sweep(tab)) == \
+        assert sorted(mask for mask, _, _ in sweep(surface, tri)) == \
             list(range(full + 1))
 
 
@@ -201,8 +224,7 @@ def test_failure_names_its_mask_in_gray_order():
     tab.edge_class[l1] = next(c for c in tab.edge_class if c != tab.edge_class[l1])
     message = f"boundary edge {e} must U-turn in one class"
     with pytest.raises(InvariantError) as swept:
-        for _ in run_sweep(tab):
-            pass
+        run_sweep(tab)
     assert first[0] not in (0, first[1])
     assert not first[0] >> (tab.V - 1) & 1
     assert str(swept.value) == f"mask {first[0]}: {message}"
@@ -311,12 +333,99 @@ def test_thick_y_spins_match_parity_union_find():
                              for e, s_a, s_b in tab.interior)
             spins = thick_y_spins(tab, tw)
             assert (spins is not None) == consistent, (poly, tri, tw)
+            assert spins == spins_by_double_cover(tab, tw)
             counts[consistent] += 1
             if spins is not None:
                 assert len(spins) == tab.T and spins[0] == 0
                 for e, s_a, s_b in tab.interior:
                     assert spins[s_a // 3] ^ spins[s_b // 3] == tw[e]
     assert min(counts) > 300
+
+
+def test_parity_rule_matches_the_double_cover_on_every_vector():
+    """Every sign vector of grid T_1..T_4 and of 20 seeded polygons under
+    random flips: ``thick_y_spins`` (twist parity at each interior point,
+    then spins by breadth-first search) gives exactly the spins of the
+    double-cover union-find, and the sweep's tally is that of the union-find
+    run by run."""
+    instances = [compiled_grid(d) for d in range(1, 5)]
+    rng = random.Random(3131)
+    while len(instances) < 24:
+        poly = random_polygon(rng, box=4)
+        if len(poly.lattice_points) <= 10:
+            tri = random_flips(rng, primitive_triangulation(poly), 20)
+            instances.append(compiled(build_ambient_surface(poly), tri))
+    counts = [0, 0]
+    for tab in instances:
+        identities, tally = sweep_module._identities(tab), Counter()
+        for _, state in gray_states(tab):
+            tw, _, d = sweep_module._run(tab, identities, state, False)
+            spins = spins_by_double_cover(tab, tw)
+            assert thick_y_spins(tab, tw) == spins, tw
+            tally[d, spins is not None] += 2
+            counts[spins is not None] += 1
+        assert run_sweep(tab) == dict(tally)
+    assert min(counts) > 1000
+
+
+def planted_twists() -> tuple:
+    """On grid T_3, whose one interior point ends the spokes: one more
+    twist on a spoke and on a chord (an interior edge between two boundary
+    points) of a twist vector with spins, whether ``thick_y_spins`` and the
+    double cover find spins; then the sweep's tally with that twist planted
+    on every run, and on a spoke in the first run only."""
+    tab = compiled_grid(3)
+    rim = {p for e, _ in tab.boundary for p in tab.edge_ends[e]}
+    spoke, chord = (next(e for e, _, _ in tab.interior
+                         if rim.issuperset(tab.edge_ends[e]) == on_rim)
+                    for on_rim in (False, True))
+    tw = next(tw for tw in (trace_vector(tab, m).tw for m in range(1 << tab.V))
+              if spins_by_double_cover(tab, tw) is not None)
+
+    def plant(tw, e):
+        return tw[:e] + bytes([tw[e] ^ 1]) + tw[e + 1:]
+
+    run = sweep_module._run
+
+    def planted_sweep(e, runs):
+        def planted(*args):
+            nonlocal runs
+            trace, runs = run(*args), runs - 1
+            return trace._replace(tw=plant(trace.tw, e)) if runs >= 0 else trace
+        sweep_module._run = planted
+        try:
+            return run_sweep(tab)
+        finally:
+            sweep_module._run = run
+    return ([(thick_y_spins(tab, plant(tw, e)) is not None,
+              spins_by_double_cover(tab, plant(tw, e)) is not None)
+             for e in (spoke, chord)],
+            planted_sweep(spoke, 1 << tab.V), planted_sweep(chord, 1 << tab.V),
+            planted_sweep(spoke, 1))
+
+
+PLANTED = ([(False, False), (True, True)],
+           {(1, True): 512, (2, False): 512},
+           {(1, False): 512, (2, True): 512},
+           {(1, False): 512, (2, False): 2, (2, True): 510})
+
+
+def test_a_planted_twist_makes_the_filling_non_orientable():
+    """A twist planted on a spoke at T_3's interior point leaves no spins
+    and turns every run's orientability over (type I vectors report type
+    II); one on a chord, a bridge of G(Pi), changes nothing.  Planted on
+    the first run only (mask 0, D = 2, type I), the tally's type-I total
+    misses the GF(2) count."""
+    got = planted_twists()
+    assert got == PLANTED
+    check_type_one_count(compiled_grid(3), run_sweep(compiled_grid(3)))
+    with pytest.raises(AssertionError):
+        check_type_one_count(compiled_grid(3), got[3])
+
+
+def test_a_planted_twist_under_python_O():
+    out = run_python("import test_sweep\nprint(test_sweep.planted_twists())\n", "-O")
+    assert ast.literal_eval(out) == PLANTED
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +462,8 @@ def random_runs():
 
 @functools.cache
 def every_twist_vector_runs(d):
-    """Every twist vector that a sign vector of grid T_d gives (the keys of
-    the sweep's memo: 2^(V-3)), each run from the first mask that gives it
-    in Gray-code order."""
+    """Every twist vector that a sign vector of grid T_d gives (2^(V-3) of
+    them), each run from the first mask that gives it in Gray-code order."""
     poly = standard_triangle(d)
     surface, tri = build_ambient_surface(poly), generate_grid_triangulation(poly)
     tab = compiled(surface, tri)
@@ -491,8 +599,7 @@ CORRUPTION_MESSAGES = {
 
 
 def sweep_driver(surface, tri, tab):
-    for _ in run_sweep(tab):
-        pass
+    run_sweep(tab)
 
 
 def single_shot_driver(surface, tri, tab):
