@@ -401,11 +401,11 @@ def filling_report(filling: TFilling) -> dict:
         "boundary_components": filling.boundary_count,
         "twists": sum(1 for v in filling.twists.values() if v),
         "folds": len(filling.folds),
-        "chi_capped": cls.capped.chi,
-        "orientable": cls.capped.orientable,
-        "genus": cls.capped.genus,
-        "crosscaps": cls.capped.crosscaps,
-        "curve_type": cls.curve_type,
+        "chi_capped": cls.euler,
+        "orientable": cls.orientable,
+        "genus": cls.genus,
+        "crosscaps": cls.crosscaps,
+        "curve_type": "I" if cls.orientable else "II",
         "harnack": {
             "components": verdict.boundary_count,
             "interior_points": verdict.interior_points,
@@ -472,12 +472,19 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
         raise CapExceeded(f"{polygon.point_count} lattice points exceed the "
                           f"cap {cap}; raise it with --cap")
     check_size(polygon, triangulates=name != "surface")
+    # a missing sign distribution or Harnack type too, before any set-up
+    if name in ("curve", "filling", "harnack", "render"):
+        delta = problem.distribution(htype)
+    if name == "harnack" and htype is None:
+        if problem.signs[0] != "harnack":
+            raise ValidationError("harnack subcommand needs a type "
+                                  "(signs.harnack or --type)")
+        htype = problem.signs[1]
     surface = build_ambient_surface(polygon)
     if name == "surface":
         report["surface"] = surface_report(surface)
     elif name in ("curve", "filling", "harnack", "render"):
         tri = problem.build_triangulation()
-        delta = problem.distribution(htype)
         curve = extract_curve(surface, tri, delta)
         if name == "render":
             return render_svg(curve)
@@ -487,11 +494,6 @@ def run_subcommand(name: str, problem: Problem, *, htype=None, cap=16,
             filling = build_filling(curve)
             report["filling"] = filling_report(filling)
         if name == "harnack":
-            if htype is None:
-                if problem.signs[0] != "harnack":
-                    raise ValidationError("harnack subcommand needs a type "
-                                          "(signs.harnack or --type)")
-                htype = problem.signs[1]
             pred = predicted_harnack_census(polygon, htype)
             report["harnack_census"] = {
                 "type": list(htype),

@@ -17,6 +17,7 @@ type-I curve.
 from typing import NamedTuple
 
 from .errors import NotTypeI, check
+from .surface import TopologyClass
 from .sweep import thick_y_spins
 from .tcurve import TCurve
 
@@ -57,30 +58,14 @@ def build_filling(curve: TCurve) -> TFilling:
 # ---------------------------------------------------------------------------
 # classification
 
-class CappedSurface(NamedTuple):
-    chi: int
-    orientable: bool
-    genus: int | None
-    crosscaps: int | None
-
-
-class FillingClass(NamedTuple):
-    capped: CappedSurface
-    curve_type: str  # 'I' | 'II'
-
-
-def classify_filling(filling: TFilling) -> FillingClass:
+def classify_filling(filling: TFilling) -> TopologyClass:
     """The capped surface, connected because G(Pi) is (``incidence_graphs``
-    checks it).  D comes from the strand kernel, which has checked both
-    Euler characteristic computations and D <= i + 1, and orientability
-    from the thick-Y spins."""
-    d = filling.boundary_count
-    chi_sigma = filling.chi + d
-    orientable = filling.orientable
-    genus = (2 - chi_sigma) // 2 if orientable else None
-    crosscaps = 2 - chi_sigma if not orientable else None
-    capped = CappedSurface(chi_sigma, orientable, genus, crosscaps)
-    return FillingClass(capped, "I" if orientable else "II")
+    checks it): chi is the filling's plus D, which the strand kernel
+    counted after checking both Euler characteristic computations and
+    D <= i + 1; orientability comes from the thick-Y spins.  The curve is
+    of type I exactly when it is orientable."""
+    return TopologyClass.connected(filling.chi + filling.boundary_count,
+                                   filling.orientable)
 
 
 class HarnackVerdict(NamedTuple):

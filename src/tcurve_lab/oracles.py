@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 from .lattice import Point, Polygon, segment_parity
 from .surface import (QUADRANTS, AmbientSurface, Quadrant, TopologyClass,
-                      _surface_name, glue_offset)
+                      glue_offset)
 from .filling import TFilling
 from .geometry import on_segment, segment_lattice_points
 from .errors import check
@@ -243,13 +243,7 @@ def classify_surface_by_cells(polygon: Polygon) -> TopologyClass:
         assert chi_total == 4, "two components must both be spheres"
         return TopologyClass(2, True, 0, None, 4, "two spheres")
     assert n_comp == 1
-    if orientable_all:
-        genus = (2 - chi_total) // 2
-        return TopologyClass(1, True, genus, None, chi_total,
-                             _surface_name(True, genus, None))
-    cc = 2 - chi_total
-    return TopologyClass(1, False, None, cc, chi_total,
-                         _surface_name(False, None, cc))
+    return TopologyClass.connected(chi_total, orientable_all)
 
 
 # ---------------------------------------------------------------------------

@@ -42,16 +42,12 @@ class Chart(NamedTuple):
     center; the matrix columns are their segment parities.  A quadrant
     labelled (c,d) sits in chart-quadrant (c,d) @ matrix.
     """
-    index: int
     center: Point
-    in_edge: int
-    out_edge: int
     matrix: Mat2
 
 
 class Atlas(NamedTuple):
     charts: tuple[Chart, ...]
-    eta: tuple[int, ...]            # one bit per broken edge
     steps: tuple[Mat2, ...]         # steps[k]: M_k = M_{k-1} * steps[k]
 
 
@@ -65,15 +61,16 @@ class _Topology(NamedTuple):
 
 
 class TopologyClass(_Topology):
-    """A closed surface; a connected one is checked against chi."""
+    """A closed surface: two spheres, or a connected one, which is checked
+    against chi and built from (chi, orientability) by ``connected``."""
     __slots__ = ()
 
     def __new__(cls, components, orientable, genus, crosscaps, euler, name):
         if components == 1:
             if orientable:
-                check(euler == 2 - 2 * genus, "chi = 2 - 2g")
+                check(genus >= 0 and euler == 2 - 2 * genus, "chi = 2 - 2g, g >= 0")
             else:
-                check(euler == 2 - crosscaps, "chi = 2 - k")
+                check(crosscaps >= 1 and euler == 2 - crosscaps, "chi = 2 - k, k >= 1")
         return super().__new__(cls, components, orientable, genus, crosscaps,
                                euler, name)
 
@@ -81,12 +78,19 @@ class TopologyClass(_Topology):
     def _make(cls, iterable):  # checked; ``_replace`` builds through it
         return cls(*iterable)
 
-
-def _surface_name(orientable: bool, genus, crosscaps) -> str:
-    if orientable:
-        return {0: "sphere", 1: "torus"}.get(genus, f"orientable genus-{genus} surface")
-    return {1: "projective plane", 2: "Klein bottle"}.get(
-        crosscaps, f"nonorientable surface with {crosscaps} crosscaps")
+    @classmethod
+    def connected(cls, euler: int, orientable: bool) -> "TopologyClass":
+        """The connected closed surface of Euler characteristic ``euler``;
+        InvariantError when there is none: chi odd for an orientable one,
+        or chi > 2, or chi = 2 for a nonorientable one."""
+        if orientable:
+            g = (2 - euler) // 2
+            name = {0: "sphere", 1: "torus"}.get(g, f"orientable genus-{g} surface")
+            return cls(1, True, g, None, euler, name)
+        k = 2 - euler
+        name = {1: "projective plane", 2: "Klein bottle"}.get(
+            k, f"nonorientable surface with {k} crosscaps")
+        return cls(1, False, None, k, euler, name)
 
 
 class AmbientSurface:
@@ -125,10 +129,10 @@ class AmbientSurface:
                   "adjacent broken edges have distinct parities")
             m = columns_matrix(pars[(k - 1) % r], pars[k])
             center = self.broken_edges[k].start
-            charts.append(Chart(k, center, (k - 1) % r, k, m))
+            charts.append(Chart(center, m))
         # chart k is glued to chart k-1 across broken edge k-1
         steps = tuple(A1 if self.eta[(k - 1) % r] else A0 for k in range(r))
-        return Atlas(tuple(charts), self.eta, steps)
+        return Atlas(tuple(charts), steps)
 
     def tubular_type(self, j: int) -> str:
         """'annulus' or 'moebius' for the lift of broken edge j."""
@@ -146,18 +150,11 @@ class AmbientSurface:
     # topology
 
     def classify_topology(self) -> TopologyClass:
-        r = self.r
-        if r == 1:
+        if self.r == 1:
             return TopologyClass(2, True, 0, None, 4, "two spheres")
+        # orientable when the broken edges take two segment parities
         values = {b.segment_parity for b in self.broken_edges}
-        if len(values) == 2:
-            check(r % 2 == 0, "orientable forces an even broken-edge count")
-            genus = r // 2 - 1
-            return TopologyClass(1, True, genus, None, 2 - 2 * genus,
-                                 _surface_name(True, genus, None))
-        cc = r - 2
-        return TopologyClass(1, False, None, cc, 2 - cc,
-                             _surface_name(False, None, cc))
+        return TopologyClass.connected(4 - self.r, len(values) == 2)
 
     def __repr__(self):
         return f"AmbientSurface({self.polygon!r})"

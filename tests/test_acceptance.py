@@ -134,15 +134,15 @@ def exhaustive_sweeps():
             cls = classify_filling(filling)
             d_count = filling.boundary_count
             assert d_count <= i_count + 1
-            assert cls.capped.chi == filling.chi + d_count == \
+            assert cls.euler == filling.chi + d_count == \
                 d_count + 1 - tri.V + tri.L
             chi, bd, orientable = classify_filling_by_cells(filling)
             assert (chi, bd, orientable) == \
-                (filling.chi, d_count, cls.capped.orientable)
+                (filling.chi, d_count, cls.orientable)
             assert match_oracles(curve, filling) == (d_count, orientable)
             oracle_checked += 1
             dist[d_count] = dist.get(d_count, 0) + 1
-            per_vector.append((d_count, cls.capped.orientable))
+            per_vector.append((d_count, cls.orientable))
         stats[d] = {"runs": 1 << len(pts), "i": i_count,
                     "distribution": dist, "oracle_checked": oracle_checked,
                     "per_vector": per_vector}
@@ -175,9 +175,8 @@ def test_criterion_6_filling_arithmetic():
     cls = classify_filling(filling)
     assert filling.chi == 0
     assert filling.boundary_count == 2
-    assert cls.capped.chi == 2
-    assert cls.capped.orientable and cls.capped.genus == 0
-    assert cls.curve_type == "I"
+    assert cls.euler == 2
+    assert cls.orientable and cls.genus == 0  # a sphere; the curve is of type I
     assert harnack_check(filling).maximal
     assert 2 * filling.chi == 0 == 2 - 2 * 1  # doubled surface has genus 1
     report(6, "degree-3 Harnack: chi(F)=0, D=2, chi(Sigma)=2, sphere, type I, maximal")
@@ -192,7 +191,7 @@ def test_criterion_7_oracle_equivalence(exhaustive_sweeps):
         filling = build_filling(curve)
         cls = classify_filling(filling)
         assert classify_filling_by_cells(filling) == \
-            (filling.chi, filling.boundary_count, cls.capped.orientable)
+            (filling.chi, filling.boundary_count, cls.orientable)
         match_oracles(curve, filling)
         fixed += 1
     # criterion 5 instances were oracle-checked inside the sweep fixture
@@ -220,7 +219,7 @@ def test_criterion_7_oracle_equivalence(exhaustive_sweeps):
         filling = build_filling(curve)
         cls = classify_filling(filling)
         assert classify_filling_by_cells(filling) == \
-            (filling.chi, filling.boundary_count, cls.capped.orientable)
+            (filling.chi, filling.boundary_count, cls.orientable)
         match_oracles(curve, filling)
     report(7, f"cell-complex oracles agree on {fixed + swept + 12 + 100} instances")
 

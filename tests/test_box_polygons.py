@@ -58,7 +58,7 @@ def test_a_sample_of_the_box_list(polygons):
                 d = filling.boundary_count
                 assert d == len(poly.interior_points) + 1, poly
                 assert classify_filling_by_cells(filling) == \
-                    (filling.chi, d, classify_filling(filling).capped.orientable)
+                    (filling.chi, d, classify_filling(filling).orientable)
 
 
 def test_type_one_count_on_a_sample_of_the_box_list(polygons):

@@ -669,6 +669,32 @@ def test_enumerate_cap_before_any_work(monkeypatch):
         assert "broken_edges" not in vars(prob.polygon)
 
 
+NO_TYPE_ERROR = "error: harnack subcommand needs a type (signs.harnack or --type)\n"
+ENUMERATE_ERROR = ("error: signs: enumerate is only valid for the enumerate "
+                   "subcommand (or pass --type)\n")
+
+
+def test_missing_type_refused_before_any_set_up(tmp_path, capsys, monkeypatch):
+    """``harnack`` on explicit signs without --type, and the curve
+    subcommands on ``signs: enumerate``, exit 2 with one line before the
+    triangulation is built."""
+    import tcurve_lab.cli as cli
+    called = []
+    monkeypatch.setattr(cli.Problem, "build_triangulation",
+                        lambda self: called.append(self))
+    explicit = write(tmp_path, "t1.yaml", "polygon: [[0,0],[1,0],[0,1]]\n"
+                     'signs: {explicit: {"0,0": 1, "1,0": -1, "0,1": 1}}\n')
+    swept = write(tmp_path, "t3.yaml", "polygon: [[0,0],[3,0],[0,3]]\n"
+                  "signs: enumerate\n")
+    cases = [("harnack", explicit, NO_TYPE_ERROR)] + [
+        (name, swept, ENUMERATE_ERROR)
+        for name in ("curve", "filling", "harnack", "render")]
+    for name, path, error in cases:
+        assert main([name, "--input", path]) == 2
+        assert capsys.readouterr().err == error
+    assert called == []
+
+
 def test_long_vertex_list_refused_before_validation(monkeypatch):
     # a comb: its zigzag top has more than MAX_POINTS vertices, each a
     # boundary lattice point; the simplicity test is quadratic in them

@@ -39,9 +39,8 @@ def test_t3_harnack_arithmetic():
     assert filling.chi == tri.E - 2 * tri.T == 0
     assert filling.boundary_count == 2
     cls = classify_filling(filling)
-    assert cls.capped.chi == 2
-    assert cls.capped.orientable and cls.capped.genus == 0
-    assert cls.curve_type == "I"
+    assert cls.euler == 2
+    assert cls.orientable and cls.genus == 0  # a sphere; the curve is of type I
     verdict = harnack_check(filling)
     assert verdict.maximal and verdict.bound_holds and verdict.identity_holds
     # the double of the filling has genus (d-1)(d-2)/2 = 1
@@ -123,8 +122,41 @@ def test_chi_formulas_agree():
         filling = build_filling(curve)
         cls = classify_filling(filling)
         d = filling.boundary_count
-        assert cls.capped.chi == filling.chi + d == d + 1 - tri.V + tri.L
-        assert cls.capped.chi <= 2
+        assert cls.euler == filling.chi + d == d + 1 - tri.V + tri.L
+        assert cls.euler <= 2
+
+
+SHIFTED_D = """\
+from tcurve_lab.errors import InvariantError
+from tcurve_lab.filling import build_filling, classify_filling
+from tcurve_lab.lattice import validate_polygon
+from tcurve_lab.surface import build_ambient_surface
+from tcurve_lab.tcurve import extract_curve, harnack_distribution
+from tcurve_lab.triangulation import generate_grid_triangulation
+t3 = validate_polygon([(0, 0), (3, 0), (0, 3)])
+curve = extract_curve(build_ambient_surface(t3), generate_grid_triangulation(t3),
+                      harnack_distribution(t3, (1, 0, 0)))
+filling = build_filling(curve)
+filling.boundary_count += 1  # the capped filling's chi: 3
+try:
+    classify_filling(filling)
+except InvariantError as exc:
+    print(exc)
+"""
+
+
+def test_shifted_boundary_count_refused():
+    """An orientable filling whose D is one off caps to an odd chi, which
+    no orientable closed surface has: refused, not floor-divided into a
+    genus, also under python -O."""
+    t3 = standard_triangle(3)
+    _, _, curve = pipeline(t3, harnack_distribution(t3, (1, 0, 0)))
+    filling = build_filling(curve)
+    assert filling.orientable
+    filling.boundary_count += 1
+    with pytest.raises(InvariantError, match="chi = 2 - 2g"):
+        classify_filling(filling)
+    assert run_python(SHIFTED_D, "-O") == "chi = 2 - 2g, g >= 0\n"
 
 
 def test_oracle_agreement_random_instances():
@@ -139,7 +171,7 @@ def test_oracle_agreement_random_instances():
         chi, d, orientable = classify_filling_by_cells(filling)
         assert chi == filling.chi
         assert d == filling.boundary_count
-        assert orientable == cls.capped.orientable
+        assert orientable == cls.orientable
         assert match_oracles(curve, filling) == (d, orientable)
         assert d <= poly.census().interior_points + 1
 
@@ -163,7 +195,7 @@ def test_maximal_implies_type_one():
             verdict = harnack_check(filling)
             if verdict.maximal:
                 found += 1
-                assert classify_filling(filling).curve_type == "I"
+                assert classify_filling(filling).orientable  # type I
     assert found > 0
 
 
@@ -274,7 +306,7 @@ def test_not_type_one_rejected():
     for _ in range(200):
         _, _, curve = pipeline(poly, random_distribution(rng, poly))
         filling = build_filling(curve)
-        if classify_filling(filling).curve_type == "II":
+        if not classify_filling(filling).orientable:  # type II
             with pytest.raises(NotTypeI):
                 orient_curve(curve, filling)
             return

@@ -28,7 +28,6 @@ EXEMPT = {
 }
 # "Class.method" -> "module:function" or "module:Class.method" reading it
 READERS = {
-    "AmbientSurface.eta": "cli:surface_report",
     "AmbientSurface.r": "cli:surface_report",
     "BrokenEdge.is_odd": "surface:AmbientSurface.tubular_type",
     "Polygon.boundary_length": "cli:check_size",
@@ -46,7 +45,6 @@ READERS = {
     "Regions.euler": "tcurve:Regions.disks",
     "TCurve.census": "cli:curve_report",
     "TCurve.copy_signs": "tcurve:Regions.__init__",
-    "TFilling.chi": "cli:filling_report",
 }
 BUILTIN_ATTRIBUTES = {name for t in (object, int, str, bytes, bytearray, list,
                                      tuple, dict, set, frozenset)

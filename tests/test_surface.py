@@ -82,7 +82,7 @@ def test_diamond_has_two_sheets():
 def test_atlas_standard_triangle():
     s = build_ambient_surface(standard_triangle(4))
     atlas = s.canonical_atlas()
-    assert atlas.eta == (1, 1, 1)
+    assert s.eta == (1, 1, 1)
     assert mat_mul(A1, mat_mul(A1, A1)) == IDENTITY
     # the steps around the cycle, from chart 1 back to chart 0
     assert reduce(mat_mul, atlas.steps[1:] + atlas.steps[:1], IDENTITY) == IDENTITY
@@ -160,6 +160,26 @@ def test_inconsistent_topology_class_raises():
         TopologyClass(1, False, None, 2, 1, "Klein bottle")
     # two spheres are not checked against one chi formula
     assert TopologyClass(2, True, 0, None, 4, "two spheres").euler == 4
+
+
+def test_connected_names_and_refusals():
+    names = {True: ["sphere", "torus", "orientable genus-2 surface",
+                    "orientable genus-3 surface"],
+             False: ["projective plane", "Klein bottle",
+                     "nonorientable surface with 3 crosscaps",
+                     "nonorientable surface with 4 crosscaps"]}
+    for g, name in enumerate(names[True]):
+        assert TopologyClass.connected(2 - 2 * g, True) == \
+            (1, True, g, None, 2 - 2 * g, name)
+    for k, name in enumerate(names[False], 1):
+        assert TopologyClass.connected(2 - k, False) == \
+            (1, False, None, k, 2 - k, name)
+    for euler in (1, -1, 4):
+        with pytest.raises(InvariantError, match="chi = 2 - 2g"):
+            TopologyClass.connected(euler, True)
+    for euler in (2, 3):
+        with pytest.raises(InvariantError, match="chi = 2 - k"):
+            TopologyClass.connected(euler, False)
 
 
 def test_topology_check_survives_python_O():

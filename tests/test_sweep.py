@@ -165,11 +165,15 @@ def compiled_grid(d):
 
 def test_type_one_count_matches_the_grid_sweeps():
     """``oracles.type_one_count`` is the type-I total of ``run_sweep`` on
-    grid T_2..T_4: 2^L, L = 3d (ROADMAP item 11)."""
+    grid T_2..T_4, and 2^L, L = 3d, on grid T_1..T_20 (ROADMAP item 11's
+    law; it holds to d = 30, in about 10 s of CPU)."""
     for d in (2, 3, 4):
         tab = compiled_grid(d)
         check_type_one_count(tab, run_sweep(tab))
-        assert type_one_count(tab) == 1 << 3 * d
+    for d in range(1, 21):
+        poly = standard_triangle(d)
+        tab = compiled(build_ambient_surface(poly), generate_grid_triangulation(poly))
+        assert type_one_count(tab) == 1 << 3 * d, d
 
 
 # ---------------------------------------------------------------------------
