@@ -368,8 +368,7 @@ def surface_report(surface: AmbientSurface) -> dict:
 
 def curve_report(curve: TCurve) -> dict:
     comps = []
-    for comp in curve.components:
-        c = curve.classification[comp]
+    for walk, c in zip(curve.components, curve.classification.values()):
         comps.append({
             "kind": c.kind,
             "quadrant": list(c.quadrant) if c.quadrant else None,
@@ -377,7 +376,7 @@ def curve_report(curve: TCurve) -> dict:
             "nesting_depth": c.depth,
             "crossing_vector": list(c.crossing_vector)
             if c.crossing_vector is not None else None,
-            "length": 2 * len(comp.walk),
+            "length": 2 * len(walk),
         })
     census = curve.census
     return {

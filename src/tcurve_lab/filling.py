@@ -92,7 +92,7 @@ def harnack_check(filling: TFilling) -> HarnackVerdict:
 def orient_curve(curve: TCurve, filling: TFilling,
                  flip: bool = False) -> bytes:
     """A coherent orientation of a type-I curve: byte k is 1 when it runs
-    component k along its walk (``Component``), else 0.
+    component k along its walk (``TCurve.components[k]``), else 0.
 
     Choose compatible orientations of the thick-Ys, take the induced
     boundary orientation of each circle, push it to the projected cycles
@@ -111,8 +111,7 @@ def orient_curve(curve: TCurve, filling: TFilling,
     tab = curve.tables
     across, nxt, T3 = tab.across, tab.nxt, 3 * tab.T
     out = bytearray()
-    for comp in curve.components:
-        walk = comp.walk
+    for walk in curve.components:
         along = {(across[u_next] == nxt[u]) ^ spins[u % T3 // 3]
                  for u, u_next in zip(walk, walk[1:] + walk[:1])}
         check(len(along) == 1, "induced orientation must be constant along a circle")

@@ -56,7 +56,7 @@ from .geometry import on_segment, segment_lattice_points
 from .errors import check
 from .svg import PALETTE, SIGNS, SUB, UNIT
 from .sweep import SweepTables, trace_vector
-from .tcurve import Component, ComponentClass, TCurve, _midpoint
+from .tcurve import ComponentClass, TCurve, _midpoint
 from .triangulation import Edge, PrimitiveTriangulation
 from .uf import join
 
@@ -355,11 +355,11 @@ def classify_filling_by_cells(filling: TFilling):
 
 # ---------------------------------------------------------------------------
 
-def component_nodes(curve: TCurve, comp: Component) -> tuple:
-    """The G(S) nodes of ``comp``, ("b", quadrant, triangle) and ("m",
-    quadrant, edge), from its smallest node, smaller neighbor first: visit
-    v of its walk at node 2v."""
-    tab, tri, walk = curve.tables, curve.tri, comp.walk
+def component_nodes(curve: TCurve, walk: list) -> tuple:
+    """The G(S) nodes of the component of ``curve`` with ``walk``, ("b",
+    quadrant, triangle) and ("m", quadrant, edge), from its smallest node,
+    smaller neighbor first: visit v of the walk at node 2v."""
+    tab, tri = curve.tables, curve.tri
     T3, E = 3 * tab.T, tab.E
     out = []
     for u, u_next in zip(walk, walk[1:] + walk[:1]):
@@ -369,10 +369,11 @@ def component_nodes(curve: TCurve, comp: Component) -> tuple:
     return tuple(out)
 
 
-def oriented_nodes(curve: TCurve, comp: Component, along: int) -> tuple:
-    """The nodes of ``comp`` in the direction of its ``orient_curve`` bit:
-    along its walk, or else backward from the same first node."""
-    nodes = component_nodes(curve, comp)
+def oriented_nodes(curve: TCurve, walk: list, along: int) -> tuple:
+    """The nodes of the component with ``walk`` in the direction of its
+    ``orient_curve`` bit: along the walk, or else backward from the same
+    first node."""
+    nodes = component_nodes(curve, walk)
     return nodes if along else nodes[:1] + nodes[:0:-1]
 
 
@@ -401,8 +402,7 @@ def walk_states(tab: SweepTables, walk) -> list:
 def shadows(curve: TCurve) -> tuple:
     """Per component of ``curve``, in order: the ribbon-boundary strand
     states beside it (``walk_states``), in the direction of its walk."""
-    return tuple(walk_states(curve.tables, comp.walk)
-                 for comp in curve.components)
+    return tuple(walk_states(curve.tables, walk) for walk in curve.components)
 
 
 def surface_left(x: int) -> int:
@@ -422,8 +422,8 @@ def node_coords6(q, node) -> tuple:
 
 
 def classify_components_by_nesting(curve: TCurve) -> dict:
-    """Component -> ComponentClass from the nodes of each component, the
-    primitive segments of the broken edges and planar geometry, sharing
+    """Component number -> ComponentClass from the nodes of each component,
+    the primitive segments of the broken edges and planar geometry, sharing
     nothing with ``TCurve.regions``.  A component is an in-quadrant oval
     when none of its midpoints lies on a broken edge; each oval is drawn
     as the polyline of its nodes, an oval lies inside another when its
@@ -439,38 +439,38 @@ def classify_components_by_nesting(curve: TCurve) -> dict:
     basis = surface.homology_basis() if surface.r >= 3 else None
     by_quadrant: dict = {}
     result = {}
-    nodes = {comp: component_nodes(curve, comp) for comp in curve.components}
-    for comp in curve.components:
-        mids = [m[2] for m in nodes[comp][1::2]]
+    nodes = [component_nodes(curve, walk) for walk in curve.components]
+    for k, cycle in enumerate(nodes):
+        mids = [m[2] for m in cycle[1::2]]
         vector = None if basis is None else \
             tuple(sum(m in segments[j] for m in mids) % 2 for j in basis)
         if not any(m in segs for segs in segments for m in mids):
-            (q,) = {n[1] for n in nodes[comp]}  # it stays in one quadrant
-            by_quadrant.setdefault(q, []).append(comp)
+            (q,) = {n[1] for n in cycle}  # it stays in one quadrant
+            by_quadrant.setdefault(q, []).append(k)
         elif topo.components == 1 and topo.crosscaps == 1:
             kind = "nontrivial_rp2" if vector == (1,) else "oval_rp2"
-            result[comp] = ComponentClass(kind, crossing_vector=vector)
+            result[k] = ComponentClass(kind, crossing_vector=vector)
         else:
-            result[comp] = ComponentClass("boundary", crossing_vector=vector)
-    rings = {comp: tuple(node_coords6(n[1], n) for n in nodes[comp])
-             for ovals in by_quadrant.values() for comp in ovals}
+            result[k] = ComponentClass("boundary", crossing_vector=vector)
+    rings = {k: tuple(node_coords6(n[1], n) for n in nodes[k])
+             for ovals in by_quadrant.values() for k in ovals}
     for q, ovals in by_quadrant.items():
         contains = {a: {b for b in ovals
-                        if b is not a and point_in_ring(rings[b][0], rings[a])}
+                        if b != a and point_in_ring(rings[b][0], rings[a])}
                     for a in ovals}
-        for comp in ovals:
-            depth = sum(1 for other in ovals if comp in contains[other])
+        for k in ovals:
+            depth = sum(1 for other in ovals if k in contains[other])
             inner = []
             for p in surface.polygon.lattice_points:
                 sp = reflect(q, (6 * p[0], 6 * p[1]))
-                if point_in_ring(sp, rings[comp]) and \
-                        not any(point_in_ring(sp, rings[c]) for c in contains[comp]):
+                if point_in_ring(sp, rings[k]) and \
+                        not any(point_in_ring(sp, rings[c]) for c in contains[k]):
                     inner.append(p)
             assert inner, "an oval surrounds at least one lattice point"
             signs = {copy_sign(curve.delta, q, p) for p in inner}
             assert len(signs) == 1, "the sign of an oval is well defined"
-            result[comp] = ComponentClass("oval", quadrant=q,
-                                          sign=signs.pop(), depth=depth)
+            result[k] = ComponentClass("oval", quadrant=q,
+                                       sign=signs.pop(), depth=depth)
     return result
 
 
@@ -504,15 +504,16 @@ def point_class(offsets: dict, q: Quadrant, p: Point) -> tuple:
     return tuple(sorted(((q, p), (quad_add(q, off), p))))
 
 
-def sides_by_split(curve: TCurve, comp: Component) -> dict:
-    """Split the surface along one component: side (frozenset of surface
+def sides_by_split(curve: TCurve, k: int) -> dict:
+    """Split the surface along component k: side (frozenset of surface
     point classes) -> Euler characteristic of its closure, counted cell by
     cell.  A union-find over point classes joins the ends of every lifted
-    edge that ``comp`` does not cross; the sets touching ``comp`` are its
-    sides, one when it does not separate and two when it does."""
+    edge that k does not cross; the sets touching k are its sides, one
+    when it does not separate and two when it does."""
     surface, tri = curve.surface, curve.tri
     # its midpoints
-    crossed = {(m[1], m[2]) for m in component_nodes(curve, comp)[1::2]}
+    crossed = {(m[1], m[2])
+               for m in component_nodes(curve, curve.components[k])[1::2]}
     offsets = boundary_offset(surface)
 
     def mid(q, e):
@@ -575,8 +576,8 @@ def translated_components(curve: TCurve, vec) -> list:
     keeps the order of points: the translated problem's components."""
     s, t = vec
     return [tuple(n[:2] + (tuple((x + s, y + t) for x, y in n[2]),)
-                  for n in component_nodes(curve, comp))
-            for comp in curve.components]
+                  for n in component_nodes(curve, walk))
+            for walk in curve.components]
 
 
 def edge_triangles(tri: PrimitiveTriangulation) -> dict:
@@ -815,7 +816,7 @@ class RegionsByFind(NamedTuple):
     first_copy: list
     region_of: list
     count: int
-    sides: dict
+    sides: list
     crossings: dict
     ovals: dict
 
@@ -851,20 +852,20 @@ def regions_by_find(curve: TCurve) -> RegionsByFind:
     crossing = [None] * (4 * E)
     slots, broken, r = tab.slots, curve.tri.broken_edge_of, curve.surface.r
     crossings, ovals = {}, {}
-    for k, comp in enumerate(curve.components):
+    for k, walk in enumerate(curve.components):
         count, quadrants = [0] * (r + 1), 0
-        for u in comp.walk:
+        for u in walk:
             q, s = divmod(u, T3)
             e = slots[s]
             crossing[edge_class[q * E + e]] = k
             count[broken[e]] += 1  # the last entry: off the boundary
             quadrants |= 1 << q
-        if count[r] < len(comp.walk):
-            crossings[comp] = tuple(count[:r])
+        if count[r] < len(walk):
+            crossings[k] = tuple(count[:r])
         else:
             check(quadrants & quadrants - 1 == 0,
                   "an interior component stays in one quadrant")
-            ovals[comp] = QUADRANTS[quadrants.bit_length() - 1]
+            ovals[k] = QUADRANTS[quadrants.bit_length() - 1]
     crossed = []
     for q in range(4):
         for e, (i, j) in enumerate(tab.edge_ends):
@@ -883,8 +884,7 @@ def regions_by_find(curve: TCurve) -> RegionsByFind:
         check(pairs[k] in (None, pair),
               "a component borders the same regions on every edge it crosses")
         pairs[k] = pair
-    return RegionsByFind(first_copy, region, len(label),
-                         dict(zip(curve.components, pairs)), crossings, ovals)
+    return RegionsByFind(first_copy, region, len(label), pairs, crossings, ovals)
 
 
 def trace_by_comprehension(tab: SweepTables, tw) -> int:
@@ -1024,11 +1024,10 @@ def svg_by_lines(curve: TCurve) -> str:
     by_t = list(zip(slots[::3], slots[1::3], slots[2::3]))
     bx = [SUB * (ex[a] + ex[b] + ex[c]) for a, b, c in by_t]
     by = [-SUB * (ey[a] + ey[b] + ey[c]) for a, b, c in by_t]
-    for idx, comp in enumerate(curve.components):
+    for idx, walk in enumerate(curve.components):
         color = PALETTE[idx % len(PALETTE)]
         out.append(f'<g fill="none" stroke="{color}" stroke-width="4" '
                    'stroke-linecap="round">')
-        walk = comp.walk
         for u, u_next in zip(walk, walk[1:] + walk[:1]):
             (sx, sy), t = SIGNS[u // T3], u % T3 // 3
             (nx, ny), s = SIGNS[u_next // T3], u_next % T3

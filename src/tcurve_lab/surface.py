@@ -67,6 +67,9 @@ class TopologyClass(_Topology):
 
     def __new__(cls, components, orientable, genus, crosscaps, euler, name):
         if components == 1:
+            used, unused = (genus, crosscaps) if orientable else (crosscaps, genus)
+            check(type(used) is int and unused is None,
+                  "a connected surface has a genus if orientable, else crosscaps")
             if orientable:
                 check(genus >= 0 and euler == 2 - 2 * genus, "chi = 2 - 2g, g >= 0")
             else:

@@ -83,11 +83,10 @@ def render_svg(curve: TCurve) -> str:
     bx = [SUB * (ex[a] + ex[b] + ex[c]) for a, b, c in by_t]
     by = [-SUB * (ey[a] + ey[b] + ey[c]) for a, b, c in by_t]
     lines = []
-    for idx, comp in enumerate(curve.components):
+    for idx, walk in enumerate(curve.components):
         color = PALETTE[idx % len(PALETTE)]
         lines.append(f'<g fill="none" stroke="{color}" stroke-width="4" '
                      'stroke-linecap="round">')
-        walk = comp.walk
         for u, u_next in zip(walk, walk[1:] + walk[:1]):
             (sx, sy), t = SIGNS[u // T3], u % T3 // 3
             (nx, ny), s = SIGNS[u_next // T3], u_next % T3

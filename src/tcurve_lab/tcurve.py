@@ -48,19 +48,6 @@ def check_distribution(polygon: Polygon, delta: dict) -> dict:
     return d
 
 
-class Component:
-    """One cycle of the curve on G(S), a view over its walk: the slot lift
-    by which it enters each lifted triangle (``sweep`` numbering), from its
-    smallest lifted triangle toward the smaller of that visit's two
-    midpoints.  Components hash and compare by identity; compare their
-    nodes (``oracles.component_nodes``) across curves."""
-
-    __slots__ = ("walk",)
-
-    def __init__(self, walk: list):
-        self.walk = walk
-
-
 def _midpoint(tab: SweepTables, u: int) -> int:
     """The midpoint id of slot lift ``u``."""
     T3 = 3 * tab.T
@@ -81,7 +68,17 @@ class TCurve:
     The strand kernel (``sweep.trace_vector``) runs once on the compiled
     tables of the problem: ``tables`` when given (one compilation serves
     any number of sign vectors), else compiled from a fresh lift table.
-    Each of its walks is a ``Component``; the strands beside it are its
+
+    Components: component k is ``components[k]``, the kernel's k-th walk,
+    one cycle of the curve on G(S) as the slot lift by which it enters each
+    lifted triangle (``sweep`` numbering).  The kernel yields each walk from
+    its smallest slot lift, the smallest of its lifted triangles and so of
+    its barycenters, and the walks in increasing order of it; midpoint ids
+    order as their nodes do, so turning each walk in place toward the
+    smaller of its first visit's two midpoints orders the components by
+    their nodes.  Every per-component record (``classification``,
+    ``Regions``) is keyed by k; compare curves by their walks or nodes
+    (``oracles.component_nodes``).  The strands beside a walk are its
     shadow on the boundary of the filling, which the kernel checks as it
     walks and the oracles list (``oracles.shadows``).
     """
@@ -97,23 +94,11 @@ class TCurve:
         mask = sum(1 << k for k, p in enumerate(tri.polygon.lattice_points)
                    if self.delta[p] > 0)
         self.trace = trace_vector(tables, mask)
-        self.components = self._components()
-
-    # ------------------------------------------------------------------
-
-    def _components(self) -> tuple[Component, ...]:
-        """The kernel's walks as ``Component``s, in the order of their nodes:
-        the kernel yields them in order of their first slot lift, the
-        smallest of each walk and so its smallest barycenter; midpoint ids
-        order as their nodes do, so only the direction is chosen here."""
-        tab, across = self.tables, self.tables.across
-        out = []
         for walk in self.trace.walks:
-            if _midpoint(tab, walk[0]) < _midpoint(tab, walk[1]):
+            if _midpoint(tables, walk[0]) < _midpoint(tables, walk[1]):
                 # run backward: each visit enters by its old exit
-                walk[:] = [across[u] for u in walk[1::-1] + walk[:1:-1]]
-            out.append(Component(walk))
-        return tuple(out)
+                walk[:] = [tables.across[u] for u in walk[1::-1] + walk[:1:-1]]
+        self.components = tuple(self.trace.walks)
 
     @cached_property
     def copy_signs(self) -> bytes:
@@ -133,7 +118,7 @@ class TCurve:
 
     @cached_property
     def classification(self) -> dict:
-        """Map component -> ComponentClass, in component order: the oval
+        """Map component number -> ComponentClass, in order: the oval
         classes of the regions; every other component gets the parities of
         its crossings with the homology-basis circles (the lifts of broken
         edges 3..r).  On RP^2 the single basis circle generates H_1(RP^2;
@@ -143,16 +128,16 @@ class TCurve:
         on_rp2 = topo.components == 1 and not topo.orientable and topo.crosscaps == 1
         basis = surface.homology_basis() if surface.r >= 3 else None
         result = {}
-        for comp in self.components:
-            if comp in ovals:
-                result[comp] = ovals[comp]
+        for k in range(len(self.components)):
+            if k in ovals:
+                result[k] = ovals[k]
             elif basis is None:
-                result[comp] = ComponentClass("boundary")
+                result[k] = ComponentClass("boundary")
             else:
-                vector = tuple(regions.crossings[comp][j] % 2 for j in basis)
+                vector = tuple(regions.crossings[k][j] % 2 for j in basis)
                 kind = ("boundary" if not on_rp2 else
                         "nontrivial_rp2" if vector[0] else "oval_rp2")
-                result[comp] = ComponentClass(kind, crossing_vector=vector)
+                result[k] = ComponentClass(kind, crossing_vector=vector)
         return result
 
     # ------------------------------------------------------------------
@@ -189,7 +174,7 @@ def extract_curve(surface: AmbientSurface, tri: PrimitiveTriangulation,
 
 
 def classify_components(curve: TCurve) -> dict:
-    """Map each component to its classification record."""
+    """Map each component number to its classification record."""
     return curve.classification
 
 
@@ -252,12 +237,12 @@ class Regions:
     leave 1 copy per interior point, 2 per boundary point and 4 per odd
     vertex.  The second joins the two ends of every lifted edge that no
     component crosses (``uncrossed``, per lift id): each set is one region,
-    numbered in the order of its smallest copy.  A component borders one
-    region or two (``sides``), the same on every edge it crosses.  Lifted
+    numbered in the order of its smallest copy.  Component k borders one
+    region or two (``sides[k]``), the same on every edge it crosses.  Lifted
     edges and midpoints are the lift ids of the curve's tables.  The one
     pass over each component's walk marks the midpoints it crosses and
-    sorts it into ``crossings``, how often it crosses each broken edge when
-    it crosses one, or else ``ovals``, its one quadrant.
+    files its number in ``crossings``, how often it crosses each broken
+    edge when it crosses one, or else ``ovals``, its one quadrant.
     """
 
     def __init__(self, curve: TCurve):
@@ -286,20 +271,20 @@ class Regions:
         crossing = [-1] * (4 * E)
         slots, broken, r = tab.slots, curve.tri.broken_edge_of, curve.surface.r
         self.crossings, self.ovals = {}, {}
-        for k, comp in enumerate(curve.components):
+        for k, walk in enumerate(curve.components):
             count, quadrants = [0] * (r + 1), 0
-            for u in comp.walk:
+            for u in walk:
                 q, s = divmod(u, T3)
                 e = slots[s]
                 crossing[edge_class[q * E + e]] = k
                 count[broken[e]] += 1  # the last entry: off the boundary
                 quadrants |= 1 << q
-            if count[r] < len(comp.walk):
-                self.crossings[comp] = tuple(count[:r])
+            if count[r] < len(walk):
+                self.crossings[k] = tuple(count[:r])
             else:
                 check(quadrants & quadrants - 1 == 0,
                       "an interior component stays in one quadrant")
-                self.ovals[comp] = QUADRANTS[quadrants.bit_length() - 1]
+                self.ovals[k] = QUADRANTS[quadrants.bit_length() - 1]
         # per lift id: the component that crosses it, else -1; the ends of
         # every lifted edge that none crosses are joined
         by_lift = list(map(crossing.__getitem__, edge_class))
@@ -311,16 +296,15 @@ class Regions:
         rank = list(accumulate(map(eq, parent, range(4 * V))))
         self.region_of = region = [rank[x] - 1 for x in parent]
         self.count = rank[-1]
-        pairs: list = [None] * len(curve.components)
+        self.sides = sides = [None] * len(curve.components)
         for k, x, y in zip(compress(by_lift, crossed), compress(ends_a, crossed),
                            compress(ends_b, crossed)):
             a, b = region[x], region[y]
             pair = (a, b) if a < b else (b, a) if b < a else (a,)
-            if pair != pairs[k]:
-                check(pairs[k] is None, "a component borders the same regions "
+            if pair != sides[k]:
+                check(sides[k] is None, "a component borders the same regions "
                       "on every edge it crosses")
-                pairs[k] = pair
-        self.sides = dict(zip(curve.components, pairs))
+                sides[k] = pair
 
     @cached_property
     def oval_classes(self) -> dict:
@@ -333,9 +317,9 @@ class Regions:
         region, sides = self.region_of, self.sides
         ovals = list(self.ovals)
         at_region: dict = {}
-        for o, comp in enumerate(ovals):
-            check(len(sides[comp]) == 2, "an oval joins two regions")
-            for r in sides[comp]:
+        for o, k in enumerate(ovals):
+            check(len(sides[k]) == 2, "an oval joins two regions")
+            for r in sides[k]:
                 at_region.setdefault(r, []).append(o)
         queue = list(dict.fromkeys(
             region[x] for x, f in enumerate(self.first_copy) if f != x))
@@ -361,9 +345,9 @@ class Regions:
                 signs.setdefault(inner[r], set()).add(self.copy_signs[x])
         check(all(len(s) == 1 for s in signs.values()),
               "the sign of an oval is well defined")
-        return {comp: ComponentClass("oval", self.ovals[comp],
-                                     2 * min(signs[o]) - 1, depth[o])
-                for o, comp in enumerate(ovals)}
+        return {k: ComponentClass("oval", self.ovals[k],
+                                  2 * min(signs[o]) - 1, depth[o])
+                for o, k in enumerate(ovals)}
 
     @cached_property
     def euler(self) -> list:
@@ -377,7 +361,7 @@ class Regions:
         V, E, T, edge_ends = tab.V, tab.E, tab.T, tab.edge_ends
         ends = [i for i, _ in edge_ends]
         firsts = [edge_ends[e][0] for e in tab.slots[::3]]
-        visited = {u // 3 for comp in self.components for u in comp.walk}
+        visited = {u // 3 for walk in self.components for u in walk}
         plus = Counter(compress(region, map(eq, self.first_copy, range(4 * V))))
         minus: Counter = Counter()
         for q in range(4):  # lifted triangle q*T + t, lifted edge q*E + e
@@ -393,15 +377,15 @@ class Regions:
               "the Euler characteristics of the regions sum to chi(S)")
         return chi
 
-    def disks(self, comp: Component) -> list:
-        """For each side of ``comp`` whose closure is a disk, the ovals on
-        it; none unless ``comp`` separates.  Every other component must be
-        an in-quadrant oval: then the sides of ``comp`` are the trees of
-        ``oval_classes`` below its side regions, which are starts, as
-        ``comp`` crosses the boundary."""
-        check(list(self.crossings) == [comp],
+    def disks(self, k: int) -> list:
+        """For each side of component k whose closure is a disk, the ovals
+        on it; none unless k separates.  Every other component must be an
+        in-quadrant oval: then the sides of k are the trees of
+        ``oval_classes`` below its side regions, which are starts, as k
+        crosses the boundary."""
+        check(list(self.crossings) == [k],
               "every other component is an in-quadrant oval")
-        ovals, top, sides = self.oval_classes, self.top, self.sides[comp]
+        ovals, top, sides = self.oval_classes, self.top, self.sides[k]
         if len(sides) == 1:
             return []
         return [[o for o in ovals if top[self.sides[o][0]] == s] for s in sides
@@ -413,7 +397,7 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
     the boundary component and, in the oval case, what it surrounds."""
     pred = predicted_harnack_census(curve.surface.polygon, htype)
     got = curve.census
-    boundary_comps = [comp for comp, c in curve.classification.items()
+    boundary_comps = [k for k, c in curve.classification.items()
                       if c.kind != "oval"]
     if (got.total, got.quadrant_ovals, len(boundary_comps)) != \
             (pred.total, pred.quadrant_ovals, 1):
@@ -426,7 +410,7 @@ def verify_harnack_census(curve: TCurve, htype: HarnackType) -> bool:
         return False
     # each predicted quadrant's ovals fill one disk side of O; on the
     # sphere both sides are disks, and either may be the one
-    fills = Counter(frozenset(comp for comp, c in curve.classification.items()
+    fills = Counter(frozenset(k for k, c in curve.classification.items()
                               if c.kind == "oval" and c.quadrant == q)
                     for q in pred.o_disks)
     return not fills - Counter(map(frozenset, curve.regions.disks(o)))

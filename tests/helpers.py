@@ -287,7 +287,7 @@ def tuple_state(tri: PrimitiveTriangulation, x: int) -> tuple:
 
 def all_nodes(curve: TCurve) -> list:
     """The G(S) nodes of every component, which compare across curves."""
-    return [component_nodes(curve, c) for c in curve.components]
+    return [component_nodes(curve, walk) for walk in curve.components]
 
 
 def match_oracles(curve, filling) -> tuple[int, bool]:
@@ -356,12 +356,13 @@ def theta_action(theta: HarnackType, delta: dict) -> dict:
 
 
 def degree_parity_check(curve: TCurve):
-    """On the standard triangle, return the nontrivial component when the
-    degree is odd, None when even; raises WrongPolygon elsewhere."""
+    """On the standard triangle, return the number of the nontrivial
+    component when the degree is odd, None when even; raises WrongPolygon
+    elsewhere."""
     d = is_standard_triangle(curve.surface.polygon)
     if d is None:
         raise WrongPolygon("degree parity applies to the standard triangle only")
-    nontrivial = [comp for comp, c in curve.classification.items()
+    nontrivial = [k for k, c in curve.classification.items()
                   if c.kind == "nontrivial_rp2"]
     check(len(nontrivial) == d % 2,
           f"degree {d} must have {d % 2} nontrivial components, found {len(nontrivial)}")

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from tcurve_lab.cli import curve_report
 from tcurve_lab.filling import build_filling, classify_filling
 from tcurve_lab.oracles import (classify_filling_by_cells,
                                 classify_surface_by_cells)
@@ -19,7 +20,8 @@ from tcurve_lab.tcurve import (TCurve, harnack_distribution,
                                verify_harnack_census)
 from tcurve_lab.triangulation import incidence_graphs
 
-from helpers import box_polygons, check_type_one_count, primitive_triangulation
+from helpers import (box_polygons, check_type_one_count, primitive_triangulation,
+                     random_distribution)
 
 HARNACK_TYPES = list(itertools.product((0, 1), repeat=3))
 
@@ -59,6 +61,28 @@ def test_a_sample_of_the_box_list(polygons):
                 assert d == len(poly.interior_points) + 1, poly
                 assert classify_filling_by_cells(filling) == \
                     (filling.chi, d, classify_filling(filling).orientable)
+
+
+def test_one_component_numbering(polygons):
+    """Component k is ``components[k]`` in every per-component record, on
+    random-sign curves of a sample over every surface class: the
+    classification runs 0..D-1 in order, each component has its side
+    pair, crossings and ovals split 0..D-1, and the report's length of
+    component k is twice its walk's."""
+    rng = random.Random(17)
+    classes = set()
+    for poly in rng.sample(polygons, 300):
+        surface = build_ambient_surface(poly)
+        classes.add(surface.classify_topology().name)
+        curve = TCurve(surface, primitive_triangulation(poly),
+                       random_distribution(rng, poly))
+        regions, d = curve.regions, len(curve.components)
+        assert list(curve.classification) == list(range(d)), poly
+        assert len(regions.sides) == d
+        assert sorted([*regions.crossings, *regions.ovals]) == list(range(d))
+        assert [c["length"] for c in curve_report(curve)["components"]] == \
+            [2 * len(walk) for walk in curve.components]
+    assert len(classes) == 6
 
 
 def test_type_one_count_on_a_sample_of_the_box_list(polygons):

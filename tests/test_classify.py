@@ -41,16 +41,16 @@ def nested_squares():
     return pipeline(sq, delta)[2]
 
 
-def forest_sides(curve, comp):
-    """The sides of ``comp``, the one non-oval, from the oval forest: the
-    regions below each side region of ``comp``, as a set of surface point
+def forest_sides(curve, k):
+    """The sides of component k, the one non-oval, from the oval forest:
+    the regions below each side region of k, as a set of surface point
     classes -> Euler characteristic of its closure."""
     regions = curve.regions
     regions.oval_classes  # the search that fills ``top``
     pts = curve.surface.polygon.lattice_points
     offsets = boundary_offset(curve.surface)
     out = {}
-    for side in regions.sides[comp]:
+    for side in regions.sides[k]:
         below = {r for r, s in enumerate(regions.top) if s == side}
         classes = frozenset(
             point_class(offsets, QUADRANTS[x // len(pts)], pts[x % len(pts)])
@@ -78,7 +78,7 @@ def assert_matches_oracle(curve):
 def assert_o_sides_match_oracle(curve):
     """The curve has one non-oval O, and its sides from the oval forest,
     and so its disk sides, equal the per-component split's."""
-    (o,) = [comp for comp, c in curve.classification.items() if c.kind != "oval"]
+    (o,) = [k for k, c in curve.classification.items() if c.kind != "oval"]
     assert forest_sides(curve, o) == sides_by_split(curve, o)
 
 
@@ -92,8 +92,8 @@ def assert_regions_match_find(curve):
     relabel = dict(zip(fast.region_of, ref.region_of))
     assert len(relabel) == len(set(relabel.values())) == fast.count == ref.count
     assert [relabel[r] for r in fast.region_of] == ref.region_of
-    assert {comp: tuple(sorted(relabel[r] for r in pair))
-            for comp, pair in fast.sides.items()} == ref.sides
+    assert [tuple(sorted(relabel[r] for r in pair))
+            for pair in fast.sides] == ref.sides
     assert fast.crossings == ref.crossings and fast.ovals == ref.ovals
 
 
@@ -181,18 +181,18 @@ def test_disks_need_the_only_non_oval():
     under ``python -O``."""
     curve = nested_squares()
     assert_matches_oracle(curve)
-    others = [comp for comp, c in curve.classification.items() if c.kind != "oval"]
+    others = [k for k, c in curve.classification.items() if c.kind != "oval"]
     assert len(others) == 8
-    for comp in others:
+    for k in others:
         with pytest.raises(InvariantError, match="in-quadrant oval"):
-            curve.regions.disks(comp)
+            curve.regions.disks(k)
     out = run_python("from tcurve_lab.errors import InvariantError\n"
                      "from test_classify import nested_squares\n"
                      "curve = nested_squares()\n"
-                     "for comp, c in curve.classification.items():\n"
+                     "for k, c in curve.classification.items():\n"
                      "    if c.kind != 'oval':\n"
                      "        try:\n"
-                     "            curve.regions.disks(comp)\n"
+                     "            curve.regions.disks(k)\n"
                      "        except InvariantError as exc:\n"
                      "            print(exc)\n", "-O")
     assert out.splitlines() == ["every other component is an in-quadrant oval"] * 8
@@ -285,8 +285,8 @@ def test_misglued_lift_raises():
 def oval_walks(curve) -> list:
     """The walks of the components whose lifted triangles all lie in one
     quadrant, read off their nodes: the in-quadrant ovals."""
-    return [comp.walk for comp in curve.components
-            if len({b[1] for b in component_nodes(curve, comp)[::2]}) == 1]
+    return [walk for walk in curve.components
+            if len({b[1] for b in component_nodes(curve, walk)[::2]}) == 1]
 
 
 def move_a_visit(curve):

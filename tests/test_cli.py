@@ -232,12 +232,25 @@ def test_exit_code_unwritable_output(tmp_path, capsys):
 
 
 def test_exit_code_invariant_violation(tmp_path, capsys, monkeypatch):
-    # force a census mismatch to exercise the exit-1 path
+    """A census that differs from its prediction exits 1 with one line and
+    writes no report, also under -O."""
     import tcurve_lab.cli as cli
     monkeypatch.setattr(cli, "verify_harnack_census", lambda *a: False)
-    path = write(tmp_path, "t3.yaml", T3_HARNACK)
-    code, _ = run_main(capsys, ["harnack", "--input", path])
-    assert code == 1
+    path = write(tmp_path, "t4.yaml", "polygon: [[0,0],[4,0],[0,4]]\n"
+                 "signs: {harnack: [1,0,0]}\n")
+    out = str(tmp_path / "t4.json")
+    message = "invariant violation: extracted census differs from prediction"
+    assert main(["harnack", "--input", path, "--out", out]) == 1
+    assert capsys.readouterr() == ("", message + "\n")
+    assert not os.path.exists(out)
+    code = ("import contextlib, io, os\n"
+            "import tcurve_lab.cli as cli\n"
+            "cli.verify_harnack_census = lambda *a: False\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    code = cli.main(['harnack', '--input', {path!r}, '--out', {out!r}])\n"
+            f"print(repr((code, err.getvalue(), os.path.exists({out!r}))))\n")
+    assert run_python(code, "-O").strip() == repr((1, message + "\n", False))
 
 
 def test_enumerate_counts_its_runs(tmp_path, capsys, monkeypatch):
@@ -752,10 +765,15 @@ def torus_problem():
 
 def test_reports_build_no_nodes():
     # `curve`, `filling`, `harnack` and `render` read component walks only:
-    # a component holds nothing else, and the G(S) node view is in
-    # `oracles`, which no subcommand imports
-    from tcurve_lab.tcurve import Component
-    assert Component.__slots__ == ("walk",)
+    # a component is its walk, a list of slot-lift ints, and the G(S) node
+    # view is in `oracles`, which no subcommand imports
+    from tcurve_lab.surface import build_ambient_surface
+    from tcurve_lab.tcurve import extract_curve
+    prob = torus_problem()
+    curve = extract_curve(build_ambient_surface(prob.polygon),
+                          prob.build_triangulation(), prob.distribution())
+    assert {type(walk) for walk in curve.components} == {list}
+    assert {type(u) for walk in curve.components for u in walk} == {int}
     sphere = Path(__file__).parent / "data" / "harnack_sphere.yaml"
     problems = [
         {"polygon": triangle(7), "signs": {"harnack": [1, 0, 0]}},

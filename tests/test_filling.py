@@ -88,8 +88,8 @@ def test_walks_run_with_their_nodes():
         oracle = components_by_adjacency(tri, midpoint_nodes(curve.surface, tri),
                                           curve.delta)
         assert len(oracle) == len(curve.components)
-        for comp, want in zip(curve.components, oracle):
-            walk, nodes = comp.walk, []
+        for walk, want in zip(curve.components, oracle):
+            nodes = []
             for u, u_next in zip(walk, walk[1:] + walk[:1]):
                 q, s = divmod(u, T3)
                 nodes += (("b", QUADRANTS[q], tri.triangles[s // 3]),
@@ -106,8 +106,8 @@ def test_shadows_are_closed_orbits():
         tab, tw = curve.tables, curve.trace.tw
         views = shadows(curve)
         assert len(views) == len(curve.components)
-        for shadow, comp in zip(views, curve.components):
-            assert len(shadow) == 2 * len(comp.walk) == len(set(shadow))
+        for shadow, walk in zip(views, curve.components):
+            assert len(shadow) == 2 * len(walk) == len(set(shadow))
             for x, y in zip(shadow, shadow[1:] + shadow[:1]):
                 twisted = tw[tab.slots[x >> 2]] and not x & 1
                 assert tab.succ[x ^ 2 * twisted] == y
@@ -241,10 +241,10 @@ def test_orientation_pins_triangle_zero():
     for curve, filling in type_one_curves():
         bits = orient_curve(curve, filling)
         passes = 0
-        for comp, shadow, bit in zip(curve.components, shadows(curve), bits):
+        for walk, shadow, bit in zip(curve.components, shadows(curve), bits):
             along = {surface_left(x) for x in shadow if x // 12 == 0}
-            nodes = component_nodes(curve, comp)
-            assert along <= {oriented_nodes(curve, comp, bit) == nodes}
+            nodes = component_nodes(curve, walk)
+            assert along <= {oriented_nodes(curve, walk, bit) == nodes}
             passes += len(along)
         assert passes > 0
 
@@ -256,8 +256,8 @@ def test_orientation_lift_rule():
     t3 = standard_triangle(3)
     _, _, curve = pipeline(t3, harnack_distribution(t3, (1, 0, 0)))
     filling = build_filling(curve)
-    for comp, bit in zip(curve.components, orient_curve(curve, filling)):
-        nodes = oriented_nodes(curve, comp, bit)
+    for walk, bit in zip(curve.components, orient_curve(curve, filling)):
+        nodes = oriented_nodes(curve, walk, bit)
         projection = directed_projection(nodes)
         n = len(nodes)
         for i in range(n):
@@ -273,7 +273,7 @@ def t4_with_a_flipped_spin():
     t4 = standard_triangle(4)
     _, _, curve = pipeline(t4, harnack_distribution(t4, (1, 0, 0)))
     filling = build_filling(curve)
-    walk, T3 = curve.components[0].walk, 3 * curve.tables.T
+    walk, T3 = curve.components[0], 3 * curve.tables.T
     t = walk[0] % T3 // 3
     assert {u % T3 // 3 for u in walk} != {t}
     spins = bytearray(filling.spins)

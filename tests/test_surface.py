@@ -162,6 +162,30 @@ def test_inconsistent_topology_class_raises():
     assert TopologyClass(2, True, 0, None, 4, "two spheres").euler == 4
 
 
+# a connected record must carry the field of its kind, an int, and not the
+# other one
+MALFORMED_RECORDS = (
+    "TopologyClass(1, True, None, 2, 0, 'x')",
+    "TopologyClass(1, False, 1, None, 0, 'y')",
+    "TopologyClass(1, True, 1, 1, 0, 'torus')",
+)
+
+
+def test_malformed_connected_records_refused():
+    for expr in MALFORMED_RECORDS:
+        with pytest.raises(InvariantError, match="a genus if orientable"):
+            eval(expr)
+    code = ("from tcurve_lab.errors import InvariantError\n"
+            "from tcurve_lab.surface import TopologyClass\n"
+            f"for expr in {MALFORMED_RECORDS!r}:\n"
+            "    try:\n"
+            "        eval(expr)\n"
+            "    except InvariantError as exc:\n"
+            "        print(exc)\n")
+    assert run_python(code, "-O").splitlines() == \
+        ["a connected surface has a genus if orientable, else crosscaps"] * 3
+
+
 def test_connected_names_and_refusals():
     names = {True: ["sphere", "torus", "orientable genus-2 surface",
                     "orientable genus-3 surface"],

@@ -26,7 +26,7 @@ def assert_svg_matches(curve):
     assert text == svg_by_lines(curve)
     groups = ET.fromstring(text).findall(SVG + "g")
     assert [len(g) for g in groups[2:-1]] == [
-        2 * len(comp.walk) for comp in curve.components]
+        2 * len(walk) for walk in curve.components]
     assert len(groups) == len(curve.components) + 3
 
 

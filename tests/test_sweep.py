@@ -114,7 +114,7 @@ def test_walks_come_in_order_of_their_smallest_slot_lift():
             starts = [walk[0] for walk in walks]
             assert starts == sorted(set(starts)), (poly, mask)
             comps = TCurve(surface, tri, delta, tab).components
-            lifted = [c.walk[0] // 3 for c in comps]
+            lifted = [walk[0] // 3 for walk in comps]
             assert lifted == sorted(set(lifted)) == [u // 3 for u in starts]
             walks_seen += len(walks)
     assert walks_seen > 500

@@ -190,7 +190,7 @@ def test_all_plus_unit_triangle_has_one_hexagon():
     (nodes,) = all_nodes(curve)
     assert len(nodes) == 6
     assert (0, 0) not in {b[1] for b in nodes[::2]}
-    assert degree_parity_check(curve) is curve.components[0]
+    assert degree_parity_check(curve) == 0
 
 
 def test_every_downstairs_edge_used_twice():
