@@ -14,7 +14,6 @@ Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad input.
 import atexit
 import gc
 import io
-import json
 import os
 import re
 import sys
@@ -114,8 +113,9 @@ class Problem:
 
 # the characters at which str.splitlines breaks a line, each mapped to its
 # escape in a Python string literal
-_LINE_BREAKS = {ord(c): c.encode("unicode_escape").decode()
-                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+_LINE_BREAKS = {0xA: r"\n", 0xD: r"\r", 0xB: r"\x0b", 0xC: r"\x0c",
+                0x1C: r"\x1c", 0x1D: r"\x1d", 0x1E: r"\x1e", 0x85: r"\x85",
+                0x2028: r"\u2028", 0x2029: r"\u2029"}
 
 
 def one_line(path: str) -> str:
@@ -152,25 +152,15 @@ def parse_problem(path: str) -> Problem:
     return problem_from_data(raw)
 
 
-# one column-0 line `field: value` of a flow-style problem file
-_FIELD = re.compile(r"(polygon|triangulation|signs): ")
 _POINT_KEY = r"-?[0-9]+,-?[0-9]+"  # "x,y", the key of an explicit sign
-# a value of such a line, token by token, each after optional spaces: a
-# flow indicator, a key's colon (right after the key, a space after it), a
-# decimal int, one of the words, or a double-quoted point key.  The
-# lookaheads end ints and words where PyYAML's plain scalars end, so that
-# `010`, `1:20`, `1_0`, `0x1` or `true` match nothing.
-_FLOW_VALUE = re.compile(
-    r'(?::(?= )| *(?:[][{},]|-?(?:0|[1-9][0-9]*)(?![0-9])'
-    r'|(?:grid|enumerate|harnack|explicit)(?![a-z])|"' + _POINT_KEY + '"))*')
-_WORD = re.compile(r"[a-z]+")
-
-
-def _unique_keys(pairs: list) -> dict:
-    data = dict(pairs)
-    if len(data) != len(pairs):  # PyYAML would keep the last value
-        raise ValueError("duplicate key")
-    return data
+# one token of a flow-style value, after optional spaces: a flow indicator,
+# a decimal int, or a word or double-quoted point key with a key's colon
+# right after it (a space after that); any other character matches alone
+# as "".  PyYAML's plain scalars `010`, `1:20`, `1_0`, `0x1` or `grid1`
+# come apart into side-by-side tokens, which no flow value holds.
+_TOKEN = re.compile(
+    r' *([][{},]|-?(?:0|[1-9][0-9]*)|(?:[a-z]+|"' + _POINT_KEY
+    + r'")(?::(?= ))?)|.')
 
 
 def read_flow_problem(text: str):
@@ -183,19 +173,42 @@ def read_flow_problem(text: str):
         lines.pop()
     data = {}
     for line in lines:
-        field = _FIELD.match(line)
-        if (field is None or field[1] in data
-                or not _FLOW_VALUE.fullmatch(line, field.end())):
+        field, _, value = line.partition(": ")  # no ": ", no value
+        if field not in ("polygon", "triangulation", "signs") or field in data:
             return None
+        tokens = iter(_TOKEN.findall(value) + ["\n"])  # "\n": the line's end
+        # ValueError: not JSON, a repeated key or an int past int()'s digit
+        # limit; RecursionError: nested past the recursion limit
         try:
-            data[field[1]] = json.loads(
-                _WORD.sub(r'"\g<0>"', line[field.end():]),
-                object_pairs_hook=_unique_keys)
-        # ValueError: not JSON, a repeated key or an int of more digits
-        # than int() converts; RecursionError: nesting too deep for json
+            data[field] = _flow_node(next(tokens), tokens)
         except (ValueError, RecursionError):
             return None
+        if next(tokens) != "\n":  # a token after the value
+            return None
     return data or None
+
+
+def _flow_node(token: str, tokens):
+    """The node that starts with ``token`` and reads on from the iterator
+    ``tokens``, as json.loads reads it once its words are quoted;
+    ValueError for any other text, "" and "\\n" included."""
+    if token != "[" and token != "{":  # int() refuses any other token
+        return token.strip('"') if token[-1:] == '"' or token in (
+            "grid", "enumerate", "harnack", "explicit") else int(token)
+    node, close = ([], "]") if token == "[" else ({}, "}")
+    token = next(tokens)
+    while token != close:
+        if close == "]":
+            node.append(_flow_node(token, tokens))
+        elif token[-1:] != ":" or token[:-1].strip('"') in node:
+            raise ValueError  # not a key, or a repeated one (PyYAML keeps the last)
+        else:
+            node[_flow_node(token[:-1], tokens)] = _flow_node(next(tokens), tokens)
+        token = next(tokens)
+        # a comma before the next node, or the close
+        if token != close and (token != "," or (token := next(tokens)) == close):
+            raise ValueError
+    return node
 
 
 def yaml_loader():
@@ -251,16 +264,13 @@ def load_yaml(text: str, name: str):
         raise ParseError(f"{name}: {' '.join(str(exc).split())}")
 
 
-_NO_VALUE = object()  # cannot come out of YAML, unlike None
-
-
 def _check_ints(field: str, rows: list):
     """Only plain ints: YAML also yields bools, floats, strings and null."""
     for k, row in enumerate(rows):
-        bad = next((v for v in row if type(v) is not int), _NO_VALUE)
-        if bad is not _NO_VALUE:
-            raise ValidationError(
-                f"{field}[{k}]: expected integers, got {bad!r}")
+        for v in row:
+            if type(v) is not int:
+                raise ValidationError(
+                    f"{field}[{k}]: expected integers, got {v!r}")
 
 
 def problem_from_data(raw: dict) -> Problem:
@@ -420,20 +430,21 @@ def filling_report(filling: TFilling) -> dict:
 # 3.10 and 3.11 run their pure-Python encoder whenever ``indent`` is set,
 # which yields every key, separator and value as a chunk of its own.
 
-_ESCAPE = json.encoder.encode_basestring_ascii
-
 
 def report_text(report) -> str:
     """``json.dumps(report, indent=2)``, byte for byte, for values built of
     dicts with str keys, lists, tuples and the scalars json writes;
     TypeError for any other key or value."""
+    global _ESCAPE  # json.encoder's C escape, which `render` never imports
+    from _json import encode_basestring_ascii as _ESCAPE
     return _text(report, "\n")
 
 
 def _text(value, newline: str) -> str:
     """The text of ``value``, its lines after the first started by
     ``newline``.  The common scalars, str, int and null in a dict and int
-    in a list, are written inline; json writes every other scalar."""
+    in a list, are written inline; json writes only non-finite floats and
+    subclasses of the scalar types."""
     t, inner, items = type(value), newline + "  ", []
     if t is dict and value:
         for key, item in value.items():
@@ -446,8 +457,17 @@ def _text(value, newline: str) -> str:
         for item in value:
             items.append(f"{item}" if type(item) is int else _text(item, inner))
         return f"[{inner}{(',' + inner).join(items)}{newline}]"
-    if t not in (dict, list, tuple) and isinstance(value, (dict, list, tuple)):
+    if t in (dict, list, tuple):  # empty
+        return "{}" if t is dict else "[]"
+    if isinstance(value, (dict, list, tuple)):
         raise TypeError(f"cannot indent a {t.__name__}")  # json.dumps would not indent it
+    if t is str:
+        return _ESCAPE(value)
+    if t is int or t is float and value - value == 0:  # not inf or nan
+        return repr(value)
+    if value is None or t is bool:
+        return "null" if value is None else "true" if value else "false"
+    import json
     return json.dumps(value)
 
 
@@ -541,8 +561,6 @@ tcurve-lab <surface|curve|filling|harnack|enumerate|render> --input FILE
 # option -> what reads its value
 OPTIONS = {"--input": str, "--out": str, "--type": str, "--cap": int,
            "--seed": int}
-# a separate value that may start with '-' (besides '-' itself), as in argparse
-_NEGATIVE = re.compile(r"-[0-9]*\.?[0-9]+")
 
 
 def parse_args(argv: list) -> dict | None:
@@ -570,8 +588,9 @@ def parse_args(argv: list) -> dict | None:
             raise ValidationError(f"unknown option {name!r}")
         if not eq:
             value = next(rest, None)
-            if value is None or (value[:1] == "-" and value != "-"
-                                 and not _NEGATIVE.fullmatch(value)):
+            # a separate value may be '-' or a negative number, as in argparse
+            if value is None or (value[:1] == "-" and value != "-" and not
+                                 re.fullmatch(r"-[0-9]*\.?[0-9]+", value)):
                 raise ValidationError(f"{name} expects a value")
         try:
             args[name] = OPTIONS[name](value)

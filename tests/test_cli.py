@@ -882,16 +882,24 @@ def test_accepted_option_forms(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["enumerate"]["runs"] == 1024
 
 
-def test_cli_process_loads_neither_argparse_gettext_nor_yaml(tmp_path):
-    # what a `tcurve-lab` process on a flow-style problem file imports
-    path = write(tmp_path, "t3.yaml", T3_HARNACK)
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_cli_process_loads_no_json_escape_codec_or_yaml(tmp_path, flags):
+    # what `tcurve-lab` processes on flow-style problem files import: the
+    # reader, the report writer and one_line's table need none of these
+    t3 = write(tmp_path, "t3.yaml", T3_HARNACK)
+    t3e = write(tmp_path, "t3e.yaml", PROBLEMS[1])
+    runs = [["filling", "--input", t3, "--out", str(tmp_path / "t3.json")],
+            ["render", "--input", t3, "--out", str(tmp_path / "t3.svg")],
+            ["enumerate", "--input", t3e, "--out", str(tmp_path / "e.json")]]
     code = ("import sys\n"
             "import tcurve_lab.cli\n"
-            f"code = tcurve_lab.cli.main(['filling', '--input', {path!r}, "
-            f"'--out', {str(tmp_path / 'out.json')!r}])\n"
-            "print(code, sorted({'argparse', 'gettext', 'yaml'} "
-            "& set(sys.modules)))\n")
-    assert run_python(code).strip() == "0 []"
+            f"for argv in {runs!r}:\n"
+            "    print(tcurve_lab.cli.main(argv))\n"
+            "print(sorted({'argparse', 'gettext', 'json', 'yaml', "
+            "'encodings.unicode_escape'} & set(sys.modules)))\n")
+    assert run_python(code, *flags).split() == ["0", "0", "0", "[]"]
+    assert json.loads((tmp_path / "e.json").read_text())["enumerate"][
+        "runs"] == 512
 
 
 # line breaks a file name may hold, and how an error message shows them

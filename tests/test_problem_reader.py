@@ -13,7 +13,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcurve_lab.cli import read_flow_problem
+from tcurve_lab.cli import MAX_NESTING, main, read_flow_problem
 
 from helpers import primitive_triangulation, random_flips, random_polygon
 
@@ -108,11 +108,17 @@ T3 = "polygon: [[0,0],[3,0],[0,3]]\n"
     ('signs: {explicit: {"0\\x2c0": 1}}\n', {"explicit": {"0,0": 1}}),
     ('signs: {explicit: {"0\\u002c0": 1}}\n', {"explicit": {"0,0": 1}}),
     ("", None),
+    ("polygon: [[0,0],[3,0],[0,3],]\n", [0, 0]),
+    ("polygon: [[0,0],,[3,0],[0,3]]\n", None),
+    ("signs: {harnack [1,0,0]}\n", None),
+    ("polygon: [[0,0],[3,0],[0,3]\n", None),
+    ("polygon: [[0,0],[3,0],[0," + "1" * 4301 + "]]\n", None),
 ], ids=["octal", "sexagesimal", "plus", "underscore", "hex", "colon-key",
         "colon-word-key", "duplicate-field", "duplicate-key",
         "duplicate-point", "true", "yes", "tilde", "comment-line", "comment",
         "tab", "tab-in-flow", "crlf", "bom", "document-start", "escape",
-        "unicode-escape", "empty"])
+        "unicode-escape", "empty", "trailing-comma", "empty-element",
+        "key-without-colon", "unbalanced-bracket", "int-of-4301-digits"])
 def test_near_misses_declined(text, pyyaml):
     assert read_flow_problem(text) is None
     if pyyaml is not None:
@@ -120,6 +126,20 @@ def test_near_misses_declined(text, pyyaml):
         field = next(iter(data))
         got = data[field][0] if field == "polygon" else data[field]
         assert same(got, pyyaml)
+
+
+@pytest.mark.parametrize("depth", [20, 2000])
+def test_deep_flow_nesting_exits_with_one_message(tmp_path, capsys, depth):
+    # the reader takes 20 levels, which validation then refuses, and
+    # declines 2,000, past the recursion limit, which the loader's nesting
+    # limit refuses
+    path = tmp_path / "deep.yaml"
+    path.write_text("polygon: " + "[" * depth + "]" * depth + "\n")
+    assert (read_flow_problem(path.read_text()) is None) == (depth > 1000)
+    assert main(["surface", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: polygon: expected a list of [x, y] pairs\n" if depth == 20
+        else f"error: {path}: nested deeper than {MAX_NESTING} levels\n")
 
 
 # generated flow-style problems, each with at most one near-miss: in
