@@ -177,33 +177,37 @@ def read_flow_problem(text: str):
         if field not in ("polygon", "triangulation", "signs") or field in data:
             return None
         tokens = iter(_TOKEN.findall(value) + ["\n"])  # "\n": the line's end
-        # ValueError: not JSON, a repeated key or an int past int()'s digit
-        # limit; RecursionError: nested past the recursion limit
+        # ValueError: not JSON, a repeated key, an int past int()'s digit
+        # limit, or nested past MAX_NESTING
         try:
-            data[field] = _flow_node(next(tokens), tokens)
-        except (ValueError, RecursionError):
+            data[field] = _flow_node(next(tokens), tokens, 2)
+        except ValueError:
             return None
         if next(tokens) != "\n":  # a token after the value
             return None
     return data or None
 
 
-def _flow_node(token: str, tokens):
+def _flow_node(token: str, tokens, depth: int):
     """The node that starts with ``token`` and reads on from the iterator
     ``tokens``, as json.loads reads it once its words are quoted;
-    ValueError for any other text, "" and "\\n" included."""
+    ValueError for any other text, "" and "\\n" included, and for a
+    collection at ``depth`` past ``MAX_NESTING`` (the top mapping is 1)."""
     if token != "[" and token != "{":  # int() refuses any other token
         return token.strip('"') if token[-1:] == '"' or token in (
             "grid", "enumerate", "harnack", "explicit") else int(token)
+    if depth > MAX_NESTING:
+        raise ValueError
     node, close = ([], "]") if token == "[" else ({}, "}")
     token = next(tokens)
     while token != close:
         if close == "]":
-            node.append(_flow_node(token, tokens))
+            node.append(_flow_node(token, tokens, depth + 1))
         elif token[-1:] != ":" or token[:-1].strip('"') in node:
             raise ValueError  # not a key, or a repeated one (PyYAML keeps the last)
         else:
-            node[_flow_node(token[:-1], tokens)] = _flow_node(next(tokens), tokens)
+            node[_flow_node(token[:-1], tokens, depth)] = _flow_node(
+                next(tokens), tokens, depth + 1)
         token = next(tokens)
         # a comma before the next node, or the close
         if token != close and (token != "," or (token := next(tokens)) == close):

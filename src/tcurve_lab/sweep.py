@@ -8,31 +8,35 @@ across each midpoint.
 
 Bit k of a mask gives the k-th lexicographically sorted lattice point the
 sign +1, a clear bit gives it -1.  The kernel holds what one sign vector
-makes of the tables as a few Python ints, one byte (0 or 1) per entry,
+makes of the tables as ten Python ints, one byte (0 or 1) per entry,
 entry i in byte i (``int.from_bytes(..., "little")``):
 
 - ``n``: per edge, 1 when its sign is negative;
-- ``defect``: per merged lift, 1 when its sign differs from that of its
-  canonical lift (the edge sign fails to descend);
 - ``sneg``: per slot lift, 1 when its lifted edge is negative;
 - eight reading ints, per edge sign bit b and reading prong p: per
   interior edge, the sign of the p-th prong its curve may run on into
   when the edge has sign bit b (``SweepTables.readings``).
 
-Every invariant of the T-curve and its filling that this state decides is
-an identity on these ints: no defect; exactly two negative lifts per edge
-(the four quadrant masks ``n ^ seg_par`` A..D have ``A^B^C^D == 0``,
-``A|B|C|D`` full and ``A&B&C&D == 0``); 0 or 2 negative edges per lifted
-triangle (``sneg ^ sneg >> 8 ^ sneg >> 16`` clear on the first byte of
-each); arc pairings that agree at both negative lifts of an interior edge,
-whose twist bits come from the same readings; and a U-turn at each
-boundary edge.  The curve walk then follows every component together with
-its shadow strand on the ribbon boundary, and checks the transitions,
-closure and that no two shadows share a strand; the shadows are then all
-the boundary circles, so D is the number of walks (see ``_run``).  It
-checks both Euler characteristics and D <= i + 1; every failure raises
-``InvariantError``.  The walk reads one successor table, the untwisted
-one (``SweepTables.succ``), and a twist swaps a prong's two 'out' states.
+A lift's sign is its edge's sign XOR its ``seg_par``, so the edge sign
+cancels out of four invariants, which ``_identities`` checks once when a
+run starts: the signs descend (a merged lift has the ``seg_par`` of its
+canonical lift, of the same edge); each edge has exactly two negative
+lifts (the quadrant masks of ``seg_par`` A..D have ``A^B^C^D == 0``,
+``A|B|C|D`` full and ``A&B&C&D == 0``, which flipping all four bits of
+an edge keeps); each boundary edge U-turns in its negative class under
+both edge signs; and E - 2T = 1 - V + L, the two Euler characteristics.
+``_run`` checks per vector what the state decides: 0 or 2 negative edges
+per lifted triangle (``sneg ^ sneg >> 8 ^ sneg >> 16`` clear on the
+first byte of each), which also catches Gray-code edge signs that drift
+from the point signs; arc pairings that agree at both negative lifts of
+an interior edge, whose twist bits come from the same readings; the
+walk; and D <= i + 1, by the Euler identity chi <= 2 when capped.  The
+walk follows every component with its shadow strand on the ribbon
+boundary, and checks the transitions, closure and that no two shadows
+share a strand; the shadows are then all the boundary circles, so D is
+the number of walks.  Every failure raises ``InvariantError``.  The walk
+reads one successor table, the untwisted one (``SweepTables.succ``), and
+a twist swaps a prong's two 'out' states.
 
 One representation serves two drivers, with the same checks and the
 same walk.  ``trace_vector(tab, mask)`` builds the state from scratch
@@ -207,8 +211,8 @@ def _ints(*rows) -> list:
 
 
 def kernel_state(tab: SweepTables, mask: int) -> list:
-    """The kernel state of ``mask`` built from scratch: (n, defect, sneg,
-    and the eight reading ints), as the module docstring describes."""
+    """The kernel state of ``mask`` built from scratch: (n, sneg, and the
+    eight reading ints), as the module docstring describes."""
     E = tab.E
     # edge e = (p, r) has sign delta(p) delta(r); its lift to quadrant q
     # has that sign times (-1)^<q, parity of e>.  1 = negative.
@@ -216,38 +220,39 @@ def kernel_state(tab: SweepTables, mask: int) -> list:
     n = bytes([sign[a] ^ sign[b] for a, b in tab.edge_ends])
     lift = (int.from_bytes(n * 4, "little") ^ int.from_bytes(
         bytes(tab.seg_par), "little")).to_bytes(4 * E, "little")
-    defect = bytes(map(xor, map(lift.__getitem__, tab.merged),
-                       map(lift.__getitem__, tab.canonical)))
     # itemgetter of 3 or more indices gathers a tuple
     by_slot = itemgetter(*tab.slots)
     sneg = b"".join(bytes(by_slot(lift[q * E:q * E + E])) for q in range(4))
     read = sneg + b"\0"  # a boundary edge reads slot lift -1: 0
-    return _ints(n, defect, sneg,
+    return _ints(n, sneg,
                  *(bytes(itemgetter(*rd)(read)) for rd in tab.readings))
 
 
 def _identities(tab: SweepTables) -> tuple:
-    """The constants the kernel state is checked against, derived from the
-    tables when a run starts, one byte per entry as in the state: per
-    quadrant, seg_par over the edges; 1 per edge; 1 per interior edge; 1
-    on the first slot lift of each lifted triangle; and per edge sign bit,
-    1 per boundary edge that does not U-turn in one class under it."""
+    """Check the invariants that the tables alone decide, once when a run
+    starts (module docstring), and return the constants the kernel state
+    is checked against, one byte per entry as in the state: 1 per
+    interior edge, and 1 on the first slot lift of each lifted triangle."""
     E, seg_par, edge_class, across = tab.E, tab.seg_par, tab.edge_class, tab.across
-    interior, bad = bytearray(E), (bytearray(E), bytearray(E))
-    for e, _, _ in tab.interior:
-        interior[e] = 1
-    # the one negative class of a boundary edge is a U-turn: its two lifts
-    # meet at one midpoint, in the same triangle
+    by_lift = seg_par.__getitem__
+    if any(map(ne, map(by_lift, tab.merged), map(by_lift, tab.canonical))):
+        raise InvariantError("edge sign must descend to the surface")
+    a, b, c, d, edges = _ints(*(bytes(seg_par[q * E:q * E + E]) for q in range(4)),
+                              b"\1" * E)
+    if a ^ b ^ c ^ d or a | b | c | d != edges or a & b & c & d:
+        raise InvariantError("a downstairs edge lacks exactly two negative lifts")
+    # under either edge sign, the one negative class of a boundary edge is
+    # a U-turn: its two lifts meet at one midpoint, in the same triangle
     for by_sign, (e, _) in zip(tab.u_turns, tab.boundary):
-        for b, (l1, l2, u1, u2) in enumerate(by_sign):
-            bad[b][e] = edge_class[l1] != edge_class[l2] or across[u1] != u2
-    return (_ints(*(bytes(seg_par[q * E:q * E + E]) for q in range(4))),
-            *_ints(b"\1" * E, interior, b"\1\0\0" * (4 * tab.T)), _ints(*bad))
-
-
-def _first_byte(x: int) -> int:
-    """The index of the lowest nonzero byte of ``x`` > 0."""
-    return ((x & -x).bit_length() - 1) >> 3
+        for l1, l2, u1, u2 in by_sign:
+            if edge_class[l1] != edge_class[l2] or across[u1] != u2:
+                raise InvariantError(f"boundary edge {e} must U-turn in one class")
+    if E - 2 * tab.T != 1 - tab.V + tab.L:
+        raise InvariantError("the two Euler characteristic computations must agree")
+    interior = bytearray(b"\1") * E  # every edge off the boundary is interior
+    for e, _ in tab.boundary:
+        interior[e] = 0
+    return _ints(interior, b"\1\0\0" * (4 * tab.T))
 
 
 def _run(tab: SweepTables, identities: tuple, state: list,
@@ -255,13 +260,8 @@ def _run(tab: SweepTables, identities: tuple, state: list,
     """Check one kernel state against ``_identities(tab)`` and walk its
     curve; the walks are recorded only with ``record``.  See the module
     docstring for the checks."""
-    n, defect, neg, r00, r01, r02, r03, r10, r11, r12, r13 = state
-    quads, edges, interior, triangles, (bad0, bad1) = identities
-    if defect:
-        raise InvariantError("edge sign must descend to the surface")
-    a, b, c, d = [n ^ q for q in quads]
-    if a ^ b ^ c ^ d or a | b | c | d != edges or a & b & c & d:
-        raise InvariantError("a downstairs edge lacks exactly two negative lifts")
+    n, neg, r00, r01, r02, r03, r10, r11, r12, r13 = state
+    interior, triangles = identities
     if (neg ^ neg >> 8 ^ neg >> 16) & triangles:
         raise InvariantError(
             "a lifted triangle has an odd number of negative edges")
@@ -274,12 +274,9 @@ def _run(tab: SweepTables, identities: tuple, state: list,
     j1 = r01 ^ (r01 ^ r11) & n
     agree = (i1 ^ r02 ^ (r02 ^ r12) & n) & (j1 ^ r03 ^ (r03 ^ r13) & n)
     if agree != interior:
+        x = agree ^ interior  # the first edge that disagrees: its lowest set byte
         raise InconsistentArcPairing(
-            f"edge {_first_byte(agree ^ interior)}: arc pairings disagree")
-    u_turns = (n ^ edges) & bad0 | n & bad1
-    if u_turns:
-        raise InvariantError(
-            f"boundary edge {_first_byte(u_turns)} must U-turn in one class")
+            f"edge {((x & -x).bit_length() - 1) >> 3}: arc pairings disagree")
 
     T, E, T3 = tab.T, tab.E, 3 * tab.T
     tw = (i1 ^ j1 ^ interior).to_bytes(E, "little")
@@ -340,10 +337,6 @@ def _run(tab: SweepTables, identities: tuple, state: list,
         if record:
             walks.append(walk)
 
-    chi_sigma = E - 2 * T + d
-    if chi_sigma != d + 1 - tab.V + tab.L or chi_sigma > 2:
-        raise InvariantError("the two Euler characteristic computations must "
-                             "agree and give at most 2")
     if d > tab.interior_points + 1:
         raise InvariantError(
             f"component bound violated: {d} > {tab.interior_points + 1}")
@@ -366,7 +359,7 @@ def gray_states(tab: SweepTables):
              for j in range(tab.V - 1)]
     yield 0, state
     for g in range(1, 1 << (tab.V - 1)):
-        # a list: tuple() of a map grows by resizing, and each size-11
+        # a list: tuple() of a map grows by resizing, and each size-10
         # tuple it frees would stay on the interpreter's free list
         state = list(map(xor, state, flips[(g & -g).bit_length() - 1]))
         yield g ^ g >> 1, state
@@ -376,8 +369,8 @@ def run_sweep(tab: SweepTables) -> dict:
     """The tally {(D, orientable): vectors} over all 2^V masks: each state
     of ``gray_states`` serves its mask and the complement, and is
     orientable by the twist parity of ``_stars``, one int mask each.  A
-    failure names the first failing mask in Gray-code order, the one with
-    bit V-1 clear."""
+    fault of the tables alone names no mask; any other failure names the
+    first failing mask in Gray-code order, the one with bit V-1 clear."""
     identities = _identities(tab)
     stars = [sum(1 << 8 * e for e in star) for star in _stars(tab)]
     tally: dict = {}

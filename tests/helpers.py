@@ -261,6 +261,34 @@ def sweep(surface: AmbientSurface, tri: PrimitiveTriangulation) -> list:
     return out
 
 
+def per_vector_faults(tab: SweepTables, state: list, d: int) -> tuple:
+    """The four checks that ``sweep._identities`` makes once per run, by
+    the formulas with which the kernel once made them on every state
+    ``state`` (its edge-sign int ``n`` first) with D = ``d``: the
+    descent defect of the lifts, the four-quadrant identity on n, the
+    U-turn of each boundary edge in the class its edge sign in ``state``
+    picks, and the Euler identity with d.  Falsy where a check passes;
+    the U-turn's value has byte e set for each failing boundary edge e."""
+    E, n = tab.E, state[0]
+    lift = (int.from_bytes(n.to_bytes(E, "little") * 4, "little")
+            ^ int.from_bytes(bytes(tab.seg_par), "little")).to_bytes(4 * E, "little")
+    defect = any(lift[x] != lift[c] for x, c in zip(tab.merged, tab.canonical))
+    a, b, c, dd = (n ^ int.from_bytes(bytes(tab.seg_par[q * E:q * E + E]), "little")
+                   for q in range(4))
+    edges = int.from_bytes(b"\1" * E, "little")
+    quads = bool(a ^ b ^ c ^ dd or a | b | c | dd != edges or a & b & c & dd)
+    bad = bytearray(E), bytearray(E)
+    for by_sign, (e, _) in zip(tab.u_turns, tab.boundary):
+        for bit, (l1, l2, u1, u2) in enumerate(by_sign):
+            bad[bit][e] = (tab.edge_class[l1] != tab.edge_class[l2]
+                           or tab.across[u1] != u2)
+    bad0, bad1 = (int.from_bytes(x, "little") for x in bad)
+    u_turns = (n ^ edges) & bad0 | n & bad1
+    chi_sigma = E - 2 * tab.T + d
+    euler = chi_sigma != d + 1 - tab.V + tab.L
+    return defect, quads, u_turns, euler
+
+
 def check_type_one_count(tab: SweepTables, tally: dict) -> None:
     """``oracles.type_one_count`` against the type-I total of a sweep's
     tally {(D, orientable): vectors}; the tally with one run (a mask and

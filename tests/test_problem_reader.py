@@ -4,7 +4,10 @@ loaders; every other text it declines, and `parse_problem` hands it to
 PyYAML."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ from hypothesis import strategies as st
 
 from tcurve_lab.cli import MAX_NESTING, main, read_flow_problem
 
-from helpers import primitive_triangulation, random_flips, random_polygon
+from helpers import (PYTHONPATH, primitive_triangulation, random_flips,
+                     random_polygon)
 
 LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__
                                else [])
@@ -128,18 +132,35 @@ def test_near_misses_declined(text, pyyaml):
         assert same(got, pyyaml)
 
 
-@pytest.mark.parametrize("depth", [20, 2000])
+def deep_message(path, depth: int) -> str:
+    """The one stderr line for a polygon of ``depth`` brackets: the mapping
+    and 15 brackets nest 16 deep, which the reader takes and validation
+    refuses; one more and the reader declines, whatever the caller's stack,
+    and the loader's nesting limit refuses it."""
+    return ("error: polygon: expected a list of [x, y] pairs\n" if depth < MAX_NESTING
+            else f"error: {path}: nested deeper than {MAX_NESTING} levels\n")
+
+
+@pytest.mark.parametrize("depth", [15, 16, 17, 20, 500, 2000, 5000])
 def test_deep_flow_nesting_exits_with_one_message(tmp_path, capsys, depth):
-    # the reader takes 20 levels, which validation then refuses, and
-    # declines 2,000, past the recursion limit, which the loader's nesting
-    # limit refuses
     path = tmp_path / "deep.yaml"
     path.write_text("polygon: " + "[" * depth + "]" * depth + "\n")
-    assert (read_flow_problem(path.read_text()) is None) == (depth > 1000)
+    assert (read_flow_problem(path.read_text()) is None) == (depth >= MAX_NESTING)
     assert main(["surface", "--input", str(path)]) == 2
-    assert capsys.readouterr().err == (
-        "error: polygon: expected a list of [x, y] pairs\n" if depth == 20
-        else f"error: {path}: nested deeper than {MAX_NESTING} levels\n")
+    assert capsys.readouterr().err == deep_message(path, depth)
+
+
+@pytest.mark.parametrize("depth", [17, 992])
+def test_deep_flow_nesting_through_the_command_line(tmp_path, depth):
+    # 992 levels the reader once read from here, below the recursion limit
+    path = tmp_path / "deep.yaml"
+    path.write_text("polygon: " + "[" * depth + "]" * depth + "\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "tcurve_lab.cli", "surface", "--input", str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert (proc.returncode, proc.stdout, proc.stderr) == \
+        (2, "", deep_message(path, depth))
 
 
 # generated flow-style problems, each with at most one near-miss: in

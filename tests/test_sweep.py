@@ -30,7 +30,7 @@ from tcurve_lab.triangulation import (generate_grid_triangulation,
                                       incidence_graphs)
 
 from conftest import standard_triangle
-from helpers import (check_type_one_count, match_oracles,
+from helpers import (check_type_one_count, match_oracles, per_vector_faults,
                      primitive_triangulation, random_distribution,
                      random_flips, random_polygon, run_python, sweep)
 
@@ -210,23 +210,24 @@ def test_gray_steps_match_scratch_states():
 
 
 def test_failure_names_its_mask_in_gray_order():
-    """A boundary edge that fails its U-turn under one edge sign only: the
-    sweep stops at the first mask in Gray order that gives the edge that
-    sign, not at mask 0 nor at the first such mask in mask order, and
+    """An interior edge whose reading under edge sign bit 1 moves to the
+    next prong, a fault that only a vector giving the edge that sign reads:
+    the sweep stops at the first mask in Gray order that gives the edge
+    that sign, not at mask 0 nor at the first such mask in mask order, and
     ``trace_vector`` on that mask raises the same message."""
     t3 = standard_triangle(3)
     surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
     tab = compiled(surface, tri)
     gray = [g ^ g >> 1 for g in range(1 << tab.V)]
-    for k, (e, _) in enumerate(tab.boundary):
+    for e, _, _ in tab.interior:
         a, b = tab.edge_ends[e]
         first = [next(m for m in order if (m >> a ^ m >> b) & 1)
                  for order in (gray, range(1 << tab.V))]
         if first[0] != first[1]:
             break
-    l1, _, _, _ = tab.u_turns[k][1]
-    tab.edge_class[l1] = next(c for c in tab.edge_class if c != tab.edge_class[l1])
-    message = f"boundary edge {e} must U-turn in one class"
+    rd = tab.readings[4]
+    rd[e] = tab.nxt[rd[e]]
+    message = f"edge {e}: arc pairings disagree"
     with pytest.raises(InvariantError) as swept:
         run_sweep(tab)
     assert first[0] not in (0, first[1])
@@ -570,22 +571,41 @@ def _corrupt_slots(tab):
     tab.slots[0], tab.slots[1] = tab.slots[1], tab.slots[0]
 
 
+def _corrupt_unused_u_turn(tab):
+    # the negative class of the first boundary edge under edge sign bit 1,
+    # which mask 0 (every edge sign bit 0) never reads
+    l1, _, _, _ = tab.u_turns[0][1]
+    tab.edge_class[l1] = next(c for c in tab.edge_class if c != tab.edge_class[l1])
+
+
+# two faults of the tables' counts, on a copy
+def _corrupt_euler(tab):
+    return tab._replace(L=tab.L + 1)
+
+
+def _corrupt_interior_points(tab):
+    return tab._replace(interior_points=0)
+
+
 CORRUPTIONS = [_corrupt_seg_par, _corrupt_edge_class, _corrupt_edge_ends,
                _corrupt_across, _corrupt_across_interior, _corrupt_succ,
-               _corrupt_succ_pair, _corrupt_twisted_succ, _corrupt_slots]
+               _corrupt_succ_pair, _corrupt_twisted_succ, _corrupt_slots,
+               _corrupt_unused_u_turn, _corrupt_euler,
+               _corrupt_interior_points]
 # on grid T_3, per corruption: the message of the sweep (which names the
-# first failing mask) and of the single-shot driver.  Every vector reads
-# the one successor table, twisted or not, so a corrupted entry shows at
-# the first mask whose walk reads it.
+# first failing mask) and of the single-shot driver.  A fault that the
+# tables alone decide is checked when a run starts and names no mask.
+# Every vector reads the one successor table, twisted or not, so a
+# corrupted entry shows at the first mask whose walk reads it.
 CORRUPTION_MESSAGES = {
-    _corrupt_seg_par: ("mask 0: edge sign must descend to the surface",
+    _corrupt_seg_par: ("edge sign must descend to the surface",
                        "edge sign must descend to the surface"),
-    _corrupt_edge_class: ("mask 0: boundary edge 0 must U-turn in one class",
+    _corrupt_edge_class: ("boundary edge 0 must U-turn in one class",
                           "boundary edge 0 must U-turn in one class"),
     _corrupt_edge_ends: (
         "mask 1: a lifted triangle has an odd number of negative edges",
         "a lifted triangle has an odd number of negative edges"),
-    _corrupt_across: ("mask 1: boundary edge 1 must U-turn in one class",
+    _corrupt_across: ("boundary edge 1 must U-turn in one class",
                       "boundary edge 1 must U-turn in one class"),
     _corrupt_across_interior: (
         "mask 3: shadow must follow the boundary transitions",
@@ -599,6 +619,13 @@ CORRUPTION_MESSAGES = {
         "shadow must follow the boundary transitions"),
     _corrupt_slots: ("mask 0: a curve component must cross by negative edges",
                      "a curve component must cross by negative edges"),
+    _corrupt_unused_u_turn: ("boundary edge 0 must U-turn in one class",
+                             "boundary edge 0 must U-turn in one class"),
+    _corrupt_euler: ("the two Euler characteristic computations must agree",
+                     "the two Euler characteristic computations must agree"),
+    # mask 0 is the first mask in Gray order with D = 2
+    _corrupt_interior_points: ("mask 0: component bound violated: 2 > 1",
+                               "component bound violated: 2 > 1"),
 }
 
 
@@ -621,7 +648,7 @@ def corrupted_message(corrupt, driver) -> str:
     t3 = standard_triangle(3)
     surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
     tab = compiled(surface, tri)
-    corrupt(tab)
+    tab = corrupt(tab) or tab
     try:
         driver(surface, tri, tab)
     except InvariantError as exc:
@@ -647,6 +674,103 @@ def test_corrupted_table_messages_under_python_O():
     out = run_python(code, "-O")
     assert out.split("\n")[:-1] == [m for c in CORRUPTIONS
                                     for m in CORRUPTION_MESSAGES[c]]
+
+
+def test_single_shot_checks_the_u_turn_class_its_mask_does_not_use():
+    """Mask 0 gives every edge sign bit 0, so its run once read only the
+    class under bit 0 and passed with the other one broken; the run-start
+    check refuses it."""
+    t3 = standard_triangle(3)
+    surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
+    tab = compiled(surface, tri)
+    _corrupt_unused_u_turn(tab)
+    assert not per_vector_faults(tab, kernel_state(tab, 0), 2)[2]
+    with pytest.raises(InvariantError) as single:
+        trace_vector(tab, 0)
+    assert str(single.value) == CORRUPTION_MESSAGES[_corrupt_unused_u_turn][1]
+
+
+def test_component_bound_names_the_first_gray_mask_over_it():
+    t3 = standard_triangle(3)
+    ds = clean_ds(compiled(build_ambient_surface(t3),
+                           generate_grid_triangulation(t3)))
+    first = next(mask for mask, d in ds.items() if d == 2)  # in Gray order
+    assert CORRUPTION_MESSAGES[_corrupt_interior_points][0] == \
+        f"mask {first}: component bound violated: 2 > 1"
+
+
+# ---------------------------------------------------------------------------
+# the checks made once per run against the per-vector formulas
+
+def clean_ds(tab) -> dict:
+    """mask -> D over the states of ``gray_states``, in Gray order."""
+    identities = sweep_module._identities(tab)
+    return {mask: sweep_module._run(tab, identities, state, False).d
+            for mask, state in gray_states(tab)}
+
+
+def check_run_start(tab, ds) -> None:
+    """Over every kernel state of ``tab`` (a mask and its complement share
+    one), with D = ``ds[mask]``: the descent, four-quadrant and Euler
+    formulas of ``per_vector_faults`` are constant.  The U-turn formula
+    reads the class that the mask's edge sign picks, and every boundary
+    edge takes both signs over the masks, so its union over them is what
+    the sweep checks.  The first check that fails is the one with which
+    ``_identities`` refuses ``tab``, and it passes when none fails."""
+    constant, u_turns = set(), 0
+    for mask, state in gray_states(tab):
+        defect, quads, u, euler = per_vector_faults(tab, state, ds[mask])
+        constant.add((defect, quads, euler))
+        u_turns |= u
+    (defect, quads, euler), = constant
+    first_edge = ((u_turns & -u_turns).bit_length() - 1) >> 3  # lowest set byte
+    expected = next((message for fails, message in (
+        (defect, "edge sign must descend to the surface"),
+        (quads, "a downstairs edge lacks exactly two negative lifts"),
+        (u_turns, f"boundary edge {first_edge} must U-turn in one class"),
+        (euler, "the two Euler characteristic computations must agree"))
+        if fails), "passes")
+    try:
+        sweep_module._identities(tab)
+    except InvariantError as exc:
+        assert str(exc) == expected
+    else:
+        assert expected == "passes"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_run_start_checks_on_grids(d):
+    poly = standard_triangle(d)
+    tab = compiled(build_ambient_surface(poly), generate_grid_triangulation(poly))
+    check_run_start(tab, clean_ds(tab))
+
+
+def test_run_start_checks_on_random_polygons():
+    """40 seeded polygons with V <= 12 under random primitive
+    triangulations."""
+    rng = random.Random(35)
+    instances = 0
+    while instances < 40:
+        poly = random_polygon(rng, box=3)
+        v = len(poly.lattice_points)
+        if v > 12:
+            continue
+        instances += 1
+        tri = random_flips(rng, primitive_triangulation(poly), v)
+        tab = compiled(build_ambient_surface(poly), tri)
+        check_run_start(tab, clean_ds(tab))
+
+
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(corrupt, id=corrupt.__name__[9:]) for corrupt in CORRUPTIONS])
+def test_run_start_checks_on_corrupted_tables(corrupt):
+    """Grid T_3 after each corruption, with D of the intact tables (which
+    share ``edge_ends`` with the triangulation)."""
+    t3 = standard_triangle(3)
+    surface, tri = build_ambient_surface(t3), generate_grid_triangulation(t3)
+    tab = compiled(surface, tri)
+    ds = clean_ds(tab)
+    check_run_start(corrupt(tab) or tab, ds)
 
 
 def test_checks_survive_python_O():
