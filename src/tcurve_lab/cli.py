@@ -1,6 +1,7 @@
 """Command line interface.
 
-Problem files are YAML with these three fields and no other:
+Problem files hold three fields in flow or block style, with comments, in
+the part of YAML that ``read_problem`` reads without PyYAML (see README):
 
     polygon: [[0,0], [5,0], [0,5]]
     triangulation: grid            # or a list of index triples into the
@@ -13,7 +14,6 @@ Exit codes: 0 all checks passed, 1 an invariant failed, 2 bad input.
 
 import atexit
 import gc
-import io
 import os
 import re
 import sys
@@ -43,8 +43,8 @@ MAX_POINTS = 10_000
 # lattice point and fewer than 2 * MAX_POINTS triangles (a primitive
 # triangulation of V lattice points, B of them on the boundary, has
 # 2V - B - 2): at most 4 * MAX_POINTS items.  Flow style spends about 20
-# bytes on one (`"9999,9999": -1, `, `[9998,9999,10000],`); 64 bytes per
-# item leave room for block style, indentation and a comment on each line.
+# bytes on one (`"9999,9999": -1, `), block style up to 35 (a triple one
+# int a line at indent 4); 64 bytes per item leave room for comments.
 MAX_FILE_BYTES = 4 * 64 * MAX_POINTS
 # the most lattice points `enumerate` takes, whatever --cap says.  Its sweep
 # keeps V - 1 kernel states before the first vector: 2.7 kB each for the
@@ -137,21 +137,22 @@ def parse_problem(path: str) -> Problem:
             text = "" if size > MAX_FILE_BYTES else fh.read(limit)
             if len(text) == limit:
                 text += fh.read(MAX_FILE_BYTES + 1 - limit)
+        if max(size, len(text)) > MAX_FILE_BYTES:
+            raise TooLarge(f"{name}: larger than the size limit of "
+                           f"{MAX_FILE_BYTES} bytes")
+        raw = read_problem(text)
     except OSError as exc:
         raise ParseError(f"cannot read {name}: {exc}")
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, ParseError) as exc:
         raise ParseError(f"{name}: {exc}")
-    if max(size, len(text)) > MAX_FILE_BYTES:
-        raise TooLarge(f"{name}: larger than the size limit of "
-                       f"{MAX_FILE_BYTES} bytes")
-    raw = read_flow_problem(text)
-    if raw is None:
-        raw = load_yaml(text, name)
     if not isinstance(raw, dict):
         raise ParseError(f"{name}: expected a mapping at the top level")
     return problem_from_data(raw)
 
 
+# how deep a problem file may nest, the top mapping counted as 1 (a valid
+# problem nests 3 deep); the reader refuses a deeper collection unread.
+MAX_NESTING = 16
 _POINT_KEY = r"-?[0-9]+,-?[0-9]+"  # "x,y", the key of an explicit sign
 # one token of a flow-style value, after optional spaces: a flow indicator,
 # a decimal int, or a word or double-quoted point key with a key's colon
@@ -161,111 +162,110 @@ _POINT_KEY = r"-?[0-9]+,-?[0-9]+"  # "x,y", the key of an explicit sign
 _TOKEN = re.compile(
     r' *([][{},]|-?(?:0|[1-9][0-9]*)|(?:[a-z]+|"' + _POINT_KEY
     + r'")(?::(?= ))?)|.')
+# the words that PyYAML reads as bools or null; every other word is a string
+_YAML_WORDS = ("yes", "no", "on", "off", "true", "false", "null")
 
 
-def read_flow_problem(text: str):
-    """The data of a problem file written in the flow style the examples
-    use, one ``field: value`` line per field, with the same values and
-    types that PyYAML's safe loaders give; None for any text outside that
-    grammar.  A value line within it is JSON once its words are quoted."""
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    data = {}
-    for line in lines:
-        field, _, value = line.partition(": ")  # no ": ", no value
-        if field not in ("polygon", "triangulation", "signs") or field in data:
-            return None
-        tokens = iter(_TOKEN.findall(value) + ["\n"])  # "\n": the line's end
-        # ValueError: not JSON, a repeated key, an int past int()'s digit
-        # limit, or nested past MAX_NESTING
-        try:
-            data[field] = _flow_node(next(tokens), tokens, 2)
-        except ValueError:
-            return None
-        if next(tokens) != "\n":  # a token after the value
-            return None
-    return data or None
+def read_problem(text: str):
+    """The data of problem file ``text``, as PyYAML's safe loaders give it;
+    None for blank lines and comments alone.  ParseError, naming the line,
+    for text outside the grammar (see README), a tab, NEL, LS or PS in a
+    comment included, and for nesting past MAX_NESTING."""
+    lines = []  # [line number, column, content from there, whether "- "]
+    for number, line in enumerate(text.split("\n"), 1):
+        if "#" in line and (cut := (" " + line).find(" #")) >= 0:
+            if not line[cut:].isprintable():
+                bad = next(c for c in line[cut:] if not c.isprintable())
+                raise ParseError(f"line {number}: unexpected {bad!r} in a comment")
+            line = line[:cut]
+        if body := line.strip(" "):
+            lines.append([number, line.index(body), body, body[:2] in ("-", "- ")])
+    node, k = _block(lines, 0, 1) if lines else (None, 0)
+    if k < len(lines):  # a line that no collection above takes
+        raise _unexpected(lines[k][0], 0, lines[k][2])
+    return node
+
+
+def _block(lines: list, k: int, depth: int):
+    """The block collection at ``depth`` from ``lines[k]`` on, `- value` or
+    `key: value` lines at one column, and the index of the line after it.
+    A value is a flow node, a compact sequence (`- - 0`) or, after a dash or
+    colon that ends its line, the block collection of the next lines."""
+    if depth > MAX_NESTING:
+        raise ParseError(f"nested deeper than {MAX_NESTING} levels")
+    _, col, _, seq = lines[k]
+    node = {}  # a sequence's items by index
+    while k < len(lines) and lines[k][1] == col and lines[k][3] == seq:
+        number, _, text, _ = lines[k]
+        if seq:
+            at = len(text) - len(text[1:].lstrip(" "))
+        else:
+            key, colon, value = (text + " ").partition(": ")
+            name = key[1:-1] if key[:1] == '"' == key[-1:] else key
+            # a word or a point key, plain or quoted, and not repeated
+            if not colon or name in node or not (
+                    key.isascii() and key.isalpha() and key.islower()
+                    and key not in _YAML_WORDS or re.fullmatch(_POINT_KEY, name)):
+                raise _unexpected(number, 0, text)
+            at = len(text) + 1 - len(value)
+        if seq and text[at:at + 2] in ("-", "- "):  # a compact sequence
+            lines[k][1:3] = col + at, text[at:]
+            item, k = _block(lines, k, depth + 1)
+        elif at < len(text):
+            tokens = _TOKEN.findall(text, at)
+            rest = iter(tokens + ["\n"])  # "\n": the line's end
+            try:  # ValueError: see _flow_node, or a token after the node
+                item = _flow_node(next(rest), rest, depth + 1)
+                if next(rest) != "\n":
+                    raise ValueError
+            except ValueError:  # at the last token drawn
+                starts = [m.end() - len(m[0].lstrip(" "))
+                          for m in _TOKEN.finditer(text, at)] + [len(text)]
+                drawn = len(tokens) - rest.__length_hint__()
+                raise _unexpected(number, starts[drawn], text)
+            k += 1
+        elif k + 1 < len(lines) and (lines[k + 1][1] > col or not seq and
+                                     lines[k + 1][1] == col and lines[k + 1][3]):
+            item, k = _block(lines, k + 1, depth + 1)
+        else:  # PyYAML reads null
+            raise _unexpected(number, len(text), text)
+        node[len(node) if seq else name] = item
+    return list(node.values()) if seq else node, k
+
+
+def _unexpected(number: int, at: int, text: str) -> ParseError:
+    """ParseError naming line ``number`` and the run of ``text`` at ``at``."""
+    run = next((m[0] for m in re.finditer(r'"[^"]*"|[^][{}, "]+|.', text)
+                if m.end() > at), "")
+    return ParseError(f"line {number}: unexpected " + (repr(
+        run[:40] + "..." * (len(run) > 40)) if run else "end of line"))
 
 
 def _flow_node(token: str, tokens, depth: int):
     """The node that starts with ``token`` and reads on from the iterator
-    ``tokens``, as json.loads reads it once its words are quoted;
-    ValueError for any other text, "" and "\\n" included, and for a
-    collection at ``depth`` past ``MAX_NESTING`` (the top mapping is 1)."""
+    ``tokens``, as json.loads reads it once its words are quoted; ValueError
+    for other text ("" and "\\n" included), a YAML bool or null, a repeated
+    key or an int past int()'s digit limit, ParseError past MAX_NESTING."""
     if token != "[" and token != "{":  # int() refuses any other token
-        return token.strip('"') if token[-1:] == '"' or token in (
-            "grid", "enumerate", "harnack", "explicit") else int(token)
+        return token.strip('"') if token[-1:] == '"' or token.isalpha() \
+            and token not in _YAML_WORDS else int(token)
     if depth > MAX_NESTING:
-        raise ValueError
+        raise ParseError(f"nested deeper than {MAX_NESTING} levels")
     node, close = ([], "]") if token == "[" else ({}, "}")
     token = next(tokens)
     while token != close:
         if close == "]":
             node.append(_flow_node(token, tokens, depth + 1))
-        elif token[-1:] != ":" or token[:-1].strip('"') in node:
+        elif token[-1:] != ":" or token[:-1] in _YAML_WORDS \
+                or token[:-1].strip('"') in node:
             raise ValueError  # not a key, or a repeated one (PyYAML keeps the last)
         else:
-            node[_flow_node(token[:-1], tokens, depth)] = _flow_node(
-                next(tokens), tokens, depth + 1)
+            node[token[:-1].strip('"')] = _flow_node(next(tokens), tokens, depth + 1)
         token = next(tokens)
         # a comma before the next node, or the close
         if token != close and (token != "," or (token := next(tokens)) == close):
             raise ValueError
     return node
-
-
-def yaml_loader():
-    """libyaml's safe loader when PyYAML was built with it: the same data,
-    faster; PyYAML's own safe loader otherwise."""
-    import yaml
-    return yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
-
-
-# how deep a problem file may nest; a valid problem nests 3 deep (a
-# mapping of lists of lists, or of mappings of mappings).  libyaml's loader
-# overflows the C stack tens of thousands of levels down and PyYAML's own
-# the recursion limit some hundreds down, so deeper text is refused before
-# either composes it.
-MAX_NESTING = 16
-
-
-def nesting_depth(text: str) -> int:
-    """How deep YAML ``text`` nests, counted from the parser's events until
-    it passes ``MAX_NESTING`` or the text stops parsing (where the loader
-    stops too).  The parser keeps its own stack, so unlike the loader it
-    reads any depth without recursing."""
-    import yaml
-    depth = deepest = 0
-    try:
-        for event in yaml.parse(io.StringIO(text), Loader=yaml_loader()):
-            if isinstance(event, yaml.CollectionStartEvent):
-                depth += 1
-                deepest = max(deepest, depth)
-                if deepest > MAX_NESTING:
-                    break
-            elif isinstance(event, yaml.CollectionEndEvent):
-                depth -= 1
-    except yaml.YAMLError:
-        pass  # the loader reports it
-    return deepest
-
-
-def load_yaml(text: str, name: str):
-    """PyYAML's reading of a problem file, for text the flow reader
-    declines; imported here so that flow-style files never pay for it.
-    Messages name the file ``name``."""
-    if nesting_depth(text) > MAX_NESTING:
-        raise ParseError(f"{name}: nested deeper than {MAX_NESTING} levels")
-    import yaml
-    stream = io.StringIO(text)
-    stream.name = name  # PyYAML's messages name the file
-    try:
-        return yaml.load(stream, Loader=yaml_loader())
-    # ValueError: an int of more digits than int() converts, or a date
-    # such as 2020-13-01
-    except (yaml.YAMLError, ValueError) as exc:
-        raise ParseError(f"{name}: {' '.join(str(exc).split())}")
 
 
 def _check_ints(field: str, rows: list):

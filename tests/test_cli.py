@@ -11,9 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tcurve_lab.cli import (MAX_NESTING, Problem, main, nesting_depth,
-                            one_line, parse_problem, problem_from_data,
-                            yaml_loader)
+from tcurve_lab.cli import (MAX_NESTING, Problem, main, one_line,
+                            parse_problem, problem_from_data)
 from tcurve_lab.errors import (CapExceeded, InputError, ParseError, TooLarge,
                                ValidationError)
 
@@ -310,23 +309,19 @@ def test_libyaml_and_python_loaders_agree(tmp_path):
         if yaml.__with_libyaml__:
             assert yaml.load(text, Loader=yaml.CSafeLoader) == data
         assert problem_from_data(data).data() == \
-            problem_from_data(yaml.load(text, Loader=yaml_loader())).data() == \
             parse_problem(write(tmp_path, "p.yaml", text)).data()
 
 
-def test_syntax_error_with_either_loader(tmp_path, monkeypatch):
-    import yaml
-    import tcurve_lab.cli as cli
+def test_syntax_error_with_either_loader(tmp_path):
+    # whatever PyYAML would use: the reader names the file and the line
     path = write(tmp_path, "bad.yaml", "polygon: [[0,0")
-    for loader in (yaml.SafeLoader, yaml_loader()):
-        monkeypatch.setattr(cli, "yaml_loader", lambda: loader)
-        with pytest.raises(ParseError) as err:
-            parse_problem(path)
-        assert "\n" not in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse_problem(path)
+    assert str(err.value) == f"{path}: line 1: unexpected end of line"
 
 
 def test_flow_style_runs_without_yaml(tmp_path):
-    # PROBLEMS[3] in block style and its flow twin
+    # PROBLEMS[3] in block style and its flow twin: neither loads PyYAML
     flow = write(tmp_path, "flow.yaml", "polygon: [[0, 0], [4, 0], [0, 4]]\n"
                  "signs: {harnack: [0, 1, 1]}\n")
     block = write(tmp_path, "block.yaml", PROBLEMS[3])
@@ -339,8 +334,44 @@ def test_flow_style_runs_without_yaml(tmp_path):
             "print('yaml' in sys.modules)\n"
             f"print(parse_problem({block!r}).data() == flow)\n"
             "print('yaml' in sys.modules)\n")
-    assert run_python(code).split() == ["0", "False", "False", "True", "True"]
+    assert run_python(code).split() == ["0", "False", "False", "True", "False"]
     assert json.loads(Path(out).read_text())["filling"]["boundary_components"] > 0
+
+
+def readme_example() -> str:
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("```yaml\n", 1)[1].split("```", 1)[0]
+
+
+# README's example, with its trailing comments, and a block-style file,
+# each with its flow twin
+TWINS = {"readme": (readme_example(), "polygon: [[0,0], [5,0], [0,5]]\n"
+                    "triangulation: grid\nsigns: {harnack: [1,0,0]}\n"),
+         "block": (PROBLEMS[3], "polygon: [[0, 0], [4, 0], [0, 4]]\n"
+                   "signs: {harnack: [0, 1, 1]}\n")}
+
+
+@pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "O"])
+def test_block_and_commented_files_run_without_yaml(tmp_path, flags):
+    # with PyYAML unimportable these once ended in a ModuleNotFoundError
+    # traceback and exit 1
+    runs = []
+    for name, texts in TWINS.items():
+        for k, text in enumerate(texts):
+            path = write(tmp_path, f"{name}{k}.yaml", text)
+            runs.append(["filling", "--input", path, "--out", path + ".json"])
+    code = ("import sys\n"
+            "sys.modules['yaml'] = None\n"
+            "from tcurve_lab.cli import main\n"
+            f"sys.exit(max(main(argv) for argv in {runs!r}))\n")
+    proc = subprocess.run([sys.executable, *flags, "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    reports = [json.loads(Path(argv[-1]).read_text()) for argv in runs]
+    for rep in reports:
+        del rep["timing_ms"]
+    assert reports[0] == reports[1] and reports[2] == reports[3]
 
 
 def test_file_over_the_size_limit_refused_before_reading(tmp_path, capsys):
@@ -424,35 +455,33 @@ DEEP = {
 }
 
 
-@pytest.mark.parametrize("loader", ["SafeLoader", "yaml_loader()"])
+# the reader refuses NEL, LS and PS, where PyYAML breaks the line
+BREAK_REFUSED = {
+    **{f"brackets after {name}": f"line 1: unexpected {br!r} in a comment"
+       for name, br in (("NEL", "\x85"), ("LS", "\u2028"), ("PS", "\u2029"))},
+    "entries after NEL": "line 1: unexpected 'polygon:\\x85-'"}
+
+
 @pytest.mark.parametrize("kind", DEEP)
-def test_deep_nesting_refused_with_one_line(tmp_path, kind, loader):
+def test_deep_nesting_refused_with_one_line(tmp_path, kind):
     # in a fresh interpreter under python -O, which a crash cannot take down
     path = write(tmp_path, "deep.yaml", DEEP[kind])
-    code = ("import sys, yaml\n"
-            "import tcurve_lab.cli as cli\n"
-            "loader = yaml.SafeLoader if sys.argv[2] == 'SafeLoader' "
-            "else cli.yaml_loader()\n"
-            "cli.yaml_loader = lambda: loader\n"
-            "sys.exit(cli.main(['surface', '--input', sys.argv[1]]))\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code, path, loader],
+    proc = subprocess.run([sys.executable, "-O", "-m", "tcurve_lab.cli",
+                           "surface", "--input", path],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": PYTHONPATH})
+    message = BREAK_REFUSED.get(kind, f"nested deeper than {MAX_NESTING} levels")
     assert (proc.returncode, proc.stdout, proc.stderr) == \
-        (2, "", f"error: {path}: nested deeper than {MAX_NESTING} levels\n")
+        (2, "", f"error: {path}: {message}\n")
 
 
 def test_valid_problems_nest_shallow(tmp_path):
     import yaml
     for text in PROBLEMS:
         block = yaml.safe_dump(yaml.safe_load(text), default_flow_style=False)
-        for t in (text, block):
-            assert nesting_depth(t) <= 3
-            assert parse_problem(write(tmp_path, "p.yaml", t)).data() == \
-                parse_problem(write(tmp_path, "q.yaml", text)).data()
-    # each `- key:` opens a sequence and a mapping
-    assert nesting_depth("- a:\n  - b:\n    - c: [1]\n") == 7
-    # as deep as allowed: PyYAML reads it, and validation refuses it
+        assert parse_problem(write(tmp_path, "p.yaml", block)).data() == \
+            parse_problem(write(tmp_path, "q.yaml", text)).data()
+    # as deep as allowed: the reader reads it, and validation refuses it
     path = write(tmp_path, "p.yaml", "polygon: " + "[" * 15 + "]" * 15 + "\n")
     with pytest.raises(ValidationError, match="polygon: expected a list"):
         parse_problem(path)
@@ -467,9 +496,9 @@ def exit_and_stderr(tmp_path, capsys, text, subcommand="curve"):
     return code, capsys.readouterr().err
 
 
-# a point key that int() reads but the flow reader's grammar refuses used
-# to pass: "+1,0" and " 0,1" as (1, 0) and (0, 1), "1_0,0" as (10, 0) and
-# an Arabic-Indic one as (1, 0).  Each respells one key of a complete
+# a point key that int() reads but the reader's grammar refuses used to
+# pass: "+1,0" and " 0,1" as (1, 0) and (0, 1), "1_0,0" as (10, 0) and an
+# Arabic-Indic one as (1, 0).  Each respells one key of a complete
 # mapping, written in flow and in block style.
 RESPELLED_KEYS = {"plus": ("+1,0", "1,0"), "space": (" 0,1", "0,1"),
                   "underscore": ("1_0,0", "1,0"),
@@ -493,22 +522,23 @@ def respelled_problem(key, respells, block):
     ("polygon: [[0,0],[1,0],[0,1]]\ntriangulation: [[1,2,-3]]\n"
      "signs: {harnack: [1,0,0]}\n", "index -3 out of range"),
     # a string coordinate used to escape as a ValueError traceback
-    ('polygon: [[0,0],[3,0],["a",3]]\nsigns: {harnack: [1,0,0]}\n', "'a'"),
+    ('polygon: [[0,0],[3,0],["a",3]]\nsigns: {harnack: [1,0,0]}\n',
+     """line 1: unexpected '"a"'"""),
     # a float coordinate used to be truncated
     ("polygon: [[0,0],[2.7,0],[0,3]]\nsigns: {harnack: [1,0,0]}\n", "2.7"),
     # a boolean coordinate used to be read as 1
-    ("polygon: [[0,0],[true,0],[0,1]]\nsigns: {harnack: [1,0,0]}\n", "True"),
+    ("polygon: [[0,0],[true,0],[0,1]]\nsigns: {harnack: [1,0,0]}\n",
+     "line 1: unexpected 'true'"),
     # boolean and float sign fields used to pass, or to end in a TypeError
     ('polygon: [[0,0],[1,0],[0,1]]\nsigns: {explicit: {"0,0": true, '
-     '"1,0": -1, "0,1": 1}}\n', "sign must be 1 or -1"),
+     '"1,0": -1, "0,1": 1}}\n', "line 2: unexpected 'true'"),
     ("polygon: [[0,0],[3,0],[0,3]]\nsigns: {harnack: [true, 0.0, 0]}\n",
-     "expected [c, a, b] with bits"),
+     "line 2: unexpected 'true'"),
     # a YAML null used to pass the integer check and end in a TypeError
     ("polygon: [[0,0],[2,0],[0,~]]\nsigns: {harnack: [1,0,0]}\n",
-     "polygon[2]: expected integers, got None"),
+     "line 1: unexpected '~'"),
     ("polygon: [[0,0],[1,0],[0,1]]\ntriangulation: [[0,1,null]]\n"
-     "signs: {harnack: [1,0,0]}\n",
-     "triangulation[0]: expected integers, got None"),
+     "signs: {harnack: [1,0,0]}\n", "line 2: unexpected 'null'"),
     # a byte that is not UTF-8 used to end in a UnicodeDecodeError traceback
     (b"polygon: [[0,0],[1,0],[0,1]]\n# \xff\n", "can't decode byte 0xff"),
     # two spellings of one point used to pass, the later sign silently winning
@@ -527,14 +557,15 @@ def respelled_problem(key, respells, block):
      "signs: expected exactly one of harnack or explicit"),
     # an int longer than int() converts, or a date that does not exist,
     # used to end in a ValueError traceback from PyYAML's constructor
-    ("polygon: [[0,0],[1,0],[0," + "1" * 5000 + "]]\n", "Exceeds the limit"),
-    ("polygon: 2020-13-01\n", "month must be in 1..12"),
+    ("polygon: [[0,0],[1,0],[0," + "1" * 5000 + "]]\n",
+     "line 1: unexpected '" + "1" * 40 + "...'"),
+    ("polygon: 2020-13-01\n", "line 1: unexpected '2020-13-01'"),
     # a key of more digits than int() converts (in flow style: YAML's
     # block keys end at 1024 characters)
     (respelled_problem("1" * 5000 + ",0", None, False),
      "signs.explicit: bad point key '111"),
 ] + [(respelled_problem(key, respells, block),
-      f"signs.explicit: bad point key {key!r}\n")
+      f"line {4 if block else 2}: unexpected {json.dumps(key)!r}\n")
      for key, respells in RESPELLED_KEYS.values() for block in (False, True)],
     ids=["negative-index", "string", "float", "bool", "bool-sign",
          "bool-harnack-bit", "null-coordinate", "null-index", "non-utf8",
@@ -979,7 +1010,7 @@ def test_a_run_leaves_no_reference_cycles(tmp_path, name):
     """``main`` keeps the cyclic collector off during a run, so every
     object of a run must be freed by its reference count: with the
     collector off, nothing is left for it to find, on a flow-style file, a
-    block-style one (read by PyYAML) and a missing one; and the collector
+    block-style one and a missing one; and the collector
     is on again after the run."""
     flow = write(tmp_path, "t4.yaml", "polygon: [[0,0],[4,0],[0,4]]\n"
                  "signs: {harnack: [1,0,0]}\n")
