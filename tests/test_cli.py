@@ -462,12 +462,21 @@ BREAK_REFUSED = {
     "entries after NEL": "line 1: unexpected 'polygon:\\x85-'"}
 
 
+# the PyYAML loaders that once met these texts: its own safe loader, and
+# the one yaml_loader() picked (libyaml's, where PyYAML was built with it).
+# Each is made to exit 3 if constructed: the reader refuses first.
+@pytest.mark.parametrize("loader", ["SafeLoader", "yaml_loader()"])
 @pytest.mark.parametrize("kind", DEEP)
-def test_deep_nesting_refused_with_one_line(tmp_path, kind):
+def test_deep_nesting_refused_with_one_line(tmp_path, kind, loader):
     # in a fresh interpreter under python -O, which a crash cannot take down
     path = write(tmp_path, "deep.yaml", DEEP[kind])
-    proc = subprocess.run([sys.executable, "-O", "-m", "tcurve_lab.cli",
-                           "surface", "--input", path],
+    code = ("import os, sys, yaml\n"
+            "from tcurve_lab.cli import main\n"
+            "loader = yaml.SafeLoader if sys.argv[2] == 'SafeLoader' else "
+            "yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader\n"
+            "loader.__init__ = lambda *args: os._exit(3)\n"
+            "sys.exit(main(['surface', '--input', sys.argv[1]]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code, path, loader],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": PYTHONPATH})
     message = BREAK_REFUSED.get(kind, f"nested deeper than {MAX_NESTING} levels")
